@@ -19,14 +19,15 @@ import os
 import pyarrow as pa
 
 
-def prep_out_dir(out_dir: str, overwrite: bool) -> None:
-    """Refuse to mix corpora: error if ``out_dir`` already holds parquet
-    unless ``overwrite`` (then clear it). Shared by every ingester."""
+def prep_out_dir(out_dir: str, overwrite: bool, suffix: str = ".parquet") -> None:
+    """Refuse to mix corpora: error if ``out_dir`` already holds ``*suffix``
+    files unless ``overwrite`` (then clear them). Shared by every ingester
+    and sink."""
     if os.path.isdir(out_dir):
-        stale = [f for f in os.listdir(out_dir) if f.endswith(".parquet")]
+        stale = [f for f in os.listdir(out_dir) if f.endswith(suffix)]
         if stale and not overwrite:
             raise ValueError(
-                f"out_dir {out_dir!r} already holds {len(stale)} parquet file(s); "
+                f"out_dir {out_dir!r} already holds {len(stale)} *{suffix} file(s); "
                 "pass overwrite=True to replace them"
             )
         for f in stale:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import glob as _glob
 import hashlib
 import os
+from datetime import date, datetime, timezone
 from typing import Any
 
 import numpy as np
@@ -90,8 +91,12 @@ def ingest_ipc(
                 tv = ts_c[i].as_py() if ts_c is not None else None
                 if isinstance(tv, np.datetime64):
                     tss.append(tv)
-                elif hasattr(tv, "isoformat"):  # datetime from timestamp col
-                    tss.append(np.datetime64(tv.replace(tzinfo=None), "us"))
+                elif isinstance(tv, datetime):  # timestamp col: naive = UTC
+                    if tv.tzinfo is not None:
+                        tv = tv.astimezone(timezone.utc).replace(tzinfo=None)
+                    tss.append(np.datetime64(tv, "us"))
+                elif isinstance(tv, date):  # date col: midnight
+                    tss.append(np.datetime64(tv, "us"))
                 else:
                     tss.append(_parse_ts(tv))
                 hv = html_c[i].as_py() if html_c is not None else None
@@ -119,12 +124,15 @@ def ingest_ipc(
 def write_ipc(ds, out_dir: str, overwrite: bool = False) -> int:
     """Distributed Arrow-IPC sink: every batch task serializes its own
     .arrow file under ``out_dir`` (content-addressed by the md5 of the
-    batch's serialized bytes — a resumed re-run rewrites the same names
-    instead of duplicating) and returns one (path, rows) manifest row;
-    the driver folds only those. Returns total rows written."""
+    batch's serialized bytes) and returns one (path, rows) manifest row;
+    the calling process folds only those. Returns total rows written. A directory
+    that already holds *.arrow parts is refused, or cleared first with
+    ``overwrite=True``."""
     from core_ray.sources.ingest import prep_out_dir
 
-    prep_out_dir(out_dir, overwrite)
+    # the sink's own parts, so a changed dataset never leaves stale parts
+    # beside the new ones (a later ingest_ipc would read both)
+    prep_out_dir(out_dir, overwrite, suffix=".arrow")
     os.makedirs(out_dir, exist_ok=True)
 
     def write_batch(b: pa.Table) -> pa.Table:

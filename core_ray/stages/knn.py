@@ -24,6 +24,11 @@ for, SURVEY.md §2.5):
   group (uint64 key + count only). Groups above ``hot_threshold`` are
   salted: queries hash-partition into ceil(n/salt_target) sub-groups;
   candidates targeting a hot group are replicated into every sub-group.
+- ROUTING + SHUFFLE: the expansion itself tags every row with its reduce
+  ``part`` (a hash of (knn_grp, salt) into ``agg._n_parts()`` partitions),
+  so the plan has exactly one sort shuffle (groupby("part")) behind the
+  expansion and no repartition barrier. The sort's reduce tasks follow the
+  expansion's blocks: ≈ input rows / 16,384 (the expansion batch size).
 """
 
 from __future__ import annotations
@@ -33,9 +38,11 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from core_ray.geo import hexgrid
+from core_ray.stages.agg import _GOLD, _n_parts, count_by_u64, sum_by_u64
 
 _KNN_COLS = ["url", "mention_idx", "lat", "lon", "hex_cell"]
 COARSEN = 2  # group at res - COARSEN
+_MIX = np.uint64(0xBF58476D1CE4E5B9)  # salt multiplier of the partition hash
 
 
 def _group_key(cells: np.ndarray, group_res: int) -> np.ndarray:
@@ -57,7 +64,8 @@ def _group_targets(cells: np.ndarray, group_res: int) -> np.ndarray:
 
 
 class _Expand:
-    """Expansion UDF: emit query + candidate rows keyed by (knn_grp, salt).
+    """Expansion UDF: emit query + candidate rows keyed by (knn_grp, salt),
+    each tagged with the reduce ``part`` its group hashes to (of ``n_parts``).
 
     ADAPTIVE MULTI-RESOLUTION grouping (the skew plan):
     - default group = the coarse (res-2) key of a point's home cell;
@@ -77,10 +85,12 @@ class _Expand:
     (verified by the forced-salting oracle-equivalence test).
     """
 
-    def __init__(self, hot_coarse: np.ndarray, fine_salts: dict[int, int], cell_res: int):
+    def __init__(self, hot_coarse: np.ndarray, fine_salts: dict[int, int], cell_res: int,
+                 n_parts: int):
         self.hot_coarse = np.asarray(hot_coarse, dtype=np.uint64)
         self.fine_salts = fine_salts or {}
         self.group_res = cell_res - COARSEN
+        self.n_parts = n_parts
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         import zlib
@@ -148,11 +158,20 @@ class _Expand:
 
         take = pa.array(np.concatenate(out_idx))
         out = batch.select(_KNN_COLS).take(take)
+        grp = np.concatenate(out_grp).astype(np.uint64)
+        salt = np.concatenate(out_salt)
+        # route each (knn_grp, salt) group to its reduce partition here, so
+        # the groupby sort reads the expansion's blocks directly. Salted
+        # sub-groups of a hot cell hash to DIFFERENT partitions.
+        h = (grp * _GOLD) ^ ((salt.astype(np.uint64) + np.uint64(1)) * _MIX)
+        part = (h % np.uint64(self.n_parts)).astype(np.int32)
         return out.append_column(
-            "knn_grp", pa.array(np.concatenate(out_grp).astype(np.uint64), pa.uint64())
+            "knn_grp", pa.array(grp, pa.uint64())
         ).append_column(
-            "salt", pa.array(np.concatenate(out_salt), pa.int32())
-        ).append_column("is_query", pa.array(np.concatenate(out_q), pa.bool_()))
+            "salt", pa.array(salt, pa.int32())
+        ).append_column(
+            "is_query", pa.array(np.concatenate(out_q), pa.bool_())
+        ).append_column("part", pa.array(part, pa.int32()))
 
 
 def _process_partition(part: pa.Table, k: int) -> pa.Table:
@@ -356,8 +375,6 @@ def _hot_sets(ds, group_res: int, hot_threshold: int, salt_target: int,
 
     import ray
 
-    from core_ray.stages.agg import count_by_u64, sum_by_u64
-
     fine = count_by_u64(
         ds.select_columns(["hex_cell"]).map_batches(
             lambda b: pa.table({"key": b["hex_cell"]}), batch_format="pyarrow",
@@ -427,49 +444,28 @@ def knn_per_cell(ds, k: int = 5, hot_threshold: int = 4000, salt_target: int = 2
     """Dataset[joined rows] -> Dataset[(url, mention_idx, neighbor_url,
     neighbor_mention_idx, rank, dist)].
 
-    Two-pass: one DISTRIBUTED per-cell count pass drives the adaptive
+    Two passes: one DISTRIBUTED per-cell count pass drives the adaptive
     grouping plan (coarse / fine / salted — see _Expand; only the tiny
-    above-threshold hot sets reach the driver), then the expansion + a
-    hash-partitioned vectorized reduce.
+    above-threshold hot sets reach the calling process). Then the expansion emits
+    query + candidate rows already tagged with their hash ``part``, ONE
+    sort shuffle groups them by part, and _process_partition reduces each
+    part in one vectorized call. Reduce tasks ≈ input rows / 16,384.
     """
-    import ray
-
     group_res = cell_res - COARSEN
     hot_coarse, fine_salts = _hot_sets(ds, group_res, hot_threshold, salt_target)
 
     # stateless expansion tasks (plan state is tiny; closure capture beats an
     # actor pool: no startup latency, elastic across the cluster)
-    expander = _Expand(hot_coarse, fine_salts, cell_res)
-    expanded = ds.map_batches(
-        expander,
-        batch_format="pyarrow",
-        batch_size=16384,
-    )
-    # partition-level reduce: hash (knn_grp, salt) into ~4x-CPU coarse
-    # partitions, then ONE Python call per partition handles all its groups
-    # (see _process_partition). Salted sub-groups of a hot cell hash to
-    # DIFFERENT partitions, so skew stays spread.
-    n_cpus = int(ray.cluster_resources().get("CPU", 8))
-    n_parts = max(4 * n_cpus, 32)
-
-    def add_part(b: pa.Table) -> pa.Table:
-        g = b["knn_grp"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        st = b["salt"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        h = (g * np.uint64(0x9E3779B97F4A7C15)) ^ (
-            (st + np.uint64(1)) * np.uint64(0xBF58476D1CE4E5B9)
-        )
-        return b.append_column(
-            "part", pa.array((h % np.uint64(n_parts)).astype(np.int32), pa.int32())
-        )
-
-    # split into ~n_parts blocks BEFORE the groupby sort: the sort's output
-    # block count (= reduce task count) follows its input block count, and
-    # the task-fused expansion otherwise hands it only ~#input-files blocks —
-    # 17 reduce tasks on 32 cpus was the measured critical path (one task
-    # wave with stragglers). repartition is a cheap split, no shuffle.
+    expander = _Expand(hot_coarse, fine_salts, cell_res, n_parts=_n_parts())
+    # The sort's reduce task count equals its input block count: one block
+    # per expansion task, ~input rows / 16,384. No split in front of the
+    # sort: a separate routing map plus repartition(32) there cost more than
+    # the rest of the pass (2,500 pages, 2 CPUs: 1.53 s with them, 0.41 s
+    # without, median of 10),
+    # and the reduce still spreads (100 k pages: 7 blocks, 4.02 -> 3.33 s
+    # at 4 CPUs; ~67 expected for 1.1 M joined rows).
     return (
-        expanded.map_batches(add_part, batch_format="pyarrow", batch_size=65536)
-        .repartition(n_parts)
+        ds.map_batches(expander, batch_format="pyarrow", batch_size=16384)
         .groupby("part")
         .map_groups(lambda g: _process_partition(g, k), batch_format="pyarrow")
     )

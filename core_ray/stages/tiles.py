@@ -29,6 +29,7 @@ import numpy as np
 import pyarrow as pa
 
 from core_ray.geo import mercator
+from core_ray.stages.agg import _GOLD, _n_parts
 
 BASE_ZOOM = 12
 
@@ -151,8 +152,6 @@ def tile_rollup(ds, zooms: tuple[int, ...] = (7, 9, 12), approx_distinct: bool =
     mergeable HyperLogLog sketch (page_count becomes a ±~3% estimate;
     mention_count stays exact) — same plan shape, skew-proof per-tile
     shuffle volume."""
-    import ray
-
     zooms = tuple(zooms)
     for z in zooms:
         if z > BASE_ZOOM:
@@ -160,8 +159,7 @@ def tile_rollup(ds, zooms: tuple[int, ...] = (7, 9, 12), approx_distinct: bool =
     if approx_distinct:
         return _tile_rollup_hll(ds, zooms)
 
-    n_cpus = int(ray.cluster_resources().get("CPU", 8))
-    n_parts = max(4 * n_cpus, 32)
+    n_parts = _n_parts()
 
     def explode_preagg(batch: pa.Table) -> pa.Table:
         x12 = batch["tile_x"].to_numpy(zero_copy_only=False)
@@ -191,7 +189,7 @@ def tile_rollup(ds, zooms: tuple[int, ...] = (7, 9, 12), approx_distinct: bool =
         z = out["tile_z"].to_numpy(zero_copy_only=False).astype(np.uint64)
         x = out["tile_x"].to_numpy(zero_copy_only=False).astype(np.uint64)
         y = out["tile_y"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        h = mercator.tile_key(z, x, y) * np.uint64(0x9E3779B97F4A7C15)
+        h = mercator.tile_key(z, x, y) * _GOLD
         return out.append_column(
             "part", pa.array((h % np.uint64(n_parts)).astype(np.int32), pa.int32())
         )
@@ -205,10 +203,7 @@ def tile_rollup(ds, zooms: tuple[int, ...] = (7, 9, 12), approx_distinct: bool =
 
 
 def _tile_rollup_hll(ds, zooms: tuple[int, ...]):
-    import ray
-
-    n_cpus = int(ray.cluster_resources().get("CPU", 8))
-    n_parts = max(4 * n_cpus, 32)
+    n_parts = _n_parts()
 
     def explode_hll(batch: pa.Table) -> pa.Table:
         x12 = batch["tile_x"].to_numpy(zero_copy_only=False).astype(np.uint64)
@@ -228,7 +223,7 @@ def _tile_rollup_hll(ds, zooms: tuple[int, ...]):
         idx, rank = _hll_ranks(uh_all)
         np.maximum.at(regs, (inv, idx), rank)
         cnt = np.bincount(inv, minlength=len(uq)).astype(np.int64)
-        part = ((uq * np.uint64(0x9E3779B97F4A7C15)) % np.uint64(n_parts)).astype(np.int32)
+        part = ((uq * _GOLD) % np.uint64(n_parts)).astype(np.int32)
         return pa.table(
             {
                 "tile_key": pa.array(uq, pa.uint64()),

@@ -79,23 +79,17 @@ def _ensure_inputs() -> None:
 
         ds.groupby("part").map_groups(w, batch_format="pyarrow").count()
 
-    # --- knn: expansion + fixed hash partitioning (mirrors knn_per_cell) ---
+    # --- knn: the stage's own routing expansion, at a fixed part count ---
     from core_ray.stages.knn import _Expand, _hot_sets
 
     knn_in = joined.select_columns(["url", "mention_idx", "lat", "lon", "hex_cell"])
     hot_coarse, fine_salts = _hot_sets(knn_in, 5, 4000, 2000)
-    expanded = knn_in.map_batches(
-        _Expand(hot_coarse, fine_salts, 7), batch_format="pyarrow", batch_size=16384
-    )
-
-    def add_part_knn(b: pa.Table) -> pa.Table:
-        g = b["knn_grp"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        st = b["salt"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        h = (g * np.uint64(0x9E3779B97F4A7C15)) ^ ((st + np.uint64(1)) * np.uint64(0xBF58476D1CE4E5B9))
-        return b.append_column("part", pa.array((h % np.uint64(N_PARTS)).astype(np.int32), pa.int32()))
-
     _write_parts(
-        expanded.map_batches(add_part_knn, batch_format="pyarrow", batch_size=65536),
+        knn_in.map_batches(
+            _Expand(hot_coarse, fine_salts, 7, n_parts=N_PARTS),
+            batch_format="pyarrow",
+            batch_size=16384,
+        ),
         knn_dir,
     )
 

@@ -86,3 +86,56 @@ def test_ipc_no_payload_fails_loud(ray_session, tmp_path):
     (tmp_path / "bad.feather").write_bytes(_ipc_bytes(t))
     with pytest.raises(Exception, match="neither"):
         ingest_ipc(str(tmp_path), str(tmp_path / "pages"))
+
+
+def test_write_ipc_stale_parts_refused_or_cleared(ray_session, tmp_path):
+    import ray.data
+
+    from core_ray.sources.ipc import ingest_ipc, write_ipc
+
+    sink_dir = tmp_path / "ipc_out"
+    old = pa.table({"url": ["https://old/1", "https://old/2"], "html": [b"<p>a</p>", b"<p>b</p>"]})
+    new = pa.table({"url": ["https://new/1"], "html": [b"<p>c</p>"]})
+    assert write_ipc(ray.data.from_arrow(old), str(sink_dir)) == 2
+    # a different dataset into the same dir: refused without overwrite ...
+    with pytest.raises(ValueError, match="overwrite=True"):
+        write_ipc(ray.data.from_arrow(new), str(sink_dir))
+    # ... and with overwrite the old parts are gone, not read beside the new
+    assert write_ipc(ray.data.from_arrow(new), str(sink_dir), overwrite=True) == 1
+    out = tmp_path / "pages"
+    assert ingest_ipc(str(sink_dir), str(out)) == 1
+    got = pq.read_table(sorted(out.glob("*.parquet"))[0])
+    assert got["url"].to_pylist() == ["https://new/1"]
+
+
+def test_ipc_aware_timestamps_to_utc_and_dates_to_midnight(ray_session, tmp_path):
+    import datetime as dt
+
+    from core_ray.sources.ipc import ingest_ipc
+
+    aware = pa.table(
+        {
+            "url": ["https://a/1"],
+            "warc_ts": pa.array(
+                [dt.datetime(2024, 3, 1, 12, 0, tzinfo=dt.timezone.utc)],
+                pa.timestamp("us", tz="Europe/Berlin"),
+            ),
+            "html": [b"<p>a</p>"],
+        }
+    )
+    dated = pa.table(
+        {
+            "url": ["https://b/1"],
+            "date": pa.array([dt.date(2024, 3, 2)], pa.date32()),
+            "html": [b"<p>b</p>"],
+        }
+    )
+    (tmp_path / "aware.arrow").write_bytes(_ipc_bytes(aware))
+    (tmp_path / "dated.arrow").write_bytes(_ipc_bytes(dated))
+    out = tmp_path / "pages"
+    assert ingest_ipc(str(tmp_path), str(out)) == 2
+    got = pa.concat_tables(pq.read_table(p) for p in sorted(out.glob("*.parquet")))
+    ts = dict(zip(got["url"].to_pylist(), got["warc_ts"].to_pylist()))
+    # the UTC instant, not the Berlin wall clock (13:00) with its offset dropped
+    assert ts["https://a/1"].isoformat() == "2024-03-01T12:00:00"
+    assert ts["https://b/1"].isoformat() == "2024-03-02T00:00:00"
