@@ -20,8 +20,8 @@ Primary public entry points (import lazily — Ray must be initialized by the
 caller before running any pipeline):
 
     from core_ray.pipelines.flagship import run_flagship, scan_files
-    from core_ray.stages.join import hash_join
-    from core_ray.stages.dedup import dedup_exact, BloomFilter
+    from core_ray.stages.join import hash_join, BloomFilter
+    from core_ray.stages.dedup import dedup_exact
     from core_ray.stages.tiles import tile_rollup
     from core_ray.stages.knn import knn_per_cell
     from core_ray.text.dedup import minhash_near_dups, simhash_near_dups

@@ -14,14 +14,14 @@ Scale shape: file-level parallelism via ray.data.read_binary_files (one
 task per file group, the ingest_warc shape); the IPC decode is a zero-copy
 ``pa.ipc.open_file`` over the blob buffer inside the task. The sink
 (``write_ipc``) is distributed the same way — each batch task serializes
-its own .arrow file (content-addressed name, so a re-run overwrites
-rather than duplicates) and only (path, rows) manifest rows reach the
-driver."""
+its own .arrow file under a unique name and only (path, rows) manifest
+rows reach the calling process."""
 
 from __future__ import annotations
 
 import glob as _glob
 import hashlib
+import itertools
 import os
 from datetime import date, datetime, timezone
 from typing import Any
@@ -123,11 +123,16 @@ def ingest_ipc(
 
 def write_ipc(ds, out_dir: str, overwrite: bool = False) -> int:
     """Distributed Arrow-IPC sink: every batch task serializes its own
-    .arrow file under ``out_dir`` (content-addressed by the md5 of the
-    batch's serialized bytes) and returns one (path, rows) manifest row;
-    the calling process folds only those. Returns total rows written. A directory
-    that already holds *.arrow parts is refused, or cleared first with
-    ``overwrite=True``."""
+    .arrow file under ``out_dir`` and returns one (path, rows) manifest
+    row; the calling process folds only those. Returns total rows written.
+    A directory that already holds *.arrow parts is refused, or cleared
+    first with ``overwrite=True``.
+
+    A part is named ``part-<md5 of its bytes>-<n>.arrow``, where ``n`` is
+    the first ordinal whose file does not exist yet (exclusive create), so
+    batches with identical content still get one file each and the
+    returned total matches the rows on disk. A re-run reproduces the same
+    names only if Ray reproduces the same batch boundaries."""
     from core_ray.sources.ingest import prep_out_dir
 
     # the sink's own parts, so a changed dataset never leaves stale parts
@@ -139,11 +144,16 @@ def write_ipc(ds, out_dir: str, overwrite: bool = False) -> int:
         sink = pa.BufferOutputStream()
         with pa.ipc.new_file(sink, b.schema) as w:
             w.write_table(b)
-        buf = sink.getvalue()
-        name = hashlib.md5(buf.to_pybytes()).hexdigest()[:16]
-        path = os.path.join(out_dir, f"part-{name}.arrow")
-        with open(path, "wb") as f:
-            f.write(buf.to_pybytes())
+        data = sink.getvalue().to_pybytes()
+        digest = hashlib.md5(data).hexdigest()[:16]
+        for n in itertools.count():
+            path = os.path.join(out_dir, f"part-{digest}-{n}.arrow")
+            try:
+                with open(path, "xb") as f:
+                    f.write(data)
+                break
+            except FileExistsError:
+                continue
         return pa.table(
             {
                 "path": pa.array([path], pa.string()),

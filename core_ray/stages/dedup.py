@@ -1,80 +1,31 @@
-"""Exact dedup by key: hash-partition count + duplicate-key broadcast.
+"""Exact dedup by key in one hash shuffle.
 
 The corpus-level exact dedup the reference lacks (SURVEY.md §2.7 O4 — the geo
 engine adds it). Naive ``groupby(key).map_groups(first)`` calls Python once
 per key, and even ``groupby(key).count()`` reduces Python-side per distinct
-key in Ray Data (see stages/agg.py). Instead:
+key in Ray Data (see stages/agg.py). Instead, one execution:
 
-  1. hash each key tuple to uint64 and count per hash with the vectorized
-     count_by_u64 helper (per-batch combiner + one tiny shuffle);
-  2. hashes with count > 1 (actual duplicates + rare hash collisions — both
-     small by corpus contract) are collected and broadcast as a sorted numpy
-     array; membership tests are np.isin (vectorized), not per-row set probes;
-  3. one map pass splits rows: non-duplicate-hash rows stream through
-     untouched; duplicate-hash rows (tiny) go through an EXACT per-key
-     first-wins reduction (grouped by the real key columns, so a hash
-     collision between two distinct keys keeps both — never loses rows).
+  1. a map hashes each key tuple to uint64 and tags the row with that hash
+     and its hash partition (``agg._n_parts()`` partitions);
+  2. ONE ``groupby(part).map_groups`` co-locates every copy of a key, so
+     each partition decides alone, with no count pass and no broadcast;
+  3. inside a partition, rows whose hash occurs once stream through
+     untouched; rows whose hash repeats (actual duplicates + rare hash
+     collisions — both small by corpus contract) go through an EXACT
+     first-wins lexsort over the real key columns, so a hash collision
+     between two distinct keys keeps both — never loses rows.
 
-Scale escape hatch: when the duplicate-hash set exceeds ``bloom_threshold``
-entries, the exact sorted-array broadcast is replaced by a BLOOM FILTER
-built by streaming the duplicate hashes' bit positions through the driver
-(memory = the bit array, never the hash values). False positives only
-route extra rows into the exact per-key reduction, whose first-wins pass
-keeps singleton keys untouched — so the output is ALWAYS exact; the filter
-only bounds broadcast size.
-
-First-wins tie-break: min ``order_col`` (warc_ts), then stable — duplicate
-rows in the fixture corpus are byte-identical so any-wins is equivalent.
+First-wins tie-break: min ``order_col`` (warc_ts), then input order within
+the partition — duplicate rows in the fixture corpus are byte-identical so
+any-wins is equivalent.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
-from core_ray.stages.agg import count_by_u64, u64_key_of_url_midx
-
-
-class BloomFilter:
-    """Vectorized Bloom filter over uint64 keys (double hashing, k probes).
-
-    ~16 bits/key at k=8 -> ~4e-4 false-positive rate. The serialized form is
-    the raw bit array (numpy uint64 words) — cheap to ``ray.put`` once."""
-
-    def __init__(self, n_keys: int, bits_per_key: int = 16, k: int = 8):
-        self.m = int(max(64, 1 << int(np.ceil(np.log2(max(1, n_keys) * bits_per_key)))))
-        self.k = k
-        self.words = np.zeros(self.m // 64, dtype=np.uint64)
-
-    def _positions(self, keys: np.ndarray) -> np.ndarray:
-        """(n, k) bit positions via h1 + i*h2 double hashing."""
-        keys = keys.astype(np.uint64)
-        mask = np.uint64(0xFFFFFFFFFFFFFFFF)
-        h1 = (keys * np.uint64(0x9E3779B97F4A7C15)) & mask
-        h1 ^= h1 >> np.uint64(29)
-        h2 = ((keys ^ (keys >> np.uint64(33))) * np.uint64(0xBF58476D1CE4E5B9)) & mask
-        h2 |= np.uint64(1)
-        i = np.arange(self.k, dtype=np.uint64)[None, :]
-        return ((h1[:, None] + i * h2[:, None]) & mask) % np.uint64(self.m)
-
-    def add(self, keys: np.ndarray) -> None:
-        pos = self._positions(keys).reshape(-1)
-        np.bitwise_or.at(self.words, pos >> np.uint64(6), np.uint64(1) << (pos & np.uint64(63)))
-
-    def contains(self, keys: np.ndarray) -> np.ndarray:
-        if len(keys) == 0:
-            return np.zeros(0, dtype=bool)
-        pos = self._positions(keys)
-        hit = (self.words[pos >> np.uint64(6)] >> (pos & np.uint64(63))) & np.uint64(1)
-        return hit.all(axis=1)
-
-
-def _first_row_of_group(group: pa.Table, order_col: str) -> pa.Table:
-    if group.num_rows <= 1:
-        return group
-    order = pc.sort_indices(group, sort_keys=[(order_col, "ascending")])
-    return group.take(order[:1])
+from core_ray.stages.agg import _GOLD, _n_parts, u64_key_of_url_midx
 
 
 def _row_hashes(batch: pa.Table, key_cols: list[str]) -> np.ndarray:
@@ -93,140 +44,56 @@ def _row_hashes(batch: pa.Table, key_cols: list[str]) -> np.ndarray:
     )
 
 
-def dedup_exact(ds, key_cols: list[str], order_col: str = "warc_ts", key_ds=None,
-                bloom_threshold: int = 2_000_000, single_scan: bool = False):
-    """Dataset -> Dataset with one row per distinct key tuple.
+def _first_per_key(part: pa.Table, key_cols: list[str], order_col: str) -> pa.Table:
+    """Exact first-wins over the real key columns: lexsort by (keys,
+    order_col) and keep each key's first row."""
+    if part.num_rows <= 1:
+        return part
+    arrays = []
+    for c in reversed([*key_cols, order_col]):
+        col = part[c]
+        if pa.types.is_timestamp(col.type):
+            arrays.append(col.cast(pa.int64()).to_numpy(zero_copy_only=False))
+        elif pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
+            arrays.append(np.asarray(col.to_pylist()))
+        else:
+            arrays.append(col.to_numpy(zero_copy_only=False))
+    order = np.lexsort(tuple(arrays))  # last array (= first sort col) primary
+    first = np.ones(len(order), dtype=bool)
+    changed = np.zeros(len(order) - 1, dtype=bool)
+    for a in arrays[-len(key_cols):]:
+        s = a[order]
+        changed |= s[1:] != s[:-1]
+    first[1:] = changed
+    return part.take(pa.array(order[first]))
 
-    ``key_ds``: optional column-pruned projection of ``ds`` holding only the
-    key columns (e.g. a parquet read with columns=key_cols) — the counting
-    pass then never touches the wide text/html columns.
 
-    ``bloom_threshold``: above this many duplicate hashes the broadcast
-    switches from an exact sorted array to a Bloom filter (see module
-    docstring); the final output is exact either way.
-
-    ``single_scan``: tag-and-materialize instead of two filter passes — the
-    wide input is SCANNED ONCE (the dup flag is added in that scan and the
-    tagged corpus lands in the object store); clean/dup sides are then cheap
-    in-memory filters. Use when the caller was going to materialize the
-    result anyway (flagship phase B); leave False to keep the result fully
-    streaming at the cost of a second scan.
-    """
-    import ray
-
-    def tag(b: pa.Table) -> pa.Table:
-        return pa.table({"key": pa.array(_row_hashes(b, key_cols), pa.uint64())})
-
-    counts_dup = (
-        count_by_u64(
-            (key_ds if key_ds is not None else ds).map_batches(
-                tag, batch_format="pyarrow", batch_size=65536
-            ),
-            "key",
-        )
-        .filter(expr="cnt > 1")
-        .materialize()  # tiny: one row per DUPLICATE hash, consumed twice
-    )
-    n_dups = counts_dup.count()
-    if n_dups == 0:
-        return ds
-
-    if n_dups <= bloom_threshold:
-        tables = [t for t in ray.get(counts_dup.to_arrow_refs()) if t.num_rows]
-        dup_hashes = np.sort(
-            np.concatenate(
-                [t["key"].to_numpy(zero_copy_only=False) for t in tables]
-            ).astype(np.uint64)
-        )
-
-        def is_dup(h: np.ndarray) -> np.ndarray:
-            return np.isin(h, dup_hashes)
-
-    else:
-        # stream only BIT POSITIONS through the driver; memory = the filter
-        bloom = BloomFilter(n_dups)
-        for b in counts_dup.iter_batches(batch_size=262144, batch_format="pyarrow"):
-            bloom.add(b["key"].to_numpy(zero_copy_only=False))
-        is_dup = bloom.contains
-
-    # stateless task filters: the membership state (sorted array or bloom
-    # words) is captured in the task closure — shipped once per worker, no
-    # actor pool startup, fully elastic
-    def keep_clean(batch: pa.Table) -> pa.Table:
-        m = is_dup(_row_hashes(batch, key_cols))
-        return batch.filter(pa.array(~m))
-
-    def keep_dup(batch: pa.Table) -> pa.Table:
-        m = is_dup(_row_hashes(batch, key_cols))
-        return batch.filter(pa.array(m))
-
-    if single_scan:
-        def tag_rows(batch: pa.Table) -> pa.Table:
-            m = is_dup(_row_hashes(batch, key_cols))
-            return batch.append_column("__dup", pa.array(m))
-
-        tagged = ds.map_batches(
-            tag_rows, batch_format="pyarrow", batch_size=16384
-        ).materialize()
-        clean_src = tagged.filter(expr="__dup == False")
-        dup_src = tagged.filter(expr="__dup == True")
-
-        def drop_flag(b: pa.Table) -> pa.Table:
-            return b.drop_columns(["__dup"])
-
-        clean = clean_src.map_batches(drop_flag, batch_format="pyarrow")
-        dup_in = dup_src.map_batches(drop_flag, batch_format="pyarrow")
-    else:
-        clean = ds.map_batches(keep_clean, batch_format="pyarrow", batch_size=16384)
-        dup_in = ds.map_batches(keep_dup, batch_format="pyarrow", batch_size=16384)
-    # dup path: co-locate by key hash, then ONE vectorized first-wins pass per
-    # partition over the EXACT key columns (collisions keep both keys)
-    from core_ray.stages.agg import _n_parts
-
+def dedup_exact(ds, key_cols: list[str], order_col: str = "warc_ts"):
+    """Dataset -> Dataset with one row per distinct key tuple (min
+    ``order_col`` wins); one map + one hash shuffle (module docstring)."""
     n_parts = _n_parts()
 
-    def add_part(b: pa.Table) -> pa.Table:
+    def tag(b: pa.Table) -> pa.Table:
         h = _row_hashes(b, key_cols)
-        return b.append_column(
-            "dedup_part",
-            pa.array(((h * np.uint64(0x9E3779B97F4A7C15)) % np.uint64(n_parts)).astype(np.int32), pa.int32()),
+        part = ((h * _GOLD) % np.uint64(n_parts)).astype(np.int32)
+        return b.append_column("__key_hash", pa.array(h, pa.uint64())).append_column(
+            "__dedup_part", pa.array(part, pa.int32())
         )
 
-    def first_per_key(part: pa.Table) -> pa.Table:
-        part = part.drop_columns(["dedup_part"])
-        if part.num_rows <= 1:
+    def dedup_part(part: pa.Table) -> pa.Table:
+        h = part["__key_hash"].to_numpy(zero_copy_only=False)
+        part = part.drop_columns(["__key_hash", "__dedup_part"])
+        _, inverse, counts = np.unique(h, return_inverse=True, return_counts=True)
+        repeated = counts[inverse] > 1
+        if not repeated.any():
             return part
-        sort_cols = [*key_cols, order_col]
-        arrays = []
-        for c in reversed(sort_cols):
-            col = part[c]
-            if pa.types.is_timestamp(col.type):
-                arrays.append(col.cast(pa.int64()).to_numpy(zero_copy_only=False))
-            elif pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
-                arrays.append(np.asarray(col.to_pylist()))
-            else:
-                arrays.append(col.to_numpy(zero_copy_only=False))
-        order = np.lexsort(tuple(arrays))  # last array (= first sort col) primary
-        key_arrays = arrays[-len(key_cols):]
-        first = np.ones(len(order), dtype=bool)
-        changed = np.zeros(len(order) - 1, dtype=bool)
-        for a in key_arrays:
-            s = a[order]
-            changed |= s[1:] != s[:-1]
-        first[1:] = changed
-        return part.take(pa.array(order[first]))
+        return pa.concat_tables([
+            part.filter(pa.array(~repeated)),
+            _first_per_key(part.filter(pa.array(repeated)), key_cols, order_col),
+        ])
 
-    dup_first = (
-        dup_in
-        .map_batches(add_part, batch_format="pyarrow", batch_size=65536)
-        .groupby("dedup_part")
-        .map_groups(first_per_key, batch_format="pyarrow")
-    )
-    return clean.union(dup_first)
-
-
-# retained for comparison/tests: the naive per-group variant
-def dedup_by_url(ds):
-    return ds.groupby("url").map_groups(
-        lambda g: _first_row_of_group(g, "warc_ts"), batch_format="pyarrow"
+    return (
+        ds.map_batches(tag, batch_format="pyarrow", batch_size=16384)
+        .groupby("__dedup_part")
+        .map_groups(dedup_part, batch_format="pyarrow")
     )

@@ -268,6 +268,40 @@ def filter_not_in(ds, drop_ds, on: str, broadcast_max: int = 2_000_000,
     )
 
 
+class BloomFilter:
+    """Vectorized Bloom filter over uint64 keys (double hashing, k probes).
+
+    ~16 bits/key at k=8 -> ~4e-4 false-positive rate. The serialized form is
+    the raw bit array (numpy uint64 words) — cheap to ``ray.put`` once."""
+
+    def __init__(self, n_keys: int, bits_per_key: int = 16, k: int = 8):
+        self.m = int(max(64, 1 << int(np.ceil(np.log2(max(1, n_keys) * bits_per_key)))))
+        self.k = k
+        self.words = np.zeros(self.m // 64, dtype=np.uint64)
+
+    def _positions(self, keys: np.ndarray) -> np.ndarray:
+        """(n, k) bit positions via h1 + i*h2 double hashing."""
+        keys = keys.astype(np.uint64)
+        mask = np.uint64(0xFFFFFFFFFFFFFFFF)
+        h1 = (keys * np.uint64(0x9E3779B97F4A7C15)) & mask
+        h1 ^= h1 >> np.uint64(29)
+        h2 = ((keys ^ (keys >> np.uint64(33))) * np.uint64(0xBF58476D1CE4E5B9)) & mask
+        h2 |= np.uint64(1)
+        i = np.arange(self.k, dtype=np.uint64)[None, :]
+        return ((h1[:, None] + i * h2[:, None]) & mask) % np.uint64(self.m)
+
+    def add(self, keys: np.ndarray) -> None:
+        pos = self._positions(keys).reshape(-1)
+        np.bitwise_or.at(self.words, pos >> np.uint64(6), np.uint64(1) << (pos & np.uint64(63)))
+
+    def contains(self, keys: np.ndarray) -> np.ndarray:
+        if len(keys) == 0:
+            return np.zeros(0, dtype=bool)
+        pos = self._positions(keys)
+        hit = (self.words[pos >> np.uint64(6)] >> (pos & np.uint64(63))) & np.uint64(1)
+        return hit.all(axis=1)
+
+
 def bloom_of_ds(keep_ds, on: str, n_keys: int, bits_per_key: int = 16, k: int = 8):
     """Distributed Bloom-filter build over ``keep_ds[on]`` (int-like keys).
 
@@ -281,7 +315,6 @@ def bloom_of_ds(keep_ds, on: str, n_keys: int, bits_per_key: int = 16, k: int = 
     ``BloomFilter`` (no false negatives; fp ~4e-4 at 16 bits/key, k=8)."""
     from core_ray.collect import collect_table
     from core_ray.stages.agg import map_groups_partitioned
-    from core_ray.stages.dedup import BloomFilter
 
     bloom = BloomFilter(n_keys, bits_per_key=bits_per_key, k=k)
     m, kk = bloom.m, bloom.k

@@ -62,12 +62,10 @@ class CheckpointStore:
             return ray.data.from_items([])  # empty stage output (schema-less)
         return ray.data.read_parquet(data_dir, columns=columns)
 
-    def save(self, ds, stage: str, version: int, fingerprint: str, shard: str | None = None):
-        """Write ``ds`` + manifest atomically; returns the re-read Dataset
-        (reading back decouples downstream stages from upstream lineage —
-        later consumers don't re-execute the upstream pipeline)."""
-        import ray.data
-
+    def save(self, ds, stage: str, version: int, fingerprint: str, shard: str | None = None) -> None:
+        """Write ``ds`` + manifest atomically. Only writes: a caller that
+        needs the data back opens it with ``load`` (``load_or_compute``
+        does), and a caller that still holds ``ds`` keeps using that."""
         final = self._dir(stage, shard)
         tmp = f"{final}.tmp-{uuid.uuid4().hex[:8]}"
         data_dir = os.path.join(tmp, "data")
@@ -104,13 +102,15 @@ class CheckpointStore:
             shutil.rmtree(final)
         os.makedirs(os.path.dirname(final), exist_ok=True)
         os.replace(tmp, final)
-        return self.load(stage, shard)
 
     def load_or_compute(self, stage: str, version: int, fingerprint: str, compute, shard: str | None = None):
-        """Resume-or-run one stage; ``compute`` is a thunk returning a Dataset."""
-        if self.is_complete(stage, version, fingerprint, shard):
-            return self.load(stage, shard)
-        return self.save(compute(), stage, version, fingerprint, shard)
+        """Resume-or-run one stage; ``compute`` is a thunk returning a Dataset.
+        Returns the checkpoint read back, opened once either way (reading
+        back decouples downstream stages from upstream lineage — later
+        consumers don't re-execute the upstream pipeline)."""
+        if not self.is_complete(stage, version, fingerprint, shard):
+            self.save(compute(), stage, version, fingerprint, shard)
+        return self.load(stage, shard)
 
 
 def fingerprint_paths(paths: list[str]) -> str:

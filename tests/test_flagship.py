@@ -149,6 +149,44 @@ def test_resume_skips_completed_shards(result_and_golden, corpus):
         assert j["rows"] >= 0 and "files" in j and "wall_s" in j
 
 
+def test_checkpoint_reader_count(ray_session, corpus, tmp_path_factory, monkeypatch):
+    """Every ``read_parquet`` call blocks the calling process on a
+    footer-sampling task. With S shards a cold run opens each page shard
+    once and each phase-A checkpoint once, plus the kNN and tiles
+    checkpoints (2S + 2); a
+    full resume opens the S phase-A checkpoints, the deduped checkpoint
+    once per consumer (pipeline, kNN input, tiles input, stats) and the kNN
+    and tiles checkpoints (S + 6)."""
+    import glob
+
+    import ray.data
+
+    out_dir, c = corpus
+    files = sorted(glob.glob(f"{out_dir}/pages/*.parquet"))
+    n_shards = len(files)
+    calls = []
+    read_parquet = ray.data.read_parquet
+
+    def counting_read_parquet(*args, **kwargs):
+        calls.append(args[0] if args else kwargs.get("paths"))
+        return read_parquet(*args, **kwargs)
+
+    monkeypatch.setattr(ray.data, "read_parquet", counting_read_parquet)
+    ckpt = str(tmp_path_factory.mktemp("ckpt_readers"))
+
+    def run():
+        calls.clear()
+        res = run_flagship(files, c.admin_polygons, c.geoip_ranges,
+                           PipelineConfig(), checkpoint_dir=ckpt, n_shards=n_shards)
+        return res, len(calls)
+
+    cold, n_cold = run()
+    assert n_cold <= 2 * n_shards + 2, calls
+    resumed, n_resume = run()
+    assert n_resume <= n_shards + 6, calls
+    assert resumed.stats == cold.stats
+
+
 def test_oversize_error_rows(ray_session, tmp_path_factory):
     """Pages over max_html_bytes surface as (phase='extract',
     reason='max-html-bytes') error rows — never silently dropped — and are

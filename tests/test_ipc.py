@@ -108,6 +108,23 @@ def test_write_ipc_stale_parts_refused_or_cleared(ray_session, tmp_path):
     assert got["url"].to_pylist() == ["https://new/1"]
 
 
+def test_write_ipc_identical_batches_keep_separate_parts(ray_session, tmp_path):
+    """Two batches with identical content must land in two files: the
+    returned total has to match the rows actually on disk."""
+    import ray.data
+
+    from core_ray.sources.ipc import write_ipc
+
+    t = pa.table({"url": [f"https://x/{i}" for i in range(5000)], "n": list(range(5000))})
+    sink_dir = tmp_path / "ipc_out"
+    assert write_ipc(ray.data.from_arrow([t, t]), str(sink_dir)) == 10_000
+    on_disk = [
+        pa.ipc.open_file(pa.BufferReader(p.read_bytes())).read_all().num_rows
+        for p in sink_dir.glob("*.arrow")
+    ]
+    assert sum(on_disk) == 10_000, on_disk
+
+
 def test_ipc_aware_timestamps_to_utc_and_dates_to_midnight(ray_session, tmp_path):
     import datetime as dt
 

@@ -1,10 +1,10 @@
-"""Bloom-filter dedup escape hatch + HLL tile sketch: exactness/equivalence
+"""Bloom filter + HLL tile sketch + hot-set discovery: exactness/equivalence
 and error-bound tests."""
 
 import numpy as np
 import pyarrow as pa
 
-from core_ray.stages.dedup import BloomFilter, dedup_exact
+from core_ray.stages.join import BloomFilter
 from core_ray.stages.tiles import tile_rollup
 
 
@@ -19,49 +19,6 @@ class TestBloomFilter:
         fresh = probe[~np.isin(probe, keys)]
         fp_rate = bf.contains(fresh).mean()
         assert fp_rate < 0.01, fp_rate
-
-
-def _dup_corpus(n=4000, n_urls=1500, seed=11):
-    rng = np.random.default_rng(seed)
-    urls = [f"https://h{rng.integers(0, n_urls)}.example.com/p" for _ in range(n)]
-    ts = np.datetime64("2025-01-01", "us") + rng.integers(0, 10**6, n).astype(
-        "timedelta64[us]"
-    )
-    return pa.table(
-        {
-            "url": pa.array(urls, pa.string()),
-            "mention_idx": pa.array(rng.integers(0, 2, n), pa.int32()),
-            "warc_ts": pa.array(ts, pa.timestamp("us")),
-            "payload": pa.array(rng.integers(0, 10**9, n), pa.int64()),
-        }
-    )
-
-
-class TestDedupBloomHatch:
-    def test_forced_bloom_equals_exact_broadcast(self, ray_session):
-        """bloom_threshold=0 forces the Bloom path even for a small dup set;
-        the output must be IDENTICAL to the exact-array path (false positives
-        only reroute rows into the exact reduction)."""
-        import ray.data
-
-        t = _dup_corpus()
-
-        def result(bloom_threshold):
-            ds = ray.data.from_arrow(t)
-            out = dedup_exact(
-                ds, ["url", "mention_idx"], order_col="warc_ts",
-                bloom_threshold=bloom_threshold,
-            )
-            return sorted(
-                (r["url"], r["mention_idx"], str(r["warc_ts"]), r["payload"])
-                for r in out.take_all()
-            )
-
-        exact = result(bloom_threshold=10**9)
-        bloom = result(bloom_threshold=0)
-        assert exact == bloom
-        keys = {(u, m) for u, m, *_ in exact}
-        assert len(exact) == len(keys), "one row per distinct key"
 
 
 class TestTileHLL:
@@ -110,24 +67,6 @@ class TestTileHLL:
         tot_e = sum(v[0] for v in exact.values())
         tot_a = sum(v[0] for v in approx.values())
         assert abs(tot_a - tot_e) / tot_e < 0.05
-
-
-class TestDedupSingleScan:
-    def test_single_scan_equals_two_pass(self, ray_session):
-        import ray.data
-
-        t = _dup_corpus(seed=23)
-
-        def result(**kw):
-            out = dedup_exact(ray.data.from_arrow(t), ["url", "mention_idx"],
-                              order_col="warc_ts", **kw)
-            assert "__dup" not in out.schema().names
-            return sorted(
-                (r["url"], r["mention_idx"], str(r["warc_ts"]), r["payload"])
-                for r in out.take_all()
-            )
-
-        assert result(single_scan=True) == result(single_scan=False)
 
 
 class TestHotSetDiscovery:
