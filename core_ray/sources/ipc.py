@@ -12,7 +12,8 @@ one canonical page shape regardless of container.
 
 Scale shape: file-level parallelism via ray.data.read_binary_files (one
 task per file group, the ingest_warc shape); the IPC decode is a zero-copy
-``pa.ipc.open_file`` over the blob buffer inside the task. The sink
+``pa.ipc.open_file`` over the blob buffer inside the task, and the pages
+columns are built column by column with Arrow compute. The sink
 (``write_ipc``) is distributed the same way — each batch task serializes
 its own .arrow file under a unique name and only (path, rows) manifest
 rows reach the calling process."""
@@ -23,11 +24,11 @@ import glob as _glob
 import hashlib
 import itertools
 import os
-from datetime import date, datetime, timezone
 from typing import Any
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from core_ray.sources.base import Source, register_source
 from core_ray.sources.jsonl import _parse_ts, text_to_html
@@ -43,8 +44,83 @@ _LANG_COLS = ("lang", "language")
 def _pick_col(t: pa.Table, candidates: tuple[str, ...]):
     for c in candidates:
         if c in t.column_names:
-            return t[c]
+            return t[c].combine_chunks()
     return None
+
+
+_PAGES_SCHEMA = pa.schema(
+    [
+        ("url", pa.string()),
+        ("warc_ts", pa.timestamp("us")),
+        ("html", pa.binary()),
+        ("lang", pa.string()),
+    ]
+)
+
+
+def _as_string(c: pa.Array) -> pa.Array:
+    """A column as strings, nulls kept: one cast for string and integer
+    columns, ``str()`` per row for any other type."""
+    if pa.types.is_string(c.type) or pa.types.is_large_string(c.type) \
+            or pa.types.is_integer(c.type):
+        return pc.cast(c, pa.string())
+    return pa.array([None if v is None else str(v) for v in c.to_pylist()],
+                    pa.string())
+
+
+def _decode(t: pa.Table, base: str, default_lang: str) -> pa.Table:
+    """One IPC table -> pages rows, column by column. Defaults: url
+    ``ipc:<file>:<row>`` (1-based), warc_ts epoch 0, lang
+    ``default_lang``. Timestamp columns convert to naive UTC, date columns
+    to midnight, and only string or epoch timestamps go through
+    ``_parse_ts`` row by row; rows without html get
+    ``text_to_html(text)``."""
+    n = t.num_rows
+    url_c = _pick_col(t, _URL_COLS)
+    ts_c = _pick_col(t, _TS_COLS)
+    lang_c = _pick_col(t, _LANG_COLS)
+    html_c = _pick_col(t, ("html",))
+    text_c = _pick_col(t, _TEXT_COLS)
+    if html_c is None and text_c is None:
+        raise ValueError(
+            f"{base}: IPC table has neither an 'html' nor a text "
+            f"column (one of {_TEXT_COLS})"
+        )
+
+    url = pc.binary_join_element_wise(
+        f"ipc:{base}:", pc.cast(pa.array(np.arange(1, n + 1)), pa.string()), ""
+    )
+    if url_c is not None:
+        url = pc.coalesce(_as_string(url_c), url)
+
+    epoch0 = pa.scalar(0, pa.timestamp("us"))
+    if ts_c is None:
+        ts = pa.repeat(epoch0, n)
+    elif pa.types.is_timestamp(ts_c.type) or pa.types.is_date(ts_c.type):
+        ts = pc.fill_null(pc.cast(ts_c, pa.timestamp("us"), safe=False), epoch0)
+    else:
+        ts = pa.array([_parse_ts(v) for v in ts_c.to_pylist()], pa.timestamp("us"))
+
+    html = (
+        pc.cast(html_c, pa.binary())
+        if html_c is not None
+        else pa.nulls(n, pa.binary())
+    )
+    if html.null_count:
+        if text_c is None:
+            raise ValueError(f"{base}: rows without html and no text column")
+        missing = pc.is_null(html)
+        texts = text_c.filter(missing).to_pylist()
+        html = pc.replace_with_mask(
+            html, missing, pa.array([text_to_html(str(x)) for x in texts], pa.binary())
+        )
+
+    lang = (
+        pc.fill_null(_as_string(lang_c), default_lang)
+        if lang_c is not None
+        else pa.repeat(pa.scalar(default_lang, pa.string()), n)
+    )
+    return pa.Table.from_arrays([url, ts, html, lang], schema=_PAGES_SCHEMA)
 
 
 def ingest_ipc(
@@ -69,53 +145,17 @@ def ingest_ipc(
     ds = ray.data.read_binary_files(paths, include_paths=True)
 
     def to_pages(batch: pa.Table) -> pa.Table:
-        urls, tss, payloads, langs = [], [], [], []
-        for path, blob in zip(
-            batch["path"].to_pylist(), batch["bytes"].to_pylist()
-        ):
-            base = os.path.basename(path)
-            t = pa.ipc.open_file(pa.BufferReader(blob)).read_all()
-            url_c = _pick_col(t, _URL_COLS)
-            ts_c = _pick_col(t, _TS_COLS)
-            lang_c = _pick_col(t, _LANG_COLS)
-            html_c = t["html"] if "html" in t.column_names else None
-            text_c = _pick_col(t, _TEXT_COLS)
-            if html_c is None and text_c is None:
-                raise ValueError(
-                    f"{base}: IPC table has neither an 'html' nor a text "
-                    f"column (one of {_TEXT_COLS})"
-                )
-            for i in range(t.num_rows):
-                u = url_c[i].as_py() if url_c is not None else None
-                urls.append(str(u) if u is not None else f"ipc:{base}:{i + 1}")
-                tv = ts_c[i].as_py() if ts_c is not None else None
-                if isinstance(tv, np.datetime64):
-                    tss.append(tv)
-                elif isinstance(tv, datetime):  # timestamp col: naive = UTC
-                    if tv.tzinfo is not None:
-                        tv = tv.astimezone(timezone.utc).replace(tzinfo=None)
-                    tss.append(np.datetime64(tv, "us"))
-                elif isinstance(tv, date):  # date col: midnight
-                    tss.append(np.datetime64(tv, "us"))
-                else:
-                    tss.append(_parse_ts(tv))
-                hv = html_c[i].as_py() if html_c is not None else None
-                if hv is not None:
-                    payloads.append(
-                        hv if isinstance(hv, bytes) else str(hv).encode()
-                    )
-                else:
-                    payloads.append(text_to_html(str(text_c[i].as_py())))
-                lv = lang_c[i].as_py() if lang_c is not None else None
-                langs.append(str(lv) if lv is not None else default_lang)
-        return pa.table(
-            {
-                "url": pa.array(urls, pa.string()),
-                "warc_ts": pa.array(tss, pa.timestamp("us")),
-                "html": pa.array(payloads, pa.binary()),
-                "lang": pa.array(langs, pa.string()),
-            }
-        )
+        tables = [
+            _decode(
+                pa.ipc.open_file(pa.BufferReader(blob)).read_all(),
+                os.path.basename(path),
+                default_lang,
+            )
+            for path, blob in zip(
+                batch["path"].to_pylist(), batch["bytes"].to_pylist()
+            )
+        ]
+        return pa.concat_tables(tables) if tables else _PAGES_SCHEMA.empty_table()
 
     pages = ds.map_batches(to_pages, batch_format="pyarrow")
     return write_pages_parquet(pages, out_dir)

@@ -156,3 +156,53 @@ def test_ipc_aware_timestamps_to_utc_and_dates_to_midnight(ray_session, tmp_path
     # the UTC instant, not the Berlin wall clock (13:00) with its offset dropped
     assert ts["https://a/1"].isoformat() == "2024-03-01T12:00:00"
     assert ts["https://b/1"].isoformat() == "2024-03-02T00:00:00"
+
+
+def test_ipc_mixed_nulls_text_fallback_and_aware_timestamps(ray_session, tmp_path):
+    """Null urls and langs take their defaults, rows without html are built
+    from their text, and tz-aware timestamps land as naive UTC — in one
+    table, written as two record batches."""
+    import datetime as dt
+
+    from core_ray.sources.ipc import ingest_ipc
+
+    utc = dt.timezone.utc
+    t = pa.table(
+        {
+            "url": ["https://m/1", None, "https://m/3", None],
+            # New York wall clocks 08:30 and 00:00 (EDT) of these instants
+            "ts": pa.array(
+                [
+                    dt.datetime(2024, 5, 1, 12, 30, tzinfo=utc),
+                    dt.datetime(2024, 5, 2, 4, 0, tzinfo=utc),
+                    None,
+                    dt.datetime(2024, 5, 2, 0, 0, 0, 250, tzinfo=utc),
+                ],
+                pa.timestamp("us", tz="America/New_York"),
+            ),
+            "html": pa.array([b"<p>h1</p>", None, None, b"<p>h4</p>"], pa.binary()),
+            "text": ["ignored", "a & b\nline 2", "<tag>", None],
+            "lang": [None, "de", None, "fr"],
+        }
+    )
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_file(sink, t.schema) as w:
+        for b in t.to_batches(max_chunksize=2):
+            w.write_batch(b)
+    (tmp_path / "mixed.arrow").write_bytes(sink.getvalue().to_pybytes())
+
+    out = tmp_path / "pages"
+    assert ingest_ipc(str(tmp_path), str(out), default_lang="xx") == 4
+    got = pa.concat_tables(pq.read_table(p) for p in sorted(out.glob("*.parquet")))
+    rows = sorted(
+        (r["url"], r["warc_ts"].isoformat(), r["html"], r["lang"]) for r in got.to_pylist()
+    )
+    assert rows == sorted(
+        [
+            ("https://m/1", "2024-05-01T12:30:00", b"<p>h1</p>", "xx"),
+            ("ipc:mixed.arrow:2", "2024-05-02T04:00:00",
+             b"<p>a &amp; b</p><p>line 2</p>", "de"),
+            ("https://m/3", "1970-01-01T00:00:00", b"<p>&lt;tag&gt;</p>", "xx"),
+            ("ipc:mixed.arrow:4", "2024-05-02T00:00:00.000250", b"<p>h4</p>", "fr"),
+        ]
+    )

@@ -31,12 +31,15 @@ def _goldens():
     Mirrors the up-front ensure loop in __ray_entry__.oracle_sql().
     """
     from core_ray.queries import (
+        _ensure_absorbing_golden,
         _ensure_docs_golden,
+        _ensure_jenks_golden,
         _ensure_media_golden,
         _ensure_pagerank_golden,
         _ensure_pages_golden,
         _ensure_pii_corpus,
         _ensure_rules_golden,
+        _ensure_semdedup_golden,
         _ensure_typo_corpus,
     )
 
@@ -46,6 +49,9 @@ def _goldens():
         lambda: _ensure_docs_golden(sf001),
         lambda: _ensure_media_golden(sf001),
         lambda: _ensure_pagerank_golden(sf001),
+        lambda: _ensure_jenks_golden(sf001),
+        lambda: _ensure_semdedup_golden(sf001),
+        lambda: _ensure_absorbing_golden(sf001),
         _ensure_rules_golden,
         _ensure_pii_corpus,
         _ensure_typo_corpus,

@@ -68,6 +68,9 @@ def test_entry_contract(ray_session):
     s = e.oracle_sql()
     assert set(s) <= set(q), "oracle_sql keys must be a subset of queries"
     assert len(q) >= 20
+    # the registry is frozen: a refactor must not drop a query or its oracle
+    assert len(QUERIES) == 353
+    assert set(ORACLE_SQL) == set(QUERIES)
 
 
 def test_ngram_novelty_paths_agree(ray_session):

@@ -283,7 +283,7 @@ class TestWordNgrams:
         from core_ray.queries import _word_ngrams
 
         texts = ["a b c d", "x y", "", "p q r"]
-        ridx, grams = _word_ngrams(texts, 3)
+        ridx, grams, _ = _word_ngrams(pa.array(texts), 3)
         ref = []
         for i, t in enumerate(texts):
             w = t.split(" ")
@@ -294,14 +294,14 @@ class TestWordNgrams:
         from core_ray.queries import _word_ngrams
 
         # last word of row 0 + first of row 1 must never form a gram
-        ridx, grams = _word_ngrams(["a b", "c d"], 2)
+        ridx, grams, _ = _word_ngrams(pa.array(["a b", "c d"]), 2)
         assert grams.tolist() == ["a b", "c d"]
         assert ridx.tolist() == [0, 1]
 
     def test_all_rows_too_short(self):
         from core_ray.queries import _word_ngrams
 
-        ridx, grams = _word_ngrams(["a", "b"], 8)
+        ridx, grams, _ = _word_ngrams(pa.array(["a", "b"]), 8)
         assert len(ridx) == 0 and len(grams) == 0
 
 
