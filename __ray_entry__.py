@@ -32,29 +32,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
 
 def oracle_sql() -> dict[str, str]:
-    from core_ray.queries import (
-        ORACLE_SQL,
-        _ensure_docs_golden,
-        _ensure_media_golden,
-        _ensure_pagerank_golden,
-        _ensure_pages_golden,
-        _ensure_pii_corpus,
-        _ensure_rules_golden,
-        _ensure_typo_corpus,
-    )
+    from core_ray.queries import ORACLE_SQL, oracle_golden_ensures
 
     # several oracles read golden / engineered parquet derived independently
     # of the Ray path; materialize them up front (cached, no Ray needed) so
     # the SQL is runnable regardless of whether the queries ran first
-    for ensure in (
-        lambda: _ensure_pages_golden("/root/testdata/sf0.01"),
-        lambda: _ensure_docs_golden("/root/testdata/sf0.01"),
-        lambda: _ensure_media_golden("/root/testdata/sf0.01"),
-        lambda: _ensure_pagerank_golden("/root/testdata/sf0.01"),
-        _ensure_rules_golden,
-        _ensure_pii_corpus,
-        _ensure_typo_corpus,
-    ):
+    for ensure in oracle_golden_ensures("/root/testdata/sf0.01"):
         try:
             ensure()
         except Exception:

@@ -1,17 +1,31 @@
-"""Vectorized distributed aggregation helpers.
+"""The engine's one hash-partition shuffle, and the per-key folds built on it.
 
 Ray Data's built-in ``groupby().aggregate()`` reduce iterates Python-side per
 distinct key (measured: 24 s for 656 k rows / 300 k distinct keys in one
-partition, vs 0.2 s for the sort itself). For high-cardinality keys the engine
-therefore uses its own shape everywhere:
+partition, vs 0.2 s for the sort itself), and ``groupby(key).map_groups``
+pays ~1.4 ms of Python per group. For high-cardinality keys the engine
+therefore co-locates rows by a HASH of the key instead:
 
-    map_batches(per-batch np.unique pre-aggregate)   # combiner, no shuffle
-    -> hash-partition by key into ~4x-CPU parts      # ONE small shuffle
-    -> groupby(part).map_groups(numpy reduce)        # P Python calls total
+    map_batches(tag: __part = hash(key) % n_parts)   # fuses into the map before it
+    -> groupby(__part).map_groups(fn)                # ONE sort shuffle, P Python calls
 
-This module provides that pattern for uint64 keys (callers hash composite /
-string keys into uint64 first; collisions must be acceptable or handled by
-the caller — e.g. dedup routes hash-collided keys into an exact per-key path).
+``map_groups_partitioned`` is the only place that computes that partition
+column; every key-hash shuffle in the engine goes through it, so the
+partition count and the hash live in one function. Integer keys hash as
+uint64, string/binary keys through ``hash_strings``; composite keys are
+packed or hashed into one uint64 column by the caller. Collisions only
+co-locate extra rows: ``fn`` always compares real key values.
+
+The per-key folds (``count_by_u64``, ``sum_by_u64``, ``fsum_by_u64``,
+``min_by_u64``, ``max_by_u64``) are one combiner over that primitive: a
+per-batch fold (no shuffle) shrinks the rows to one per key and batch, and
+the same fold runs once per partition after the shuffle. Both use one
+kernel, an argsort plus ``ufunc.reduceat`` (``_reduce_by_key``).
+
+The swap to native Ray Data (``repartition(keys=…)`` / ``Dataset.join``
+under the hash-shuffle strategy) was measured and not taken: both hung at
+``num_cpus`` 1–2, where the hash-shuffle aggregator actors reserve the only
+CPUs (ROADMAP direction 2). That swap is now a change to this one function.
 """
 
 from __future__ import annotations
@@ -31,126 +45,26 @@ def _n_parts(default: int = 32) -> int:
         return default
 
 
-def count_by_u64(ds, key_col: str = "key"):
-    """Dataset with a uint64 ``key_col`` -> Dataset[(key_col, cnt:int64)].
+def _is_bytes_like(t: pa.DataType) -> bool:
+    return (pa.types.is_string(t) or pa.types.is_large_string(t)
+            or pa.types.is_binary(t) or pa.types.is_large_binary(t)
+            or pa.types.is_fixed_size_binary(t))
 
-    Exact counts per distinct key; fully vectorized at every step.
-    """
+
+def map_groups_partitioned(ds, key_col: str, partition_fn):
+    """``groupby(key).map_groups(fn)`` for HIGH-CARDINALITY keys:
+    hash-partition by ``key_col`` (integer, string or binary) and invoke
+    ``partition_fn`` ONCE per partition. It receives every key's rows
+    co-located (the input columns, without the partition tag) and handles
+    the per-key segments itself — numpy slices, not per-group slicing."""
     n_parts = _n_parts()
-
-    def pre(b: pa.Table) -> pa.Table:
-        k = b[key_col].to_numpy(zero_copy_only=False).astype(np.uint64)
-        u, c = np.unique(k, return_counts=True)
-        part = ((u * _GOLD) % np.uint64(n_parts)).astype(np.int32)
-        return pa.table(
-            {
-                key_col: pa.array(u, pa.uint64()),
-                "cnt": pa.array(c.astype(np.int64), pa.int64()),
-                "part": pa.array(part, pa.int32()),
-            }
-        )
-
-    def reduce(g: pa.Table) -> pa.Table:
-        k = g[key_col].to_numpy(zero_copy_only=False).astype(np.uint64)
-        c = g["cnt"].to_numpy(zero_copy_only=False)
-        order = np.argsort(k, kind="stable")
-        ks, cs = k[order], c[order]
-        new = np.ones(len(ks), dtype=bool)
-        new[1:] = ks[1:] != ks[:-1]
-        starts = np.nonzero(new)[0]
-        totals = np.add.reduceat(cs, starts) if len(starts) else cs[:0]
-        return pa.table(
-            {
-                key_col: pa.array(ks[starts], pa.uint64()),
-                "cnt": pa.array(totals.astype(np.int64), pa.int64()),
-            }
-        )
-
-    return (
-        ds.map_batches(pre, batch_format="pyarrow", batch_size=131072)
-        .groupby("part")
-        .map_groups(reduce, batch_format="pyarrow")
-    )
-
-
-def _sum_by_u64_impl(ds, key_col: str, val_col: str, out_col: str, np_dtype, pa_type):
-    """Shared combiner + one-hash-shuffle sum-by-key (int64 and float64
-    fronts below). One implementation so the argsort/boundary/reduceat
-    pattern has a single owner."""
-    n_parts = _n_parts()
-
-    def pre(b: pa.Table) -> pa.Table:
-        k = b[key_col].to_numpy(zero_copy_only=False).astype(np.uint64)
-        v = b[val_col].to_numpy(zero_copy_only=False).astype(np_dtype)
-        order = np.argsort(k, kind="stable")
-        ks, vs = k[order], v[order]
-        new = np.ones(len(ks), dtype=bool)
-        if len(ks):
-            new[1:] = ks[1:] != ks[:-1]
-        starts = np.nonzero(new)[0]
-        u = ks[starts]
-        sums = np.add.reduceat(vs, starts) if len(starts) else vs[:0]
-        part = ((u * _GOLD) % np.uint64(n_parts)).astype(np.int32)
-        return pa.table(
-            {
-                key_col: pa.array(u, pa.uint64()),
-                out_col: pa.array(sums.astype(np_dtype), pa_type),
-                "part": pa.array(part, pa.int32()),
-            }
-        )
-
-    def reduce(g: pa.Table) -> pa.Table:
-        k = g[key_col].to_numpy(zero_copy_only=False).astype(np.uint64)
-        c = g[out_col].to_numpy(zero_copy_only=False)
-        order = np.argsort(k, kind="stable")
-        ks, cs = k[order], c[order]
-        new = np.ones(len(ks), dtype=bool)
-        if len(ks):
-            new[1:] = ks[1:] != ks[:-1]
-        starts = np.nonzero(new)[0]
-        totals = np.add.reduceat(cs, starts) if len(starts) else cs[:0]
-        return pa.table(
-            {
-                key_col: pa.array(ks[starts], pa.uint64()),
-                out_col: pa.array(totals.astype(np_dtype), pa_type),
-            }
-        )
-
-    return (
-        ds.map_batches(pre, batch_format="pyarrow", batch_size=131072)
-        .groupby("part")
-        .map_groups(reduce, batch_format="pyarrow")
-    )
-
-
-def sum_by_u64(ds, key_col: str, val_col: str):
-    """Dataset with uint64 ``key_col`` + int64 ``val_col`` ->
-    Dataset[(key_col, cnt:int64 = sum of vals)] — the weighted sibling of
-    count_by_u64, same combiner + hash-partition + reduceat shape."""
-    return _sum_by_u64_impl(ds, key_col, val_col, "cnt", np.int64, pa.int64())
-
-
-def fsum_by_u64(ds, key_col: str, val_col: str):
-    """float64-valued sibling of sum_by_u64: Dataset with uint64 ``key_col``
-    + float ``val_col`` -> Dataset[(key_col, ``val_col``:float64 = sum)].
-    Float addition order differs from a single-pass sum; callers needing
-    cross-path determinism must round downstream (stages/pagerank rounds
-    each iteration to 1e-12)."""
-    return _sum_by_u64_impl(ds, key_col, val_col, val_col, np.float64, pa.float64())
-
-
-def map_groups_partitioned(ds, key_col: str, partition_fn, n_parts: int | None = None,
-                           batch_size: int = 131072):
-    """``groupby(key).map_groups(fn)`` for HIGH-CARDINALITY integer keys:
-    hash-partition by the key and invoke ``partition_fn`` ONCE per partition
-    (it receives every key's rows co-located and handles the per-key segments
-    itself — numpy slices, not pyarrow per-group slicing). Ray's per-group
-    map_groups costs ~1.4 ms of Python per group; at millions of keys that
-    is the job."""
-    n_parts = n_parts or _n_parts()
 
     def tag(b: pa.Table) -> pa.Table:
-        k = b[key_col].to_numpy(zero_copy_only=False).astype(np.uint64)
+        col = b[key_col]
+        if _is_bytes_like(col.type):
+            k = hash_strings(col)
+        else:
+            k = col.to_numpy(zero_copy_only=False).astype(np.uint64)
         return b.append_column(
             "__part", pa.array(((k * _GOLD) % np.uint64(n_parts)).astype(np.int32), pa.int32())
         )
@@ -158,11 +72,90 @@ def map_groups_partitioned(ds, key_col: str, partition_fn, n_parts: int | None =
     def run(g: pa.Table) -> pa.Table:
         return partition_fn(g.drop_columns(["__part"]))
 
+    # Ray Data names the map_groups operator after the UDF
+    run.__name__ = getattr(partition_fn, "__name__", run.__name__)
+    # The tag fuses into the map before it, and the fused operator bundles
+    # >= 131,072 rows per task; the sort's reduce blocks follow those tasks.
+    # Without a tag batch size, inputs of many small blocks each got a task
+    # and a reduce block: query_mix wall rose 3-30% in 3 of 3 pairs (2 CPUs).
     return (
-        ds.map_batches(tag, batch_format="pyarrow", batch_size=batch_size)
+        ds.map_batches(tag, batch_format="pyarrow", batch_size=131072)
         .groupby("__part")
         .map_groups(run, batch_format="pyarrow")
     )
+
+
+def _reduce_by_key(k: np.ndarray, v: np.ndarray, ufunc) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct keys ascending, ``ufunc`` folded over each key's values).
+    Float values sort stably, so each key's values are summed in input
+    order on every run; integer folds do not depend on the order, and the
+    default argsort is ~4x faster than the stable one (131 k u64 keys,
+    numpy 1.26.4 on one Xeon vCPU: 3.4 ms vs 15.5 ms)."""
+    order = np.argsort(k, kind="stable" if v.dtype.kind == "f" else None)
+    ks, vs = k[order], v[order]
+    new = np.ones(len(ks), dtype=bool)
+    new[1:] = ks[1:] != ks[:-1]
+    starts = np.nonzero(new)[0]
+    return ks[starts], (ufunc.reduceat(vs, starts) if len(starts) else vs[:0])
+
+
+def _fold_by_u64(ds, key_col: str, val_col: str | None, out_col: str, ufunc, dtype):
+    """Dataset with uint64 ``key_col`` -> Dataset[(key_col, out_col)], one
+    row per distinct key, ``out_col`` = ``ufunc`` folded over ``val_col``
+    (each row counts 1 when ``val_col`` is None). The same fold runs as the
+    per-batch combiner and as the per-partition reduce."""
+    pa_type = pa.from_numpy_dtype(dtype)
+
+    def fold(t: pa.Table, col: str | None) -> pa.Table:
+        k = t[key_col].to_numpy(zero_copy_only=False).astype(np.uint64)
+        v = (np.ones(len(k), dtype) if col is None
+             else t[col].to_numpy(zero_copy_only=False).astype(dtype))
+        u, r = _reduce_by_key(k, v, ufunc)
+        return pa.table({key_col: pa.array(u, pa.uint64()), out_col: pa.array(r, pa_type)})
+
+    def pre(b: pa.Table) -> pa.Table:
+        return fold(b, val_col)
+
+    def reduce(g: pa.Table) -> pa.Table:
+        return fold(g, out_col)
+
+    return map_groups_partitioned(
+        ds.map_batches(pre, batch_format="pyarrow", batch_size=131072), key_col, reduce
+    )
+
+
+def count_by_u64(ds, key_col: str = "key"):
+    """Dataset with a uint64 ``key_col`` -> Dataset[(key_col, cnt:int64)]:
+    exact counts per distinct key."""
+    return _fold_by_u64(ds, key_col, None, "cnt", np.add, np.int64)
+
+
+def sum_by_u64(ds, key_col: str, val_col: str):
+    """Dataset with uint64 ``key_col`` + int64 ``val_col`` ->
+    Dataset[(key_col, cnt:int64 = sum of vals)] — the weighted count."""
+    return _fold_by_u64(ds, key_col, val_col, "cnt", np.add, np.int64)
+
+
+def fsum_by_u64(ds, key_col: str, val_col: str):
+    """float64 sum per key: Dataset with uint64 ``key_col`` + float
+    ``val_col`` -> Dataset[(key_col, ``val_col``:float64 = sum)]. Float
+    addition order differs from a single-pass sum; callers needing
+    cross-path determinism must round downstream (stages/pagerank rounds
+    each iteration to 1e-12)."""
+    return _fold_by_u64(ds, key_col, val_col, val_col, np.add, np.float64)
+
+
+def min_by_u64(ds, key_col: str, val_col: str):
+    """Dataset with uint64 ``key_col`` + uint64 ``val_col`` ->
+    Dataset[(key_col, val_col = min of vals)]. Used by stages/cc.py's label
+    propagation, where per-key minima shrink the shuffle the same way
+    partial sums do."""
+    return _fold_by_u64(ds, key_col, val_col, val_col, np.minimum, np.uint64)
+
+
+def max_by_u64(ds, key_col: str, val_col: str):
+    """MAX sibling of min_by_u64 (uint64 values)."""
+    return _fold_by_u64(ds, key_col, val_col, val_col, np.maximum, np.uint64)
 
 
 def hash_strings(col) -> np.ndarray:
@@ -204,76 +197,6 @@ def u64_key_of_url_midx(urls: list[str], midx: np.ndarray) -> np.ndarray:
     h1 = np.fromiter((zlib.crc32(u.encode()) for u in urls), dtype=np.uint64, count=n)
     h2 = np.fromiter((zlib.adler32(u.encode()) for u in urls), dtype=np.uint64, count=n)
     return (h1 << np.uint64(32)) ^ (h2 * np.uint64(2654435761)) ^ midx.astype(np.uint64)
-
-
-def min_by_u64(ds, key_col: str, val_col: str):
-    """Dataset with uint64 ``key_col`` + uint64 ``val_col`` ->
-    Dataset[(key_col, val_col = min of vals)] — the MIN sibling of
-    sum_by_u64 (combiner + one hash partition + minimum.reduceat). Used by
-    stages/cc.py's label propagation, where per-key minima shrink the
-    shuffle the same way partial sums do."""
-    n_parts = _n_parts()
-
-    def pre(b: pa.Table) -> pa.Table:
-        k = b[key_col].to_numpy(zero_copy_only=False).astype(np.uint64)
-        v = b[val_col].to_numpy(zero_copy_only=False).astype(np.uint64)
-        order = np.argsort(k, kind="stable")
-        ks, vs = k[order], v[order]
-        new = np.ones(len(ks), dtype=bool)
-        if len(ks):
-            new[1:] = ks[1:] != ks[:-1]
-        starts = np.nonzero(new)[0]
-        u = ks[starts]
-        mins = np.minimum.reduceat(vs, starts) if len(starts) else vs[:0]
-        part = ((u * _GOLD) % np.uint64(n_parts)).astype(np.int32)
-        return pa.table(
-            {
-                key_col: pa.array(u, pa.uint64()),
-                val_col: pa.array(mins, pa.uint64()),
-                "part": pa.array(part, pa.int32()),
-            }
-        )
-
-    def reduce(g: pa.Table) -> pa.Table:
-        k = g[key_col].to_numpy(zero_copy_only=False).astype(np.uint64)
-        v = g[val_col].to_numpy(zero_copy_only=False).astype(np.uint64)
-        order = np.argsort(k, kind="stable")
-        ks, vs = k[order], v[order]
-        new = np.ones(len(ks), dtype=bool)
-        if len(ks):
-            new[1:] = ks[1:] != ks[:-1]
-        starts = np.nonzero(new)[0]
-        mins = np.minimum.reduceat(vs, starts) if len(starts) else vs[:0]
-        return pa.table(
-            {
-                key_col: pa.array(ks[starts], pa.uint64()),
-                val_col: pa.array(mins, pa.uint64()),
-            }
-        )
-
-    return (
-        ds.map_batches(pre, batch_format="pyarrow", batch_size=131072)
-        .groupby("part")
-        .map_groups(reduce, batch_format="pyarrow")
-    )
-
-
-def max_by_u64(ds, key_col: str, val_col: str):
-    """MAX sibling of min_by_u64, by bit complement: max(v) == ~min(~v) on
-    uint64 — one extra vectorized map on each side of the existing combiner
-    instead of a third reduceat kernel."""
-
-    def flip(b: pa.Table) -> pa.Table:
-        v = b[val_col].to_numpy(zero_copy_only=False).astype(np.uint64)
-        return b.set_column(
-            b.schema.get_field_index(val_col), val_col, pa.array(~v, pa.uint64())
-        )
-
-    inv = min_by_u64(
-        ds.map_batches(flip, batch_format="pyarrow", batch_size=131072),
-        key_col, val_col,
-    )
-    return inv.map_batches(flip, batch_format="pyarrow")
 
 
 def histogram_quantile_cont(vals: np.ndarray, cnts: np.ndarray, q: float) -> float:

@@ -5,10 +5,10 @@ engine adds it). Naive ``groupby(key).map_groups(first)`` calls Python once
 per key, and even ``groupby(key).count()`` reduces Python-side per distinct
 key in Ray Data (see stages/agg.py). Instead, one execution:
 
-  1. a map hashes each key tuple to uint64 and tags the row with that hash
-     and its hash partition (``agg._n_parts()`` partitions);
-  2. ONE ``groupby(part).map_groups`` co-locates every copy of a key, so
-     each partition decides alone, with no count pass and no broadcast;
+  1. a map hashes each key tuple to a uint64 ``__key_hash`` column;
+  2. ONE ``agg.map_groups_partitioned`` shuffle on that hash co-locates
+     every copy of a key, so each partition decides alone, with no count
+     pass and no broadcast;
   3. inside a partition, rows whose hash occurs once stream through
      untouched; rows whose hash repeats (actual duplicates + rare hash
      collisions — both small by corpus contract) go through an EXACT
@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from core_ray.stages.agg import _GOLD, _n_parts, u64_key_of_url_midx
+from core_ray.stages.agg import map_groups_partitioned, u64_key_of_url_midx
 
 
 def _row_hashes(batch: pa.Table, key_cols: list[str]) -> np.ndarray:
@@ -71,18 +71,13 @@ def _first_per_key(part: pa.Table, key_cols: list[str], order_col: str) -> pa.Ta
 def dedup_exact(ds, key_cols: list[str], order_col: str = "warc_ts"):
     """Dataset -> Dataset with one row per distinct key tuple (min
     ``order_col`` wins); one map + one hash shuffle (module docstring)."""
-    n_parts = _n_parts()
 
-    def tag(b: pa.Table) -> pa.Table:
-        h = _row_hashes(b, key_cols)
-        part = ((h * _GOLD) % np.uint64(n_parts)).astype(np.int32)
-        return b.append_column("__key_hash", pa.array(h, pa.uint64())).append_column(
-            "__dedup_part", pa.array(part, pa.int32())
-        )
+    def key_hash(b: pa.Table) -> pa.Table:
+        return b.append_column("__key_hash", pa.array(_row_hashes(b, key_cols), pa.uint64()))
 
     def dedup_part(part: pa.Table) -> pa.Table:
         h = part["__key_hash"].to_numpy(zero_copy_only=False)
-        part = part.drop_columns(["__key_hash", "__dedup_part"])
+        part = part.drop_columns(["__key_hash"])
         _, inverse, counts = np.unique(h, return_inverse=True, return_counts=True)
         repeated = counts[inverse] > 1
         if not repeated.any():
@@ -92,8 +87,7 @@ def dedup_exact(ds, key_cols: list[str], order_col: str = "warc_ts"):
             _first_per_key(part.filter(pa.array(repeated)), key_cols, order_col),
         ])
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow", batch_size=16384)
-        .groupby("__dedup_part")
-        .map_groups(dedup_part, batch_format="pyarrow")
+    return map_groups_partitioned(
+        ds.map_batches(key_hash, batch_format="pyarrow", batch_size=16384),
+        "__key_hash", dedup_part,
     )

@@ -9,8 +9,9 @@ Two paths with identical output (tested against each other):
   regular-window arithmetic special case).
 - ``interval_join_bucketed``: the SCALE path — time is cut into fixed
   buckets; every point maps to one bucket, every interval REPLICATES into
-  each bucket it overlaps, buckets hash into ~4x-CPU partitions, and the
-  match runs vectorized per partition. One all-to-all over points +
+  each bucket it overlaps, points shuffle by bucket through
+  ``agg.map_groups_partitioned``, and each partition matches its points
+  against the broadcast replicas of the buckets it holds, vectorized. One all-to-all over points +
   interval replicas; replication factor = interval length / bucket width
   (pick ``bucket_width`` near the typical interval length — the standard
   range-join bucketing trade; very long intervals belong on the broadcast
@@ -22,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from core_ray.stages.agg import _GOLD, _n_parts
+from core_ray.stages.agg import map_groups_partitioned
 
 
 def _intervals_np(intervals: pa.Table, id_col: str, lo_col: str, hi_col: str):
@@ -71,14 +72,12 @@ def interval_join_broadcast(points_ds, intervals: pa.Table, point_col: str,
 
 def interval_join_bucketed(points_ds, intervals: pa.Table, point_col: str,
                            id_col: str = "interval_id", lo_col: str = "lo",
-                           hi_col: str = "hi", bucket_width: int | None = None,
-                           n_parts: int | None = None):
+                           hi_col: str = "hi", bucket_width: int | None = None):
     """Distributed variant: identical output to interval_join_broadcast."""
     import ray
 
     ids, lo, hi = _intervals_np(intervals, id_col, lo_col, hi_col)
     id_type = intervals.schema.field(id_col).type
-    n_parts = n_parts or _n_parts()
     if bucket_width is None:
         pos = (hi - lo)[(hi - lo) > 0]
         bucket_width = int(max(np.median(pos), 1)) if len(pos) else 1
@@ -92,32 +91,24 @@ def interval_join_bucketed(points_ds, intervals: pa.Table, point_col: str,
         [np.arange(a, z + 1) for a, z in zip(b_lo, b_hi)]
     ) if len(ids) else np.zeros(0, dtype=np.int64)
     iv_row = np.repeat(np.arange(len(ids)), reps) if len(ids) else np.zeros(0, dtype=np.int64)
-    iv_part = ((iv_bucket.astype(np.uint64) * _GOLD) % np.uint64(n_parts)).astype(np.int32)
     iv_tbl = pa.table(
         {
             "__bucket": pa.array(iv_bucket, pa.int64()),
             "__ivid": pa.array(ids[iv_row], id_type),
             "__lo": pa.array(lo[iv_row], pa.int64()),
             "__hi": pa.array(hi[iv_row], pa.int64()),
-            "__part": pa.array(iv_part, pa.int32()),
         }
     )
     iv_ref = ray.put(iv_tbl)
 
-    def tag(b: pa.Table) -> pa.Table:
+    def bucket_of(b: pa.Table) -> pa.Table:
         p = b[point_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        bucket = p // bucket_width
-        part = ((bucket.astype(np.uint64) * _GOLD) % np.uint64(n_parts)).astype(np.int32)
-        return b.append_column("__bucket", pa.array(bucket, pa.int64())).append_column(
-            "__part", pa.array(part, pa.int32())
-        )
+        return b.append_column("__bucket", pa.array(p // bucket_width, pa.int64()))
 
-    def reduce(g: pa.Table, iv_ref=iv_ref) -> pa.Table:
+    def reduce(pts: pa.Table, iv_ref=iv_ref) -> pa.Table:
         iv = ray.get(iv_ref) if isinstance(iv_ref, ray.ObjectRef) else iv_ref
-        part = int(g["__part"][0].as_py())
-        ivp = iv.filter(pa.compute.equal(iv["__part"], part))
-        pts = g.drop_columns(["__part"])
         p_bucket = pts["__bucket"].to_numpy(zero_copy_only=False)
+        ivp = iv.filter(pa.compute.is_in(iv["__bucket"], value_set=pa.array(np.unique(p_bucket))))
         p = pts[point_col].to_numpy(zero_copy_only=False).astype(np.int64)
         base = pts.drop_columns(["__bucket"])
         empty = base.slice(0, 0).append_column("interval_id", pa.array([], id_type))
@@ -143,8 +134,7 @@ def interval_join_bucketed(points_ds, intervals: pa.Table, point_col: str,
                 outs.append(out)
         return pa.concat_tables(outs) if outs else empty
 
-    return (
-        points_ds.map_batches(tag, batch_format="pyarrow", batch_size=65536)
-        .groupby("__part")
-        .map_groups(reduce, batch_format="pyarrow")
+    return map_groups_partitioned(
+        points_ds.map_batches(bucket_of, batch_format="pyarrow", batch_size=65536),
+        "__bucket", reduce,
     )

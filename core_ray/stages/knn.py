@@ -26,7 +26,7 @@ for, SURVEY.md §2.5):
   candidates targeting a hot group are replicated into every sub-group.
 - ROUTING + SHUFFLE: the expansion itself tags every row with its reduce
   ``part`` (a hash of (knn_grp, salt) into ``agg._n_parts()`` partitions),
-  so the plan has exactly one sort shuffle (groupby("part")) behind the
+  so the plan has exactly one sort shuffle on that column behind the
   expansion and no repartition barrier. The sort's reduce tasks follow the
   expansion's blocks: ≈ input rows / 16,384 (the expansion batch size).
 """
@@ -464,6 +464,8 @@ def knn_per_cell(ds, k: int = 5, hot_threshold: int = 4000, salt_target: int = 2
     # without, median of 10),
     # and the reduce still spreads (100 k pages: 7 blocks, 4.02 -> 3.33 s
     # at 4 CPUs; ~67 expected for 1.1 M joined rows).
+    # Hand-rolled shuffle, not agg.map_groups_partitioned: _Expand picks
+    # the partition of each row itself (salted hot cells, replicas).
     return (
         ds.map_batches(expander, batch_format="pyarrow", batch_size=16384)
         .groupby("part")

@@ -7,9 +7,10 @@ Arrow columns. These operators are the engine's nest/explode pair
 
 - ``nest_by_key``: one output row per distinct key with a deterministic
   (order_col-sorted) ``list<struct<payload...>>`` column. Distributed shape:
-  vectorized per-batch partition tag (polars string hash — no per-row
-  Python) -> ONE hash-partition shuffle -> per-partition Arrow-native sort +
-  ListArray assembly from group offsets (no Python per group).
+  ONE ``agg.map_groups_partitioned`` shuffle on the key (string keys hash
+  through the vectorized polars kernel — no per-row Python) -> per-partition
+  Arrow-native sort + ListArray assembly from group offsets (no Python per
+  group).
 - ``explode_list``: the inverse — flattens the list column back to one row
   per element via ``list_parent_indices`` + ``flatten`` (all zero-copy
   Arrow kernels inside map_batches).
@@ -23,7 +24,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from core_ray.stages.agg import _GOLD, _n_parts, hash_strings
+from core_ray.stages.agg import map_groups_partitioned
 
 
 # Reference analog of MaxTreeDepth (pkg/parser/tspool/pool.go:40): the
@@ -76,36 +77,19 @@ def nest_partition(
 
 
 def nest_by_key(ds, key_col: str, order_col: str, payload_cols: list[str],
-                list_col: str = "items", n_parts: int | None = None,
-                carry_cols: list[str] | None = None):
+                list_col: str = "items", carry_cols: list[str] | None = None):
     """Dataset -> Dataset[(key_col, *carry_cols, list_col:
     list<struct<payload...>>)], one row per distinct key, list elements
     sorted by ``order_col``."""
-    n_parts = n_parts or _n_parts()
     carry_cols = carry_cols or []
 
-    def tag(b: pa.Table) -> pa.Table:
-        h = hash_strings(b[key_col])
-        return b.append_column(
-            "__part",
-            pa.array(((h * _GOLD) % np.uint64(n_parts)).astype(np.int32), pa.int32()),
-        )
-
-    def run(g: pa.Table) -> pa.Table:
-        return nest_partition(
-            g.drop_columns(["__part"]), key_col, order_col, payload_cols,
-            list_col, carry_cols,
-        )
+    def nest(g: pa.Table) -> pa.Table:
+        return nest_partition(g, key_col, order_col, payload_cols, list_col, carry_cols)
 
     keep = [key_col, order_col]
     keep += [c for c in carry_cols if c not in keep]
     keep += [c for c in payload_cols if c not in keep]
-    return (
-        ds.select_columns(keep)
-        .map_batches(tag, batch_format="pyarrow", batch_size=65536)
-        .groupby("__part")
-        .map_groups(run, batch_format="pyarrow")
-    )
+    return map_groups_partitioned(ds.select_columns(keep), key_col, nest)
 
 
 def nest_hierarchy(ds, levels: list[dict]):

@@ -7,12 +7,12 @@ classic tile-pyramid aggregation.
 Dataflow (exactly ONE all-to-all shuffle):
   1. assign each geocoded row its z12 web-mercator tile (map_batches, numpy)
   2. explode to every requested zoom (parent tile = integer shift — exact
-     containment, no new shuffle key) and PRE-AGGREGATE (tile, url) ->
-     mention_count inside the batch (pyarrow TableGroupBy; a pure combiner,
-     no shuffle — cuts the exploded volume when a page has many mentions in
-     one tile)
-  3. hash (tile_z, tile_x, tile_y) into ~4x-CPU partitions and reduce each
-     partition in ONE vectorized numpy pass (np.unique + reduceat):
+     containment, no new shuffle key), pack each tile into one uint64
+     ``tile_key`` and PRE-AGGREGATE (tile_key, url) -> mention_count inside
+     the batch (pyarrow TableGroupBy; a pure combiner, no shuffle — cuts the
+     exploded volume when a page has many mentions in one tile)
+  3. shuffle by ``tile_key`` (``agg.map_groups_partitioned``) and reduce
+     each partition in ONE vectorized numpy pass (np.unique + reduceat):
      page_count = distinct urls, mention_count = summed rows.
 
 Skew note (documented limit): the reduce key is the tile, so one
@@ -29,7 +29,7 @@ import numpy as np
 import pyarrow as pa
 
 from core_ray.geo import mercator
-from core_ray.stages.agg import _GOLD, _n_parts
+from core_ray.stages.agg import map_groups_partitioned
 
 BASE_ZOOM = 12
 
@@ -48,7 +48,7 @@ def _assign_tiles(batch: pa.Table) -> pa.Table:
 
 
 def _reduce_partition(part: pa.Table) -> pa.Table:
-    """One vectorized pass over a hash partition of (z, x, y, url, cnt)."""
+    """One vectorized pass over a hash partition of (tile_key, url, cnt)."""
     if part.num_rows == 0:
         return pa.table(
             {
@@ -59,11 +59,8 @@ def _reduce_partition(part: pa.Table) -> pa.Table:
                 "mention_count": pa.array([], pa.int64()),
             }
         )
-    z = part["tile_z"].to_numpy(zero_copy_only=False).astype(np.uint64)
-    x = part["tile_x"].to_numpy(zero_copy_only=False).astype(np.uint64)
-    y = part["tile_y"].to_numpy(zero_copy_only=False).astype(np.uint64)
+    tk = part["tile_key"].to_numpy(zero_copy_only=False).astype(np.uint64)
     cnt = part["cnt"].to_numpy(zero_copy_only=False).astype(np.int64)
-    tk = mercator.tile_key(z, x, y)
     _, code = np.unique(np.asarray(part["url"].to_pylist()), return_inverse=True)
 
     order = np.lexsort((code, tk))
@@ -159,52 +156,36 @@ def tile_rollup(ds, zooms: tuple[int, ...] = (7, 9, 12), approx_distinct: bool =
     if approx_distinct:
         return _tile_rollup_hll(ds, zooms)
 
-    n_parts = _n_parts()
-
     def explode_preagg(batch: pa.Table) -> pa.Table:
-        x12 = batch["tile_x"].to_numpy(zero_copy_only=False)
-        y12 = batch["tile_y"].to_numpy(zero_copy_only=False)
+        x12 = batch["tile_x"].to_numpy(zero_copy_only=False).astype(np.uint64)
+        y12 = batch["tile_y"].to_numpy(zero_copy_only=False).astype(np.uint64)
         parts = []
         for zoom in zooms:
-            dz = BASE_ZOOM - zoom
+            dz = np.uint64(BASE_ZOOM - zoom)
             t = pa.table(
                 {
-                    "tile_z": pa.array(np.full(len(x12), zoom, dtype=np.int32), pa.int32()),
-                    "tile_x": pa.array(x12 >> dz, pa.int64()),
-                    "tile_y": pa.array(y12 >> dz, pa.int64()),
+                    "tile_key": pa.array(mercator.tile_key(zoom, x12 >> dz, y12 >> dz), pa.uint64()),
                     "url": batch["url"],
                 }
             )
             # combiner: collapse same (tile, url) inside the batch.
             # select-by-name BEFORE the positional rename: pyarrow's
             # keys-vs-aggregates column order has varied across versions
-            agg = pa.TableGroupBy(t, ["tile_z", "tile_x", "tile_y", "url"]).aggregate(
-                [([], "count_all")]
-            )
+            agg = pa.TableGroupBy(t, ["tile_key", "url"]).aggregate([([], "count_all")])
             parts.append(
-                agg.select(["tile_z", "tile_x", "tile_y", "url", "count_all"])
-                .rename_columns(["tile_z", "tile_x", "tile_y", "url", "cnt"])
+                agg.select(["tile_key", "url", "count_all"])
+                .rename_columns(["tile_key", "url", "cnt"])
             )
-        out = pa.concat_tables(parts)
-        z = out["tile_z"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        x = out["tile_x"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        y = out["tile_y"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        h = mercator.tile_key(z, x, y) * _GOLD
-        return out.append_column(
-            "part", pa.array((h % np.uint64(n_parts)).astype(np.int32), pa.int32())
-        )
+        return pa.concat_tables(parts)
 
-    return (
+    return map_groups_partitioned(
         ds.map_batches(_assign_tiles, batch_format="pyarrow", batch_size=65536)
-        .map_batches(explode_preagg, batch_format="pyarrow", batch_size=65536)
-        .groupby("part")
-        .map_groups(_reduce_partition, batch_format="pyarrow")
+        .map_batches(explode_preagg, batch_format="pyarrow", batch_size=65536),
+        "tile_key", _reduce_partition,
     )
 
 
 def _tile_rollup_hll(ds, zooms: tuple[int, ...]):
-    n_parts = _n_parts()
-
     def explode_hll(batch: pa.Table) -> pa.Table:
         x12 = batch["tile_x"].to_numpy(zero_copy_only=False).astype(np.uint64)
         y12 = batch["tile_y"].to_numpy(zero_copy_only=False).astype(np.uint64)
@@ -223,13 +204,11 @@ def _tile_rollup_hll(ds, zooms: tuple[int, ...]):
         idx, rank = _hll_ranks(uh_all)
         np.maximum.at(regs, (inv, idx), rank)
         cnt = np.bincount(inv, minlength=len(uq)).astype(np.int64)
-        part = ((uq * _GOLD) % np.uint64(n_parts)).astype(np.int32)
         return pa.table(
             {
                 "tile_key": pa.array(uq, pa.uint64()),
                 "regs": pa.array([r.tobytes() for r in regs], pa.binary()),
                 "cnt": pa.array(cnt, pa.int64()),
-                "part": pa.array(part, pa.int32()),
             }
         )
 
@@ -268,9 +247,8 @@ def _tile_rollup_hll(ds, zooms: tuple[int, ...]):
             }
         )
 
-    return (
+    return map_groups_partitioned(
         ds.map_batches(_assign_tiles, batch_format="pyarrow", batch_size=65536)
-        .map_batches(explode_hll, batch_format="pyarrow", batch_size=65536)
-        .groupby("part")
-        .map_groups(reduce_hll, batch_format="pyarrow")
+        .map_batches(explode_hll, batch_format="pyarrow", batch_size=65536),
+        "tile_key", reduce_hll,
     )

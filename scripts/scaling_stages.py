@@ -98,29 +98,24 @@ def _ensure_inputs() -> None:
     from core_ray.stages.tiles import BASE_ZOOM, _assign_tiles
 
     def explode_preagg(batch: pa.Table) -> pa.Table:
-        x12 = batch["tile_x"].to_numpy(zero_copy_only=False)
-        y12 = batch["tile_y"].to_numpy(zero_copy_only=False)
+        x12 = batch["tile_x"].to_numpy(zero_copy_only=False).astype(np.uint64)
+        y12 = batch["tile_y"].to_numpy(zero_copy_only=False).astype(np.uint64)
         parts = []
         for zoom in (7, 9, 12):
-            dz = BASE_ZOOM - zoom
+            dz = np.uint64(BASE_ZOOM - zoom)
             t = pa.table(
                 {
-                    "tile_z": pa.array(np.full(len(x12), zoom, dtype=np.int32), pa.int32()),
-                    "tile_x": pa.array(x12 >> dz, pa.int64()),
-                    "tile_y": pa.array(y12 >> dz, pa.int64()),
+                    "tile_key": pa.array(mercator.tile_key(zoom, x12 >> dz, y12 >> dz), pa.uint64()),
                     "url": batch["url"],
                 }
             )
-            agg = pa.TableGroupBy(t, ["tile_z", "tile_x", "tile_y", "url"]).aggregate([([], "count_all")])
+            agg = pa.TableGroupBy(t, ["tile_key", "url"]).aggregate([([], "count_all")])
             parts.append(
-                agg.select(["tile_z", "tile_x", "tile_y", "url", "count_all"])
-                .rename_columns(["tile_z", "tile_x", "tile_y", "url", "cnt"])
+                agg.select(["tile_key", "url", "count_all"])
+                .rename_columns(["tile_key", "url", "cnt"])
             )
         out = pa.concat_tables(parts)
-        z = out["tile_z"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        x = out["tile_x"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        y = out["tile_y"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        h = mercator.tile_key(z, x, y) * np.uint64(0x9E3779B97F4A7C15)
+        h = out["tile_key"].to_numpy(zero_copy_only=False) * np.uint64(0x9E3779B97F4A7C15)
         return out.append_column("part", pa.array((h % np.uint64(N_PARTS)).astype(np.int32), pa.int32()))
 
     _write_parts(

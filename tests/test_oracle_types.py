@@ -28,34 +28,12 @@ def _goldens():
     Several oracles read goldens produced at the driver-correctness scale
     (sf0.01) regardless of the engine-side SF; on a fresh host /tmp is
     empty and a LIMIT-0 schema probe still needs the files to exist.
-    Mirrors the up-front ensure loop in __ray_entry__.oracle_sql().
+    Runs the same ensure list as __ray_entry__.oracle_sql().
     """
-    from core_ray.queries import (
-        _ensure_absorbing_golden,
-        _ensure_docs_golden,
-        _ensure_jenks_golden,
-        _ensure_media_golden,
-        _ensure_pagerank_golden,
-        _ensure_pages_golden,
-        _ensure_pii_corpus,
-        _ensure_rules_golden,
-        _ensure_semdedup_golden,
-        _ensure_typo_corpus,
-    )
+    from core_ray.queries import oracle_golden_ensures
 
     sf001 = "/root/testdata/sf0.01"
-    for ensure in (
-        lambda: _ensure_pages_golden(sf001),
-        lambda: _ensure_docs_golden(sf001),
-        lambda: _ensure_media_golden(sf001),
-        lambda: _ensure_pagerank_golden(sf001),
-        lambda: _ensure_jenks_golden(sf001),
-        lambda: _ensure_semdedup_golden(sf001),
-        lambda: _ensure_absorbing_golden(sf001),
-        _ensure_rules_golden,
-        _ensure_pii_corpus,
-        _ensure_typo_corpus,
-    ):
+    for ensure in oracle_golden_ensures(sf001):
         ensure()
 
 
