@@ -20,318 +20,27 @@ import subprocess
 import sys
 import time
 
+from core_ray.queries import QUERIES
+
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 
-BENCH_QUERIES = [
-    "q1_pricing_summary",
-    "q3_top_orders",
-    "q5_region_revenue",
-    "events_hourly",
-    "events_sessionize",
-    "doc_token_stats",
-    "doc_exact_dedup",
-    "doc_minhash_pairs",
-    "doc_simhash_pairs",
-    "emb_topk",
-    "emb_ann_lsh",
-    "geo_tile_counts",
-    "geo_pip_admin",
-    "geo_knn_tile",
-    # round-2 additions
-    "emb_near_dup_pairs",
-    "events_window_join",
-    "doc_top2_per_lang",
-    "events_rolling_max",
-    # round-3 additions
-    "events_funnel",
-    "q10_returned_revenue",
-    "doc_vocab_top20",
-    "events_props_stats",
-    "events_hopping",
-    "events_rollup",
-    "doc_sample_bottomk",
-    "media_phash_pairs",
-    # round-3b additions
-    "q13_cust_order_dist",
-    "q16_supplier_cnt",
-    "q17_small_qty_revenue",
-    "q19_disjunctive_revenue",
-    "doc_dup_clusters",
-    "emb_dup_clusters",
-    "q2_min_cost_supplier",
-    "q7_nation_volume",
-    # round-3c additions
-    "q8_market_share",
-    "q9_profit_proxy",
-    "q21_sole_supplier",
-    "geo_zonal_stats",
-    "geo_distance_pairs",
-    "geo_hexbin",
-    "doc_repetition",
-    "events_interval_agg",
-    "geo_focal_mean",
-    "doc_quality_buckets",
-    # round-3d additions
-    "doc_contamination",
-    "doc_ngram_novelty",
-    "pages_domain_stats",
-    "events_retention",
-    "events_transitions",
-    "events_hourly_anomalies",
-    "emb_pagerank",
-    # round-4 additions
-    "cust_orders_full_outer",
-    "doc_incremental_new",
-    "geo_tile_regions",
-    "pages_url_filter",
-    # round-4b additions
-    "geo_dbscan",
-    "geo_convex_hull",
-    "events_late_data",
-    "doc_bm25_topk",
-    "emb_kmeans",
-    "emb_silhouette",
-    # round-4c additions
-    "geo_haversine_pairs",
-    "geo_traj_stats",
-    "geo_segment_crossings",
-    "geo_area_interp",
-    "events_geofence",
-    "geo_kde_tiles",
-    "events_contacts",
-    "events_stay_points",
-    "doc_shingle_containment",
-    "geo_colocation",
-    "geo_bearing_rose",
-    "geo_traj_simplify",
-    "events_od_matrix",
-    "doc_unigram_surprisal",
-    "geo_moran_i",
-    "geo_getis_gi",
-    "geo_knn_classify",
-    "geo_morton_parts",
-    "geo_idw_interp",
-    "geo_semivariogram",
-    "geo_stratified_sample",
-    "geo_nearest_facility",
-    "events_speed_outliers",
-    "geo_map_match",
-    "doc_toponym_resolve",
-    "geo_quadtree",
-    "geo_grid_bfs",
-    "events_corridors",
-    "doc_source_geo_entropy",
-    "events_tile_trend",
-    "geo_doc_event_band",
-    "events_gyration",
-    "doc_lang_dissimilarity",
-    "events_user_entropy",
-    "doc_geo_tfidf",
-    "events_jump_lengths",
-    "doc_dup_geo_spread",
-    "events_msd",
-    "events_return_times",
-    "geo_cell_turnover",
-    "events_flow_imbalance",
-    "geo_huff_share",
-    "events_burstiness",
-    "events_nearest_doc",
-    "geo_isochrone",
-    "doc_zipf_fit",
-    "events_sinuosity",
-    "geo_lang_boundaries",
-    "doc_dup_source_matrix",
-    "events_cell_gini",
-    "geo_theil_decomp",
-    "geo_pip_partitioned",
-    "doc_cross_lingual_dup",
-    "events_visit_ranks",
-    "geo_region_mad",
-    "events_peak_hour",
-    "doc_toponym_cooccur",
-    "geo_chars_dist_corr",
-    "events_mann_kendall",
-    "events_sen_slope",
-    "geo_join_counts",
-    "events_knox",
-    "events_type_region_chisq",
-    "doc_length_ks",
-    "doc_heaps_law",
-    "events_benford",
-    "doc_hemisphere_jsd",
-    "geo_lang_simpson",
-    "geo_lisa_quadrants",
-    "events_circular_hours",
-    "events_contact_degrees",
-    "geo_gravity_fit",
-    "events_daily_motifs",
-    "geo_boxcount_dimension",
-    "doc_hemisphere_rbo",
-    "events_diurnal_anova",
-    "doc_distance_decay",
-    "events_markov_entropy",
-    "doc_lang_region_mi",
-    "doc_term_burstiness",
-    "doc_pmi_collocations",
-    "events_contact_assortativity",
-    "events_user_gini",
-    "doc_length_lognormal",
-    "events_hourly_acf",
-    "geo_std_ellipse",
-    "geo_ripley_k",
-    "geo_cross_k",
-    "geo_quadrat_vmr",
-    "geo_clark_evans",
-    "geo_bivariate_moran",
-    "events_st_dbscan",
-    "events_st_getis",
-    "events_emerging_hotspots",
-    "emb_ann_recall",
-    "events_traj_hausdorff",
-    "doc_dedup_method_overlap",
-    "doc_curation_funnel",
-    "geo_correlogram",
-    "events_changepoint",
-    "events_periodogram",
-    "geo_geometric_median",
-    "geo_rank_size",
-    "events_hill_tail",
-    "events_rfm_segments",
-    "doc_readability",
-    "geo_percolation",
-    "events_audience_overlap",
-    "geo_median_radius",
-    "emb_pca_power",
-    "geo_anisotropy",
-    "events_hurst",
-    "geo_lacunarity",
-    "geo_spatial_markov",
-    "events_dow_profile",
-    "doc_fingerprint_bits",
-    "events_taylor_law",
-    "geo_center_drift",
-    "events_allan_variance",
-    "events_runs_test",
-    "events_turning_points",
-    "events_haar_energy",
-    "events_mean_excess",
-    "doc_yule_k",
-    "emb_hubness",
-    "geo_2sfca",
-    "doc_span_dup_fraction",
-    "events_lorenz_deciles",
-    "doc_vocab_jaccard",
-    "doc_bigram_entropy",
-    "emb_norm_profile",
-    "events_transfer_entropy",
-    "geo_pair_correlation",
-    "geo_g_function",
-    "emb_mmr_topk",
-    "emb_intrinsic_dim",
-    "events_fano_profile",
-    "events_stickiness",
-    "geo_clq",
-    "events_type_ccf",
-    "geo_type_hhi",
-    # round-5 wave-5 additions
-    "events_kmv_distinct",
-    "events_countmin_eval",
-    "geo_covisit_cosine",
-    "emb_int8_recall",
-    "doc_bpe_merges",
-    "emb_pq_distortion",
-    "geo_skyline_cells",
-    "events_session_stats",
-    "events_kmv_overlap",
-    "doc_bpe_apply",
-    "emb_pq_recall",
-    # round-5 wave-6 additions
-    "doc_chunk_windows",
-    "doc_title_fuzzy_pairs",
-    "doc_bigram_ppl",
-    "events_kcore",
-    "doc_top_keywords",
-    "doc_fuzzy_clusters",
-    "events_od_reciprocity",
-    "doc_ols_fit",
-    "events_cohort_matrix",
-    "events_assoc_rules",
-    "doc_vocab_coverage",
-    "doc_sampling_temperature",
-    "events_lorenz_curve",
-    "events_seasonal_decompose",
-    "doc_source_cosine",
-    "events_ar_fit",
-    # round-5 wave-8 additions
-    "doc_snapshot_diff",
-    "doc_allpairs_jaccard",
-    # round-5 wave-9 additions
-    "events_bloom_semijoin",
-    "events_ddsketch_eval",
-    "emb_sign_recall",
-    "doc_dsir_weights",
-    "doc_url_canonical_dedup",
-    "doc_span_dedup_rewrite",
-    "doc_pack_blocks",
-    "events_triangles",
-    "events_hll_eval",
-    "doc_split_assign",
-    "events_global_ranks",
-    "events_decayed_activity",
-    # round-5 wave-10 additions
-    "doc_winnow_overlap",
-    "events_cusum_alarm",
-    "doc_kn_ppl",
-    "emb_matryoshka_recall",
-    "events_frechet_pairs",
-    "media_psnr",
-    "events_ams_f2_eval",
-    "geo_curve_locality",
-    "events_bloom_fpr_eval",
-    "geo_contour_cases",
-    "geo_heat_diffusion",
-    "doc_bbit_minhash_eval",
-    # round-5 wave-11 additions
-    "events_hits",
-    "emb_jl_recall",
-    "doc_ndcg_eval",
-    "events_lpa_communities",
-    "doc_oph_eval",
-    "doc_bleu_pairs",
-    "events_holt",
-    "events_densest_subgraph",
-    "geo_empty_distance",
-    "events_graph_diameter",
-    "doc_rake_keywords",
-    "geo_jenks_breaks",
-    "emb_semdedup",
-    "events_median_polish",
-    "events_absorbing_markov",
-    "doc_burrows_delta",
-    "geo_scan_statistic",
-    "events_poisson_bootstrap",
-    "doc_conformal_interval",
-    "events_cuped",
-    "events_mann_whitney",
-    "geo_eb_rates",
-    "doc_mattr",
-    "events_wasserstein_arms",
-    "doc_moore_lewis",
-    "doc_kanon",
-    "doc_watermark_detect",
-    "emb_participation_ratio",
-    "events_survival_km",
-    "events_shapley_channels",
-    "doc_t5_spans",
-    "doc_dp_counts",
-    "events_ks_arms",
-    "emb_anisotropy",
-    "events_qte",
-    # pages_s2_parents / pages_mention_drift are NOT benched: each runs the
-    # full flagship pipeline at sf0.1 (their wall is the pipeline's, already
-    # the headline metric), not an independent operator cost
-]
+# Every registered query is benched except these, each for its reason.
+_FLAGSHIP_OUTPUTS = ("reads the flagship outputs over this sf's pages corpus, so it runs "
+                     "the flagship the headline already times")
+BENCH_EXCLUDED = {
+    "pages_joined": _FLAGSHIP_OUTPUTS,
+    "pages_tiles": _FLAGSHIP_OUTPUTS,
+    "pages_errors": _FLAGSHIP_OUTPUTS,
+    "pages_knn": _FLAGSHIP_OUTPUTS,
+    "pages_nested": _FLAGSHIP_OUTPUTS,
+    "pages_nested2": _FLAGSHIP_OUTPUTS,
+    "pages_local_hour": _FLAGSHIP_OUTPUTS,
+    "pages_s2_compact": _FLAGSHIP_OUTPUTS,
+    "pages_s2_parents": _FLAGSHIP_OUTPUTS,
+    "pages_mention_drift": _FLAGSHIP_OUTPUTS,
+}
+BENCH_QUERIES = [name for name in QUERIES if name not in BENCH_EXCLUDED]
 
 
 def _consume(result) -> int:
@@ -350,7 +59,7 @@ def run_flagship_bench() -> dict:
 
     from core_ray.config import PipelineConfig
     from core_ray.pipelines.flagship import run_flagship
-    from core_ray.queries import _pages_corpus
+    from core_ray.queries.pages import _pages_corpus
 
     files, admin, geoip, _ = _pages_corpus(SF_DIR)  # cached corpus (one-time gen)
     n_pages = sum(pq.read_metadata(f).num_rows for f in files)
@@ -400,8 +109,6 @@ def main():
 
     DataContext.get_current().enable_progress_bars = False
 
-    from core_ray.queries import QUERIES
-
     flagship = run_flagship_bench()
 
     q_times = {}
@@ -414,7 +121,7 @@ def main():
     # per-query table overflowed it and the round's bench record failed to
     # parse (BENCH_r04.json "parsed": null).  Stdout therefore carries a
     # compact summary (headline queries only, <~600 bytes) and the full
-    # 140-query table goes to a sidecar file next to this script.
+    # per-query table goes to a sidecar file next to this script.
     sidecar = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            "BENCH_QUERIES.json")
     with open(sidecar, "w") as fh:

@@ -14,7 +14,9 @@ Layout:
     text/       web-text training-data ops (dedup, similarity, quality, lang-id)
     pipelines/  end-to-end pipeline compositions (flagship spatial pipeline)
     state/      checkpoint + per-partition lineage manifest
-    queries.py  driver-facing sf_dir-parameterized queries + DuckDB oracle SQL
+    queries/    driver-facing sf_dir-parameterized queries + DuckDB oracle SQL,
+                one module per subject; each query registers itself and its
+                oracle with @query(sql=...) (queries/_shared.py)
 
 Primary public entry points (import lazily — Ray must be initialized by the
 caller before running any pipeline):

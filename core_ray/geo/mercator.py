@@ -8,7 +8,8 @@ hierarchical aggregation a cheap derived-key groupby, never a re-shuffle by a
 new key.
 
 The formulas are written to be mirrored EXACTLY (same operation order, same
-clamping) by the DuckDB oracle SQL in queries.py so value-hashes match.
+clamping) by the DuckDB oracle SQL in queries/geo_ops.py so value-hashes
+match.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ MAX_LAT = 85.05112878
 def lonlat_to_tile(lon: np.ndarray, lat: np.ndarray, z: int) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized lon/lat (degrees) -> (tile_x, tile_y) int64 at zoom ``z``.
 
-    SQL mirror (keep in sync with queries.py):
+    SQL mirror (keep in sync with queries/geo_ops.py):
         x = CAST(GREATEST(0, LEAST(n-1, FLOOR((lon+180.0)/360.0*n))) AS BIGINT)
         y = CAST(GREATEST(0, LEAST(n-1, FLOOR((1.0 - LN(TAN(RADIANS(lat))
               + 1.0/COS(RADIANS(lat)))/PI())/2.0*n))) AS BIGINT)

@@ -84,8 +84,8 @@ def curate_corpus(ds, out_dir: str | None = None, *,
     stats: dict = {"n_input": ds.count()}
 
     # ---- near-dup (and exact-dup, via star pairs) drop set; callers with
-    # a precomputed / cached cluster table (queries._dup_clusters) pass it
-    # in to skip re-running the minhash -> banding -> pairs -> CC chain
+    # a precomputed / cached cluster table (queries/doc_dedup.py
+    # _dup_clusters) pass it in to skip re-running the minhash -> banding -> pairs -> CC chain
     if clusters is None:
         pairs = minhash_near_dups(ds, threshold=near_dup_threshold)
         clusters = connected_components(pairs, src="id_a", dst="id_b")

@@ -1,0 +1,3387 @@
+"""Near-duplicate detection and the word n-gram family over documents: exact
+dedup, MinHash and SimHash pairs and their clusters, shingle, winnowing and
+n-gram overlap, contamination and novelty, fuzzy title and typo pairs, URL
+canonicalisation and the curated-corpus queries built on them.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import math
+import os
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
+
+from core_ray.pipelines.corpus import _bucket_thresholds, curate_corpus
+from core_ray.queries._shared import (
+    _DGD, _collect_table, _ensure_docs_golden, _ray_session_key, _read, query,
+)
+from core_ray.rounding import sql_round_np
+from core_ray.stages.agg import count_by_u64, hash_strings, map_groups_partitioned, sum_by_u64
+from core_ray.stages.cc import connected_components
+from core_ray.stages.join import filter_not_in, filter_semi, hash_join
+from core_ray.text.analysis import Fingerprinter, repetition_fractions
+from core_ray.text.dedup import (
+    _md5_utf8_col, exact_dedup_groups, minhash_near_dups, simhash_near_dups,
+)
+
+
+@query(sql="""
+SELECT MD5(text) AS text_hash, MIN(doc_id) AS doc_id, COUNT(*) AS n_copies
+FROM documents GROUP BY 1
+""")
+def doc_exact_dedup(sf_dir: str):
+    ds = _read(sf_dir, "documents", ["doc_id", "text"])
+    out = exact_dedup_groups(ds)
+    return out.map_batches(
+        lambda b: pa.table(
+            {
+                "text_hash": b["text_hash"],
+                "doc_id": pc.cast(b["doc_id"], pa.int64()),
+                "n_copies": pc.cast(b["n_copies"], pa.int64()),
+            }
+        ),
+        batch_format="pyarrow",
+    )
+
+
+@query(sql=f"SELECT * FROM read_parquet('{_DGD}/fingerprint.parquet')")
+def doc_fingerprint(sf_dir: str):
+    _ensure_docs_golden(sf_dir)
+    ds = _read(sf_dir, "documents", ["doc_id", "text"])
+    return ds.map_batches(
+        Fingerprinter, batch_format="pyarrow", batch_size=4096, concurrency=(1, 4)
+    ).select_columns(["doc_id", "fingerprint"])
+
+
+_DUP_CHAIN_CACHE: dict = {}
+
+
+def _dup_pairs(sf_dir: str, threshold: float = 0.5):
+    """Session+sf-keyed materialization of the minhash -> banding -> pair
+    chain — the expensive step of the dedup family (VERDICT r4 "what's
+    missing 3": five consumers re-ran it from scratch). The pair table is
+    bounded by near-dups (the dedup contract), so pinning it costs what
+    any single consumer's own run would."""
+    key = (_ray_session_key(), sf_dir, threshold, "pairs")
+    if key[0] is not None and key in _DUP_CHAIN_CACHE:
+        return _DUP_CHAIN_CACHE[key]
+    ds = _read(sf_dir, "documents", ["doc_id", "text"])
+    pairs = minhash_near_dups(ds, threshold=threshold).materialize()
+    key = (_ray_session_key(), sf_dir, threshold, "pairs")
+    if key[0] is not None:
+        _DUP_CHAIN_CACHE[key] = pairs
+    return pairs
+
+
+def _dup_clusters(sf_dir: str, threshold: float = 0.5):
+    """Materialized CC cluster table over _dup_pairs (same cache; the
+    pointer-jumping rounds run once per session per sf_dir)."""
+    key = (_ray_session_key(), sf_dir, threshold, "clusters")
+    if key[0] is not None and key in _DUP_CHAIN_CACHE:
+        return _DUP_CHAIN_CACHE[key]
+    clusters = connected_components(
+        _dup_pairs(sf_dir, threshold), src="id_a", dst="id_b"
+    ).materialize()
+    key = (_ray_session_key(), sf_dir, threshold, "clusters")
+    if key[0] is not None:
+        _DUP_CHAIN_CACHE[key] = clusters
+    return clusters
+
+
+@query(sql=f"SELECT * FROM read_parquet('{_DGD}/minhash_pairs.parquet')")
+def doc_minhash_pairs(sf_dir: str):
+    _ensure_docs_golden(sf_dir)
+    return _dup_pairs(sf_dir, threshold=0.5)
+
+
+@query(sql=f"SELECT * FROM read_parquet('{_DGD}/simhash_pairs.parquet')")
+def doc_simhash_pairs(sf_dir: str):
+    _ensure_docs_golden(sf_dir)
+    ds = _read(sf_dir, "documents", ["doc_id", "text"])
+    return simhash_near_dups(ds, max_hamming=6)
+
+
+@query(sql=f"SELECT * FROM read_parquet('{_DGD}/dup_clusters.parquet')")
+def doc_dup_clusters(sf_dir: str):
+    """Near-dup CLUSTER assignment: minhash pairs -> connected components
+    (min-label propagation + pointer jumping, stages/cc.py), every paired
+    document labeled with its component's minimum doc id. This is the step
+    that turns pairwise near-dup evidence into the keep/drop partition a
+    corpus dedup actually applies (chained near-dups A~B~C collapse to one
+    cluster even though A and C never paired directly)."""
+    _ensure_docs_golden(sf_dir)
+    return _dup_clusters(sf_dir, threshold=0.5)
+
+
+_SHINGLE_N = 8
+_SHINGLE_MAXDF = 50  # stop-shingle cutoff: ignore grams in > 50 docs
+_CONT_MIN = 0.5
+
+
+def _sum_by_key(keys: np.ndarray, vals: np.ndarray):
+    """(sorted unique keys, per-key int64 sums) — the local reduceat kernel
+    the partition-level aggregations below share."""
+    if len(keys) == 0:
+        return keys[:0], np.empty(0, np.int64)
+    order = np.argsort(keys, kind="stable")
+    ks, vs = keys[order], vals[order]
+    new = np.r_[True, ks[1:] != ks[:-1]]
+    starts = np.nonzero(new)[0]
+    return ks[starts], np.add.reduceat(vs.astype(np.int64), starts)
+
+
+_G8 = (
+    "l[i] || ' ' || l[i+1] || ' ' || l[i+2] || ' ' || l[i+3] || ' ' || "
+    "l[i+4] || ' ' || l[i+5] || ' ' || l[i+6] || ' ' || l[i+7]"
+)
+
+
+
+@query(sql=f"""
+WITH ws AS (SELECT doc_id, string_split(text, ' ') AS l FROM documents),
+raw AS (
+  SELECT doc_id,
+         UNNEST(list_transform(generate_series(1, len(l) - {_SHINGLE_N - 1}),
+                i -> {_G8})) AS gram
+  FROM ws),
+grams AS (SELECT DISTINCT doc_id, gram FROM raw),
+df AS (SELECT gram FROM grams GROUP BY gram HAVING COUNT(*) <= {_SHINGLE_MAXDF}),
+kept AS (SELECT g.doc_id, g.gram FROM grams g JOIN df USING (gram)),
+sizes AS (SELECT doc_id, COUNT(*) AS sz FROM kept GROUP BY 1),
+shared AS (
+  SELECT a.doc_id AS doc_a, b.doc_id AS doc_b, COUNT(*) AS n
+  FROM kept a JOIN kept b USING (gram)
+  WHERE a.doc_id < b.doc_id GROUP BY 1, 2)
+SELECT s.doc_a, s.doc_b, CAST(s.n AS BIGINT) AS n_shared,
+       CAST(s.n AS DOUBLE) / CAST(sa.sz AS DOUBLE) AS cont_a,
+       CAST(s.n AS DOUBLE) / CAST(sb.sz AS DOUBLE) AS cont_b
+FROM shared s
+JOIN sizes sa ON s.doc_a = sa.doc_id
+JOIN sizes sb ON s.doc_b = sb.doc_id
+WHERE GREATEST(CAST(s.n AS DOUBLE) / CAST(sa.sz AS DOUBLE),
+               CAST(s.n AS DOUBLE) / CAST(sb.sz AS DOUBLE)) >= {_CONT_MIN}
+""")
+def doc_shingle_containment(sf_dir: str):
+    """ASYMMETRIC shingle containment (quote / subset detection — what
+    Jaccard-symmetric near-dup misses when a short doc is wholly quoted
+    inside a long one): for doc pairs sharing word-8-gram shingles,
+    containment(A->B) = |S(A) n S(B)| / |S(A)|; emit pairs where either
+    direction >= 0.5. Shingles in > {maxdf} docs are dropped first (the
+    standard stop-shingle filter — it also BOUNDS the per-gram pair fanout,
+    the operator's skew guard).
+
+    Shape: one pass builds per-doc DISTINCT shingles (docs are row-local,
+    so batch-local dedup is global); rows hash-partition BY GRAM once;
+    each partition emits pre-aggregated pair partials AND per-doc size
+    partials (sentinel doc_b = -1) from the same pass; then TWO chained
+    doc-keyed shuffles finish — shuffle 1 co-locates everything by doc_a
+    (sums sizes + pair partials, attaches sz_a), shuffle 2 re-keys by
+    doc_b (attaches sz_b, filters) — the sizes side is corpus-sized at
+    scale, so it rides the same shuffles, never a broadcast. (This tail
+    replaced two Ray two-column aggregates + two hash joins: same rows,
+    22 s -> ~7 s at sf0.1 — Ray's multi-column groupby aggregate costs
+    ~30 us/row of AggregateMap alone.) Containment divisions are
+    exact-int ratios — correctly-rounded IEEE identical to the SQL, no
+    rounding needed."""
+    ds = _read(sf_dir, "documents", ["doc_id", "text"])
+
+    def doc_grams(b: pa.Table) -> pa.Table:
+        ids = b["doc_id"].to_numpy(zero_copy_only=False)
+        ridx, grams, _ = _word_ngrams(b["text"], _SHINGLE_N)
+        if len(grams) == 0:
+            return pa.table(
+                {
+                    "gram": pa.array([], pa.string()),
+                    "doc_id": pa.array([], pa.int64()),
+                    "gh": pa.array([], pa.uint64()),
+                }
+            )
+        order = np.lexsort((ridx, grams))
+        g2, r2 = grams[order], ridx[order]
+        keep = np.r_[True, (g2[1:] != g2[:-1]) | (r2[1:] != r2[:-1])]
+        g2 = g2[keep]
+        gram_col = pa.array(g2, pa.string())
+        return pa.table(
+            {
+                "gram": gram_col,
+                "doc_id": pa.array(ids[r2[keep]], pa.int64()),
+                "gh": pa.array(hash_strings(gram_col), pa.uint64()),
+            }
+        )
+
+    # batch_size 512 bounds the gram arrays of one UDF call; it does not
+    # spread the build over more tasks (1 map task at sf0.01 and at sf0.1).
+    gram_ds = ds.map_batches(doc_grams, batch_format="pyarrow", batch_size=512)
+
+    def per_part(g: pa.Table) -> pa.Table:
+        empty = pa.table(
+            {
+                "doc_a": pa.array([], pa.int64()),
+                "doc_b": pa.array([], pa.int64()),
+                "n": pa.array([], pa.int64()),
+            }
+        )
+        if g.num_rows == 0:
+            return empty
+        grams = np.asarray(g["gram"].to_pylist())
+        docs = g["doc_id"].to_numpy(zero_copy_only=False)
+        order = np.lexsort((docs, grams))
+        gs, dc = grams[order], docs[order]
+        n = len(gs)
+        new = np.r_[True, gs[1:] != gs[:-1]]
+        seg = np.cumsum(new) - 1
+        starts = np.nonzero(new)[0]
+        lens = np.diff(np.append(starts, n)).astype(np.int64)
+        ok = lens <= _SHINGLE_MAXDF
+        row_ok = ok[seg]
+        # per-doc size partials over surviving rows (sentinel doc_b = -1)
+        du, dn = np.unique(dc[row_ok], return_counts=True)
+        out_a = [du]
+        out_b = [np.full(len(du), -1, np.int64)]
+        out_n = [dn.astype(np.int64)]
+        # pair partials from segments with 2..maxdf docs (docs sorted
+        # within each gram, so position order IS doc_a < doc_b)
+        psegs = np.nonzero(ok & (lens >= 2))[0]
+        if len(psegs):
+            # group segments BY LENGTH: one vectorized triangle expansion
+            # per distinct length (<= maxdf-1 iterations, each all-numpy)
+            ai, bi = [], []
+            for length in np.unique(lens[psegs]):
+                bases = starts[psegs[lens[psegs] == length]]
+                iu, ju = np.triu_indices(int(length), k=1)
+                ai.append((bases[:, None] + iu[None, :]).ravel())
+                bi.append((bases[:, None] + ju[None, :]).ravel())
+            a_idx = np.concatenate(ai)
+            b_idx = np.concatenate(bi)
+            pu, pn = np.unique(
+                np.stack([dc[a_idx], dc[b_idx]], 1), axis=0, return_counts=True
+            )
+            out_a.append(pu[:, 0])
+            out_b.append(pu[:, 1])
+            out_n.append(pn.astype(np.int64))
+        return pa.table(
+            {
+                "doc_a": pa.array(np.concatenate(out_a), pa.int64()),
+                "doc_b": pa.array(np.concatenate(out_b), pa.int64()),
+                "n": pa.array(np.concatenate(out_n), pa.int64()),
+            }
+        )
+
+    def key_a(b: pa.Table) -> pa.Table:
+        k = b["doc_a"].to_numpy(zero_copy_only=False).astype(np.uint64)
+        return b.append_column("k", pa.array(k, pa.uint64()))
+
+    def stage_a(g: pa.Table) -> pa.Table:
+        """All of a doc's size partials AND its doc_a-side pair partials
+        are co-located here: sum both, attach sz_a, and re-emit the size
+        totals (doc_b = -1 sentinel) for the doc_b-keyed shuffle."""
+        da = g["doc_a"].to_numpy(zero_copy_only=False)
+        db = g["doc_b"].to_numpy(zero_copy_only=False)
+        nn = g["n"].to_numpy(zero_copy_only=False)
+        s = db < 0
+        su, ssum = _sum_by_key(da[s], nn[s])
+        pk = (da[~s].astype(np.uint64) << np.uint64(32)) | db[~s].astype(np.uint64)
+        pu, psum = _sum_by_key(pk, nn[~s])
+        pa_ = (pu >> np.uint64(32)).astype(np.int64)
+        pb_ = (pu & np.uint64(0xFFFFFFFF)).astype(np.int64)
+        sz_a = ssum[np.searchsorted(su, pa_)]
+        return pa.table(
+            {
+                "doc_a": pa.array(np.concatenate([su.astype(np.int64), pa_]), pa.int64()),
+                "doc_b": pa.array(
+                    np.concatenate([np.full(len(su), -1, np.int64), pb_]), pa.int64()
+                ),
+                "n_shared": pa.array(np.concatenate([ssum, psum]), pa.int64()),
+                "sz_a": pa.array(
+                    np.concatenate([np.zeros(len(su), np.int64), sz_a]), pa.int64()
+                ),
+            }
+        )
+
+    def key_b(b: pa.Table) -> pa.Table:
+        da = b["doc_a"].to_numpy(zero_copy_only=False)
+        db = b["doc_b"].to_numpy(zero_copy_only=False)
+        k = np.where(db < 0, da, db).astype(np.uint64)
+        return b.append_column("k", pa.array(k, pa.uint64()))
+
+    def stage_b(g: pa.Table) -> pa.Table:
+        da = g["doc_a"].to_numpy(zero_copy_only=False)
+        db = g["doc_b"].to_numpy(zero_copy_only=False)
+        ns = g["n_shared"].to_numpy(zero_copy_only=False)
+        sza = g["sz_a"].to_numpy(zero_copy_only=False)
+        s = db < 0
+        su, ssum = da[s], ns[s]  # already per-doc totals (one row per doc)
+        order = np.argsort(su, kind="stable")
+        su, ssum = su[order], ssum[order]
+        pa_, pb_, pn, psz = da[~s], db[~s], ns[~s], sza[~s]
+        sz_b = ssum[np.searchsorted(su, pb_)]
+        nsf = pn.astype(np.float64)
+        ca = nsf / psz.astype(np.float64)
+        cb = nsf / sz_b.astype(np.float64)
+        keep = np.maximum(ca, cb) >= _CONT_MIN
+        return pa.table(
+            {
+                "doc_a": pa.array(pa_[keep], pa.int64()),
+                "doc_b": pa.array(pb_[keep], pa.int64()),
+                "n_shared": pa.array(pn[keep], pa.int64()),
+                "cont_a": pa.array(ca[keep], pa.float64()),
+                "cont_b": pa.array(cb[keep], pa.float64()),
+            }
+        )
+
+    mixed = map_groups_partitioned(gram_ds, "gh", per_part)
+    byl = map_groups_partitioned(
+        mixed.map_batches(key_a, batch_format="pyarrow"), "k", stage_a
+    )
+    return map_groups_partitioned(
+        byl.map_batches(key_b, batch_format="pyarrow"), "k", stage_b
+    )
+
+
+@query(sql=f"""
+WITH mh AS (SELECT id_a, id_b FROM read_parquet('{_DGD}/minhash_pairs.parquet')),
+sh AS (SELECT id_a, id_b FROM read_parquet('{_DGD}/simhash_pairs.parquet')),
+b AS (
+  SELECT CAST(COUNT(*) AS BIGINT) AS n_both
+  FROM mh JOIN sh ON sh.id_a = mh.id_a AND sh.id_b = mh.id_b),
+m AS (SELECT CAST(COUNT(*) AS BIGINT) AS n FROM mh),
+s AS (SELECT CAST(COUNT(*) AS BIGINT) AS n FROM sh)
+SELECT m.n AS n_minhash, s.n AS n_simhash, b.n_both,
+       CAST(b.n_both AS DOUBLE)
+         / CAST(NULLIF(m.n + s.n - b.n_both, 0) AS DOUBLE) AS jaccard_overlap
+FROM m, s, b
+""")
+def doc_dedup_method_overlap(sf_dir: str):
+    """DEDUP METHOD AGREEMENT — set overlap between the MinHash-LSH
+    (Jaccard >= 0.5) and SimHash (hamming <= 6) near-dup pair sets (the
+    methodology-evaluation companion to emb_ann_recall: the two detectors
+    answer subtly different questions — bag-of-shingles resemblance vs
+    weighted-feature cosine — and the overlap quantifies how much; a
+    curation pipeline choosing one needs this number). Both in-engine
+    chains run (minhash via the shared _dup_pairs materialization), pair
+    keys pack to u64, and the intersection is ONE distributed
+    sum_by_u64 over the side-tagged union (mh=1, sh=2; per-key sum 3 =
+    both) followed by a tiny class-count fold — unbounded-pair-safe, the
+    driver sees three integers. Output includes the overlap Jaccard as
+    one exact division (NULLIF-mirrored)."""
+    from ray.data.aggregate import Sum
+
+    _ensure_docs_golden(sf_dir)
+    mh = _dup_pairs(sf_dir, threshold=0.5)
+    sh = simhash_near_dups(
+        _read(sf_dir, "documents", ["doc_id", "text"]), max_hamming=6
+    )
+
+    def tag(side: int):
+        def fn(b: pa.Table) -> pa.Table:
+            a = b["id_a"].to_numpy(zero_copy_only=False).astype(np.uint64)
+            c = b["id_b"].to_numpy(zero_copy_only=False).astype(np.uint64)
+            if len(a) and (int(a.max()) >= 1 << 32 or int(c.max()) >= 1 << 32):
+                raise ValueError("doc_id >= 2^32: widen the pair packing")
+            return pa.table(
+                {
+                    "key": pa.array((a << np.uint64(32)) | c, pa.uint64()),
+                    "val": pa.array(np.full(len(a), side, np.uint64),
+                                    pa.uint64()),
+                }
+            )
+        return fn
+
+    tagged = mh.map_batches(tag(1), batch_format="pyarrow").union(
+        sh.map_batches(tag(2), batch_format="pyarrow")
+    )
+    per_key = sum_by_u64(tagged, "key", "val")
+
+    def classes(b: pa.Table) -> pa.Table:
+        v = b["cnt"].to_numpy(zero_copy_only=False).astype(np.int64)
+        return pa.table(
+            {
+                "one": pa.array([1], pa.int64()),
+                "mh_only": pa.array([int((v == 1).sum())], pa.int64()),
+                "sh_only": pa.array([int((v == 2).sum())], pa.int64()),
+                "both": pa.array([int((v == 3).sum())], pa.int64()),
+            }
+        )
+
+    agg = _collect_table(
+        per_key.map_batches(classes, batch_format="pyarrow")
+        .groupby("one")
+        .aggregate(Sum("mh_only", alias_name="mh_only"),
+                   Sum("sh_only", alias_name="sh_only"),
+                   Sum("both", alias_name="both"))
+    )
+    mo = int(agg["mh_only"][0].as_py()) if agg.num_rows else 0
+    so = int(agg["sh_only"][0].as_py()) if agg.num_rows else 0
+    nb = int(agg["both"][0].as_py()) if agg.num_rows else 0
+    n_mh, n_sh = mo + nb, so + nb
+    union = n_mh + n_sh - nb
+    jac = float(np.float64(nb) / np.float64(union)) if union else None
+    return pa.table(
+        {
+            "n_minhash": pa.array([n_mh], pa.int64()),
+            "n_simhash": pa.array([n_sh], pa.int64()),
+            "n_both": pa.array([nb], pa.int64()),
+            "jaccard_overlap": pa.array([jac], pa.float64()),
+        }
+    )
+
+
+@query(sql=f"""
+WITH m AS (
+  SELECT c.comp, d.source
+  FROM read_parquet('{_DGD}/dup_clusters.parquet') c
+  JOIN documents d ON d.doc_id = c.node),
+pairs AS (
+  SELECT DISTINCT a.comp, a.source AS source_a, b.source AS source_b
+  FROM m a JOIN m b ON a.comp = b.comp AND a.source < b.source)
+SELECT source_a, source_b, CAST(COUNT(*) AS BIGINT) AS n_clusters
+FROM pairs GROUP BY 1, 2
+""")
+def doc_dup_source_matrix(sf_dir: str):
+    """SYNDICATION FLOW MATRIX ("who copies whom"): for every near-dup
+    cluster, the distinct unordered pairs of SOURCES represented among
+    its members, counted over all clusters — the feed-level duplication
+    map a crawl operator uses to prune mirrored feeds. Composition:
+    minhash pairs -> CC clusters (doc_dup_geo_spread's chain), then the
+    member -> source attach is a SEMI-FILTERED corpus pass (only cluster
+    members' (doc_id, source) rows survive — bounded by PAIRED docs, the
+    dedup contract) and the pair fold runs on that bounded table.
+    Deterministic pair order (source_a < source_b); each pair counted
+    once per cluster (distinct, not per member pair)."""
+    _ensure_docs_golden(sf_dir)
+    clusters = _dup_clusters(sf_dir, threshold=0.5)
+    cl_t = _collect_table(clusters)  # bounded by paired docs
+    node = cl_t["node"].to_numpy(zero_copy_only=False).astype(np.int64)
+    comp = cl_t["comp"].to_numpy(zero_copy_only=False).astype(np.int64)
+
+    members = filter_semi(
+        _read(sf_dir, "documents", ["doc_id", "source"]).map_batches(
+            lambda b: pa.table(
+                {
+                    "doc_id": pc.cast(b["doc_id"], pa.int64()),
+                    "source": b["source"],
+                }
+            ),
+            batch_format="pyarrow",
+        ),
+        clusters.map_batches(
+            lambda b: pa.table({"doc_id": pc.cast(b["node"], pa.int64())}),
+            batch_format="pyarrow",
+        ),
+        "doc_id",
+    )
+    m_t = _collect_table(members)  # bounded by paired docs
+    mdoc = m_t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+    msrc = np.asarray(m_t["source"].to_pylist())
+    src_of = dict(zip(mdoc.tolist(), msrc.tolist()))
+
+    per_comp: dict[int, set] = {}
+    for nd, cp in zip(node.tolist(), comp.tolist()):
+        per_comp.setdefault(cp, set()).add(src_of[nd])
+    counts: dict[tuple, int] = {}
+    for srcs in per_comp.values():
+        ss = sorted(srcs)
+        for i in range(len(ss)):
+            for j in range(i + 1, len(ss)):
+                counts[(ss[i], ss[j])] = counts.get((ss[i], ss[j]), 0) + 1
+    keys = sorted(counts)
+    return pa.table(
+        {
+            "source_a": pa.array([k[0] for k in keys], pa.string()),
+            "source_b": pa.array([k[1] for k in keys], pa.string()),
+            "n_clusters": pa.array(
+                [counts[k] for k in keys], pa.int64()
+            ),
+        }
+    )
+
+
+@query(sql=f"""
+SELECT p.id_a AS doc_a, p.id_b AS doc_b,
+       a.lang AS lang_a, b.lang AS lang_b
+FROM read_parquet('{_DGD}/minhash_pairs.parquet') p
+JOIN documents a ON a.doc_id = p.id_a
+JOIN documents b ON b.doc_id = p.id_b
+WHERE a.lang <> b.lang
+""")
+def doc_cross_lingual_dup(sf_dir: str):
+    """CROSS-LINGUAL DUPLICATE DETECTION (translation-mirror discovery):
+    near-dup pairs whose two documents carry DIFFERENT language labels —
+    the candidate set a translation-pair miner or a "same story, other
+    language" deduper starts from (for multilingual training data these
+    pairs are curriculum gold, not waste). Composition: minhash pairs
+    (bounded by the dedup contract) -> member langs via a SEMI-FILTERED
+    corpus pass (only paired docs' (doc_id, lang) rows survive) -> the
+    lang-mismatch filter on the bounded pair table. Deterministic
+    (id_a < id_b from the pair generator)."""
+    _ensure_docs_golden(sf_dir)
+    pairs_t = _collect_table(
+        _dup_pairs(sf_dir, threshold=0.5)
+    )  # bounded by paired docs
+    ia = pairs_t["id_a"].to_numpy(zero_copy_only=False).astype(np.int64)
+    ib = pairs_t["id_b"].to_numpy(zero_copy_only=False).astype(np.int64)
+
+    import ray
+
+    ids = np.unique(np.concatenate([ia, ib]))
+    members = filter_semi(
+        _read(sf_dir, "documents", ["doc_id", "lang"]),
+        ray.data.from_arrow(
+            pa.table({"doc_id": pa.array(ids, pa.int64())})
+        ),
+        "doc_id",
+    )
+    m_t = _collect_table(members)  # bounded by paired docs
+    lang_of = dict(
+        zip(
+            m_t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+            .tolist(),
+            m_t["lang"].to_pylist(),
+        )
+    )
+    la = np.asarray([lang_of[i] for i in ia.tolist()])
+    lb = np.asarray([lang_of[i] for i in ib.tolist()])
+    keep = la != lb
+    order = np.lexsort((ib[keep], ia[keep]))
+    return pa.table(
+        {
+            "doc_a": pa.array(ia[keep][order], pa.int64()),
+            "doc_b": pa.array(ib[keep][order], pa.int64()),
+            "lang_a": pa.array(la[keep][order].tolist(), pa.string()),
+            "lang_b": pa.array(lb[keep][order].tolist(), pa.string()),
+        }
+    )
+
+
+@query(sql=f"""
+WITH m AS (
+  SELECT comp, (node * 104729) % 360000 AS x, (node * 7919) % 140000 AS y
+  FROM read_parquet('{_DGD}/dup_clusters.parquet')),
+per AS (
+  SELECT comp, CAST(COUNT(*) AS BIGINT) AS n,
+         CAST(SUM(x) AS BIGINT) AS sx, CAST(SUM(y) AS BIGINT) AS sy,
+         CAST(SUM(x * x) AS BIGINT) AS sxx,
+         CAST(SUM(y * y) AS BIGINT) AS syy
+  FROM m GROUP BY 1)
+SELECT comp AS cluster_id, n AS n_docs,
+       n * (sxx + syy) - sx * sx - sy * sy AS rog_num,
+       n * n AS rog_den,
+       SQRT(CAST(n * (sxx + syy) - sx * sx - sy * sy AS DOUBLE)
+            / CAST(n * n AS DOUBLE)) / 1000.0 AS rog_deg
+FROM per
+""")
+def doc_dup_geo_spread(sf_dir: str):
+    """CONTENT-SYNDICATION GEOGRAPHY: per near-dup cluster, the geographic
+    spread (radius of gyration) of its member documents — does duplicated
+    content stay local (one outlet's reposts) or span the world (wire-
+    service syndication)? A pipeline COMPOSITION: minhash pairs ->
+    connected components (doc_dup_clusters' exact chain) -> per-cluster
+    integer-moment rog (events_gyration's identity, keyed by cluster).
+    Clusters are an unbounded key, so the moment fold runs distributed
+    (one comp-keyed shuffle over the PAIRED docs only — ≪ corpus by the
+    dedup contract); rog is one correctly-rounded SQRT of one exact
+    int/int division, integer num/den emitted."""
+    _ensure_docs_golden(sf_dir)
+    clusters = _dup_clusters(sf_dir, threshold=0.5)
+
+    _empty = pa.table(
+        {
+            "cluster_id": pa.array([], pa.int64()),
+            "n_docs": pa.array([], pa.int64()),
+            "rog_num": pa.array([], pa.int64()),
+            "rog_den": pa.array([], pa.int64()),
+            "rog_deg": pa.array([], pa.float64()),
+        }
+    )
+
+    def per_part(g: pa.Table) -> pa.Table:
+        if g.num_rows == 0:
+            return _empty
+        comp = g["comp"].to_numpy(zero_copy_only=False).astype(np.int64)
+        node = g["node"].to_numpy(zero_copy_only=False).astype(np.int64)
+        order = np.argsort(comp, kind="stable")
+        comp, node = comp[order], node[order]
+        x = (node * 104729) % 360000
+        y = (node * 7919) % 140000
+        starts = np.nonzero(np.r_[True, comp[1:] != comp[:-1]])[0]
+        n = np.diff(np.r_[starts, len(comp)]).astype(np.int64)
+        sx = np.add.reduceat(x, starts)
+        sy = np.add.reduceat(y, starts)
+        sxx = np.add.reduceat(x * x, starts)
+        syy = np.add.reduceat(y * y, starts)
+        num = n * (sxx + syy) - sx * sx - sy * sy
+        den = n * n
+        return pa.table(
+            {
+                "cluster_id": pa.array(comp[starts], pa.int64()),
+                "n_docs": pa.array(n, pa.int64()),
+                "rog_num": pa.array(num, pa.int64()),
+                "rog_den": pa.array(den, pa.int64()),
+                "rog_deg": pa.array(
+                    np.sqrt(num.astype(np.float64) / den.astype(np.float64))
+                    / 1000.0,
+                    pa.float64(),
+                ),
+            }
+        )
+
+    return map_groups_partitioned(clusters, "comp", per_part)
+
+
+
+
+@query(sql=f"""
+SELECT doc_id FROM documents
+WHERE doc_id NOT IN (
+  SELECT node FROM read_parquet('{_DGD}/dup_clusters.parquet') WHERE node <> comp)
+""")
+def doc_dedup_keep(sf_dir: str, broadcast_max: int = 2_000_000):
+    """The APPLY step of near-dup dedup: the corpus minus every non-
+    representative cluster member (keep = each component's min doc id,
+    plus all unpaired docs). The drop set is the cluster table minus its
+    representatives — bounded by the number of PAIRED docs in the common
+    case, so it broadcasts — but a 50 %-duplicate crawl makes it
+    O(corpus/2), so above ``broadcast_max`` the probe switches to a
+    distributed anti hash-join and the drop set never reaches the driver
+    (stages/join.filter_not_in, both regimes equivalence-tested)."""
+    _ensure_docs_golden(sf_dir)
+    clusters = _dup_clusters(sf_dir, threshold=0.5)
+    drop_ds = clusters.map_batches(
+        lambda b: pa.table(
+            {"doc_id": b["node"].filter(pc.not_equal(b["node"], b["comp"]))}
+        ),
+        batch_format="pyarrow",
+    )
+    return filter_not_in(
+        _read(sf_dir, "documents", ["doc_id"]),
+        drop_ds,
+        on="doc_id",
+        broadcast_max=broadcast_max,
+        ds_schema=pa.schema([("doc_id", pa.int64())]),
+    )
+
+
+DOC_CURATED_SQL = f"""
+WITH ws AS (SELECT doc_id, string_split(text, ' ') AS l FROM documents),
+w AS (SELECT doc_id, UNNEST(l) AS w FROM ws),
+tot AS (SELECT doc_id, CAST(COUNT(*) AS BIGINT) AS n FROM w GROUP BY 1),
+topw AS (
+  SELECT doc_id, MAX(c) AS mc FROM
+    (SELECT doc_id, w, COUNT(*) AS c FROM w GROUP BY 1, 2) GROUP BY 1),
+th AS (
+  SELECT QUANTILE_CONT(n_chars, 1.0 / 3.0) AS t1,
+         QUANTILE_CONT(n_chars, 2.0 / 3.0) AS t2
+  FROM documents)
+SELECT d.doc_id, d.lang,
+       CASE WHEN d.n_chars <= th.t1 THEN 'tail'
+            WHEN d.n_chars <= th.t2 THEN 'middle'
+            ELSE 'head' END AS bucket
+FROM documents d JOIN tot USING (doc_id) JOIN topw USING (doc_id), th
+WHERE d.doc_id NOT IN (
+        SELECT node FROM read_parquet('{_DGD}/dup_clusters.parquet')
+        WHERE node <> comp)
+  AND tot.n >= 25
+  AND ROUND(CAST(topw.mc AS DOUBLE) / CAST(tot.n AS DOUBLE), 6) <= 0.12
+"""
+
+
+@query(sql=DOC_CURATED_SQL)
+def doc_curated(sf_dir: str):
+    """The COMPOSED curation pipeline (pipelines/corpus.py) under the
+    driver hash: near-dup dedup (minhash pairs -> components -> keep
+    reps) + Gopher repetition/length gates + CCNet tercile buckets, one
+    streaming pass over the corpus. The oracle rebuilds every stage in
+    SQL — the dedup drop set from the golden cluster parquet, the
+    repetition fractions from UNNEST word counts, the tercile thresholds
+    from QUANTILE_CONT — so the end-to-end composition is hash-checked,
+    not just its pieces."""
+    _ensure_docs_golden(sf_dir)
+    ds = _read(sf_dir, "documents", ["doc_id", "text", "lang", "n_chars"])
+    return curate_corpus(ds, clusters=_dup_clusters(sf_dir, 0.5)).curated
+
+
+@query(sql=f"""
+WITH ws AS (SELECT doc_id, string_split(text, ' ') AS l FROM documents),
+w AS (SELECT doc_id, UNNEST(l) AS w FROM ws),
+tot AS (SELECT doc_id, CAST(COUNT(*) AS BIGINT) AS n FROM w GROUP BY 1),
+topw AS (
+  SELECT doc_id, MAX(c) AS mc FROM
+    (SELECT doc_id, w, COUNT(*) AS c FROM w GROUP BY 1, 2) GROUP BY 1),
+th AS (
+  SELECT QUANTILE_CONT(n_chars, 1.0 / 3.0) AS t1,
+         QUANTILE_CONT(n_chars, 2.0 / 3.0) AS t2
+  FROM documents),
+base AS (
+  SELECT d.doc_id, d.n_chars, tot.n, topw.mc,
+         CASE WHEN d.doc_id IN (
+                SELECT node FROM read_parquet('{_DGD}/dup_clusters.parquet')
+                WHERE node <> comp) THEN 0 ELSE 1 END AS sv
+  FROM documents d JOIN tot USING (doc_id) JOIN topw USING (doc_id))
+SELECT CAST(COUNT(*) AS BIGINT) AS n_total,
+       CAST(SUM(sv) AS BIGINT) AS n_after_dedup,
+       CAST(SUM(CASE WHEN sv = 1 AND n >= 25 THEN 1 ELSE 0 END)
+            AS BIGINT) AS n_after_length,
+       CAST(SUM(CASE WHEN sv = 1 AND n >= 25
+                 AND ROUND(CAST(mc AS DOUBLE) / CAST(n AS DOUBLE), 6) <= 0.12
+                 THEN 1 ELSE 0 END) AS BIGINT) AS n_after_repetition,
+       CAST(SUM(CASE WHEN sv = 1 AND n >= 25
+                 AND ROUND(CAST(mc AS DOUBLE) / CAST(n AS DOUBLE), 6) <= 0.12
+                 AND n_chars > th.t2 THEN 1 ELSE 0 END)
+            AS BIGINT) AS n_head,
+       CAST(SUM(CASE WHEN sv = 1 AND n >= 25
+                 AND ROUND(CAST(mc AS DOUBLE) / CAST(n AS DOUBLE), 6) <= 0.12
+                 AND n_chars > th.t1 AND n_chars <= th.t2 THEN 1 ELSE 0 END)
+            AS BIGINT) AS n_middle,
+       CAST(SUM(CASE WHEN sv = 1 AND n >= 25
+                 AND ROUND(CAST(mc AS DOUBLE) / CAST(n AS DOUBLE), 6) <= 0.12
+                 AND n_chars <= th.t1 THEN 1 ELSE 0 END)
+            AS BIGINT) AS n_tail
+FROM base, th
+""")
+def doc_curation_funnel(sf_dir: str):
+    """CURATION FUNNEL — per-gate survivor counts of the composed v1
+    curation pipeline (the lineage/observability record a 100-TB curation
+    run reports next to its output: how many documents each gate
+    removed, applied in PIPELINE ORDER dedup -> length -> repetition,
+    plus the tercile mix of the final corpus). One streaming pass
+    computes the length/repetition flags per batch (the same
+    repetition_fractions + sql_round_np chain doc_curated pins), the
+    dedup drop set attaches as a LEFT hash-join marker (distributed — no
+    broadcast-size assumption at all, unlike the curate pass's guarded
+    probe), and per-batch partial sums fold through one tiny groupby —
+    the driver sees ONE row of seven integers."""
+    from ray.data.aggregate import Sum
+
+    _ensure_docs_golden(sf_dir)
+    ds = _read(sf_dir, "documents", ["doc_id", "text", "n_chars"])
+    t1, t2 = _bucket_thresholds(
+        ds.map_batches(lambda b: b.select(["n_chars"]),
+                       batch_format="pyarrow")
+    )
+
+    drop_schema = pa.schema([("doc_id", pa.int64()), ("__dup", pa.int8())])
+    drop = _dup_clusters(sf_dir, 0.5).map_batches(
+        lambda b: pa.table(
+            {
+                "doc_id": b["node"].filter(pc.not_equal(b["node"], b["comp"])),
+                "__dup": pa.array(
+                    np.ones(
+                        int(pc.sum(pc.cast(
+                            pc.not_equal(b["node"], b["comp"]), pa.int64()
+                        )).as_py() or 0),
+                        np.int8,
+                    ),
+                    pa.int8(),
+                ),
+            }
+        ),
+        batch_format="pyarrow",
+    )
+
+    def gates(b: pa.Table) -> pa.Table:
+        n_words, topw, _ = repetition_fractions(b["text"])
+        frac = sql_round_np(
+            topw.astype(np.float64)
+            / np.maximum(n_words, 1).astype(np.float64), 6
+        )
+        return pa.table(
+            {
+                "doc_id": b["doc_id"],
+                "len_ok": pa.array((n_words >= 25).astype(np.int8), pa.int8()),
+                "rep_ok": pa.array((frac <= 0.12).astype(np.int8), pa.int8()),
+                "n_chars": b["n_chars"],
+            }
+        )
+
+    gate_schema = pa.schema(
+        [("doc_id", pa.int64()), ("len_ok", pa.int8()),
+         ("rep_ok", pa.int8()), ("n_chars", pa.int64())]
+    )
+    j = hash_join(
+        ds.map_batches(gates, batch_format="pyarrow", batch_size=4096),
+        drop, on="doc_id", how="left",
+        left_schema=gate_schema, right_schema=drop_schema,
+    )
+
+    cols = ("n_total", "n_after_dedup", "n_after_length",
+            "n_after_repetition", "n_head", "n_middle", "n_tail")
+
+    def partial(b: pa.Table) -> pa.Table:
+        sv = pc.is_null(b["__dup"]).to_numpy(zero_copy_only=False)
+        lok = b["len_ok"].to_numpy(zero_copy_only=False) == 1
+        rok = b["rep_ok"].to_numpy(zero_copy_only=False) == 1
+        c = b["n_chars"].to_numpy(zero_copy_only=False).astype(np.float64)
+        final = sv & lok & rok
+        vals = (
+            len(sv), int(sv.sum()), int((sv & lok).sum()), int(final.sum()),
+            int((final & (c > t2)).sum()),
+            int((final & (c > t1) & (c <= t2)).sum()),
+            int((final & (c <= t1)).sum()),
+        )
+        return pa.table(
+            {"one": pa.array([1], pa.int64()),
+             **{k: pa.array([v], pa.int64()) for k, v in zip(cols, vals)}}
+        )
+
+    agg = _collect_table(
+        j.map_batches(partial, batch_format="pyarrow")
+        .groupby("one")
+        .aggregate(*[Sum(k, alias_name=k) for k in cols])
+    )
+    return pa.table(
+        {k: pa.array([int(agg[k][0].as_py()) if agg.num_rows else 0],
+                     pa.int64())
+         for k in cols}
+    )
+
+
+# --- corpus-curation operators (round 3d): contamination / novelty / PII ---
+
+
+def _word_ngrams(
+    col: pa.Array | pa.ChunkedArray, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All word-level n-grams of an Arrow string column, split on ' '
+    exactly like DuckDB's string_split (and str.split(' '): empty words
+    from leading, trailing or double spaces count). The words are one
+    flat Arrow array plus per-row counts; each gram joins n shifted
+    ``take``s of it in one binary_join_element_wise, so no Python object
+    exists until the single conversion of the finished grams to a numpy
+    unicode array. Returns (row_idx int64, grams unicode, start int64):
+    row_idx indexes into ``col``, start is the gram's 0-based first-word
+    position inside its own row. Rows with < n words, and null rows, give
+    no grams."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    lists = pc.split_pattern(col, " ")
+    counts = pc.fill_null(pc.list_value_length(lists), 0).to_numpy().astype(np.int64)
+    words = pc.list_flatten(lists)
+    ends = np.cumsum(counts)
+    rows = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    pos = np.arange(len(words), dtype=np.int64)
+    starts = pos[pos + (n - 1) < ends[rows]]  # gram must not cross a row boundary
+    rows = rows[starts]
+    shifted = [words.take(starts + k) for k in range(n)]
+    grams = shifted[0] if n == 1 else pc.binary_join_element_wise(
+        *shifted, pa.scalar(" ", words.type)
+    )
+    return (
+        rows,
+        grams.to_numpy(zero_copy_only=False).astype(str),
+        starts - (ends[rows] - counts[rows]),
+    )
+
+
+_CONTAM_MOD = 97  # benchmark set = docs with doc_id % 97 == 0 (first 8-gram)
+_CONTAM_N = 8
+
+
+DOC_CONTAMINATION_SQL = f"""
+WITH ws AS (SELECT doc_id, string_split(text, ' ') AS l FROM documents),
+bench AS (
+  SELECT DISTINCT l[1] || ' ' || l[2] || ' ' || l[3] || ' ' || l[4] || ' ' ||
+                  l[5] || ' ' || l[6] || ' ' || l[7] || ' ' || l[8] AS gram
+  FROM ws WHERE doc_id % {_CONTAM_MOD} = 0 AND len(l) >= {_CONTAM_N}),
+grams AS (
+  SELECT doc_id,
+         UNNEST(list_transform(generate_series(1, len(l) - {_CONTAM_N - 1}),
+                i -> l[i] || ' ' || l[i+1] || ' ' || l[i+2] || ' ' || l[i+3]
+                     || ' ' || l[i+4] || ' ' || l[i+5] || ' ' || l[i+6]
+                     || ' ' || l[i+7])) AS gram
+  FROM ws)
+SELECT g.doc_id, CAST(COUNT(DISTINCT g.gram) AS BIGINT) AS n_hits
+FROM grams g JOIN bench b USING (gram) GROUP BY 1
+"""
+
+
+@query(sql=DOC_CONTAMINATION_SQL)
+def doc_contamination(sf_dir: str):
+    """Benchmark-contamination check (the decontamination operator every
+    published LLM data pipeline runs): a small 'benchmark' set of 8-gram
+    probes — here the first 8 words of every (doc_id %% 97 == 0) document —
+    is broadcast, and each document reports how many DISTINCT probes its
+    word-8-gram set contains. Scale shape: the probe side is tiny by
+    construction (broadcast once via the closure), the corpus side is one
+    map_batches with vectorized gram construction + np.isin — grams are
+    never shuffled. Word-level gram equality (not raw substring search) on
+    both sides, so the oracle joins on identical gram strings."""
+    ds = _read(sf_dir, "documents", ["doc_id", "text"])
+
+    def probe_grams(b: pa.Table) -> pa.Table:
+        ids = b["doc_id"].to_numpy(zero_copy_only=False)
+        keep = ids % _CONTAM_MOD == 0
+        # Arrow-filter FIRST: only the ~1/97 probe rows' text bytes ever
+        # become Python strings
+        texts = b.filter(pa.array(keep))["text"].to_pylist()
+        out = []
+        for t in texts:
+            w = t.split(" ")
+            if len(w) >= _CONTAM_N:
+                out.append(" ".join(w[:_CONTAM_N]))
+        return pa.table({"gram": pa.array(out, pa.string())})
+
+    bench = np.unique(
+        np.asarray(
+            _collect_table(
+                ds.map_batches(probe_grams, batch_format="pyarrow")
+            )["gram"].to_pylist()
+        )
+    )
+
+    def scan(b: pa.Table) -> pa.Table:
+        ridx, grams, _ = _word_ngrams(b["text"], _CONTAM_N)
+        hit = np.isin(grams, bench)
+        ids = b["doc_id"].to_numpy(zero_copy_only=False)
+        if not hit.any():
+            return pa.table(
+                {"doc_id": pa.array([], pa.int64()), "n_hits": pa.array([], pa.int64())}
+            )
+        # COUNT(DISTINCT gram) per doc: dedupe (row, gram) hit pairs
+        pairs = np.unique(
+            np.stack([ridx[hit], np.searchsorted(bench, grams[hit])], axis=1),
+            axis=0,
+        )
+        rows, n_hits = np.unique(pairs[:, 0], return_counts=True)
+        return pa.table(
+            {
+                "doc_id": pa.array(ids[rows], pa.int64()),
+                "n_hits": pa.array(n_hits.astype(np.int64), pa.int64()),
+            }
+        )
+
+    return ds.map_batches(scan, batch_format="pyarrow", batch_size=4096)
+
+
+DOC_NGRAM_NOVELTY_SQL = """
+WITH ws AS (SELECT doc_id, string_split(text, ' ') AS l FROM documents),
+g AS (
+  SELECT doc_id,
+         UNNEST(list_transform(generate_series(1, len(l) - 2),
+                i -> l[i] || ' ' || l[i+1] || ' ' || l[i+2])) AS gram
+  FROM ws),
+c AS (SELECT gram, COUNT(*) AS cnt FROM g GROUP BY 1)
+SELECT g.doc_id, CAST(COUNT(*) AS BIGINT) AS n_grams,
+       ROUND(CAST(SUM(CASE WHEN c.cnt = 1 THEN 1 ELSE 0 END) AS DOUBLE)
+             / CAST(COUNT(*) AS DOUBLE), 6) AS novel_frac
+FROM g JOIN c USING (gram) GROUP BY 1
+"""
+
+
+@query(sql=DOC_NGRAM_NOVELTY_SQL)
+def doc_ngram_novelty(sf_dir: str, n: int = 3, broadcast_max: int = 2_000_000):
+    """Per-document n-gram novelty: the fraction of a document's word
+    3-grams that occur exactly once in the WHOLE corpus (a dedup-adjacent
+    curation signal — low novelty means templated/duplicated text). Pass 1
+    is combiner-first exact global gram counts — per-batch np.unique
+    partials, hash-partitioned by gram string so each partition's sums are
+    global (the vocab-count shape). Pass 2 is ADAPTIVE (the same guard
+    pattern as the minhash verify join): when the singleton-gram set fits
+    ``broadcast_max`` it is broadcast once and each document scores inside
+    ONE map_batches (documents are row-local, so no join and no per-doc
+    shuffle exist at all); above the guard, per-doc gram rows hash-join to
+    the counts (stages/join.py — fully distributed, the singleton set is
+    O(corpus) at real scale) and a partitioned reduceat finishes. Both
+    paths are exact and value-identical (unit-tested)."""
+    def gram_counts(b: pa.Table) -> pa.Table:
+        _, grams, _ = _word_ngrams(b["text"], n)
+        u, c = np.unique(grams, return_counts=True)
+        return pa.table(
+            {
+                "gram": pa.array(u, pa.string()),
+                "n": pa.array(c.astype(np.int64), pa.int64()),
+            }
+        )
+
+    def reduce_counts(g: pa.Table) -> pa.Table:
+        grams = np.asarray(g["gram"].to_pylist())
+        cnts = g["n"].to_numpy(zero_copy_only=False)
+        order = np.argsort(grams, kind="stable")
+        gs, cs = grams[order], cnts[order]
+        new = np.ones(len(gs), dtype=bool)
+        new[1:] = gs[1:] != gs[:-1]
+        starts = np.nonzero(new)[0]
+        return pa.table(
+            {
+                "gram": pa.array(gs[starts], pa.string()),
+                "cnt": pa.array(np.add.reduceat(cs, starts).astype(np.int64), pa.int64()),
+            }
+        )
+
+    counts = map_groups_partitioned(
+        _read(sf_dir, "documents", ["text"])
+        .map_batches(gram_counts, batch_format="pyarrow", batch_size=4096),
+        "gram", reduce_counts,
+    ).materialize()  # O(distinct grams), reused by whichever pass-2 path wins
+
+    singles = counts.filter(expr="cnt == 1")
+    n_singles = singles.count()
+    if n_singles <= broadcast_max:
+        import ray
+
+        bench = np.sort(
+            np.asarray(_collect_table(singles.select_columns(["gram"]))["gram"].to_pylist())
+        )
+        ref = ray.put(bench)
+
+        def score(b: pa.Table) -> pa.Table:
+            singleton = ray.get(ref)  # zero-copy plasma read, cached per worker
+            ridx, grams, _ = _word_ngrams(b["text"], n)
+            ids = b["doc_id"].to_numpy(zero_copy_only=False)
+            if len(ridx) == 0:
+                return pa.table(
+                    {
+                        "doc_id": pa.array([], pa.int64()),
+                        "n_grams": pa.array([], pa.int64()),
+                        "novel_frac": pa.array([], pa.float64()),
+                    }
+                )
+            novel = np.isin(grams, singleton).astype(np.int64)
+            rows, starts = np.unique(ridx, return_index=True)  # ridx is sorted
+            tot = np.diff(np.append(starts, len(ridx)))
+            nov = np.add.reduceat(novel, starts)
+            return pa.table(
+                {
+                    "doc_id": pa.array(ids[rows], pa.int64()),
+                    "n_grams": pa.array(tot.astype(np.int64), pa.int64()),
+                    "novel_frac": pa.array(
+                        sql_round_np(nov.astype(np.float64) / tot.astype(np.float64), 6),
+                        pa.float64(),
+                    ),
+                }
+            )
+
+        return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
+            score, batch_format="pyarrow", batch_size=4096
+        )
+
+    def doc_grams(b: pa.Table) -> pa.Table:
+        ridx, grams, _ = _word_ngrams(b["text"], n)
+        ids = b["doc_id"].to_numpy(zero_copy_only=False)
+        return pa.table(
+            {
+                "doc_id": pa.array(ids[ridx], pa.int64()),
+                "gram": pa.array(grams, pa.string()),
+            }
+        )
+
+    grams_ds = _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
+        doc_grams, batch_format="pyarrow", batch_size=4096
+    )
+    joined = hash_join(grams_ds, counts, on="gram")
+
+    def partial(b: pa.Table) -> pa.Table:
+        ids = b["doc_id"].to_numpy(zero_copy_only=False)
+        novel = (b["cnt"].to_numpy(zero_copy_only=False) == 1).astype(np.int64)
+        order = np.argsort(ids, kind="stable")
+        ids, novel = ids[order], novel[order]
+        new = np.ones(len(ids), dtype=bool)
+        new[1:] = ids[1:] != ids[:-1]
+        starts = np.nonzero(new)[0]
+        return pa.table(
+            {
+                "doc_id": pa.array(ids[starts], pa.int64()),
+                "n_part": pa.array(
+                    np.add.reduceat(np.ones(len(ids), np.int64), starts), pa.int64()
+                ),
+                "novel_part": pa.array(np.add.reduceat(novel, starts), pa.int64()),
+            }
+        )
+
+    def finish(g: pa.Table) -> pa.Table:
+        ids = g["doc_id"].to_numpy(zero_copy_only=False)
+        nn = g["n_part"].to_numpy(zero_copy_only=False)
+        nv = g["novel_part"].to_numpy(zero_copy_only=False)
+        order = np.argsort(ids, kind="stable")
+        ids, nn, nv = ids[order], nn[order], nv[order]
+        new = np.ones(len(ids), dtype=bool)
+        new[1:] = ids[1:] != ids[:-1]
+        starts = np.nonzero(new)[0]
+        tot = np.add.reduceat(nn, starts)
+        nov = np.add.reduceat(nv, starts)
+        return pa.table(
+            {
+                "doc_id": pa.array(ids[starts], pa.int64()),
+                "n_grams": pa.array(tot.astype(np.int64), pa.int64()),
+                "novel_frac": pa.array(
+                    sql_round_np(nov.astype(np.float64) / tot.astype(np.float64), 6),
+                    pa.float64(),
+                ),
+            }
+        )
+
+    return map_groups_partitioned(
+        joined.map_batches(partial, batch_format="pyarrow", batch_size=65536),
+        "doc_id",
+        finish,
+    )
+
+
+
+
+@query(sql=f"""
+WITH v1 AS ({DOC_CURATED_SQL}),
+contam AS ({DOC_CONTAMINATION_SQL}),
+nov AS ({DOC_NGRAM_NOVELTY_SQL})
+SELECT v1.* FROM v1
+WHERE v1.doc_id NOT IN (SELECT doc_id FROM contam WHERE doc_id % {_CONTAM_MOD} != 0)
+  AND v1.doc_id NOT IN (SELECT doc_id FROM nov WHERE novel_frac < 0.1)
+""")
+def doc_curated_v2(sf_dir: str, novelty_floor: float = 0.1):
+    """Curation composition v2: the v1 pipeline (near-dup dedup + Gopher
+    gates + terciles) EXTENDED with the round-3d decontamination and
+    novelty gates — documents overlapping the benchmark probe set (other
+    than the probes themselves) and documents below the 3-gram novelty
+    floor are dropped. Gate application is scale-shaped: the contamination
+    drop set is tiny by construction (broadcast), the low-novelty set is
+    unbounded so it anti-joins through the distributed hash join
+    (left join + null filter). The oracle rebuilds the ENTIRE composition
+    in SQL — every stage's CTE chained — so the end-to-end product is
+    hash-checked, not just its pieces."""
+    _ensure_docs_golden(sf_dir)
+    ds = _read(sf_dir, "documents", ["doc_id", "text", "lang", "n_chars"])
+    base = curate_corpus(ds, clusters=_dup_clusters(sf_dir, 0.5)).curated
+
+    # contamination drop: tiny by construction -> broadcast probe-hit ids
+    contam = _collect_table(doc_contamination(sf_dir))
+    cids = contam["doc_id"].to_numpy(zero_copy_only=False)
+    cdrop = np.sort(cids[cids % _CONTAM_MOD != 0])  # probes themselves stay
+
+    def drop_contaminated(b: pa.Table) -> pa.Table:
+        ids = b["doc_id"].to_numpy(zero_copy_only=False)
+        keep = np.ones(len(ids), dtype=bool)
+        if len(cdrop):
+            pos = np.searchsorted(cdrop, ids)
+            inb = pos < len(cdrop)
+            keep[inb] = cdrop[pos[inb]] != ids[inb]
+        return b.filter(pa.array(keep))
+
+    base = base.map_batches(drop_contaminated, batch_format="pyarrow")
+
+    # novelty floor: the low-novelty set is unbounded -> distributed anti
+    # join (left join against the floor-failers, keep the null side)
+    def low_ids(b: pa.Table) -> pa.Table:
+        ids = b["doc_id"].filter(pc.less(b["novel_frac"], novelty_floor))
+        return pa.table(
+            {"doc_id": ids, "__low": pa.array(np.ones(len(ids), np.int8), pa.int8())}
+        )
+
+    low = doc_ngram_novelty(sf_dir).map_batches(low_ids, batch_format="pyarrow")
+    low_schema = pa.schema([("doc_id", pa.int64()), ("__low", pa.int8())])
+    j = hash_join(base, low, on="doc_id", how="left", right_schema=low_schema)
+    return j.map_batches(
+        lambda b: b.filter(pc.is_null(b["__low"])).select(
+            ["doc_id", "lang", "bucket"]
+        ),
+        batch_format="pyarrow",
+    )
+
+
+# --- fuzzy string-match join (FastSS deletion-variant candidates) ----------
+# Engineered word table (planted typos), like the PII corpus: the synthetic
+# documents vocabulary is too small to exercise edit-distance joins.
+_TYPO_VERSION = 1
+_TYPO_BASE = 600
+
+
+def _typo_dir() -> str:
+    return f"/tmp/core_ray_typos_v{_TYPO_VERSION}"
+
+
+def _ensure_typo_corpus() -> None:
+    root = _typo_dir()
+    marker = os.path.join(root, ".complete")
+    if os.path.exists(marker):
+        return
+    rng = np.random.default_rng(1234)
+    letters = np.array(list("abcdefghijklmnopqrstuvwxyz"))
+    ids, words = [], []
+    for i in range(_TYPO_BASE):
+        ln = int(rng.integers(5, 10))
+        w = "".join(letters[rng.integers(0, 26, ln)])
+        ids.append(2 * i)
+        words.append(w)
+        if i % 2 == 0:  # half the base words get one planted typo variant
+            kind = i % 3
+            pos = int(rng.integers(0, len(w)))
+            if kind == 0:  # deletion
+                v = w[:pos] + w[pos + 1 :]
+            elif kind == 1:  # substitution
+                v = w[:pos] + str(letters[(ord(w[pos]) - 97 + 1) % 26]) + w[pos + 1 :]
+            else:  # insertion
+                v = w[:pos] + str(letters[rng.integers(0, 26)]) + w[pos:]
+            ids.append(2 * i + 1)
+            words.append(v)
+    t = pa.table(
+        {"typo_id": pa.array(ids, pa.int64()), "word": pa.array(words, pa.string())}
+    )
+    os.makedirs(root, exist_ok=True)
+    pq.write_table(t, f"{root}/typos.parquet")
+    with open(marker, "w") as f:
+        f.write("ok")
+
+
+def _lev_le1(a: str, b: str) -> bool:
+    """Exact levenshtein(a, b) <= 1 (verify kernel for FastSS candidates)."""
+    la, lb = len(a), len(b)
+    if abs(la - lb) > 1:
+        return False
+    if la == lb:
+        return sum(x != y for x, y in zip(a, b)) <= 1
+    if la > lb:
+        a, b, la, lb = b, a, lb, la
+    # b is a by one insertion? single skip allowed
+    i = j = 0
+    skipped = False
+    while i < la and j < lb:
+        if a[i] == b[j]:
+            i += 1
+            j += 1
+        elif skipped:
+            return False
+        else:
+            skipped = True
+            j += 1
+    return True
+
+
+@query(sql=f"""
+SELECT a.typo_id AS id_a, b.typo_id AS id_b, a.word AS word_a, b.word AS word_b
+FROM read_parquet('{_typo_dir()}/typos.parquet') a
+JOIN read_parquet('{_typo_dir()}/typos.parquet') b
+  ON a.typo_id < b.typo_id AND levenshtein(a.word, b.word) <= 1
+""")
+def doc_typo_pairs(sf_dir: str):
+    """Fuzzy string-match self-join: all word pairs within edit distance 1,
+    via the published FastSS deletion-variant technique — each word emits
+    its |w|+1 single-deletion variants (itself included); two words within
+    distance 1 ALWAYS share a variant, so candidates come from ONE
+    hash-partition shuffle on the variant string (no all-pairs anywhere),
+    then an exact O(len) verify kernel filters the false positives the
+    variant collision admits (e.g. 'ab'/'ba'). Pairs found through several
+    shared variants dedupe per partition by a packed (id_a, id_b) u64.
+    Oracle: DuckDB's built-in levenshtein over the engineered word table —
+    an independent O(n²) re-derivation of the same pair set."""
+    import ray.data
+
+    _ensure_typo_corpus()
+    ds = ray.data.read_parquet(f"{_typo_dir()}/typos.parquet")
+
+    def variants(b: pa.Table) -> pa.Table:
+        ids = b["typo_id"].to_numpy(zero_copy_only=False)
+        words = b["word"].to_pylist()
+        v_ids, v_words, v_vars = [], [], []
+        for i, w in zip(ids, words):
+            for p in range(len(w) + 1):
+                v = w if p == len(w) else w[:p] + w[p + 1 :]
+                v_ids.append(i)
+                v_words.append(w)
+                v_vars.append(v)
+        return pa.table(
+            {
+                "typo_id": pa.array(v_ids, pa.int64()),
+                "word": pa.array(v_words, pa.string()),
+                "variant": pa.array(v_vars, pa.string()),
+            }
+        )
+
+    def pairs(g: pa.Table) -> pa.Table:
+        ids = g["typo_id"].to_numpy(zero_copy_only=False)
+        words = np.asarray(g["word"].to_pylist(), dtype=object)
+        var = np.asarray(g["variant"].to_pylist())
+        order = np.argsort(var, kind="stable")
+        ids, words, var = ids[order], words[order], var[order]
+        new = np.ones(len(var), dtype=bool)
+        new[1:] = var[1:] != var[:-1]
+        starts = np.nonzero(new)[0]
+        ends = np.append(starts[1:], len(var))
+        out_a, out_b, wa, wb = [], [], [], []
+        seen = set()
+        for s, e in zip(starts, ends):
+            if e - s < 2:
+                continue
+            seg_ids, seg_words = ids[s:e], words[s:e]
+            iu, ju = np.triu_indices(e - s, k=1)
+            for i, j in zip(iu, ju):
+                a, b = int(seg_ids[i]), int(seg_ids[j])
+                if a == b:
+                    continue  # same word via two of its own variants
+                if a > b:
+                    a, b = b, a
+                    i, j = j, i
+                key = (a << 32) | b
+                if key in seen:
+                    continue
+                seen.add(key)
+                if _lev_le1(seg_words[i], seg_words[j]):
+                    out_a.append(a)
+                    out_b.append(b)
+                    wa.append(seg_words[i])
+                    wb.append(seg_words[j])
+        return pa.table(
+            {
+                "id_a": pa.array(out_a, pa.int64()),
+                "id_b": pa.array(out_b, pa.int64()),
+                "word_a": pa.array(wa, pa.string()),
+                "word_b": pa.array(wb, pa.string()),
+            }
+        )
+
+    cand = map_groups_partitioned(
+        ds.map_batches(variants, batch_format="pyarrow", batch_size=4096), "variant", pairs
+    )
+
+    # cross-partition dedupe: the same pair can surface in DIFFERENT
+    # partitions (different shared variants); one tiny distinct pass
+    # co-locating rows by the packed pair key
+    def add_key(b: pa.Table) -> pa.Table:
+        a = b["id_a"].to_numpy(zero_copy_only=False).astype(np.uint64)
+        bb = b["id_b"].to_numpy(zero_copy_only=False).astype(np.uint64)
+        return b.append_column("pkey", pa.array((a << np.uint64(32)) | bb, pa.uint64()))
+
+    def uniq(g: pa.Table) -> pa.Table:
+        _, first = np.unique(g["pkey"].to_numpy(zero_copy_only=False), return_index=True)
+        return g.select(["id_a", "id_b", "word_a", "word_b"]).take(
+            pa.array(np.sort(first))
+        )
+
+    return map_groups_partitioned(
+        cand.map_batches(add_key, batch_format="pyarrow"), "pkey", uniq
+    )
+
+
+@query(sql="""
+SELECT doc_id FROM documents
+WHERE doc_id % 10 >= 3
+  AND text NOT IN (SELECT text FROM documents WHERE doc_id % 10 < 7)
+""")
+def doc_incremental_new(sf_dir: str, broadcast_max: int = 2_000_000):
+    """Cross-snapshot incremental dedup — the op a recurring crawl runs
+    before adding a new snapshot to the corpus: keep only NEW docs whose
+    exact text was never seen in the previous snapshot. Deterministic
+    stand-in split with OVERLAP (consecutive crawls re-fetch mostly the
+    same pages): old snapshot = doc_id%10 < 7, new = doc_id%10 >= 3 — the
+    40% in both snapshots MUST be dropped, so a broken probe can't pass
+    vacuously (this corpus has no cross-doc exact-text twins).
+
+    Scale shape: the old side reduces to DISTINCT text keys (zero-copy md5
+    of the Arrow utf-8 buffer -> u64, exact count_by_u64 combiner — text
+    never leaves its scan), then stages/join.filter_not_in probes the new
+    side: broadcast sorted-searchsorted under the guard, distributed anti
+    hash-join above it (a 10^12-doc seen-set never reaches the driver). At
+    that scale the key should widen to the full 128-bit digest; u64 is
+    collision-safe for any single-box corpus (p ~ n^2/2^64)."""
+    def text_key(b: pa.Table, which: str) -> pa.Table:
+        ids = b["doc_id"].to_numpy(zero_copy_only=False)
+        m = (ids % 10) < 7 if which == "old" else (ids % 10) >= 3
+        sub = b.filter(pa.array(m))
+        md5s = _md5_utf8_col(sub["text"])
+        key = (
+            np.frombuffer(b"".join(md5s), dtype=">u8").reshape(-1, 2)[:, 0]
+            .astype(np.uint64)
+            if md5s else np.zeros(0, np.uint64)
+        )
+        return pa.table(
+            {"doc_id": sub["doc_id"], "key": pa.array(key, pa.uint64())}
+        )
+
+    seen = count_by_u64(
+        _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
+            lambda b: text_key(b, "old").select(["key"]),
+            batch_format="pyarrow", batch_size=4096,
+        ),
+        "key",
+    ).map_batches(lambda b: b.select(["key"]), batch_format="pyarrow").materialize()
+    # materialized: filter_not_in consumes the seen set twice (count + probe);
+    # lazy, the whole old-snapshot scan + md5 + shuffle would run twice
+
+    new = _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
+        lambda b: text_key(b, "new"), batch_format="pyarrow", batch_size=4096
+    )
+    out = filter_not_in(
+        new, seen, on="key", broadcast_max=broadcast_max,
+        ds_schema=pa.schema([("doc_id", pa.int64()), ("key", pa.uint64())]),
+    )
+    return out.map_batches(
+        lambda b: b.select(["doc_id"]), batch_format="pyarrow"
+    )
+
+
+@query(sql=f"""
+WITH fp AS (
+  SELECT fingerprint FROM read_parquet('{_DGD}/fingerprint.parquet')),
+bits AS (SELECT CAST(UNNEST(range(0, 64)) AS BIGINT) AS bit),
+q AS (
+  SELECT bits.bit,
+         CAST(SUM(CAST((fp.fingerprint >> bits.bit) & 1 AS BIGINT))
+              AS BIGINT) AS n_ones,
+         CAST(COUNT(*) AS BIGINT) AS n_docs
+  FROM fp, bits GROUP BY 1)
+SELECT bit, n_ones, n_docs, 2 * n_ones - n_docs AS dev,
+       CAST(2 * n_ones - n_docs AS DOUBLE)
+         / SQRT(CAST(n_docs AS DOUBLE)) AS z
+FROM q ORDER BY 1
+""")
+def doc_fingerprint_bits(sf_dir: str):
+    """SKETCH-QA BIT BALANCE (is the 64-bit rolling-hash fingerprint
+    actually uniform? A biased bit silently skews every downstream
+    banding/bucketing step — this is the production health check a
+    dedup pipeline runs on its own sketches): per bit, the ones count
+    over the corpus, the exact integer deviation 2*ones - n, and its
+    z-score (one double division by SQRT). Plan: fingerprints computed
+    distributed (the doc_fingerprint actor stage), per-batch 64-bin
+    popcount partials — the driver folds 64 x O(#blocks) integers.
+    Oracle: the independent pure-Python golden fingerprints re-folded by
+    DuckDB bit arithmetic (golden-joined; doc_fingerprint proves the
+    fingerprint values themselves)."""
+    _ensure_docs_golden(sf_dir)
+    ds = _read(sf_dir, "documents", ["doc_id", "text"])
+    fp_ds = ds.map_batches(
+        Fingerprinter, batch_format="pyarrow", batch_size=4096,
+        concurrency=(1, 4),
+    ).select_columns(["fingerprint"])
+
+    def bit_partial(b: pa.Table) -> pa.Table:
+        fp = b["fingerprint"].to_numpy(zero_copy_only=False).astype(np.uint64)
+        ones = (
+            (fp[:, None] >> np.arange(64, dtype=np.uint64)[None, :])
+            & np.uint64(1)
+        ).sum(axis=0).astype(np.int64)
+        return pa.table(
+            {
+                "bit": pa.array(np.arange(64, dtype=np.int64)),
+                "ones": pa.array(ones, pa.int64()),
+                "n": pa.array(np.repeat(np.int64(len(fp)), 64), pa.int64()),
+            }
+        )
+
+    parts = _collect_table(
+        fp_ds.map_batches(bit_partial, batch_format="pyarrow",
+                          batch_size=65536)
+    )  # 64 x O(#blocks) rows
+    bit = parts["bit"].to_numpy(zero_copy_only=False)
+    ones = np.zeros(64, np.int64)
+    np.add.at(ones, bit, parts["ones"].to_numpy(zero_copy_only=False))
+    n = int(
+        parts["n"].to_numpy(zero_copy_only=False)[bit == 0].sum()
+    )
+    dev = 2 * ones - n
+    return pa.table(
+        {
+            "bit": pa.array(np.arange(64, dtype=np.int64)),
+            "n_ones": pa.array(ones, pa.int64()),
+            "n_docs": pa.array(np.repeat(np.int64(n), 64), pa.int64()),
+            "dev": pa.array(dev, pa.int64()),
+            "z": pa.array(
+                [
+                    float(np.float64(d) / np.sqrt(np.float64(n)))
+                    for d in dev
+                ],
+                pa.float64(),
+            ),
+        }
+    )
+
+
+@query(sql="""
+WITH ws AS (SELECT lang, string_split(text, ' ') AS l FROM documents),
+bg AS (
+  SELECT lang, UNNEST(list_transform(generate_series(1, len(l) - 1),
+                      i -> l[i] || ' ' || l[i+1])) AS gram
+  FROM ws),
+c12 AS (SELECT lang, gram, CAST(COUNT(*) AS BIGINT) AS c FROM bg GROUP BY 1, 2),
+c1 AS (
+  SELECT lang, split_part(gram, ' ', 1) AS w1, CAST(SUM(c) AS BIGINT) AS c1
+  FROM c12 GROUP BY 1, 2),
+terms AS (
+  SELECT a.lang, a.c,
+         CAST(ROUND(LOG2(CAST(b.c1 AS DOUBLE) / CAST(a.c AS DOUBLE))
+                    * 1000000.0, 0) AS BIGINT) AS lm
+  FROM c12 a JOIN c1 b
+    ON b.lang = a.lang AND b.w1 = split_part(a.gram, ' ', 1))
+SELECT lang, CAST(SUM(c) AS BIGINT) AS n_bigrams,
+       CAST(SUM(c * lm) AS BIGINT) AS h_num_micro,
+       CASE WHEN CAST(SUM(c) AS BIGINT) > 0
+            THEN CAST(CAST(SUM(c * lm) AS BIGINT) AS DOUBLE) / 1000000.0
+                 / CAST(CAST(SUM(c) AS BIGINT) AS DOUBLE)
+            ELSE NULL END AS h_bits
+FROM terms GROUP BY 1 ORDER BY 1
+""")
+def doc_bigram_entropy(sf_dir: str):
+    """BIGRAM CONDITIONAL ENTROPY H(W2|W1) per language (the
+    next-word-predictability of the corpus — the language-model-ish
+    complement of doc_unigram_surprisal: low H means templated text, a
+    quality/boilerplate signal): each term c12 * log2(c1/c12) is
+    micro-quantized ONCE (sql_round contract — the single libm step) and
+    summed as an EXACT integer; H = h_num / 1e6 / N is two chained
+    divisions mirrored in SQL. Distribution: per-batch (lang, bigram)
+    combiner counts hash-partitioned by (lang, PREFIX w1) — a prefix's
+    every bigram lands in one partition, so prefix totals c1 are exact
+    there — then per-lang integer partials to a tiny final groupby; the
+    bigram vocabulary never reaches the driver."""
+    from ray.data.aggregate import Sum
+
+    ds = _read(sf_dir, "documents", ["lang", "text"])
+
+    def bigrams(b: pa.Table) -> pa.Table:
+        empty = pa.table(
+            {
+                "lg": pa.array([], pa.string()),
+                "occ": pa.array([], pa.int64()),
+                "__key": pa.array([], pa.uint64()),
+            }
+        )
+        langs_doc = np.asarray(b["lang"].to_pylist())
+        ridx, grams, _ = _word_ngrams(b["text"], 2)
+        if len(grams) == 0:
+            return empty
+        lg = np.char.add(np.char.add(langs_doc[ridx], "\x01"), grams)
+        u, c = np.unique(lg, return_counts=True)
+        # partition key: lang + prefix w1 (everything before the gram's
+        # separating space) — co-locates a prefix's every bigram
+        w1 = np.char.partition(np.char.partition(u, "\x01")[:, 2], " ")[:, 0]
+        lang_u = np.char.partition(u, "\x01")[:, 0]
+        key_col = pa.array(np.char.add(np.char.add(lang_u, "\x01"), w1), pa.string())
+        return pa.table(
+            {
+                "lg": pa.array(u, pa.string()),
+                "occ": pa.array(c.astype(np.int64), pa.int64()),
+                "__key": pa.array(hash_strings(key_col), pa.uint64()),
+            }
+        )
+
+    def reduce_part(g: pa.Table) -> pa.Table:
+        empty = pa.table(
+            {
+                "lang": pa.array([], pa.string()),
+                "n": pa.array([], pa.int64()),
+                "s": pa.array([], pa.int64()),
+            }
+        )
+        if g.num_rows == 0:
+            return empty
+        lg = np.asarray(g["lg"].to_pylist())
+        occ = g["occ"].to_numpy(zero_copy_only=False).astype(np.int64)
+        order = np.argsort(lg, kind="stable")
+        lgs, oc = lg[order], occ[order]
+        new = np.r_[True, lgs[1:] != lgs[:-1]]
+        starts = np.nonzero(new)[0]
+        c12 = np.add.reduceat(oc, starts)  # GLOBAL per (lang, bigram)
+        u = lgs[starts]
+        split1 = np.char.partition(u, "\x01")
+        langs = split1[:, 0]
+        w1 = np.char.partition(split1[:, 2], " ")[:, 0]
+        lw = np.char.add(np.char.add(langs, "\x01"), w1)
+        ulw, inv = np.unique(lw, return_inverse=True)
+        c1 = np.zeros(len(ulw), np.int64)
+        np.add.at(c1, inv, c12)
+        lm = sql_round_np(
+            np.log2(c1[inv].astype(np.float64) / c12.astype(np.float64))
+            * 1000000.0,
+            0,
+        ).astype(np.int64)
+        ul, linv = np.unique(langs, return_inverse=True)
+        n = np.zeros(len(ul), np.int64)
+        s = np.zeros(len(ul), np.int64)
+        np.add.at(n, linv, c12)
+        np.add.at(s, linv, c12 * lm)
+        return pa.table(
+            {
+                "lang": pa.array(ul, pa.string()),
+                "n": pa.array(n, pa.int64()),
+                "s": pa.array(s, pa.int64()),
+            }
+        )
+
+    agg = _collect_table(
+        map_groups_partitioned(
+            ds.map_batches(bigrams, batch_format="pyarrow", batch_size=512),
+            "__key", reduce_part,
+        )
+        .groupby("lang")
+        .aggregate(Sum("n", alias_name="n_bigrams"), Sum("s", alias_name="h_num_micro"))
+    ).sort_by("lang")
+    n = agg["n_bigrams"].to_numpy(zero_copy_only=False).astype(np.int64)
+    s = agg["h_num_micro"].to_numpy(zero_copy_only=False).astype(np.int64)
+    return pa.table(
+        {
+            "lang": agg["lang"],
+            "n_bigrams": pa.array(n, pa.int64()),
+            "h_num_micro": pa.array(s, pa.int64()),
+            "h_bits": pa.array(
+                [
+                    (
+                        float(np.float64(si) / 1000000.0 / np.float64(ni))
+                        if ni > 0
+                        else None
+                    )
+                    for si, ni in zip(s, n)
+                ],
+                pa.float64(),
+            ),
+        }
+    )
+
+
+@query(sql="""
+WITH ws AS (SELECT doc_id, lang, string_split(text, ' ') AS l FROM documents),
+raw AS (
+  SELECT doc_id, lang,
+         UNNEST(list_transform(generate_series(1, len(l) - 7),
+                i -> l[i] || ' ' || l[i+1] || ' ' || l[i+2] || ' ' || l[i+3]
+                     || ' ' || l[i+4] || ' ' || l[i+5] || ' ' || l[i+6]
+                     || ' ' || l[i+7])) AS gram
+  FROM ws),
+df AS (SELECT gram, CAST(COUNT(DISTINCT doc_id) AS BIGINT) AS d
+       FROM raw GROUP BY 1)
+SELECT r.lang, CAST(COUNT(*) AS BIGINT) AS total_occ,
+       CAST(SUM(CASE WHEN df.d >= 2 THEN 1 ELSE 0 END) AS BIGINT) AS dup_occ,
+       CAST(CAST(SUM(CASE WHEN df.d >= 2 THEN 1 ELSE 0 END) AS BIGINT)
+            AS DOUBLE) / CAST(COUNT(*) AS DOUBLE) AS dup_frac
+FROM raw r JOIN df USING (gram) GROUP BY 1 ORDER BY 1
+""")
+def doc_span_dup_fraction(sf_dir: str):
+    """DUPLICATED-SPAN FRACTION per language (the Lee-et-al
+    'Deduplicating Training Data' measurement: what fraction of 8-gram
+    OCCURRENCES belong to grams that appear in 2+ distinct documents —
+    near-dup pair mining tells you which docs collide, this tells you
+    how much raw TEXT is cross-document boilerplate, per language):
+    per-batch (gram, doc) occurrence counts (docs are row-local so
+    batch-level doc dedup is global), hash-partitioned BY GRAM so each
+    partition sees a gram's every document — distinct-doc counts and
+    the dup flag are exact there — then per-lang integer partials
+    (total_occ, dup_occ) to a tiny final groupby; dup_frac is ONE
+    double division. The gram vocabulary never reaches the driver."""
+    from ray.data.aggregate import Sum
+
+    ds = _read(sf_dir, "documents", ["doc_id", "lang", "text"])
+
+    def doc_grams(b: pa.Table) -> pa.Table:
+        empty = pa.table(
+            {
+                "gram": pa.array([], pa.string()),
+                "lang": pa.array([], pa.string()),
+                "occ": pa.array([], pa.int64()),
+                "gh": pa.array([], pa.uint64()),
+            }
+        )
+        langs_doc = np.asarray(b["lang"].to_pylist())
+        ridx, grams, _ = _word_ngrams(b["text"], _SHINGLE_N)
+        if len(grams) == 0:
+            return empty
+        order = np.lexsort((ridx, grams))
+        g2, r2 = grams[order], ridx[order]
+        new = np.r_[True, (g2[1:] != g2[:-1]) | (r2[1:] != r2[:-1])]
+        starts = np.nonzero(new)[0]
+        occ = np.diff(np.append(starts, len(g2))).astype(np.int64)
+        gram_col = pa.array(g2[starts], pa.string())
+        return pa.table(
+            {
+                "gram": gram_col,
+                "lang": pa.array(langs_doc[r2[starts]], pa.string()),
+                "occ": pa.array(occ, pa.int64()),
+                "gh": pa.array(hash_strings(gram_col), pa.uint64()),
+            }
+        )
+
+    gram_ds = ds.map_batches(doc_grams, batch_format="pyarrow", batch_size=512)
+
+    def per_part(g: pa.Table) -> pa.Table:
+        empty = pa.table(
+            {
+                "lang": pa.array([], pa.string()),
+                "total_occ": pa.array([], pa.int64()),
+                "dup_occ": pa.array([], pa.int64()),
+            }
+        )
+        if g.num_rows == 0:
+            return empty
+        grams = np.asarray(g["gram"].to_pylist())
+        langs = np.asarray(g["lang"].to_pylist())
+        occ = g["occ"].to_numpy(zero_copy_only=False).astype(np.int64)
+        order = np.argsort(grams, kind="stable")
+        gs, ls, oc = grams[order], langs[order], occ[order]
+        new = np.r_[True, gs[1:] != gs[:-1]]
+        seg = np.cumsum(new) - 1
+        starts = np.nonzero(new)[0]
+        d = np.diff(np.append(starts, len(gs)))  # distinct docs per gram
+        dup_row = (d >= 2)[seg]
+        ul, inv = np.unique(ls, return_inverse=True)
+        tot = np.zeros(len(ul), np.int64)
+        dup = np.zeros(len(ul), np.int64)
+        np.add.at(tot, inv, oc)
+        np.add.at(dup, inv, np.where(dup_row, oc, 0))
+        return pa.table(
+            {
+                "lang": pa.array(ul, pa.string()),
+                "total_occ": pa.array(tot, pa.int64()),
+                "dup_occ": pa.array(dup, pa.int64()),
+            }
+        )
+
+    agg = _collect_table(
+        map_groups_partitioned(gram_ds, "gh", per_part)
+        .groupby("lang")
+        .aggregate(
+            Sum("total_occ", alias_name="total_occ"),
+            Sum("dup_occ", alias_name="dup_occ"),
+        )
+    ).sort_by("lang")
+    tot = agg["total_occ"].to_numpy(zero_copy_only=False).astype(np.int64)
+    dup = agg["dup_occ"].to_numpy(zero_copy_only=False).astype(np.int64)
+    return pa.table(
+        {
+            "lang": agg["lang"],
+            "total_occ": pa.array(tot, pa.int64()),
+            "dup_occ": pa.array(dup, pa.int64()),
+            "dup_frac": pa.array(
+                [
+                    float(np.float64(d_) / np.float64(t_)) if t_ > 0 else None
+                    for d_, t_ in zip(dup, tot)
+                ],
+                pa.float64(),
+            ),
+        }
+    )
+
+
+_FZ_TITLE = 32  # "title" = first 32 chars of text (the match field)
+_FZ_PREFIX = 8  # blocking key part 1: first 8 chars
+_FZ_BAND = 64  # blocking key part 2: n_chars // 64 length band
+_FZ_MAXLEV = 3  # verify threshold: edit distance <= 3
+
+
+def _lev_batch(pairs_a: list, pairs_b: list) -> np.ndarray:
+    """Unit-cost Levenshtein over MANY string pairs at once (DuckDB
+    `levenshtein` semantics: insert/delete/substitute all cost 1). Pairs
+    are grouped by exact (len_a, len_b) so each group runs ONE padded DP
+    whose row/column loops are length-bounded (<= title length, 32) and
+    whose inner ops are numpy vectors of width n_pairs — the per-cell
+    work is vectorized across the pair axis, never a per-pair Python DP."""
+    n = len(pairs_a)
+    out = np.zeros(n, np.int64)
+    by_shape: dict = {}
+    for i, (a, b) in enumerate(zip(pairs_a, pairs_b)):
+        by_shape.setdefault((len(a), len(b)), []).append(i)
+    for (la, lb), idx in by_shape.items():
+        if la == 0 or lb == 0:
+            out[idx] = max(la, lb)
+            continue
+        A = np.array([list(pairs_a[i]) for i in idx])  # (P, la) '<U1'
+        B = np.array([list(pairs_b[i]) for i in idx])
+        dp = np.tile(np.arange(lb + 1, dtype=np.int32), (len(idx), 1))
+        for r in range(1, la + 1):
+            prev = dp.copy()
+            dp[:, 0] = r
+            ar = A[:, r - 1]
+            for c in range(1, lb + 1):
+                cost = (ar != B[:, c - 1]).astype(np.int32)
+                dp[:, c] = np.minimum(
+                    np.minimum(prev[:, c] + 1, dp[:, c - 1] + 1),
+                    prev[:, c - 1] + cost,
+                )
+        out[idx] = dp[:, lb]
+    return out
+
+
+@query(sql=f"""
+WITH t AS (
+  SELECT doc_id, substr(text, 1, {_FZ_TITLE}) AS title,
+         substr(text, 1, {_FZ_PREFIX}) AS blk,
+         n_chars // {_FZ_BAND} AS band
+  FROM documents)
+SELECT a.doc_id AS doc_id_a, b.doc_id AS doc_id_b,
+       CAST(levenshtein(a.title, b.title) AS BIGINT) AS lev
+FROM t a JOIN t b
+  ON a.blk = b.blk AND a.band = b.band AND a.doc_id < b.doc_id
+WHERE levenshtein(a.title, b.title) <= {_FZ_MAXLEV}
+""")
+def doc_title_fuzzy_pairs(sf_dir: str):
+    """ENTITY-RESOLUTION FUZZY SELF-JOIN (blocking + verify, the classic
+    record-linkage plan): find document pairs whose 32-char title prefix
+    is within edit distance {_FZ_MAXLEV}, WITHOUT the O(n^2) all-pairs
+    scan. Blocking key = (first {_FZ_PREFIX} chars, n_chars//{_FZ_BAND}
+    length band) — candidates only form inside a block, the standard
+    recall/cost trade every ER system specs explicitly (a pair whose
+    edit sits in the first {_FZ_PREFIX} chars or that straddles a length
+    band is missed BY DESIGN on both sides; at production scale you add
+    more blocking passes, not a wider block). Verify = exact unit-cost
+    Levenshtein, vectorized across the pair axis (_lev_batch).
+
+    Scale shape: one hash shuffle by blocking key (map_groups_partitioned
+    over the hash of the key; inside a partition segments re-split on the
+    TRUE key so hash collisions only co-locate, never merge blocks); each
+    block enumerates its own triu pairs locally — the driver never sees a
+    candidate, only verified matches. Block size is bounded by the key's
+    selectivity (prefix x length band), the documented partitioning
+    assumption."""
+    ds = _read(sf_dir, "documents", ["doc_id", "text", "n_chars"])
+
+    def tag(b: pa.Table) -> pa.Table:
+        texts = b["text"].to_pylist()
+        band = (
+            b["n_chars"].to_numpy(zero_copy_only=False).astype(np.int64)
+            // _FZ_BAND
+        )
+        key = [
+            f"{t[:_FZ_PREFIX]}\x1f{bd}" for t, bd in zip(texts, band)
+        ]
+        return pa.table(
+            {
+                "doc_id": b["doc_id"],
+                "title": pa.array([t[:_FZ_TITLE] for t in texts], pa.string()),
+                "blk": pa.array(key, pa.string()),
+                "bk": pa.array(hash_strings(pa.array(key, pa.string())), pa.uint64()),
+            }
+        )
+
+    def verify_block(g: pa.Table) -> pa.Table:
+        ids = g["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+        titles = np.asarray(g["title"].to_pylist(), dtype=object)
+        blk = np.asarray(g["blk"].to_pylist(), dtype=object)
+        _, inv = np.unique(blk, return_inverse=True)
+        order = np.lexsort((ids, inv))
+        ids, titles, inv = ids[order], titles[order], inv[order]
+        starts = np.nonzero(np.r_[True, inv[1:] != inv[:-1]])[0]
+        ends = np.r_[starts[1:], len(inv)]
+        pa_i, pa_j = [], []
+        for s, e in zip(starts, ends):
+            m = e - s
+            if m < 2:
+                continue
+            iu, jv = np.triu_indices(m, 1)
+            pa_i.append(s + iu)
+            pa_j.append(s + jv)
+        if not pa_i:
+            return pa.table(
+                {
+                    "doc_id_a": pa.array([], pa.int64()),
+                    "doc_id_b": pa.array([], pa.int64()),
+                    "lev": pa.array([], pa.int64()),
+                }
+            )
+        ii = np.concatenate(pa_i)
+        jj = np.concatenate(pa_j)
+        lev = _lev_batch(titles[ii].tolist(), titles[jj].tolist())
+        keep = lev <= _FZ_MAXLEV
+        ii, jj, lev = ii[keep], jj[keep], lev[keep]
+        a = np.minimum(ids[ii], ids[jj])
+        b2 = np.maximum(ids[ii], ids[jj])
+        return pa.table(
+            {
+                "doc_id_a": pa.array(a, pa.int64()),
+                "doc_id_b": pa.array(b2, pa.int64()),
+                "lev": pa.array(lev, pa.int64()),
+            }
+        )
+
+    return map_groups_partitioned(
+        ds.map_batches(tag, batch_format="pyarrow", batch_size=8192),
+        "bk",
+        verify_block,
+    )
+
+
+@query(sql=f"""
+WITH RECURSIVE t AS (
+  SELECT doc_id, substr(text, 1, {_FZ_TITLE}) AS title,
+         substr(text, 1, {_FZ_PREFIX}) AS blk,
+         n_chars // {_FZ_BAND} AS band
+  FROM documents),
+fpairs AS (
+  SELECT a.doc_id AS u, b.doc_id AS v
+  FROM t a JOIN t b
+    ON a.blk = b.blk AND a.band = b.band AND a.doc_id < b.doc_id
+  WHERE levenshtein(a.title, b.title) <= {_FZ_MAXLEV}),
+fedges AS (
+  SELECT u, v FROM fpairs UNION ALL SELECT v, u FROM fpairs),
+fnodes AS (SELECT DISTINCT u FROM fedges),
+reach(u, v) AS (
+  SELECT u, u FROM fnodes
+  UNION
+  SELECT r.u, e.v FROM reach r JOIN fedges e ON e.u = r.v)
+SELECT u AS node, CAST(MIN(v) AS BIGINT) AS comp
+FROM reach GROUP BY u
+""")
+def doc_fuzzy_clusters(sf_dir: str):
+    """FUZZY-MATCH CLUSTER ASSIGNMENT: the blocked Levenshtein pairs
+    (doc_title_fuzzy_pairs) closed into connected components — the
+    record-linkage step that turns pairwise fuzzy evidence into entity
+    groups (chained matches A~B~C collapse to one entity even though A
+    and C never verified directly; the doc_dup_clusters contract on the
+    ER join instead of the minhash join). Reuses stages/cc.py
+    (min-label propagation + pointer jumping, driver fast path under the
+    edge guard); the oracle is FULLY SQL — the same levenshtein blocking
+    join closed by a recursive min-reachable-label CTE, so both the pair
+    derivation AND the closure are independently re-derived."""
+    pairs = doc_title_fuzzy_pairs(sf_dir)
+
+    def as_edges(b: pa.Table) -> pa.Table:
+        return pa.table({"src": b["doc_id_a"], "dst": b["doc_id_b"]})
+
+    return connected_components(
+        pairs.map_batches(as_edges, batch_format="pyarrow")
+    )
+
+
+@query(sql="""
+WITH old AS (
+  SELECT doc_id, text FROM documents WHERE doc_id % 10 < 7),
+new AS (
+  SELECT doc_id,
+         CASE WHEN doc_id % 7 = 0 THEN text || ' [updated]' ELSE text END AS text
+  FROM documents WHERE doc_id % 10 >= 3)
+SELECT COALESCE(old.doc_id, new.doc_id) AS doc_id,
+       CASE WHEN old.doc_id IS NULL THEN 'added'
+            WHEN new.doc_id IS NULL THEN 'deleted'
+            WHEN old.text <> new.text THEN 'changed'
+            ELSE 'unchanged' END AS change
+FROM old FULL JOIN new ON old.doc_id = new.doc_id
+""")
+def doc_snapshot_diff(sf_dir: str):
+    """SNAPSHOT DIFF / CDC CLASSIFIER — the change-data-capture pass a
+    recurring crawl runs between two snapshots of the same corpus: for
+    every url, classify it as added (in the new crawl only), deleted
+    (old only), changed (both crawls, content differs) or unchanged.
+    This is an OPERATION CLASS the engine owed its users (two-snapshot
+    full-outer diff with content compare), not another statistic — the
+    reference analog is the incremental ``ScanFiles`` entry point
+    (pkg/parser/scanner.go:224-270), which re-parses only paths whose
+    content changed between scans.
+
+    Deterministic stand-in snapshots with the doc_incremental_new split
+    (old = doc_id%10 < 7, new = doc_id%10 >= 3, 40%% overlap) plus a
+    content perturbation on the new side (doc_id%%7 == 0 docs gain a
+    suffix) so every one of the four CDC classes is populated and a
+    broken content compare cannot pass vacuously.
+
+    Scale shape: each side reduces to (doc_id, u64-of-md5(text)) inside
+    its own scan — full text NEVER enters the shuffle; the diff is one
+    distributed full-outer hash_join on doc_id (co-partition + local
+    Acero join, stages/join.py) followed by a null/equality classify
+    map. Driver receives only the classified id rows. At 10^12 docs the
+    key should widen to the full 128-bit digest (u64 is collision-safe
+    for any single-box corpus, p ~ n^2/2^64) — same documented hatch as
+    doc_incremental_new. The SQL oracle compares the TEXTS directly, so
+    a u64 collision would surface as a hash-mismatch, not hide."""
+    def side_keys(which: str):
+        key_name = "key_old" if which == "old" else "key_new"
+
+        def f(b: pa.Table) -> pa.Table:
+            ids = b["doc_id"].to_numpy(zero_copy_only=False)
+            m = (ids % 10) < 7 if which == "old" else (ids % 10) >= 3
+            sub = b.filter(pa.array(m))
+            text = sub["text"]
+            if which == "new" and sub.num_rows:
+                # the new crawl re-fetched some pages with changed content
+                changed = (
+                    sub["doc_id"].to_numpy(zero_copy_only=False) % 7
+                ) == 0
+                text = pc.binary_join_element_wise(
+                    text,
+                    pc.if_else(
+                        pa.array(changed), " [updated]", ""
+                    ).cast(text.type),
+                    "",
+                )
+            md5s = _md5_utf8_col(text)
+            key = (
+                np.frombuffer(b"".join(md5s), dtype=">u8")
+                .reshape(-1, 2)[:, 0]
+                .astype(np.uint64)
+                if md5s
+                else np.zeros(0, np.uint64)
+            )
+            return pa.table(
+                {"doc_id": sub["doc_id"], key_name: pa.array(key, pa.uint64())}
+            )
+
+        return f
+
+    docs = lambda: _read(sf_dir, "documents", ["doc_id", "text"])  # noqa: E731
+    old = docs().map_batches(
+        side_keys("old"), batch_format="pyarrow", batch_size=4096
+    )
+    new = docs().map_batches(
+        side_keys("new"), batch_format="pyarrow", batch_size=4096
+    )
+    sch = lambda k: pa.schema([("doc_id", pa.int64()), (k, pa.uint64())])  # noqa: E731
+    j = hash_join(
+        old, new, on="doc_id", how="full",
+        left_schema=sch("key_old"), right_schema=sch("key_new"),
+    )
+
+    def classify(b: pa.Table) -> pa.Table:
+        ko, kn = b["key_old"], b["key_new"]
+        change = pc.if_else(
+            pc.is_null(ko),
+            pa.scalar("added"),
+            pc.if_else(
+                pc.is_null(kn),
+                pa.scalar("deleted"),
+                pc.if_else(
+                    pc.not_equal(ko, kn),
+                    pa.scalar("changed"),
+                    pa.scalar("unchanged"),
+                ),
+            ),
+        )
+        return pa.table({"doc_id": b["doc_id"], "change": change})
+
+    return j.map_batches(classify, batch_format="pyarrow")
+
+
+_APJ_TAU = 0.95
+
+
+@query(sql="""
+WITH tok AS (
+  SELECT DISTINCT doc_id, UNNEST(string_split(text, ' ')) AS w FROM documents),
+sz AS (SELECT doc_id, CAST(COUNT(*) AS BIGINT) AS s FROM tok GROUP BY 1),
+inter AS (
+  SELECT a.doc_id AS doc_a, b.doc_id AS doc_b, CAST(COUNT(*) AS BIGINT) AS i
+  FROM tok a JOIN tok b ON a.w = b.w AND a.doc_id < b.doc_id
+  GROUP BY 1, 2)
+SELECT doc_a, doc_b,
+       ROUND(CAST(i AS DOUBLE) / (sa.s + sb.s - i), 6) AS jaccard
+FROM inter
+JOIN sz sa ON sa.doc_id = doc_a
+JOIN sz sb ON sb.doc_id = doc_b
+WHERE CAST(i AS DOUBLE) / (sa.s + sb.s - i) >= 0.95
+""")
+def doc_allpairs_jaccard(sf_dir: str, tau: float = _APJ_TAU):
+    """EXACT SET-SIMILARITY SELF-JOIN via prefix filtering (the
+    AllPairs / PPJoin family, Bayardo et al. WWW'07): every document
+    pair whose DISTINCT-token-set Jaccard is >= tau, with NO O(n^2)
+    all-pairs scan and NO approximation — the exact counterpart of
+    doc_minhash_pairs' LSH recall trade (LSH misses pairs by design;
+    this operator misses none above tau).
+
+    The prefix-filter invariant: J(A,B) >= tau implies |A inn B| >=
+    tau * max(|A|,|B|), so under ANY common total order of the token
+    universe the first |x| - ceil(tau*|x|) + 1 tokens of each set (its
+    "prefix") must intersect for every qualifying pair. The order used
+    is (global document frequency ASC, token ASC) — rarest-first, the
+    choice that makes hot-token inverted lists short (a stopword is in
+    nobody's prefix because ceil(tau*s) cheap tokens outrank it).
+
+    Scale shape (all stages distributed): distinct-token explode ->
+    exact token df via one token-hash partition -> one large-large
+    hash_join tok x df -> per-doc regroup (one doc_id partition) that
+    sorts each set by (df, w) and emits BOTH the prefix tokens and a
+    canonical space-joined set string -> inverted-list pair generation
+    per prefix token (triu inside each token's list; pairs packed
+    u64, fail-loud above 2^32 doc ids) -> global pair dedup
+    (count_by_u64) -> two hash_joins attach the canonical sets ->
+    vectorized-over-pairs verify computes EXACT Jaccard and filters.
+    The driver sees only verified pairs. Candidate volume is bounded
+    by the prefix lists' triangle counts — the documented partitioning
+    assumption (a corpus where the RAREST token of many docs coincides
+    still generates a hot list; production adds a df cap / positional
+    filter, the standard PPJoin extension). Per-pair set intersection
+    is a Python loop over tiny token sets (<=~30 tokens here); the
+    pair axis, not the token axis, is the hot dimension."""
+    docs = _read(sf_dir, "documents", ["doc_id", "text"])
+
+    def explode(b: pa.Table) -> pa.Table:
+        ids = b["doc_id"].to_numpy(zero_copy_only=False)
+        out_id, out_w = [], []
+        for i, t in zip(ids, b["text"].to_pylist()):
+            toks = sorted(set(t.split(" ")))  # mirrors SQL string_split
+            out_id.append(np.full(len(toks), i, np.int64))
+            out_w.extend(toks)
+        ws = pa.array(out_w, pa.string())
+        return pa.table(
+            {
+                "doc_id": pa.array(
+                    np.concatenate(out_id) if out_id else np.zeros(0, np.int64),
+                    pa.int64(),
+                ),
+                "w": ws,
+                "wh": pa.array(hash_strings(ws), pa.uint64()),
+            }
+        )
+
+    tok = docs.map_batches(explode, batch_format="pyarrow", batch_size=2048)
+    tok = tok.materialize()  # consumed twice: df count + the tok x df join
+
+    def df_part(g: pa.Table) -> pa.Table:
+        w = np.asarray(g["w"].to_pylist(), dtype=object)
+        uw, cnt = np.unique(w, return_counts=True)
+        return pa.table(
+            {
+                "w": pa.array(uw.tolist(), pa.string()),
+                "df": pa.array(cnt.astype(np.int64), pa.int64()),
+            }
+        )
+
+    df = map_groups_partitioned(tok, "wh", df_part)
+    joined = hash_join(
+        tok.map_batches(
+            lambda b: b.select(["doc_id", "w"]), batch_format="pyarrow"
+        ),
+        df,
+        on="w",
+    )
+
+    def per_doc(g: pa.Table) -> pa.Table:
+        did = g["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+        w = np.asarray(g["w"].to_pylist(), dtype=object)
+        dfv = g["df"].to_numpy(zero_copy_only=False).astype(np.int64)
+        order = np.lexsort((w, dfv, did))  # per doc: df ASC, then token ASC
+        did, w = did[order], w[order]
+        bounds = np.flatnonzero(np.r_[True, did[1:] != did[:-1], True])
+        out_id, out_s, out_canon, out_pref = [], [], [], []
+        for i, j in zip(bounds[:-1], bounds[1:]):
+            s = int(j - i)
+            p = s - int(math.ceil(tau * s)) + 1
+            out_id.append(did[i])
+            out_s.append(s)
+            out_canon.append(" ".join(sorted(w[i:j].tolist())))
+            out_pref.append(" ".join(w[i:i + p].tolist()))
+        return pa.table(
+            {
+                "doc_id": pa.array(np.array(out_id, np.int64), pa.int64()),
+                "s": pa.array(np.array(out_s, np.int64), pa.int64()),
+                "canon": pa.array(out_canon, pa.string()),
+                "prefix": pa.array(out_pref, pa.string()),
+            }
+        )
+
+    docsets = map_groups_partitioned(joined, "doc_id", per_doc).materialize()
+
+    def expl_prefix(b: pa.Table) -> pa.Table:
+        ids = b["doc_id"].to_numpy(zero_copy_only=False)
+        sz = b["s"].to_numpy(zero_copy_only=False)
+        out_i, out_s, out_w = [], [], []
+        for i, s, p in zip(ids, sz, b["prefix"].to_pylist()):
+            ws = p.split(" ")
+            out_i.append(np.full(len(ws), i, np.int64))
+            out_s.append(np.full(len(ws), s, np.int64))
+            out_w.extend(ws)
+        ws = pa.array(out_w, pa.string())
+        z = np.zeros(0, np.int64)
+        return pa.table(
+            {
+                "doc_id": pa.array(
+                    np.concatenate(out_i) if out_i else z, pa.int64()
+                ),
+                "s": pa.array(
+                    np.concatenate(out_s) if out_s else z, pa.int64()
+                ),
+                "w": ws,
+                "wh": pa.array(hash_strings(ws), pa.uint64()),
+            }
+        )
+
+    pref = docsets.map_batches(expl_prefix, batch_format="pyarrow")
+
+    def pairs_part(g: pa.Table) -> pa.Table:
+        w = np.asarray(g["w"].to_pylist(), dtype=object)
+        did = g["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
+        sz = g["s"].to_numpy(zero_copy_only=False).astype(np.int64)
+        if len(did) and int(did.max()) >= 1 << 32:
+            raise ValueError("doc_id >= 2^32: widen the pair packing")
+        order = np.lexsort((did, sz, w))  # per token: size ASC
+        w, did, sz = w[order], did[order], sz[order]
+        bounds = np.flatnonzero(np.r_[True, w[1:] != w[:-1], True])
+        keys = []
+        for i, j in zip(bounds[:-1], bounds[1:]):
+            if j - i < 2:
+                continue
+            ids, ss = did[i:j], sz[i:j]
+            # LENGTH FILTER (the standard AllPairs/PPJoin extension):
+            # J >= tau forces s_small >= tau * s_large, so with the list
+            # sorted by size each element pairs only inside the window
+            # s_j <= s_i / tau (epsilon keeps an exact boundary IN —
+            # loose is safe, tight could drop a true pair). On a
+            # low-diversity corpus (hot prefix tokens) this is the
+            # difference between O(list^2) and near-linear candidates.
+            n = int(j - i)
+            ub = np.searchsorted(ss, ss / tau + 1e-9, side="right")
+            idx = np.arange(n)
+            cnt = ub - idx - 1
+            cnt[cnt < 0] = 0
+            total = int(cnt.sum())
+            if total == 0:
+                continue
+            i_rep = np.repeat(idx, cnt)
+            cum = np.cumsum(cnt)
+            j_flat = (
+                np.arange(total)
+                - np.repeat(cum - cnt, cnt)
+                + i_rep
+                + 1
+            )
+            a = np.minimum(ids[i_rep], ids[j_flat])
+            b2 = np.maximum(ids[i_rep], ids[j_flat])
+            keys.append((a << np.uint64(32)) | b2)
+        k = (
+            np.unique(np.concatenate(keys)) if keys else np.zeros(0, np.uint64)
+        )
+        return pa.table({"key": pa.array(k, pa.uint64())})
+
+    cand = count_by_u64(
+        map_groups_partitioned(pref, "wh", pairs_part), "key"
+    )
+
+    def unpack(b: pa.Table) -> pa.Table:
+        k = b["key"].to_numpy(zero_copy_only=False).astype(np.uint64)
+        return pa.table(
+            {
+                "doc_id_a": pa.array(
+                    (k >> np.uint64(32)).astype(np.int64), pa.int64()
+                ),
+                "doc_id_b": pa.array(
+                    (k & np.uint64(0xFFFFFFFF)).astype(np.int64), pa.int64()
+                ),
+            }
+        )
+
+    pairs = cand.map_batches(unpack, batch_format="pyarrow")
+    sets_a = docsets.map_batches(
+        lambda b: b.select(["doc_id", "canon"]).rename_columns(
+            ["doc_id", "canon_a"]
+        ),
+        batch_format="pyarrow",
+    )
+    sets_b = docsets.map_batches(
+        lambda b: b.select(["doc_id", "canon"]).rename_columns(
+            ["doc_id", "canon_b"]
+        ),
+        batch_format="pyarrow",
+    )
+    pair_sch = pa.schema([("doc_id_a", pa.int64()), ("doc_id_b", pa.int64())])
+    j1 = hash_join(
+        pairs, sets_a, on="doc_id_a", right_on="doc_id",
+        left_schema=pair_sch,
+    )
+    j2 = hash_join(
+        j1, sets_b, on="doc_id_b", right_on="doc_id",
+        left_schema=pa.schema(
+            [("doc_id_a", pa.int64()), ("doc_id_b", pa.int64()),
+             ("canon_a", pa.string())]
+        ),
+    )
+
+    def verify(b: pa.Table) -> pa.Table:
+        # Per-pair Python set intersection, MEASURED against a fully
+        # vectorized alternative (explode to (pair, token-hash) rows +
+        # lexsort + adjacent-dup bincount): at 100k pairs x ~25-token
+        # sets the set loop is 0.44 s vs 3.78 s — tiny interned-string
+        # sets beat the explode + arrow-hash + 5M-row lexsort by ~8x,
+        # so the loop IS the vectorization-aware choice here. The pair
+        # axis parallelizes across partitions regardless.
+        ca = b["canon_a"].to_pylist()
+        cb = b["canon_b"].to_pylist()
+        jac = np.empty(len(ca), np.float64)
+        for k, (x, y) in enumerate(zip(ca, cb)):
+            A = x.split(" ")
+            B = set(y.split(" "))
+            inter = sum(1 for t in A if t in B)
+            jac[k] = inter / (len(A) + len(B) - inter)
+        m = jac >= tau
+        sub = b.filter(pa.array(m))
+        return pa.table(
+            {
+                "doc_a": sub["doc_id_a"],
+                "doc_b": sub["doc_id_b"],
+                "jaccard": pa.array(sql_round_np(jac[m], 6), pa.float64()),
+            }
+        )
+
+    return j2.map_batches(verify, batch_format="pyarrow")
+
+
+# The canonicalization chain applied in doc_url_canonical_dedup, in order.
+# RE2 syntax on both sides (pyarrow replace_substring_regex and DuckDB
+# regexp_replace both compile RE2), applied AFTER lowercasing:
+_URL_CANON_STEPS = (
+    ("^https?://", ""),       # scheme off
+    (r"^www\.", ""),          # leading www.
+    ("#.*$", ""),             # fragment off
+    (r"\?utm_[^#]*$", ""),    # tracking-only query string off
+    ("/$", ""),               # trailing slash
+)
+
+
+@query(sql=r"""
+WITH raw AS (
+  SELECT doc_id,
+    (CASE WHEN doc_id % 2 = 0 THEN 'http://' ELSE 'https://' END)
+    || (CASE WHEN doc_id % 3 = 0 THEN 'WWW.' ELSE '' END)
+    || (CASE WHEN doc_id % 5 = 0 THEN 'SITE' ELSE 'site' END)
+    || CAST(doc_id // 7 AS VARCHAR)
+    || '.Example.COM/p/' || CAST(doc_id // 7 AS VARCHAR)
+    || (CASE WHEN doc_id % 4 = 0 THEN '/' ELSE '' END)
+    || (CASE WHEN doc_id % 6 = 0 THEN '?utm_source=feed&utm_campaign=x'
+        ELSE '' END)
+    || (CASE WHEN doc_id % 5 = 1 THEN '#sec2' ELSE '' END) AS url
+  FROM documents),
+canon AS (
+  SELECT doc_id, url,
+    regexp_replace(regexp_replace(regexp_replace(regexp_replace(
+      regexp_replace(lower(url), '^https?://', ''),
+      '^www\.', ''), '#.*$', ''), '\?utm_[^#]*$', ''), '/$', '') AS c
+  FROM raw)
+SELECT c AS canon_url, CAST(COUNT(*) AS BIGINT) AS n_docs,
+       CAST(COUNT(DISTINCT url) AS BIGINT) AS n_variants,
+       CAST(MIN(doc_id) AS BIGINT) AS keep_id
+FROM canon GROUP BY 1 ORDER BY 1
+""")
+def doc_url_canonical_dedup(sf_dir: str):
+    """URL CANONICALIZATION DEDUP (the FIRST dedup pass of every web-crawl
+    pipeline — before any content hashing, collapse the URL aliasing:
+    scheme, case, leading www., fragments, utm_ tracking params, and
+    trailing slashes are presentation variants of the same resource).
+    Deterministic raw URLs are synthesized per doc from doc_id
+    with every variant class populated — the same both-sides-construct
+    convention as doc_snapshot_diff's snapshots — then canonicalized by
+    the shared _URL_CANON_STEPS regex chain and grouped: n_docs,
+    n_variants (distinct RAW urls — proves the collapse is non-vacuous)
+    and keep_id = min(doc_id) per canonical url.
+
+    Scale shape: construction + canonicalization are one stateless
+    vectorized map_batches (RE2 kernels, zero Python per row); the group
+    step is one hash partition by canonical-url hash with per-partition
+    numpy segment folds — output is bounded by DISTINCT canonical urls.
+    Reference analog: path normalization before dedup in the discovery
+    walk (pkg/parser/scanner.go's candidate filtering)."""
+    ds = _read(sf_dir, "documents", ["doc_id"])
+
+    def build_and_canon(b: pa.Table) -> pa.Table:
+        ids = b["doc_id"].to_numpy(zero_copy_only=False)
+        num = pa.array((ids // 7).astype(np.int64)).cast(pa.string())
+        pieces = [
+            pc.if_else(pa.array(ids % 2 == 0), "http://", "https://"),
+            pc.if_else(pa.array(ids % 3 == 0), "WWW.", ""),
+            pc.if_else(pa.array(ids % 5 == 0), "SITE", "site"),
+            num,
+            pa.array([".Example.COM/p/"] * len(ids), pa.string()),
+            num,
+            pc.if_else(pa.array(ids % 4 == 0), "/", ""),
+            pc.if_else(
+                pa.array(ids % 6 == 0), "?utm_source=feed&utm_campaign=x", ""
+            ),
+            pc.if_else(pa.array(ids % 5 == 1), "#sec2", ""),
+        ]
+        url = pc.binary_join_element_wise(*pieces, "")
+        canon = pc.utf8_lower(url)
+        for pat, rep in _URL_CANON_STEPS:
+            canon = pc.replace_substring_regex(canon, pat, rep)
+        return pa.table(
+            {
+                "doc_id": b["doc_id"],
+                "url": url,
+                "canon": canon,
+                "ch": pa.array(hash_strings(canon), pa.uint64()),
+            }
+        )
+
+    keyed = ds.map_batches(build_and_canon, batch_format="pyarrow",
+                           batch_size=65536)
+
+    def per_part(g: pa.Table) -> pa.Table:
+        canon = np.asarray(g["canon"].to_pylist())
+        url = np.asarray(g["url"].to_pylist())
+        ids = g["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+        order = np.lexsort((url, canon))
+        cs, us, ds_ = canon[order], url[order], ids[order]
+        new = np.r_[True, cs[1:] != cs[:-1]]
+        seg = np.cumsum(new) - 1
+        n_grp = int(seg[-1]) + 1 if len(seg) else 0
+        n_docs = np.zeros(n_grp, np.int64)
+        np.add.at(n_docs, seg, 1)
+        newv = new | np.r_[True, us[1:] != us[:-1]]
+        n_var = np.zeros(n_grp, np.int64)
+        np.add.at(n_var, seg[newv], 1)
+        keep = np.full(n_grp, np.iinfo(np.int64).max, np.int64)
+        np.minimum.at(keep, seg, ds_)
+        starts = np.nonzero(new)[0]
+        return pa.table(
+            {
+                "canon_url": pa.array(cs[starts], pa.string()),
+                "n_docs": pa.array(n_docs, pa.int64()),
+                "n_variants": pa.array(n_var, pa.int64()),
+                "keep_id": pa.array(keep, pa.int64()),
+            }
+        )
+
+    t = _collect_table(map_groups_partitioned(keyed, "ch", per_part))
+    return t.take(pc.sort_indices(t, sort_keys=[("canon_url", "ascending")]))
+
+
+@query(sql=f"""
+WITH ws AS (SELECT doc_id, string_split(text, ' ') AS l FROM documents),
+toks AS (SELECT doc_id, CAST(len(l) AS BIGINT) AS n_tokens FROM ws),
+raw AS (
+  SELECT doc_id,
+         UNNEST(generate_series(1, len(l) - {_SHINGLE_N - 1})) AS s,
+         UNNEST(list_transform(generate_series(1, len(l) - {_SHINGLE_N - 1}),
+                i -> l[i] || ' ' || l[i+1] || ' ' || l[i+2] || ' ' || l[i+3]
+                     || ' ' || l[i+4] || ' ' || l[i+5] || ' ' || l[i+6]
+                     || ' ' || l[i+7])) AS gram
+  FROM ws),
+df AS (SELECT gram FROM raw GROUP BY 1 HAVING COUNT(DISTINCT doc_id) >= 2),
+dup AS (SELECT r.doc_id, r.s FROM raw r JOIN df USING (gram)),
+offs AS (SELECT UNNEST([0, 1, 2, 3, 4, 5, 6, 7]) AS o),
+cov AS (SELECT DISTINCT d.doc_id, d.s + f.o AS pos FROM dup d CROSS JOIN offs f),
+rem AS (SELECT doc_id, CAST(COUNT(*) AS BIGINT) AS n_removed FROM cov GROUP BY 1)
+SELECT t.doc_id, t.n_tokens, COALESCE(rem.n_removed, 0) AS n_removed,
+       ROUND((t.n_tokens - COALESCE(rem.n_removed, 0))
+             / CAST(t.n_tokens AS DOUBLE), 6) AS keep_frac
+FROM toks t LEFT JOIN rem USING (doc_id) ORDER BY 1
+""")
+def doc_span_dedup_rewrite(sf_dir: str):
+    """EXACT SPAN DEDUP REWRITE (the Lee et al. 'Deduplicating Training
+    Data' REMOVAL pass, not just the measurement doc_span_dup_fraction
+    reports: every token covered by any {_SHINGLE_N}-gram that appears in
+    >= 2 distinct documents is marked for removal, and each doc reports
+    its post-rewrite size). The interval-union semantics are the paper's:
+    overlapping dup windows merge, so a token is counted once no matter
+    how many dup grams cover it.
+
+    Scale shape, three single-purpose shuffles and nothing driver-bound:
+    (1) gram occurrences (gram, doc, start) hash-partition BY GRAM — the
+    dup verdict (distinct-doc count >= 2) is exact per partition and only
+    DUP occurrences (doc, start) survive, (2) dup starts + the per-doc
+    token counts union-shuffle BY DOC, (3) per-doc vectorized interval
+    union (+1/-1 diff array) counts covered tokens. The driver receives
+    only the final one-row-per-doc result. Oracle: the same gram/window
+    semantics in SQL via zipped UNNESTs and a constant offsets table."""
+    ds = _read(sf_dir, "documents", ["doc_id", "text"])
+
+    def occurrences(b: pa.Table) -> pa.Table:
+        ids = b["doc_id"].to_numpy(zero_copy_only=False)
+        ridx, grams, start = _word_ngrams(b["text"], _SHINGLE_N)
+        gram_col = pa.array(grams, pa.string())
+        return pa.table(
+            {
+                "gram": gram_col,
+                "doc_id": pa.array(ids[ridx], pa.int64()),
+                "start": pa.array(start, pa.int64()),
+                "gh": pa.array(hash_strings(gram_col), pa.uint64()),
+            }
+        )
+
+    def dup_occurrences(g: pa.Table) -> pa.Table:
+        grams = np.asarray(g["gram"].to_pylist())
+        docs = g["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+        start = g["start"].to_numpy(zero_copy_only=False).astype(np.int64)
+        order = np.lexsort((docs, grams))
+        gs, ds_, ss = grams[order], docs[order], start[order]
+        new_g = np.r_[True, gs[1:] != gs[:-1]]
+        seg = np.cumsum(new_g) - 1
+        new_d = new_g | np.r_[True, ds_[1:] != ds_[:-1]]
+        n_grp = int(seg[-1]) + 1 if len(seg) else 0
+        ndocs = np.zeros(n_grp, np.int64)
+        np.add.at(ndocs, seg[new_d], 1)
+        dup = (ndocs >= 2)[seg]
+        return pa.table(
+            {
+                "key": pa.array(ds_[dup].astype(np.uint64), pa.uint64()),
+                "kind": pa.array(np.zeros(int(dup.sum()), np.int8), pa.int8()),
+                "val": pa.array(ss[dup], pa.int64()),
+            }
+        )
+
+    dups = map_groups_partitioned(
+        ds.map_batches(occurrences, batch_format="pyarrow", batch_size=512),
+        "gh",
+        dup_occurrences,
+    )
+
+    def tok_counts(b: pa.Table) -> pa.Table:
+        texts = b["text"].to_pylist()
+        n = np.fromiter((t.count(" ") + 1 for t in texts), np.int64,
+                        len(texts))
+        return pa.table(
+            {
+                "key": b["doc_id"].cast(pa.uint64()),
+                "kind": pa.array(np.ones(len(texts), np.int8), pa.int8()),
+                "val": pa.array(n, pa.int64()),
+            }
+        )
+
+    toks = ds.map_batches(tok_counts, batch_format="pyarrow", batch_size=512)
+
+    def per_doc(g: pa.Table) -> pa.Table:
+        key = g["key"].to_numpy(zero_copy_only=False).astype(np.int64)
+        kind = g["kind"].to_numpy(zero_copy_only=False)
+        val = g["val"].to_numpy(zero_copy_only=False).astype(np.int64)
+        order = np.lexsort((kind, key))
+        key, kind, val = key[order], kind[order], val[order]
+        new = np.r_[True, key[1:] != key[:-1]]
+        starts_idx = np.nonzero(new)[0]
+        ends_idx = np.append(starts_idx[1:], len(key))
+        out_id, out_nt, out_rm = [], [], []
+        for s, e in zip(starts_idx, ends_idx):
+            k = kind[s:e]
+            v = val[s:e]
+            n_tok = int(v[k == 1][0])
+            spans = v[k == 0]
+            if len(spans):
+                diff = np.zeros(n_tok + 1, np.int64)
+                np.add.at(diff, spans, 1)
+                np.add.at(diff, np.minimum(spans + _SHINGLE_N, n_tok), -1)
+                removed = int((np.cumsum(diff[:-1]) > 0).sum())
+            else:
+                removed = 0
+            out_id.append(int(key[s]))
+            out_nt.append(n_tok)
+            out_rm.append(removed)
+        nt = np.asarray(out_nt, np.float64)
+        rm = np.asarray(out_rm, np.float64)
+        return pa.table(
+            {
+                "doc_id": pa.array(out_id, pa.int64()),
+                "n_tokens": pa.array(out_nt, pa.int64()),
+                "n_removed": pa.array(out_rm, pa.int64()),
+                "keep_frac": pa.array(
+                    sql_round_np((nt - rm) / nt, 6), pa.float64()
+                ),
+            }
+        )
+
+    return map_groups_partitioned(dups.union(toks), "key", per_doc)
+
+
+_WINNOW_K = 4    # tokens per k-gram
+_WINNOW_W = 5    # winnowing window: consecutive k-gram hashes per window
+_WINNOW_DF_CAP = 64   # stop-fingerprint cap (mirrored in SQL)
+_WINNOW_MIN_SHARED = 2
+
+
+@query(sql=f"""
+WITH ws AS (SELECT doc_id, string_split(text, ' ') AS l FROM documents),
+grams AS (
+  SELECT doc_id,
+         UNNEST(generate_series(1, len(l) - {_WINNOW_K - 1})) AS pos,
+         UNNEST(list_transform(generate_series(1, len(l) - {_WINNOW_K - 1}),
+                i -> md5_number_upper(l[i] || ' ' || l[i+1] || ' ' || l[i+2]
+                                      || ' ' || l[i+3]))) AS h
+  FROM ws WHERE len(l) >= {_WINNOW_K}),
+wins AS (
+  SELECT doc_id, pos AS e,
+         MIN(h) OVER (PARTITION BY doc_id ORDER BY pos
+                      ROWS BETWEEN {_WINNOW_W - 1} PRECEDING AND CURRENT ROW)
+           AS wmin
+  FROM grams QUALIFY pos >= {_WINNOW_W}),
+sel AS (
+  SELECT w.doc_id, w.e, MAX(g.pos) AS p
+  FROM wins w JOIN grams g
+       ON g.doc_id = w.doc_id AND g.pos BETWEEN w.e - {_WINNOW_W - 1} AND w.e
+      AND g.h = w.wmin
+  GROUP BY 1, 2),
+fps AS (
+  SELECT DISTINCT s.doc_id, g.h
+  FROM (SELECT DISTINCT doc_id, p FROM sel) s
+  JOIN grams g ON g.doc_id = s.doc_id AND g.pos = s.p),
+df AS (SELECT h FROM fps GROUP BY h
+       HAVING COUNT(*) BETWEEN 2 AND {_WINNOW_DF_CAP}),
+sz AS (SELECT doc_id, CAST(COUNT(*) AS BIGINT) AS n FROM fps GROUP BY 1),
+pairs AS (
+  SELECT a.doc_id AS doc_lo, b.doc_id AS doc_hi,
+         CAST(COUNT(*) AS BIGINT) AS shared
+  FROM fps a JOIN df ON df.h = a.h
+  JOIN fps b ON b.h = a.h AND a.doc_id < b.doc_id
+  GROUP BY 1, 2 HAVING COUNT(*) >= {_WINNOW_MIN_SHARED})
+SELECT p.doc_lo, p.doc_hi, p.shared, za.n AS n_lo, zb.n AS n_hi,
+       ROUND(CAST(p.shared AS DOUBLE)
+             / CAST(za.n + zb.n - p.shared AS DOUBLE), 6) AS jac
+FROM pairs p
+JOIN sz za ON za.doc_id = p.doc_lo
+JOIN sz zb ON zb.doc_id = p.doc_hi
+""")
+def doc_winnow_overlap(sf_dir: str):
+    """WINNOWING FINGERPRINT OVERLAP (Schleimer, Wilkerson & Aiken
+    SIGMOD'03 — the MOSS local fingerprinting algorithm: in every window
+    of {_WINNOW_W} consecutive {_WINNOW_K}-gram hashes select the MINIMUM,
+    ties broken RIGHTMOST, so any shared substring of length >=
+    w + k - 1 tokens is GUARANTEED to share a fingerprint — the
+    robustness property rolling-hash doc_fingerprint and fixed-stride
+    sampling lack). Output: document pairs sharing >= {_WINNOW_MIN_SHARED}
+    distinct selected fingerprints, with both set sizes and the
+    fingerprint-set Jaccard.
+
+    Hash parity with the oracle: fingerprint = little-endian u64 of the
+    FIRST 8 md5 bytes of the space-joined gram — DuckDB's
+    md5_number_upper() exactly (verified bit-for-bit); the selection
+    rule then depends only on these shared values. The window min +
+    rightmost-tie scan is ONE vectorized pass per batch: a
+    sliding_window_view over the flat hash array (windows crossing a
+    document boundary masked out via the gram row index), argmin over
+    the REVERSED window axis = rightmost minimum. Docs with fewer than
+    w full windows' grams contribute only their full windows (< w grams
+    -> no fingerprints), mirrored by the SQL QUALIFY pos >= w.
+
+    Scale shape: (doc, fp) rows hash-partition BY FINGERPRINT — df and
+    pair emission are exact per partition; fingerprints with df >
+    {_WINNOW_DF_CAP} are boilerplate stop-fingerprints and emit nothing
+    (HAVING ... <= {_WINNOW_DF_CAP} in SQL), bounding per-key fanout at
+    C({_WINNOW_DF_CAP},2); pair counts reduce via count_by_u64; per-doc
+    set sizes attach by two distributed hash joins. The fingerprint
+    vocabulary never reaches the driver — only the final pair rows."""
+    ds = _read(sf_dir, "documents", ["doc_id", "text"])
+    w, k = _WINNOW_W, _WINNOW_K
+
+    def fingerprints(b: pa.Table) -> pa.Table:
+        empty = pa.table(
+            {
+                "doc_id": pa.array([], pa.int64()),
+                "fp": pa.array([], pa.uint64()),
+            }
+        )
+        ids = b["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+        ridx, grams, _ = _word_ngrams(b["text"], k)
+        if len(grams) < w:
+            # fewer grams than one window in the whole batch: per-doc
+            # windows are a subset, so nothing can be selected
+            return empty
+        ug, inv = np.unique(grams, return_inverse=True)
+        uh = np.frombuffer(
+            b"".join(hashlib.md5(g.encode()).digest() for g in ug),
+            dtype="<u8",
+        ).reshape(-1, 2)[:, 0]  # little-endian first 8 bytes == md5_number_upper
+        h = uh[inv]
+        sw = np.lib.stride_tricks.sliding_window_view(h, w)
+        valid = ridx[w - 1:] == ridx[: len(ridx) - (w - 1)]  # window inside one doc
+        if not valid.any():
+            return empty
+        rev = sw[valid, ::-1]
+        r = rev.argmin(axis=1)  # first min in reversed = RIGHTMOST in window
+        e = np.nonzero(valid)[0] + (w - 1)  # flat index of each window end
+        sel = np.unique(e - r)
+        d, f = ids[ridx[sel]], h[sel]
+        order = np.lexsort((f, d))
+        d, f = d[order], f[order]
+        keep = np.r_[True, (d[1:] != d[:-1]) | (f[1:] != f[:-1])]
+        return pa.table(
+            {
+                "doc_id": pa.array(d[keep], pa.int64()),
+                "fp": pa.array(f[keep], pa.uint64()),
+            }
+        )
+
+    # docs are row-atomic: one doc -> one batch, so batch-level (doc, fp)
+    # dedup above is already global
+    fps = ds.map_batches(
+        fingerprints, batch_format="pyarrow", batch_size=512
+    ).materialize()
+
+    def pair_part(g: pa.Table) -> pa.Table:
+        empty = pa.table({"key": pa.array([], pa.uint64())})
+        if g.num_rows == 0:
+            return empty
+        f = g["fp"].to_numpy(zero_copy_only=False).astype(np.uint64)
+        d = g["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+        if len(d) and int(d.max()) >= 1 << 32:
+            raise ValueError("doc_id >= 2^32: widen the pair packing")
+        order = np.lexsort((d, f))
+        f_o, d_o = f[order], d[order]
+        new = np.r_[True, f_o[1:] != f_o[:-1]]
+        starts = np.nonzero(new)[0]
+        ends = np.append(starts[1:], len(f_o))
+        out = []
+        for s, e in zip(starts, ends):
+            df = e - s
+            if df < 2 or df > _WINNOW_DF_CAP:
+                continue  # singletons + boilerplate stop-fingerprints
+            iu, ju = np.triu_indices(df, 1)
+            out.append(
+                (d_o[s + iu].astype(np.uint64) << np.uint64(32))
+                | d_o[s + ju].astype(np.uint64)
+            )
+        if not out:
+            return empty
+        return pa.table({"key": pa.array(np.concatenate(out), pa.uint64())})
+
+    shared = count_by_u64(
+        map_groups_partitioned(fps, "fp", pair_part), "key"
+    )
+
+    def unpack(b: pa.Table) -> pa.Table:
+        cnt = b["cnt"].to_numpy(zero_copy_only=False).astype(np.int64)
+        keep = cnt >= _WINNOW_MIN_SHARED
+        key = b["key"].to_numpy(zero_copy_only=False).astype(np.uint64)[keep]
+        return pa.table(
+            {
+                "doc_lo": pa.array((key >> np.uint64(32)).astype(np.int64), pa.int64()),
+                "doc_hi": pa.array(
+                    (key & np.uint64(0xFFFFFFFF)).astype(np.int64), pa.int64()
+                ),
+                "shared": pa.array(cnt[keep], pa.int64()),
+            }
+        )
+
+    pairs = shared.map_batches(unpack, batch_format="pyarrow")
+
+    # per-doc fingerprint-set sizes (PRE-cap, the full winnowed set — the
+    # Jaccard denominator the paper uses), attached distributedly
+    sizes = count_by_u64(
+        fps.map_batches(
+            lambda b: pa.table(
+                {
+                    "key": pa.array(
+                        b["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64),
+                        pa.uint64(),
+                    )
+                }
+            ),
+            batch_format="pyarrow",
+        ),
+        "key",
+    )
+
+    def size_rows(b: pa.Table, col: str, n_col: str) -> pa.Table:
+        return pa.table(
+            {
+                col: pa.array(
+                    b["key"].to_numpy(zero_copy_only=False).astype(np.int64),
+                    pa.int64(),
+                ),
+                n_col: pc.cast(b["cnt"], pa.int64()),
+            }
+        )
+
+    pair_schema = pa.schema(
+        [("doc_lo", pa.int64()), ("doc_hi", pa.int64()), ("shared", pa.int64())]
+    )
+    j1 = hash_join(
+        pairs,
+        sizes.map_batches(
+            lambda b: size_rows(b, "doc_lo", "n_lo"), batch_format="pyarrow"
+        ),
+        on="doc_lo",
+        left_schema=pair_schema,
+        right_schema=pa.schema([("doc_lo", pa.int64()), ("n_lo", pa.int64())]),
+    )
+    j2 = hash_join(
+        j1,
+        sizes.map_batches(
+            lambda b: size_rows(b, "doc_hi", "n_hi"), batch_format="pyarrow"
+        ),
+        on="doc_hi",
+        left_schema=pa.schema(
+            [
+                ("doc_lo", pa.int64()),
+                ("doc_hi", pa.int64()),
+                ("shared", pa.int64()),
+                ("n_lo", pa.int64()),
+            ]
+        ),
+        right_schema=pa.schema([("doc_hi", pa.int64()), ("n_hi", pa.int64())]),
+    )
+
+    def finish(b: pa.Table) -> pa.Table:
+        sh = b["shared"].to_numpy(zero_copy_only=False).astype(np.float64)
+        nl = b["n_lo"].to_numpy(zero_copy_only=False).astype(np.float64)
+        nh = b["n_hi"].to_numpy(zero_copy_only=False).astype(np.float64)
+        return pa.table(
+            {
+                "doc_lo": b["doc_lo"],
+                "doc_hi": b["doc_hi"],
+                "shared": b["shared"],
+                "n_lo": b["n_lo"],
+                "n_hi": b["n_hi"],
+                "jac": pa.array(
+                    sql_round_np(sh / (nl + nh - sh), 6), pa.float64()
+                ),
+            }
+        )
+
+    return j2.map_batches(finish, batch_format="pyarrow")
+
+
+_BB_PERMS = 16  # b-bit minwise permutations
+_BB_N = 4       # word n-gram order for the shingle sets
+
+
+@query(sql=f"""
+WITH ws AS (SELECT doc_id, string_split(text, ' ') AS l FROM documents),
+grams AS (
+  SELECT DISTINCT doc_id,
+         md5_number_upper(l[i] || ' ' || l[i+1] || ' ' || l[i+2] || ' '
+                          || l[i+3]) % {1 << 32} AS g32
+  FROM ws, UNNEST(generate_series(1, len(l) - {_BB_N - 1})) AS t(i)
+  WHERE len(l) >= {_BB_N}),
+pp AS (SELECT UNNEST(range(0, {_BB_PERMS})) AS p),
+hh AS (
+  SELECT doc_id, p, xor(h2, h2 // 65536) AS h FROM (
+    SELECT doc_id, p, (h1 * {0x45D9F3B}) % {1 << 32} AS h2 FROM (
+      SELECT doc_id, p, xor(h0, h0 // 65536) AS h1 FROM (
+        SELECT g.doc_id, pp.p,
+               (CAST(g.g32 AS BIGINT) * 40503
+                + (pp.p + 1) * 2654435761 % {1 << 32}) % {1 << 32} AS h0
+        FROM grams g CROSS JOIN pp)))),
+sig AS (
+  SELECT doc_id, p, MIN(h) % 2 AS bit FROM hh GROUP BY 1, 2),
+pairs AS (
+  SELECT a.doc_id AS doc_lo, b.doc_id AS doc_hi
+  FROM (SELECT DISTINCT doc_id FROM grams WHERE doc_id % 2 = 0) a
+  JOIN (SELECT DISTINCT doc_id FROM grams WHERE doc_id % 2 = 1) b
+    ON b.doc_id = a.doc_id + 1),
+inter AS (
+  SELECT p.doc_lo, p.doc_hi, CAST(COUNT(*) AS BIGINT) AS n_common
+  FROM pairs p
+  JOIN grams ga ON ga.doc_id = p.doc_lo
+  JOIN grams gb ON gb.doc_id = p.doc_hi AND gb.g32 = ga.g32
+  GROUP BY 1, 2),
+sizes AS (
+  SELECT doc_id, CAST(COUNT(*) AS BIGINT) AS n FROM grams GROUP BY 1),
+agree AS (
+  SELECT p.doc_lo, p.doc_hi,
+         CAST(SUM(CASE WHEN sa.bit = sb.bit THEN 1 ELSE 0 END) AS BIGINT)
+           AS c_bits
+  FROM pairs p
+  JOIN sig sa ON sa.doc_id = p.doc_lo
+  JOIN sig sb ON sb.doc_id = p.doc_hi AND sb.p = sa.p
+  GROUP BY 1, 2)
+SELECT p.doc_lo, p.doc_hi,
+       COALESCE(i.n_common, 0) AS n_common,
+       ROUND(CAST(COALESCE(i.n_common, 0) AS DOUBLE)
+             / CAST(za.n + zb.n - COALESCE(i.n_common, 0) AS DOUBLE), 6)
+         AS jac,
+       a.c_bits,
+       ROUND(2.0 * CAST(a.c_bits AS DOUBLE) / {float(_BB_PERMS)} - 1.0, 6)
+         AS j_est
+FROM pairs p
+LEFT JOIN inter i ON i.doc_lo = p.doc_lo AND i.doc_hi = p.doc_hi
+JOIN sizes za ON za.doc_id = p.doc_lo
+JOIN sizes zb ON zb.doc_id = p.doc_hi
+JOIN agree a ON a.doc_lo = p.doc_lo AND a.doc_hi = p.doc_hi
+""")
+def doc_bbit_minhash_eval(sf_dir: str):
+    """1-BIT MINWISE HASHING EVALUATION (Li & Konig 2010 — store only the
+    LOWEST BIT of each minhash: 64x smaller signatures than 64-bit
+    minwise, at the cost of a halved collision gap. For b=1 the
+    collision probability is C = J + (1 - J)/2, so J_est = 2c - 1 where
+    c is the observed bit-agreement fraction — this op reports realized
+    estimator error against the EXACT shingle Jaccard for every
+    consecutive-id probe pair (2k, 2k+1), closing the Jaccard leg of
+    the sketch-QA family next to hll/ddsketch/countmin/kmv/ams).
+
+    Hash parity: gram identity is md5_number_upper (the winnowing
+    convention) reduced mod 2^32; permutation p's hash is the shared
+    xorshift-multiply mix of (g32 * 40503 + (p+1) * 2654435761) — every
+    intermediate product stays under 2^59, inside DuckDB's BIGINT, and
+    the SQL re-derives the whole chain (the hll_eval discipline).
+    Estimator and exact Jaccard are single ROUND(...,6) expressions.
+
+    Scale shape: one pass emits (pair, doc, gram) distinct-gram rows;
+    one hash partition BY PAIR co-locates each pair's two gram sets,
+    where signatures (min per permutation), bit agreement and the exact
+    intersection are computed vectorized — pairs never leave tasks; the
+    driver sees only result rows."""
+    ds = _read(sf_dir, "documents", ["doc_id", "text"])
+    m32 = np.uint64(0xFFFFFFFF)
+    salts = (
+        (np.arange(_BB_PERMS, dtype=np.uint64) + np.uint64(1))
+        * np.uint64(2654435761)
+    ) & m32
+
+    def gram_rows(b: pa.Table) -> pa.Table:
+        empty = pa.table(
+            {
+                "pk": pa.array([], pa.uint64()),
+                "doc_id": pa.array([], pa.int64()),
+                "g32": pa.array([], pa.uint64()),
+            }
+        )
+        ids = b["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+        ridx, grams, _ = _word_ngrams(b["text"], _BB_N)
+        if len(grams) == 0:
+            return empty
+        ug, inv = np.unique(grams, return_inverse=True)
+        uh = np.frombuffer(
+            b"".join(hashlib.md5(g.encode()).digest() for g in ug),
+            dtype="<u8",
+        ).reshape(-1, 2)[:, 0]
+        g32 = (uh & np.uint64(0xFFFFFFFF))[inv]
+        d = ids[ridx]
+        order = np.lexsort((g32, d))
+        d_o, g_o = d[order], g32[order]
+        keep = np.r_[True, (d_o[1:] != d_o[:-1]) | (g_o[1:] != g_o[:-1])]
+        d_o, g_o = d_o[keep], g_o[keep]
+        return pa.table(
+            {
+                "pk": pa.array((d_o // 2).astype(np.uint64), pa.uint64()),
+                "doc_id": pa.array(d_o, pa.int64()),
+                "g32": pa.array(g_o, pa.uint64()),
+            }
+        )
+
+    rows = ds.map_batches(gram_rows, batch_format="pyarrow", batch_size=512)
+
+    def pair_part(g: pa.Table) -> pa.Table:
+        empty = pa.table(
+            {
+                "doc_lo": pa.array([], pa.int64()),
+                "doc_hi": pa.array([], pa.int64()),
+                "n_common": pa.array([], pa.int64()),
+                "jac": pa.array([], pa.float64()),
+                "c_bits": pa.array([], pa.int64()),
+                "j_est": pa.array([], pa.float64()),
+            }
+        )
+        if g.num_rows == 0:
+            return empty
+        pk = g["pk"].to_numpy(zero_copy_only=False).astype(np.int64)
+        did = g["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+        g32 = g["g32"].to_numpy(zero_copy_only=False).astype(np.uint64)
+        order = np.lexsort((g32, did, pk))
+        pk, did, g32 = pk[order], did[order], g32[order]
+
+        def sig_bits(gr: np.ndarray) -> int:
+            h0 = (gr * np.uint64(40503))[:, None] + salts[None, :]
+            h = h0 & m32
+            h = (h ^ (h >> np.uint64(16))) & m32
+            h = (h * np.uint64(0x45D9F3B)) & m32
+            h = (h ^ (h >> np.uint64(16))) & m32
+            mins = h.min(axis=0)
+            return int(((mins & np.uint64(1)) << np.arange(
+                _BB_PERMS, dtype=np.uint64)).sum())
+
+        out = {k: [] for k in
+               ("doc_lo", "doc_hi", "n_common", "jac", "c_bits", "j_est")}
+        starts = np.nonzero(np.r_[True, pk[1:] != pk[:-1]])[0]
+        ends = np.append(starts[1:], len(pk))
+        for s, e in zip(starts, ends):
+            d_seg = did[s:e]
+            lo, hi = int(pk[s]) * 2, int(pk[s]) * 2 + 1
+            a = g32[s:e][d_seg == lo]
+            b_ = g32[s:e][d_seg == hi]
+            if not len(a) or not len(b_):
+                continue  # pair needs both docs with >= 1 gram
+            inter = len(np.intersect1d(a, b_, assume_unique=True))
+            union = len(a) + len(b_) - inter
+            jac = float(sql_round_np(np.float64(inter) / np.float64(union), 6))
+            ba, bb = sig_bits(a), sig_bits(b_)
+            c = _BB_PERMS - int(bin(ba ^ bb).count("1"))
+            j_est = float(
+                sql_round_np(
+                    2.0 * np.float64(c) / np.float64(_BB_PERMS) - 1.0, 6
+                )
+            )
+            out["doc_lo"].append(lo)
+            out["doc_hi"].append(hi)
+            out["n_common"].append(inter)
+            out["jac"].append(jac)
+            out["c_bits"].append(c)
+            out["j_est"].append(j_est)
+        return pa.table(
+            {
+                "doc_lo": pa.array(out["doc_lo"], pa.int64()),
+                "doc_hi": pa.array(out["doc_hi"], pa.int64()),
+                "n_common": pa.array(out["n_common"], pa.int64()),
+                "jac": pa.array(out["jac"], pa.float64()),
+                "c_bits": pa.array(out["c_bits"], pa.int64()),
+                "j_est": pa.array(out["j_est"], pa.float64()),
+            }
+        )
+
+    return map_groups_partitioned(rows, "pk", pair_part)
+
+
+_OPH_BINS = 16
+_OPH_C = 1 << 32  # densification borrow-distance offset
+
+
+@query(sql=f"""
+WITH ws AS (SELECT doc_id, string_split(text, ' ') AS l FROM documents),
+grams AS MATERIALIZED (
+  SELECT DISTINCT doc_id,
+         md5_number_upper(l[i] || ' ' || l[i+1] || ' ' || l[i+2] || ' '
+                          || l[i+3]) % {1 << 32} AS g32
+  FROM ws, UNNEST(generate_series(1, len(l) - {_BB_N - 1})) AS t(i)
+  WHERE len(l) >= {_BB_N}),
+hh AS (
+  SELECT doc_id, xor(h2, h2 // 65536) AS h FROM (
+    SELECT doc_id, (h1 * {0x45D9F3B}) % {1 << 32} AS h2 FROM (
+      SELECT doc_id, xor(h0, h0 // 65536) AS h1 FROM (
+        SELECT doc_id,
+               (CAST(g32 AS BIGINT) * 40503
+                + 1 * 2654435761 % {1 << 32}) % {1 << 32} AS h0
+        FROM grams)))),
+filled AS MATERIALIZED (
+  SELECT doc_id, h % {_OPH_BINS} AS bin, MIN(h // {_OPH_BINS}) AS v
+  FROM hh GROUP BY 1, 2),
+docs_in AS MATERIALIZED (SELECT DISTINCT doc_id FROM grams),
+bins AS (SELECT UNNEST(range(0, {_OPH_BINS})) AS j),
+offs AS (SELECT UNNEST(range(0, {_OPH_BINS})) AS t),
+dense AS MATERIALIZED (
+  SELECT doc_id, j, dv FROM (
+    SELECT di.doc_id, b.j, o.t, f.v + o.t * {_OPH_C} AS dv
+    FROM docs_in di CROSS JOIN bins b CROSS JOIN offs o
+    JOIN filled f ON f.doc_id = di.doc_id
+                 AND f.bin = (b.j + o.t) % {_OPH_BINS})
+  QUALIFY ROW_NUMBER() OVER (PARTITION BY doc_id, j ORDER BY t) = 1),
+pairs AS MATERIALIZED (
+  SELECT a.doc_id AS doc_lo, b.doc_id AS doc_hi
+  FROM (SELECT doc_id FROM docs_in WHERE doc_id % 2 = 0) a
+  JOIN (SELECT doc_id FROM docs_in WHERE doc_id % 2 = 1) b
+    ON b.doc_id = a.doc_id + 1),
+inter AS (
+  SELECT p.doc_lo, p.doc_hi, CAST(COUNT(*) AS BIGINT) AS n_common
+  FROM pairs p
+  JOIN grams ga ON ga.doc_id = p.doc_lo
+  JOIN grams gb ON gb.doc_id = p.doc_hi AND gb.g32 = ga.g32
+  GROUP BY 1, 2),
+sizes AS (
+  SELECT doc_id, CAST(COUNT(*) AS BIGINT) AS n FROM grams GROUP BY 1),
+agree AS (
+  SELECT p.doc_lo, p.doc_hi,
+         CAST(SUM(CASE WHEN da.dv = db.dv THEN 1 ELSE 0 END) AS BIGINT)
+           AS c_bins
+  FROM pairs p
+  JOIN dense da ON da.doc_id = p.doc_lo
+  JOIN dense db ON db.doc_id = p.doc_hi AND db.j = da.j
+  GROUP BY 1, 2)
+SELECT p.doc_lo, p.doc_hi,
+       COALESCE(i.n_common, 0) AS n_common,
+       ROUND(CAST(COALESCE(i.n_common, 0) AS DOUBLE)
+             / CAST(za.n + zb.n - COALESCE(i.n_common, 0) AS DOUBLE), 6)
+         AS jac,
+       a.c_bins,
+       ROUND(CAST(a.c_bins AS DOUBLE) / {float(_OPH_BINS)}, 6) AS j_est
+FROM pairs p
+LEFT JOIN inter i ON i.doc_lo = p.doc_lo AND i.doc_hi = p.doc_hi
+JOIN sizes za ON za.doc_id = p.doc_lo
+JOIN sizes zb ON zb.doc_id = p.doc_hi
+JOIN agree a ON a.doc_lo = p.doc_lo AND a.doc_hi = p.doc_hi
+ORDER BY p.doc_lo
+""")
+def doc_oph_eval(sf_dir: str):
+    """ONE-PERMUTATION HASHING EVALUATION (Li/Owen/Zhang NIPS'12; rotation
+    densification per Shrivastava & Li ICML'14): instead of 16 independent
+    minhash permutations (16 passes over each gram set), hash each gram
+    ONCE and split the 32-bit range into 16 bins — min per bin is the
+    sketch; an EMPTY bin borrows from the nearest non-empty bin to its
+    circular right, offset-stamped so borrow distance participates in
+    equality. Ĵ = matching-bin fraction. This op reports the realized
+    estimator against the EXACT shingle Jaccard for every consecutive-id
+    probe pair (2k, 2k+1) — the 16x-cheaper sibling of
+    doc_bbit_minhash_eval, closing the OPH leg of the sketch-QA family.
+
+    Hash parity: gram identity is md5_number_upper mod 2^32 (the
+    winnowing/bbit convention); the single hash is the shared
+    xorshift-multiply mix at salt p=1; bin = h % 16, value = h // 16,
+    densified value = borrowed + t * 2^32 — all-integer (products under
+    2^59, inside BIGINT), re-derived term-for-term in SQL. Exact Jaccard
+    and the estimator are single ROUND(...,6) expressions.
+
+    Scale shape: identical to the bbit eval — one pass emits (pair, doc,
+    gram) distinct-gram rows, one hash partition BY PAIR co-locates each
+    pair's two gram sets, sketches + densification + the exact
+    intersection run vectorized inside the partition; the driver sees
+    only result rows."""
+    ds = _read(sf_dir, "documents", ["doc_id", "text"])
+    m32 = np.uint64(0xFFFFFFFF)
+    salt1 = np.uint64((1 * 2654435761) % (1 << 32))
+
+    def gram_rows(b: pa.Table) -> pa.Table:
+        empty = pa.table(
+            {
+                "pk": pa.array([], pa.uint64()),
+                "doc_id": pa.array([], pa.int64()),
+                "g32": pa.array([], pa.uint64()),
+            }
+        )
+        ids = b["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+        ridx, grams, _ = _word_ngrams(b["text"], _BB_N)
+        if len(grams) == 0:
+            return empty
+        ug, inv = np.unique(grams, return_inverse=True)
+        uh = np.frombuffer(
+            b"".join(hashlib.md5(g.encode()).digest() for g in ug),
+            dtype="<u8",
+        ).reshape(-1, 2)[:, 0]
+        g32 = (uh & np.uint64(0xFFFFFFFF))[inv]
+        d = ids[ridx]
+        order = np.lexsort((g32, d))
+        d_o, g_o = d[order], g32[order]
+        keep = np.r_[True, (d_o[1:] != d_o[:-1]) | (g_o[1:] != g_o[:-1])]
+        d_o, g_o = d_o[keep], g_o[keep]
+        return pa.table(
+            {
+                "pk": pa.array((d_o // 2).astype(np.uint64), pa.uint64()),
+                "doc_id": pa.array(d_o, pa.int64()),
+                "g32": pa.array(g_o, pa.uint64()),
+            }
+        )
+
+    rows = ds.map_batches(gram_rows, batch_format="pyarrow", batch_size=512)
+
+    def oph_sketch(gr: np.ndarray) -> np.ndarray:
+        h0 = (gr * np.uint64(40503) + salt1) & m32
+        h = (h0 ^ (h0 >> np.uint64(16))) & m32
+        h = (h * np.uint64(0x45D9F3B)) & m32
+        h = (h ^ (h >> np.uint64(16))) & m32
+        bins = (h % np.uint64(_OPH_BINS)).astype(np.int64)
+        vals = (h // np.uint64(_OPH_BINS)).astype(np.int64)
+        filled = np.full(_OPH_BINS, -1, np.int64)
+        order = np.argsort(vals, kind="stable")[::-1]  # mins win last
+        filled[bins[order]] = vals[order]
+        dv = np.empty(_OPH_BINS, np.int64)
+        for j in range(_OPH_BINS):
+            for t in range(_OPH_BINS):
+                k = (j + t) % _OPH_BINS
+                if filled[k] >= 0:
+                    dv[j] = filled[k] + t * _OPH_C
+                    break
+        return dv
+
+    def pair_part(g: pa.Table) -> pa.Table:
+        empty = pa.table(
+            {
+                "doc_lo": pa.array([], pa.int64()),
+                "doc_hi": pa.array([], pa.int64()),
+                "n_common": pa.array([], pa.int64()),
+                "jac": pa.array([], pa.float64()),
+                "c_bins": pa.array([], pa.int64()),
+                "j_est": pa.array([], pa.float64()),
+            }
+        )
+        if g.num_rows == 0:
+            return empty
+        pk = g["pk"].to_numpy(zero_copy_only=False).astype(np.int64)
+        did = g["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+        g32 = g["g32"].to_numpy(zero_copy_only=False).astype(np.uint64)
+        order = np.lexsort((g32, did, pk))
+        pk, did, g32 = pk[order], did[order], g32[order]
+        out = {k: [] for k in
+               ("doc_lo", "doc_hi", "n_common", "jac", "c_bins", "j_est")}
+        starts = np.nonzero(np.r_[True, pk[1:] != pk[:-1]])[0]
+        ends = np.append(starts[1:], len(pk))
+        for s, e in zip(starts, ends):
+            d_seg = did[s:e]
+            lo, hi = int(pk[s]) * 2, int(pk[s]) * 2 + 1
+            a = g32[s:e][d_seg == lo]
+            b_ = g32[s:e][d_seg == hi]
+            if not len(a) or not len(b_):
+                continue  # pair needs both docs with >= 1 gram
+            inter = len(np.intersect1d(a, b_, assume_unique=True))
+            union = len(a) + len(b_) - inter
+            jac = float(sql_round_np(np.float64(inter) / np.float64(union), 6))
+            c = int((oph_sketch(a) == oph_sketch(b_)).sum())
+            j_est = float(
+                sql_round_np(np.float64(c) / np.float64(_OPH_BINS), 6)
+            )
+            out["doc_lo"].append(lo)
+            out["doc_hi"].append(hi)
+            out["n_common"].append(inter)
+            out["jac"].append(jac)
+            out["c_bins"].append(c)
+            out["j_est"].append(j_est)
+        return pa.table(
+            {
+                "doc_lo": pa.array(out["doc_lo"], pa.int64()),
+                "doc_hi": pa.array(out["doc_hi"], pa.int64()),
+                "n_common": pa.array(out["n_common"], pa.int64()),
+                "jac": pa.array(out["jac"], pa.float64()),
+                "c_bins": pa.array(out["c_bins"], pa.int64()),
+                "j_est": pa.array(out["j_est"], pa.float64()),
+            }
+        )
+
+    out = _collect_table(map_groups_partitioned(rows, "pk", pair_part))
+    return out.sort_by("doc_lo")
+
+
+@query(sql="""
+WITH ws AS (SELECT doc_id, string_split(text, ' ') AS l FROM documents
+            WHERE len(string_split(text, ' ')) >= 2),
+uni AS MATERIALIZED (
+  SELECT doc_id, md5_number_upper(l[i]) % 4294967296 AS g32,
+         CAST(COUNT(*) AS BIGINT) AS cnt
+  FROM ws, UNNEST(generate_series(1, len(l))) AS t(i) GROUP BY 1, 2),
+bi AS MATERIALIZED (
+  SELECT doc_id, md5_number_upper(l[i] || ' ' || l[i+1]) % 4294967296 AS g32,
+         CAST(COUNT(*) AS BIGINT) AS cnt
+  FROM ws, UNNEST(generate_series(1, len(l) - 1)) AS t(i) GROUP BY 1, 2),
+pairs AS MATERIALIZED (
+  SELECT a.doc_id AS doc_lo, b.doc_id AS doc_hi
+  FROM (SELECT doc_id FROM ws WHERE doc_id % 2 = 0) a
+  JOIN (SELECT doc_id FROM ws WHERE doc_id % 2 = 1) b
+    ON b.doc_id = a.doc_id + 1),
+m1t AS (
+  SELECT p.doc_lo, CAST(SUM(LEAST(ch.cnt, cl.cnt)) AS BIGINT) AS m1
+  FROM pairs p
+  JOIN uni ch ON ch.doc_id = p.doc_hi
+  JOIN uni cl ON cl.doc_id = p.doc_lo AND cl.g32 = ch.g32
+  GROUP BY 1),
+m2t AS (
+  SELECT p.doc_lo, CAST(SUM(LEAST(ch.cnt, cl.cnt)) AS BIGINT) AS m2
+  FROM pairs p
+  JOIN bi ch ON ch.doc_id = p.doc_hi
+  JOIN bi cl ON cl.doc_id = p.doc_lo AND cl.g32 = ch.g32
+  GROUP BY 1),
+lens AS (
+  SELECT doc_id, CAST(SUM(cnt) AS BIGINT) AS n FROM uni GROUP BY 1),
+lens2 AS (
+  SELECT doc_id, CAST(SUM(cnt) AS BIGINT) AS n FROM bi GROUP BY 1)
+SELECT p.doc_lo, p.doc_hi,
+       COALESCE(m1t.m1, 0) AS m1,
+       COALESCE(m2t.m2, 0) AS m2,
+       lc.n AS c_len,
+       lr.n AS r_len,
+       (COALESCE(m1t.m1, 0) * 1000000) // lc.n AS p1_micro,
+       (COALESCE(m2t.m2, 0) * 1000000) // lc2.n AS p2_micro,
+       CAST(ROUND(SQRT(CAST(((COALESCE(m1t.m1, 0) * 1000000) // lc.n)
+                            * ((COALESCE(m2t.m2, 0) * 1000000) // lc2.n)
+                            AS DOUBLE)), 0) AS BIGINT) AS bleu2_micro
+FROM pairs p
+JOIN lens lc ON lc.doc_id = p.doc_hi
+JOIN lens lr ON lr.doc_id = p.doc_lo
+JOIN lens2 lc2 ON lc2.doc_id = p.doc_hi
+LEFT JOIN m1t ON m1t.doc_lo = p.doc_lo
+LEFT JOIN m2t ON m2t.doc_lo = p.doc_lo
+ORDER BY p.doc_lo
+""")
+def doc_bleu_pairs(sf_dir: str):
+    """BLEU-2 MACHINE-TRANSLATION-STYLE OVERLAP between the
+    consecutive-id probe pairs (Papineni et al., ACL'02 — modified
+    n-gram precision with reference clipping): candidate = the odd doc,
+    reference = the even doc; p_n = clipped n-gram matches / candidate
+    n-gram count for n = 1, 2, combined as the geometric mean. The MT
+    metric re-used as a near-duplicate similarity grade (how much of
+    the candidate's surface form is licensed by the reference) — the
+    precision-flavored sibling of the Jaccard evals.
+
+    Parity: n-gram identity is md5_number_upper mod 2^32 on BOTH sides
+    (the bbit/oph convention); matches and lengths are exact integers,
+    p_n lands on the micro grid via one floor division (non-negative, so
+    DuckDB's truncating ``//`` IS floor), and the geometric mean is ONE
+    correctly-rounded IEEE sqrt + ROUND on each engine — no exp/ln
+    anywhere (the brevity-penalty exponential is deliberately NOT
+    composed in; c_len vs r_len are reported raw so the caller can).
+    Pairs where either side has < 2 tokens are excluded (no bigram).
+
+    Scale shape: the bbit/oph pair-partition shape — one pass emits
+    per-doc (pair, kind, gram-hash, count) rows, one hash partition BY
+    PAIR co-locates each pair, clipped-min intersections run vectorized
+    inside the partition; the driver sees only result rows."""
+    ds = _read(sf_dir, "documents", ["doc_id", "text"])
+
+    def gram_count_rows(b: pa.Table) -> pa.Table:
+        empty = pa.table(
+            {
+                "pk": pa.array([], pa.uint64()),
+                "doc_id": pa.array([], pa.int64()),
+                "kind": pa.array([], pa.int8()),
+                "g32": pa.array([], pa.uint64()),
+                "cnt": pa.array([], pa.int64()),
+            }
+        )
+        ids = b["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+        out_pk, out_d, out_k, out_g, out_c = [], [], [], [], []
+        for did, t in zip(ids, b["text"].to_pylist()):
+            toks = t.split(" ")
+            if len(toks) < 2:
+                continue  # no bigram side -> pair excluded on both engines
+            for kind, grams in (
+                (1, toks),
+                (2, [f"{a} {b2}" for a, b2 in zip(toks, toks[1:])]),
+            ):
+                ug, cnt = np.unique(np.asarray(grams, object), return_counts=True)
+                uh = np.frombuffer(
+                    b"".join(hashlib.md5(g.encode()).digest() for g in ug),
+                    dtype="<u8",
+                ).reshape(-1, 2)[:, 0] & np.uint64(0xFFFFFFFF)
+                out_pk.append(np.full(len(ug), did // 2, np.uint64))
+                out_d.append(np.full(len(ug), did, np.int64))
+                out_k.append(np.full(len(ug), kind, np.int8))
+                out_g.append(uh)
+                out_c.append(cnt.astype(np.int64))
+        if not out_pk:
+            return empty
+        return pa.table(
+            {
+                "pk": pa.array(np.concatenate(out_pk), pa.uint64()),
+                "doc_id": pa.array(np.concatenate(out_d), pa.int64()),
+                "kind": pa.array(np.concatenate(out_k), pa.int8()),
+                "g32": pa.array(np.concatenate(out_g), pa.uint64()),
+                "cnt": pa.array(np.concatenate(out_c), pa.int64()),
+            }
+        )
+
+    rows = ds.map_batches(gram_count_rows, batch_format="pyarrow",
+                          batch_size=512)
+
+    def pair_part(g: pa.Table) -> pa.Table:
+        empty = pa.table(
+            {
+                "doc_lo": pa.array([], pa.int64()),
+                "doc_hi": pa.array([], pa.int64()),
+                "m1": pa.array([], pa.int64()),
+                "m2": pa.array([], pa.int64()),
+                "c_len": pa.array([], pa.int64()),
+                "r_len": pa.array([], pa.int64()),
+                "p1_micro": pa.array([], pa.int64()),
+                "p2_micro": pa.array([], pa.int64()),
+                "bleu2_micro": pa.array([], pa.int64()),
+            }
+        )
+        if g.num_rows == 0:
+            return empty
+        pk = g["pk"].to_numpy(zero_copy_only=False).astype(np.int64)
+        did = g["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+        kind = g["kind"].to_numpy(zero_copy_only=False).astype(np.int64)
+        g32 = g["g32"].to_numpy(zero_copy_only=False).astype(np.uint64)
+        cnt = g["cnt"].to_numpy(zero_copy_only=False).astype(np.int64)
+        order = np.lexsort((g32, kind, did, pk))
+        pk, did, kind, g32, cnt = (
+            pk[order], did[order], kind[order], g32[order], cnt[order]
+        )
+        out = {k: [] for k in
+               ("doc_lo", "doc_hi", "m1", "m2", "c_len", "r_len",
+                "p1_micro", "p2_micro", "bleu2_micro")}
+
+        def clipped(ga, ca, gb, cb):
+            """sum over common grams of min(count_cand, count_ref)."""
+            common, ia, ib = np.intersect1d(
+                ga, gb, assume_unique=True, return_indices=True
+            )
+            return int(np.minimum(ca[ia], cb[ib]).sum())
+
+        starts = np.nonzero(np.r_[True, pk[1:] != pk[:-1]])[0]
+        ends = np.append(starts[1:], len(pk))
+        for s, e in zip(starts, ends):
+            lo, hi = int(pk[s]) * 2, int(pk[s]) * 2 + 1
+            seg = slice(s, e)
+            m_lo, m_hi = did[seg] == lo, did[seg] == hi
+            if not m_lo.any() or not m_hi.any():
+                continue
+            k_seg, g_seg, c_seg = kind[seg], g32[seg], cnt[seg]
+            vals = {}
+            for kd in (1, 2):
+                a = m_hi & (k_seg == kd)  # candidate = odd doc
+                r = m_lo & (k_seg == kd)  # reference = even doc
+                vals[kd] = (
+                    clipped(g_seg[a], c_seg[a], g_seg[r], c_seg[r]),
+                    int(c_seg[a].sum()),
+                    int(c_seg[r].sum()),
+                )
+            m1, c1, r1 = vals[1]
+            m2, c2, _ = vals[2]
+            p1 = (m1 * 1_000_000) // c1
+            p2 = (m2 * 1_000_000) // c2
+            bleu2 = int(np.floor(np.sqrt(np.float64(p1 * p2)) + 0.5))
+            out["doc_lo"].append(lo)
+            out["doc_hi"].append(hi)
+            out["m1"].append(m1)
+            out["m2"].append(m2)
+            out["c_len"].append(c1)
+            out["r_len"].append(r1)
+            out["p1_micro"].append(p1)
+            out["p2_micro"].append(p2)
+            out["bleu2_micro"].append(bleu2)
+        return pa.table(
+            {k: pa.array(v, pa.int64()) for k, v in out.items()}
+        )
+
+    out = _collect_table(map_groups_partitioned(rows, "pk", pair_part))
+    return out.sort_by("doc_lo")

@@ -274,7 +274,7 @@ def bipartite_band_pairs(left, right, radius: float,
     cell's left rows against its right rows with repeat/offset-arange
     expansion (chunked against dense cells — skew degrades to more chunks,
     never to heap failure). Same plan as the geo_doc_event_band query
-    (queries.py), factored here so multi-radius consumers (geo_cross_k)
+    (queries/geo_ops.py), factored here so multi-radius consumers (geo_cross_k)
     share the kernel."""
     r2 = radius * radius
 

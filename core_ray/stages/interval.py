@@ -5,7 +5,7 @@ Two paths with identical output (tested against each other):
 - ``interval_join_broadcast``: the small-side pattern — the whole intervals
   table rides into every map task (closure capture), each batch loops over
   intervals with a vectorized point mask. Right when intervals fit memory
-  (the J1-style broadcast; queries.py events_window_join is its
+  (the J1-style broadcast; queries/events_ops.py events_window_join is its
   regular-window arithmetic special case).
 - ``interval_join_bucketed``: the SCALE path — time is cut into fixed
   buckets; every point maps to one bucket, every interval REPLICATES into

@@ -81,6 +81,16 @@ def _key_hash(col) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
+def _salted_hash(kh0: int, salts: np.ndarray) -> np.ndarray:
+    """u64 hash of each salted replica of the key whose hash is ``kh0``.
+    The products wrap mod 2**64 in array arithmetic, as elsewhere in this
+    file: numpy warns on uint64 overflow of scalars, not of arrays."""
+    kh = np.full(len(salts), kh0, dtype=np.uint64)
+    return (kh * np.uint64(0x9E3779B97F4A7C15)) ^ (
+        (salts.astype(np.uint64) + np.uint64(1)) * np.uint64(0xBF58476D1CE4E5B9)
+    )
+
+
 def hash_join(left, right, on: str, right_on: str | None = None,
               how: str = "inner", n_parts: int | None = None,
               left_schema=None, right_schema=None,
@@ -127,12 +137,6 @@ def hash_join(left, right, on: str, right_on: str | None = None,
         1: how in ("right", "full"),
     }
 
-    def _salted_part(kh0: int, salts: np.ndarray) -> np.ndarray:
-        h = (np.uint64(kh0) * np.uint64(0x9E3779B97F4A7C15)) ^ (
-            (salts.astype(np.uint64) + np.uint64(1)) * np.uint64(0xBF58476D1CE4E5B9)
-        )
-        return (h % np.uint64(n_parts)).astype(np.int32)
-
     def _pad(side: int, key_name: str):
         def f(b: pa.Table) -> pa.Table:
             if not keep_nulls[side]:
@@ -173,7 +177,8 @@ def hash_join(left, right, on: str, right_on: str | None = None,
                 # hash accident); both sides must work over the UNIQUE salted
                 # partition set, else a colliding pair would hold the build
                 # rows twice and duplicate every matched output row
-                uniq = np.unique(_salted_part(kh0, np.arange(s, dtype=np.int64)))
+                salted = _salted_hash(kh0, np.arange(s, dtype=np.int64))
+                uniq = np.unique((salted % np.uint64(n_parts)).astype(np.int32))
                 if side == 0:
                     # probe rows scatter cyclically across the unique parts
                     part[rows] = uniq[np.arange(len(rows)) % len(uniq)]

@@ -54,15 +54,6 @@ def _group_key(cells: np.ndarray, group_res: int) -> np.ndarray:
     return hexgrid.lonlat_to_cell(lon, lat, group_res)
 
 
-def _group_targets(cells: np.ndarray, group_res: int) -> np.ndarray:
-    """(n, 7) coarse keys of home + ring-1 cells (duplicates kept; caller
-    dedupes row-wise)."""
-    nbrs = hexgrid.neighbors(cells)  # (n, 6)
-    ring = np.concatenate([cells[:, None], nbrs], axis=1)  # (n, 7)
-    flat = _group_key(ring.ravel(), group_res)
-    return flat.reshape(len(cells), 7)
-
-
 class _Expand:
     """Expansion UDF: emit query + candidate rows keyed by (knn_grp, salt),
     each tagged with the reduce ``part`` its group hashes to (of ``n_parts``).

@@ -1,11 +1,12 @@
 """Mergeable quantile sketch (DDSketch-style log-linear histogram).
 
 The scale hatch for per-group percentiles, sibling of the HLL tile sketch
-and the Bloom dedup hatch: exact per-group quantiles (queries.py
-events_value_quantiles) must hold a whole group's values in one task, which
-is fine at test scale and wrong at 10^12 rows. The published DDSketch design
-(relative-error-guaranteed quantiles from a log-spaced histogram; bins merge
-by addition) fits the engine's canonical combiner shape instead:
+and the Bloom dedup hatch: exact per-group quantiles
+(queries/events_ops.py events_value_quantiles) must hold a whole group's
+values in one task, which is fine at test scale and wrong at 10^12 rows.
+The published DDSketch design (relative-error-guaranteed quantiles from a
+log-spaced histogram; bins merge by addition) fits the engine's canonical
+combiner shape instead:
 
     map_batches: per-batch (group, bin) counts         # combiner, vectorized
     -> pack (group_code, bin) into one uint64 key
@@ -193,7 +194,7 @@ def approx_group_quantiles(ds, group_col: str, val_col: str, qs=(0.5, 0.9),
 # ---------------- mergeable heavy hitters (Misra-Gries) ----------------
 # The approximate scale hatch for frequency top-k, sibling of the DDSketch
 # quantiles above and the HLL/Bloom hatches: the EXACT path
-# (queries.py doc_vocab_top20) hash-partitions every distinct token through
+# (queries/doc_text.py doc_vocab_top20) hash-partitions every distinct token through
 # one shuffle, which is right when the distinct set is worth counting and
 # wrong when only the heavy head matters over 10^12 rows. Misra-Gries
 # summaries are mergeable with the one-pass guarantee intact (published

@@ -141,6 +141,32 @@ def _hll_estimate(regs: np.ndarray) -> np.ndarray:
     return np.round(est).astype(np.int64)
 
 
+def explode_preagg(batch: pa.Table, zooms: tuple[int, ...]) -> pa.Table:
+    """Each row's tile key at every zoom, pre-aggregated to one
+    ``(tile_key, url, cnt)`` row per pair in the batch (the combiner ahead
+    of tile_rollup's shuffle)."""
+    x12 = batch["tile_x"].to_numpy(zero_copy_only=False).astype(np.uint64)
+    y12 = batch["tile_y"].to_numpy(zero_copy_only=False).astype(np.uint64)
+    parts = []
+    for zoom in zooms:
+        dz = np.uint64(BASE_ZOOM - zoom)
+        t = pa.table(
+            {
+                "tile_key": pa.array(mercator.tile_key(zoom, x12 >> dz, y12 >> dz), pa.uint64()),
+                "url": batch["url"],
+            }
+        )
+        # combiner: collapse same (tile, url) inside the batch.
+        # select-by-name BEFORE the positional rename: pyarrow's
+        # keys-vs-aggregates column order has varied across versions
+        agg = pa.TableGroupBy(t, ["tile_key", "url"]).aggregate([([], "count_all")])
+        parts.append(
+            agg.select(["tile_key", "url", "count_all"])
+            .rename_columns(["tile_key", "url", "cnt"])
+        )
+    return pa.concat_tables(parts)
+
+
 def tile_rollup(ds, zooms: tuple[int, ...] = (7, 9, 12), approx_distinct: bool = False):
     """Dataset[joined rows] -> Dataset[(tile_z, tile_x, tile_y, page_count,
     mention_count)] for each z in ``zooms`` (all z <= BASE_ZOOM).
@@ -156,31 +182,10 @@ def tile_rollup(ds, zooms: tuple[int, ...] = (7, 9, 12), approx_distinct: bool =
     if approx_distinct:
         return _tile_rollup_hll(ds, zooms)
 
-    def explode_preagg(batch: pa.Table) -> pa.Table:
-        x12 = batch["tile_x"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        y12 = batch["tile_y"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        parts = []
-        for zoom in zooms:
-            dz = np.uint64(BASE_ZOOM - zoom)
-            t = pa.table(
-                {
-                    "tile_key": pa.array(mercator.tile_key(zoom, x12 >> dz, y12 >> dz), pa.uint64()),
-                    "url": batch["url"],
-                }
-            )
-            # combiner: collapse same (tile, url) inside the batch.
-            # select-by-name BEFORE the positional rename: pyarrow's
-            # keys-vs-aggregates column order has varied across versions
-            agg = pa.TableGroupBy(t, ["tile_key", "url"]).aggregate([([], "count_all")])
-            parts.append(
-                agg.select(["tile_key", "url", "count_all"])
-                .rename_columns(["tile_key", "url", "cnt"])
-            )
-        return pa.concat_tables(parts)
-
     return map_groups_partitioned(
         ds.map_batches(_assign_tiles, batch_format="pyarrow", batch_size=65536)
-        .map_batches(explode_preagg, batch_format="pyarrow", batch_size=65536),
+        .map_batches(explode_preagg, fn_kwargs={"zooms": zooms}, batch_format="pyarrow",
+                     batch_size=65536),
         "tile_key", _reduce_partition,
     )
 

@@ -27,6 +27,8 @@ import shutil
 import time
 import uuid
 
+import pyarrow.parquet as pq
+
 
 class CheckpointStore:
     def __init__(self, root: str):
@@ -42,16 +44,29 @@ class CheckpointStore:
         return os.path.join(self._dir(stage, shard), "manifest.json")
 
     def is_complete(self, stage: str, version: int, fingerprint: str, shard: str | None = None) -> bool:
+        """The manifest matches AND the data it lists is intact: exactly the
+        listed part files, each with its recorded footer row count. A
+        deleted, stray or truncated part makes the stage recompute instead
+        of resuming with missing rows or failing on read."""
         try:
             with open(self.manifest_path(stage, shard)) as f:
                 m = json.load(f)
-            return (
+            if not (
                 m.get("stage") == stage
                 and m.get("version") == version
                 and m.get("fingerprint") == fingerprint
-                and os.path.isdir(os.path.join(self._dir(stage, shard), "data"))
+            ):
+                return False
+            data_dir = os.path.join(self._dir(stage, shard), "data")
+            files = {f["file"]: f["rows"] for f in m["files"]}
+            if {n for n in os.listdir(data_dir) if n.endswith(".parquet")} != set(files):
+                return False
+            return all(
+                pq.read_metadata(os.path.join(data_dir, name)).num_rows == rows
+                for name, rows in files.items()
             )
-        except (OSError, json.JSONDecodeError):
+        except (OSError, ValueError, KeyError, TypeError):
+            # ValueError covers json.JSONDecodeError and pyarrow's ArrowInvalid
             return False
 
     def load(self, stage: str, shard: str | None = None, columns: list[str] | None = None):
@@ -80,8 +95,6 @@ class CheckpointStore:
             ds.write_parquet(data_dir, num_rows_per_file=32_768)
         wall = time.perf_counter() - t0
         files = []
-        import pyarrow.parquet as pq
-
         for name in sorted(os.listdir(data_dir)):
             if name.endswith(".parquet"):
                 meta = pq.read_metadata(os.path.join(data_dir, name))

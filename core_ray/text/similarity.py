@@ -19,8 +19,6 @@ import pyarrow as pa
 
 from core_ray.rounding import sql_round_np
 
-from ray.data.aggregate import Sum
-
 
 def _batch_matrix(batch: pa.Table, col: str = "embedding") -> np.ndarray:
     arr = batch[col]
@@ -211,6 +209,8 @@ def label_centroids(ds, label_col: str = "label", col: str = "embedding"):
                 "cnt": pa.array(out_c, pa.int64()),
             }
         )
+
+    from ray.data.aggregate import Sum
 
     agg = (
         ds.map_batches(partial, batch_format="pyarrow", batch_size=8192)

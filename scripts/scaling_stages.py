@@ -35,7 +35,7 @@ JOINED_FILTER = "derivation_source != 'none' and derivation_source != 'oversize'
 
 
 def _pages_files() -> list[str]:
-    from core_ray.queries import _pages_corpus
+    from core_ray.queries.pages import _pages_corpus
 
     files, _, _, _ = _pages_corpus(SF_DIR)
     return files
@@ -62,7 +62,7 @@ def _ensure_inputs() -> None:
 
     from core_ray.config import PipelineConfig
     from core_ray.pipelines.flagship import run_flagship
-    from core_ray.queries import _pages_corpus
+    from core_ray.queries.pages import _pages_corpus
 
     files, admin, geoip, _ = _pages_corpus(SF_DIR)
     run_flagship(files, admin, geoip, PipelineConfig(), checkpoint_dir=CKPT)
@@ -94,34 +94,17 @@ def _ensure_inputs() -> None:
     )
 
     # --- tiles: assign + explode/preagg with fixed partitioning ---
-    from core_ray.geo import mercator
-    from core_ray.stages.tiles import BASE_ZOOM, _assign_tiles
+    from core_ray.stages.tiles import _assign_tiles, explode_preagg
 
-    def explode_preagg(batch: pa.Table) -> pa.Table:
-        x12 = batch["tile_x"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        y12 = batch["tile_y"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        parts = []
-        for zoom in (7, 9, 12):
-            dz = np.uint64(BASE_ZOOM - zoom)
-            t = pa.table(
-                {
-                    "tile_key": pa.array(mercator.tile_key(zoom, x12 >> dz, y12 >> dz), pa.uint64()),
-                    "url": batch["url"],
-                }
-            )
-            agg = pa.TableGroupBy(t, ["tile_key", "url"]).aggregate([([], "count_all")])
-            parts.append(
-                agg.select(["tile_key", "url", "count_all"])
-                .rename_columns(["tile_key", "url", "cnt"])
-            )
-        out = pa.concat_tables(parts)
+    def explode_preagg_parts(batch: pa.Table) -> pa.Table:
+        out = explode_preagg(batch, (7, 9, 12))
         h = out["tile_key"].to_numpy(zero_copy_only=False) * np.uint64(0x9E3779B97F4A7C15)
         return out.append_column("part", pa.array((h % np.uint64(N_PARTS)).astype(np.int32), pa.int32()))
 
     _write_parts(
         joined.select_columns(["url", "lat", "lon"])
         .map_batches(_assign_tiles, batch_format="pyarrow", batch_size=65536)
-        .map_batches(explode_preagg, batch_format="pyarrow", batch_size=65536),
+        .map_batches(explode_preagg_parts, batch_format="pyarrow", batch_size=65536),
         tile_dir,
     )
     ray.shutdown()

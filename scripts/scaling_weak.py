@@ -54,7 +54,7 @@ def child(i: int, n: int, out_path: str) -> None:
 
     from core_ray.config import PipelineConfig
     from core_ray.pipelines.flagship import run_flagship
-    from core_ray.queries import _pages_corpus
+    from core_ray.queries.pages import _pages_corpus
 
     files, admin, geoip, _ = _pages_corpus(SF_DIR)
     shard = _quarter(files, i, n)
@@ -85,7 +85,7 @@ def _spawn(i: int, out: str) -> subprocess.Popen:
 def main() -> None:
     # ensure the corpus exists + warm the page cache before ANY timing
     sys.path.insert(0, REPO)
-    from core_ray.queries import _pages_corpus
+    from core_ray.queries.pages import _pages_corpus
 
     files, _, _, _ = _pages_corpus(SF_DIR)
     for f in files:

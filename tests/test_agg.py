@@ -158,7 +158,7 @@ def test_count_by_u64_plan_is_one_fused_map_then_one_sort(ray_session):
 _OWN_PARTITIONING = {
     ("stages/join.py", "hash_join"),  # two padded sides, salted replicas, null scatter
     ("stages/knn.py", "knn_per_cell"),  # _Expand routes salted hot cells
-    ("queries.py", "events_global_ranks"),  # range partition; rank base needs the id
+    ("queries/events_ops.py", "events_global_ranks"),  # range partition; rank base needs the id
 }
 _HAND_ROLLED = re.compile(r'groupby\("(part|__part|__dedup_part)"\)|% np\.uint64\(n_parts\)')
 

@@ -2,7 +2,7 @@
 events_contact_assortativity and doc_distance_decay must stay correct when
 one city-hour makes the pair table quadratic in its population — AND must
 never collect O(pairs) rows (or any document text) to the driver. The spy
-wraps queries._collect_table and records every collected table's size."""
+wraps the _collect_table each query module reads and records every collected table's size."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ import pyarrow.parquet as pq
 import pytest
 
 import core_ray.queries as Q
+from core_ray.queries import _shared, doc_text, events_mobility
 
 N_USERS = 150  # one city-hour hotspot: ~quadratic pair table
 
@@ -40,7 +41,7 @@ def hotspot_dir(tmp_path_factory):
     # DOCUMENTS: ids picked so _derive_coords lands them in one 3-deg box
     # (the decay radius) -> dense pair table there too
     ids = np.arange(4_000_000, dtype=np.int64)
-    lat, lon = Q._derive_coords(ids)
+    lat, lon = _shared._derive_coords(ids)
     sel = ids[(np.abs(lat - lat[0]) < 1.5) & (np.abs(lon - lon[0]) < 1.5)][:80]
     assert len(sel) >= 60
     rng = np.random.default_rng(7)
@@ -64,14 +65,15 @@ def hotspot_dir(tmp_path_factory):
 @pytest.fixture
 def collect_spy(monkeypatch):
     sizes: list[int] = []
-    orig = Q._collect_table
+    orig = _shared._collect_table
 
     def wrapper(ds):
         t = orig(ds)
         sizes.append(t.num_rows)
         return t
 
-    monkeypatch.setattr(Q, "_collect_table", wrapper)
+    for mod in (events_mobility, doc_text):
+        monkeypatch.setattr(mod, "_collect_table", wrapper)
     return sizes
 
 
@@ -80,12 +82,12 @@ def _brute_edges(d: str) -> np.ndarray:
     eid = ev["event_id"].to_numpy()
     uid = ev["user_id"].to_numpy()
     us = ev["ts"].cast(pa.int64()).to_numpy()
-    lat, lon = Q._contact_coords(eid, uid)
+    lat, lon = events_mobility._contact_coords(eid, uid)
     i, j = np.triu_indices(len(eid), k=1)
     dla, dlo = lat[i] - lat[j], lon[i] - lon[j]
     hit = (
-        (dla * dla + dlo * dlo <= Q._CONTACT_RADIUS_DEG**2)
-        & (np.abs(us[i] - us[j]) <= Q._CONTACT_WINDOW_US)
+        (dla * dla + dlo * dlo <= events_mobility._CONTACT_RADIUS_DEG**2)
+        & (np.abs(us[i] - us[j]) <= events_mobility._CONTACT_WINDOW_US)
         & (uid[i] != uid[j])
     )
     u1 = np.minimum(uid[i][hit], uid[j][hit])
@@ -134,11 +136,11 @@ def test_distance_decay_dense_no_text_collect(ray_session, hotspot_dir, collect_
     docs = pq.read_table(os.path.join(hotspot_dir, "documents.parquet"))
     ids = docs["doc_id"].to_numpy()
     texts = docs["text"].to_pylist()
-    lat, lon = Q._derive_coords(ids)
+    lat, lon = _shared._derive_coords(ids)
     i, j = np.triu_indices(len(ids), k=1)
     # distance_pairs orders by id; triu over sorted unique ids matches
     d2 = (lat[i] - lat[j]) ** 2 + (lon[i] - lon[j]) ** 2
-    hit = d2 <= Q._DD_RADIUS**2
+    hit = d2 <= doc_text._DD_RADIUS**2
     i, j, d2 = i[hit], j[hit], d2[hit]
     assert len(i) >= 1000  # dense
     band = np.where(d2 < 1.0, 0, np.where(d2 < 4.0, 1, np.where(d2 < 9.0, 2, 3)))

@@ -283,3 +283,40 @@ def test_hot_cell_salting_equivalence(ray_session, corpus, tmp_path_factory):
         for r in golden.knn
     }
     assert got == want
+
+
+def test_deleted_phase_a_part_recomputes_that_shard(ray_session, corpus, tmp_path_factory):
+    """A phase-A shard whose part file is gone is recomputed on rerun (not
+    resumed with its rows missing); the other shards resume and every
+    output equals the first run's."""
+    import glob
+    import os
+
+    out_dir, c = corpus
+    files = sorted(glob.glob(f"{out_dir}/pages/*.parquet"))
+    ckpt = str(tmp_path_factory.mktemp("ckpt_lost_part"))
+
+    def run():
+        return run_flagship(files, c.admin_polygons, c.geoip_ranges,
+                            PipelineConfig(), checkpoint_dir=ckpt)
+
+    def rows(ds):
+        return sorted(ds.take_all(), key=repr)
+
+    res1 = run()
+    first = {k: rows(getattr(res1, k)) for k in ("joined", "tiles", "knn")}
+    shards = sorted(glob.glob(f"{ckpt}/phaseA/shard-*/manifest.json"))
+    assert len(shards) > 1
+    before = {m: os.stat(m).st_mtime_ns for m in shards}
+    lost = shards[0]
+    parts = sorted(glob.glob(os.path.join(os.path.dirname(lost), "data", "*.parquet")))
+    assert parts
+    os.remove(parts[0])
+
+    res2 = run()
+    after = {m: os.stat(m).st_mtime_ns for m in shards}
+    assert after[lost] != before[lost], "the shard with a lost part was not recomputed"
+    assert all(after[m] == before[m] for m in shards if m != lost)
+    assert res2.stats == res1.stats
+    for k, want in first.items():
+        assert rows(getattr(res2, k)) == want, k

@@ -14,6 +14,12 @@ import pyarrow.parquet as pq
 import pytest
 
 from core_ray.queries import (
+    geo_idw_interp,
+    geo_nearest_facility,
+    geo_semivariogram,
+    geo_stratified_sample,
+)
+from core_ray.queries.geo_ops import (
     _IDW_K,
     _IDW_MOD,
     _IDW_Q,
@@ -22,13 +28,8 @@ from core_ray.queries import (
     _SSAMP_CELL_DEG,
     _SSAMP_K,
     _SSAMP_MULT,
-    _VARIO_LAG_DEG,
-    _VARIO_RADIUS_DEG,
-    geo_idw_interp,
-    geo_nearest_facility,
-    geo_semivariogram,
-    geo_stratified_sample,
 )
+from core_ray.queries.geo_stats import _VARIO_LAG_DEG, _VARIO_RADIUS_DEG
 
 N_DOCS = 300
 

@@ -27,7 +27,7 @@ def test_tile_hulls_combiner_matches_single_shot(ray_session, seed, n, nk):
     collinear runs (2-decimal lattice), and single-point tiles."""
     import ray.data
 
-    from core_ray.queries import _per_tile_hulls, tile_hulls
+    from core_ray.queries.geo_ops import _per_tile_hulls, tile_hulls
 
     rng = np.random.default_rng(seed)
     key = rng.integers(0, nk, n).astype(np.uint64)

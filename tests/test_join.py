@@ -413,3 +413,22 @@ def test_bloom_of_ds_no_false_negatives_and_prunes(ray_session):
     probes = np.arange(100_000, 200_000, dtype=np.uint64)  # all non-members
     fp = int(bloom.contains(probes).sum())
     assert fp < 100  # ~4e-4 expected; generous ceiling
+
+
+def test_salted_hash_wraps_silently_like_python_ints():
+    """Salted replica hashes are mod-2**64 products of the key hash and the
+    salt; computing them must not warn about the (intended) overflow."""
+    import warnings
+
+    from core_ray.stages.join import _salted_hash
+
+    m = (1 << 64) - 1
+    salts = np.arange(64, dtype=np.int64)
+    for kh0 in (0, 1, 7, 0xDEADBEEFCAFEF00D, m):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _salted_hash(kh0, salts)
+        want = [((kh0 * 0x9E3779B97F4A7C15) & m) ^ (((s + 1) * 0xBF58476D1CE4E5B9) & m)
+                for s in range(64)]
+        assert got.dtype == np.uint64
+        assert got.tolist() == want

@@ -157,7 +157,7 @@ class TestVideoFrames:
 
     def test_frame_sample_actor_strides_and_hashes(self):
         from core_ray.media.video import synth_video
-        from core_ray.queries import FrameSample
+        from core_ray.queries.media import FrameSample
 
         t = pa.table(
             {
@@ -178,7 +178,7 @@ def test_phash_pairs_match_brute_force(ray_session):
     all-pairs brute force (exact for max_hamming <= 3 by pigeonhole)."""
     import ray
 
-    from core_ray.queries import MediaAHash
+    from core_ray.queries.media import MediaAHash
     from core_ray.text.dedup import hamming_band_pairs
 
     ids = list(range(40)) + [200, 201, 202, 500]

@@ -67,7 +67,7 @@ class TestStageRegistry:
 class TestMediaDecode:
     def test_decode_actor_schema_and_determinism(self):
         from core_ray.media import encode_bmp, synth_image
-        from core_ray.queries import MediaDecode
+        from core_ray.queries.media import MediaDecode
 
         actor = MediaDecode()
         blobs = [encode_bmp(synth_image(i)) for i in (1, 2)]
@@ -107,7 +107,7 @@ class TestEmbNearDupChunked:
 def test_q10_broadcast_and_shuffle_paths_agree(ray_session):
     """q10's adaptive join (broadcast orders map vs hash_join) must be a
     pure strategy choice — identical output either way."""
-    from core_ray import queries as Q
+    from core_ray.queries import relational as Q
 
     sf = "/root/testdata/sf0.001"
     a = Q.q10_returned_revenue(sf)
@@ -127,7 +127,7 @@ def test_q10_broadcast_and_shuffle_paths_agree(ray_session):
 def test_relational_wave3_paths_agree(ray_session, name):
     """The wave-3 adaptive joins (sorted-array broadcast vs hash_join) must
     be a pure strategy choice — identical rows either way."""
-    from core_ray import queries as Q
+    from core_ray.queries import relational as Q
 
     sf = "/root/testdata/sf0.001"
 

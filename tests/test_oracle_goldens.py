@@ -8,17 +8,17 @@ a fresh /tmp, where an oracle reading a never-built golden would fail.
 import os
 
 import __ray_entry__
-from core_ray import queries
+from core_ray.queries import emb, events_stats, geo_stats
 
 
 def test_oracle_sql_builds_every_golden(tmp_path, monkeypatch):
     dirs = {
-        "_jenks_dir": tmp_path / "jenks",
-        "_semdedup_dir": tmp_path / "semdedup",
-        "_absorbing_dir": tmp_path / "absorbing",
+        (geo_stats, "_jenks_dir"): tmp_path / "jenks",
+        (emb, "_semdedup_dir"): tmp_path / "semdedup",
+        (events_stats, "_absorbing_dir"): tmp_path / "absorbing",
     }
-    for name, d in dirs.items():
-        monkeypatch.setattr(queries, name, lambda d=d: str(d))
+    for (module, name), d in dirs.items():
+        monkeypatch.setattr(module, name, lambda d=d: str(d))
 
     sql = __ray_entry__.oracle_sql()
 

@@ -29,6 +29,7 @@ _SCRIPT = textwrap.dedent(
     from ray.data import DataContext
 
     import core_ray.queries as Q
+    from core_ray.queries import _shared
     from core_ray.compare import to_arrow
 
     rows, keys = [], []
@@ -36,7 +37,7 @@ _SCRIPT = textwrap.dedent(
         ray.init(address="local", num_cpus=1, object_store_memory=100 * 2**20,
                  include_dashboard=False, logging_level="ERROR")
         DataContext.get_current().enable_progress_bars = False
-        keys.append(Q._ray_session_key())
+        keys.append(_shared._ray_session_key())
         rows.append(to_arrow(Q.events_contacts(sys.argv[1])).num_rows)
         ray.shutdown()
     assert keys[0] != keys[1], keys

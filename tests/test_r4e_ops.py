@@ -16,17 +16,6 @@ import pyarrow.parquet as pq
 import pytest
 
 from core_ray.queries import (
-    _BFS_CELL_MILLI,
-    _BFS_SEED_MOD,
-    _MM_SEGS,
-    _QT_LMAX,
-    _QT_T,
-    _TOPONYMS,
-    _mm_segments,
-    _toponym_candidates,
-    _BI_RADIUS,
-    _ISO_CAP,
-    _ppz_zones,
     events_burstiness,
     events_gyration,
     events_msd,
@@ -37,6 +26,17 @@ from core_ray.queries import (
     geo_grid_bfs,
     geo_map_match,
     geo_quadtree,
+)
+from core_ray.queries._shared import _QT_LMAX, _BI_RADIUS
+from core_ray.queries.doc_text import _TOPONYMS, _toponym_candidates
+from core_ray.queries.geo_ops import (
+    _BFS_CELL_MILLI,
+    _BFS_SEED_MOD,
+    _MM_SEGS,
+    _QT_T,
+    _mm_segments,
+    _ISO_CAP,
+    _ppz_zones,
 )
 
 N_DOCS = 300

@@ -99,7 +99,8 @@ def test_traj_hausdorff_matches_brute_force(ray_session):
     import duckdb
 
     import ray  # noqa: F401  (session held by fixture)
-    from core_ray.queries import QUERIES, _contact_coords
+    from core_ray.queries import QUERIES
+    from core_ray.queries.events_mobility import _contact_coords
 
     sf = "/root/testdata/sf0.001"
     import pyarrow as pa_mod

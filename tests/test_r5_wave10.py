@@ -537,7 +537,7 @@ def test_media_psnr_matches_golden_including_lossless():
     (16x16 images: the thumb round-trip is lossless -> sse 0, NULL psnr)."""
     from core_ray.fixtures.media_golden import golden_psnr
     from core_ray.media import encode_bmp, synth_image
-    from core_ray.queries import MediaPsnr
+    from core_ray.queries.media import MediaPsnr
 
     ids = list(range(12)) + [77, 200, 481]
     blobs = [encode_bmp(synth_image(i)) for i in ids]
@@ -559,7 +559,8 @@ def test_media_psnr_matches_golden_including_lossless():
 
 
 def test_ams_f2_eval_matches_loop_reference(ray_session):
-    from core_ray.queries import _KMV_MULT, events_ams_f2_eval
+    from core_ray.queries import events_ams_f2_eval
+    from core_ray.queries._shared import _KMV_MULT
 
     rng = np.random.default_rng(7)
     n = 4000
@@ -616,7 +617,8 @@ def test_hilbert_is_valid_curve_and_beats_morton(ray_session):
     """The vectorized Hilbert transform enumerates every cell exactly once
     with all consecutive indexes 4-adjacent (the defining property), and on
     a dense grid its horizontal-neighbor mean |delta| beats Morton's."""
-    from core_ray.queries import _hilbert_d_np, geo_curve_locality
+    from core_ray.queries import geo_curve_locality
+    from core_ray.queries.geo_ops import _hilbert_d_np
 
     p = 4
     n = 1 << p
@@ -647,7 +649,8 @@ def test_hilbert_is_valid_curve_and_beats_morton(ray_session):
 
 
 def test_bloom_fpr_eval_matches_loop_reference(ray_session):
-    from core_ray.queries import _KMV_MULT, events_bloom_fpr_eval
+    from core_ray.queries import events_bloom_fpr_eval
+    from core_ray.queries._shared import _KMV_MULT
 
     M, K = 1 << 16, 4
 

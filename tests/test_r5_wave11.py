@@ -239,7 +239,8 @@ def _ref_ndcg(doc_ids, texts, queries, k=10):
 
 
 def test_ndcg_matches_loop_reference(ray_session):
-    from core_ray.queries import _BM25_QUERIES, doc_ndcg_eval
+    from core_ray.queries import doc_ndcg_eval
+    from core_ray.queries.doc_text import _BM25_QUERIES
 
     rng = np.random.default_rng(31)
     vocab = np.array(
@@ -2173,7 +2174,8 @@ def test_t5_spans_matches_loop_reference(ray_session):
 
 
 def test_dp_counts_matches_loop_reference(ray_session):
-    from core_ray.queries import _DP_KSEQ, _DP_THRESH, doc_dp_counts
+    from core_ray.queries import doc_dp_counts
+    from core_ray.queries.doc_text import _DP_KSEQ, _DP_THRESH
 
     rng = np.random.default_rng(911)
     n = 700

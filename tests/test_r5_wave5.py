@@ -92,7 +92,7 @@ def test_kmv_small_type_falls_back_to_exact(ray_session):
 
 
 def _cm_reference(uid, d=4, w=1024, p=2147483647):
-    from core_ray.queries import _CM_A, _CM_B
+    from core_ray.queries.events_ops import _CM_A, _CM_B
 
     cnt = {}
     for u in uid:
@@ -259,7 +259,8 @@ def test_bpe_matches_independent_golden(ray_session):
 
 def test_pq_distortion_matches_independent_golden(ray_session):
     from core_ray.fixtures.docs_golden import golden_pq_distortion
-    from core_ray.queries import _PQ_ITERS, _PQ_K, _PQ_M, emb_pq_distortion
+    from core_ray.queries import emb_pq_distortion
+    from core_ray.queries._shared import _PQ_ITERS, _PQ_K, _PQ_M
 
     r = _rng(47)
     n, dim = 120, 32
@@ -373,7 +374,8 @@ def test_bpe_apply_matches_independent_golden(ray_session):
 
 def test_pq_recall_matches_independent_golden(ray_session):
     from core_ray.fixtures.docs_golden import golden_pq_recall
-    from core_ray.queries import _PQ_ITERS, _PQ_K, _PQ_M, emb_pq_recall
+    from core_ray.queries import emb_pq_recall
+    from core_ray.queries._shared import _PQ_ITERS, _PQ_K, _PQ_M
 
     r = _rng(53)
     n, dim = 150, 32

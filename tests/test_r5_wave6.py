@@ -40,7 +40,8 @@ def _chunk_reference(texts, w, s):
 
 
 def test_chunk_windows_matches_reference(ray_session):
-    from core_ray.queries import _CHUNK_S, _CHUNK_W, doc_chunk_windows
+    from core_ray.queries import doc_chunk_windows
+    from core_ray.queries.doc_text import _CHUNK_S, _CHUNK_W
 
     rng = np.random.default_rng(7)
     vocab = ["alpha", "beta", "gamma", "delta"]
@@ -109,7 +110,7 @@ def _lev_reference(a: str, b: str) -> int:
 
 
 def test_lev_batch_matches_reference():
-    from core_ray.queries import _lev_batch
+    from core_ray.queries.doc_dedup import _lev_batch
 
     rng = np.random.default_rng(11)
     alphabet = list("abcdeé 日")
@@ -276,12 +277,12 @@ def test_kcore_peel_matches_reference(ray_session):
     """Engine peeling vs the dict/loop reference on the contact graph the
     engine itself derives — checked via an events fixture whose contact
     pairs we recompute brute force."""
-    from core_ray.queries import (
+    from core_ray.queries import events_kcore
+    from core_ray.queries.events_mobility import (
         _KCORE_KS,
         _contact_coords,
         _CONTACT_RADIUS_DEG,
         _CONTACT_WINDOW_US,
-        events_kcore,
     )
 
     rng = np.random.default_rng(23)

@@ -191,7 +191,8 @@ def test_ols_fit_exact_plane_r2_one(ray_session):
 
 
 def test_cohort_matrix_matches_dict_reference(ray_session):
-    from core_ray.queries import _WEEK_US, events_cohort_matrix
+    from core_ray.queries import events_cohort_matrix
+    from core_ray.queries.events_ops import _WEEK_US
 
     rng = np.random.default_rng(31)
     uid, ts = [], []
@@ -603,7 +604,8 @@ def test_assoc_rules_all_singleton_baskets(ray_session):
 def test_cohort_matrix_single_week_users(ray_session):
     """Users active in exactly one week: only offset-0 cells, all
     retention 1.0."""
-    from core_ray.queries import _WEEK_US, events_cohort_matrix
+    from core_ray.queries import events_cohort_matrix
+    from core_ray.queries.events_ops import _WEEK_US
 
     uid = np.arange(1, 21, dtype=np.int64)
     d = _write(

@@ -395,8 +395,9 @@ def test_pack_blocks_multi_range_scan(ray_session, monkeypatch):
     sum actually crosses range boundaries (the base-offset broadcast and
     per-range local cumsum must compose to the global scan)."""
     import core_ray.queries as Q
+    from core_ray.queries import doc_text
 
-    monkeypatch.setattr(Q, "_PACK_R", 37)
+    monkeypatch.setattr(doc_text, "_PACK_R", 37)
     n = 500
     texts = [" ".join(["t"] * ((i * 13) % 50 + 1)) for i in range(n)]
     ids = np.arange(n, dtype=np.int64)
@@ -427,8 +428,7 @@ def test_triangles_matches_bruteforce(ray_session):
     triangle enumeration on a small synthetic events table."""
     from itertools import combinations
 
-    import core_ray.queries as Q
-    from core_ray.queries import events_triangles
+    from core_ray.queries import events_mobility, events_triangles
 
     n = 120
     eids = np.arange(n, dtype=np.int64)
@@ -443,16 +443,16 @@ def test_triangles_matches_bruteforce(ray_session):
             }
         }
     )
-    lat, lon = Q._contact_coords(eids, uids)
+    lat, lon = events_mobility._contact_coords(eids, uids)
     edges = set()
     for i in range(n):
         for j in range(i + 1, n):
             if uids[i] == uids[j]:
                 continue
             if (lat[i] - lat[j]) ** 2 + (lon[i] - lon[j]) ** 2 > \
-               Q._CONTACT_RADIUS_DEG ** 2:
+               events_mobility._CONTACT_RADIUS_DEG ** 2:
                 continue
-            if abs(int(us[i]) - int(us[j])) > Q._CONTACT_WINDOW_US:
+            if abs(int(us[i]) - int(us[j])) > events_mobility._CONTACT_WINDOW_US:
                 continue
             edges.add((min(uids[i], uids[j]), max(uids[i], uids[j])))
     adj = {}

@@ -280,7 +280,7 @@ class TestWordNgrams:
     """_word_ngrams: the vectorized gram builder under contamination/novelty."""
 
     def test_grams_match_python_reference(self):
-        from core_ray.queries import _word_ngrams
+        from core_ray.queries.doc_dedup import _word_ngrams
 
         texts = ["a b c d", "x y", "", "p q r"]
         ridx, grams, _ = _word_ngrams(pa.array(texts), 3)
@@ -291,7 +291,7 @@ class TestWordNgrams:
         assert list(zip(ridx.tolist(), grams.tolist())) == ref
 
     def test_no_cross_row_grams(self):
-        from core_ray.queries import _word_ngrams
+        from core_ray.queries.doc_dedup import _word_ngrams
 
         # last word of row 0 + first of row 1 must never form a gram
         ridx, grams, _ = _word_ngrams(pa.array(["a b", "c d"]), 2)
@@ -299,7 +299,7 @@ class TestWordNgrams:
         assert ridx.tolist() == [0, 1]
 
     def test_all_rows_too_short(self):
-        from core_ray.queries import _word_ngrams
+        from core_ray.queries.doc_dedup import _word_ngrams
 
         ridx, grams, _ = _word_ngrams(pa.array(["a", "b"]), 8)
         assert len(ridx) == 0 and len(grams) == 0
@@ -311,7 +311,7 @@ class TestLevLe1:
     def test_against_bruteforce(self):
         import itertools
 
-        from core_ray.queries import _lev_le1
+        from core_ray.queries.doc_dedup import _lev_le1
 
         def lev(a, b):
             if len(a) < len(b):
@@ -331,7 +331,7 @@ class TestLevLe1:
 
     def test_false_positive_candidates_filtered(self):
         # 'ab'/'ba' share deletion variant 'a' (and 'b') but lev = 2
-        from core_ray.queries import _lev_le1
+        from core_ray.queries.doc_dedup import _lev_le1
 
         assert not _lev_le1("ab", "ba")
         assert not _lev_le1("abcde", "edcba")

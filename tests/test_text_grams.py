@@ -1,4 +1,4 @@
-"""Word n-gram kernel (`queries._word_ngrams`) against a pure-Python
+"""Word n-gram kernel (`queries/doc_dedup._word_ngrams`) against a pure-Python
 reference: `" ".join(w[i:i+n])` over `t.split(" ")`, row by row."""
 
 from __future__ import annotations
@@ -6,7 +6,7 @@ from __future__ import annotations
 import pyarrow as pa
 import pytest
 
-from core_ray.queries import _word_ngrams
+from core_ray.queries.doc_dedup import _word_ngrams
 
 NS = (1, 2, 3, 8)
 
