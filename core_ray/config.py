@@ -9,7 +9,7 @@ WithWorkers/WithTimeout/WithMaxFileSize/...) as a plain dataclass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 STAGE_REGISTRY: dict[str, Callable[..., Any]] = {}
@@ -66,18 +66,6 @@ class PipelineConfig:
 
     # execution sizing
     extract_batch_size: int = 1024
-    geocode_batch_size: int = 2048
-    encode_batch_size: int = 8192
-    actor_concurrency: tuple[int, int] | None = None  # None -> pool_size() at runtime
-    # phase-A shard executions in flight at once. MEASURED (sf0.1, 32 cpus):
-    # 2 concurrent task-fused executions split the saturated node's CPUs —
-    # per-shard walls double, total phase-A wall unchanged, plus contention
-    # (52.4s e2e vs 39.9s sequential); a single fused execution is no faster
-    # either (20.9s vs 18.4s summed sequential). Overlap only pays on a
-    # multi-node cluster where one execution can't saturate the fleet;
-    # default stays 1 (execution-only knob, excluded from lineage
-    # fingerprints).
-    phase_a_overlap: int = 1
 
     # WithPatterns / WithExcludePatterns analog (pkg/parser/options.go:42-100,
     # doublestar semantics scanner.go:954-971): applied to the page-file list
@@ -94,7 +82,6 @@ class PipelineConfig:
 
     checkpoint_dir: str | None = None
     resume: bool = True
-    stage_versions: dict[str, int] = field(default_factory=dict)
 
     # SELECTIVE STAGE SUBSET (the WithDomainHints / selective-plugin-import
     # analog, pkg/parser/options.go:64-72; VERDICT r2 item 8): None runs the

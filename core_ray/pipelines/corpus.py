@@ -65,19 +65,16 @@ def curate_corpus(ds, out_dir: str | None = None, *,
                   near_dup_threshold: float = 0.5,
                   min_words: int = 25,
                   max_top_word_frac: float = 0.12,
-                  drop_broadcast_max: int = 2_000_000,
                   clusters=None) -> CurationResult:
     """Dataset[documents(doc_id, text, lang, n_chars, ...)] -> curated
     Dataset[(doc_id, lang, bucket)] (+ partitioned parquet when ``out_dir``
-    is given). The drop set (non-representative near-dup members) is
-    bounded by the number of PAIRED docs in the common case, so it
-    broadcasts and the probe fuses into the single curation pass; above
-    ``drop_broadcast_max`` (e.g. a 50 %-duplicate crawl) it never reaches
-    the driver — the probe becomes a distributed anti hash-join on the
-    curated output (stages/join.filter_not_in, equivalence-tested)."""
-    import ray
-
+    is given). The drop set (non-representative near-dup members) leaves
+    the curated rows by an anti stages/join.lookup_join: bounded by the
+    number of PAIRED docs in the common case, it broadcasts; a 50 %-duplicate
+    crawl makes it too big, and then it never reaches the driver
+    (distributed anti hash join, equivalence-tested)."""
     from core_ray.stages.cc import connected_components
+    from core_ray.stages.join import lookup_join
     from core_ray.text.analysis import repetition_fractions
     from core_ray.text.dedup import minhash_near_dups
 
@@ -94,67 +91,41 @@ def curate_corpus(ds, out_dir: str | None = None, *,
             {"doc_id": b["node"].filter(pc.not_equal(b["node"], b["comp"]))}
         ),
         batch_format="pyarrow",
-    )
-    n_drop = drop_ds.count()
-    stats["n_dropped_dups"] = int(n_drop)
-    if n_drop <= drop_broadcast_max:
-        from core_ray.collect import collect_table
-
-        t = collect_table(drop_ds)
-        drop = (
-            np.sort(t["doc_id"].to_numpy(zero_copy_only=False))
-            if t.num_rows
-            else np.zeros(0, np.int64)
-        )
-    else:
-        drop = np.zeros(0, np.int64)  # probe disabled; anti-join below
-    dref = ray.put(drop)
+    ).materialize()  # counted here, measured and consumed by lookup_join
+    stats["n_dropped_dups"] = int(drop_ds.count())
 
     # ---- bucket thresholds over the FULL corpus (pre-filter, so the
     # bucket meaning is stable as filter knobs move)
     t1, t2 = _bucket_thresholds(ds)
     stats["bucket_thresholds"] = (t1, t2)
 
-    class Curate:
-        """One streaming pass: dedup anti-probe + quality gates + bucket."""
+    def curate(b: pa.Table) -> pa.Table:
+        """One streaming pass: quality gates + bucket."""
+        from core_ray.rounding import sql_round_np
 
-        def __init__(self, drop_ref):
-            self.drop = ray.get(drop_ref) if isinstance(drop_ref, ray.ObjectRef) else drop_ref
-
-        def __call__(self, b: pa.Table) -> pa.Table:
-            ids = b["doc_id"].to_numpy(zero_copy_only=False)
-            keep = ~np.isin(ids, self.drop)
-            n_words, topw, _ = repetition_fractions(b["text"])
-            from core_ray.rounding import sql_round_np
-
-            frac = sql_round_np(
-                topw.astype(np.float64) / np.maximum(n_words, 1).astype(np.float64), 6
-            )
-            keep &= (n_words >= min_words) & (frac <= max_top_word_frac)
-            c = b["n_chars"].to_numpy(zero_copy_only=False).astype(np.float64)
-            bucket = np.where(c <= t1, "tail", np.where(c <= t2, "middle", "head"))
-            return pa.table(
-                {
-                    "doc_id": pa.array(ids[keep], pa.int64()),
-                    "lang": b["lang"].filter(pa.array(keep)),
-                    "bucket": pa.array(bucket[keep], pa.string()),
-                }
-            )
-
-    curated = ds.map_batches(
-        Curate, fn_constructor_args=(dref,), batch_format="pyarrow",
-        batch_size=4096, concurrency=(1, 8),
-    )
-    if n_drop > drop_broadcast_max:
-        from core_ray.stages.join import filter_not_in
-
-        curated = filter_not_in(
-            curated, drop_ds, on="doc_id", broadcast_max=0, n_drop=n_drop,
-            ds_schema=pa.schema(
-                [("doc_id", pa.int64()), ("lang", pa.string()),
-                 ("bucket", pa.string())]
-            ),
+        ids = b["doc_id"].to_numpy(zero_copy_only=False)
+        n_words, topw, _ = repetition_fractions(b["text"])
+        frac = sql_round_np(
+            topw.astype(np.float64) / np.maximum(n_words, 1).astype(np.float64), 6
         )
+        keep = (n_words >= min_words) & (frac <= max_top_word_frac)
+        c = b["n_chars"].to_numpy(zero_copy_only=False).astype(np.float64)
+        bucket = np.where(c <= t1, "tail", np.where(c <= t2, "middle", "head"))
+        return pa.table(
+            {
+                "doc_id": pa.array(ids[keep], pa.int64()),
+                "lang": b["lang"].filter(pa.array(keep)),
+                "bucket": pa.array(bucket[keep], pa.string()),
+            }
+        )
+
+    curated = lookup_join(
+        ds.map_batches(curate, batch_format="pyarrow", batch_size=4096),
+        drop_ds, on="doc_id", how="anti",
+        left_schema=pa.schema(
+            [("doc_id", pa.int64()), ("lang", pa.string()), ("bucket", pa.string())]
+        ),
+    )
 
     if out_dir is not None:
         curated.write_parquet(

@@ -232,8 +232,9 @@ def run_flagship(
     import ray
 
     # warm lazy fsspec imports on the main thread: concurrent first-touch
-    # from the shard threads races Python's import machinery (observed as a
-    # spurious ImportError inside ray.data path resolution)
+    # from the phase-B threads (checkpoint writer, kNN / tiles / stats) races
+    # Python's import machinery (observed as a spurious ImportError inside
+    # ray.data path resolution)
     try:  # pragma: no cover
         import fsspec.implementations.http  # noqa: F401
     except ImportError:
@@ -277,45 +278,30 @@ def run_flagship(
     import time as _time
 
     t_start = _time.monotonic()
-    shard_futs = []
+    # phase B's input: the shard checkpoints load_or_compute already opened
+    shard_rows = []
     timed_out = False
-    # bounded overlap (VERDICT r2 item 5b): shards are SUBMITTED in order
-    # through a small slot pool, so one execution's write/teardown tail
-    # overlaps the next one's read ramp-up. Submission order + wait-for-all
-    # preserves the deadline contract's prefix property: the completed set is
-    # always shards[0..n) (a partial run never poisons a later resume).
-    overlap = max(1, int(getattr(cfg, "phase_a_overlap", 1)))
-    with ThreadPoolExecutor(max_workers=overlap) as shard_pool:
-        inflight = []
-        for k, files in enumerate(shards):
-            if overlap > 1 and len(inflight) >= overlap:
-                inflight.pop(0).result()  # free a slot BEFORE the deadline check
-            if (
-                deadline_s is not None
-                and shard_futs  # at least one shard always completes
-                and (_time.monotonic() - t_start) > deadline_s
-            ):
-                timed_out = True
-                break
-            fp = fingerprint_paths(files) + "+" + phase_a_cfg_fp
-            fut = shard_pool.submit(
-                store.load_or_compute,
-                "phaseA",
-                STAGE_VERSIONS["phaseA"],
-                fp,
-                lambda files=files: _phase_a(files, geoip_ref, admin_ref, cfg),
-                str(k),
-            )
-            shard_futs.append(fut)
-            if overlap > 1:
-                inflight.append(fut)
-            else:
-                fut.result()
+    # shards run in order, one at a time, so the completed set is always
+    # shards[0..n): a deadline-bounded run never poisons a later resume
+    for k, files in enumerate(shards):
+        if (
+            deadline_s is not None
+            and shard_rows  # at least one shard always completes
+            and (_time.monotonic() - t_start) > deadline_s
+        ):
+            timed_out = True
+            break
+        fp = fingerprint_paths(files) + "+" + phase_a_cfg_fp
+        shard_rows.append(store.load_or_compute(
+            "phaseA",
+            STAGE_VERSIONS["phaseA"],
+            fp,
+            lambda files=files: _phase_a(files, geoip_ref, admin_ref, cfg),
+            str(k),
+        ))
     # downstream fingerprints cover the files actually PROCESSED, so a
     # partial (deadline-bounded) run never poisons a later full run's resume
-    processed_files = sorted(f for s in shards[: len(shard_futs)] for f in s)
-    # phase B's input: the shard checkpoints load_or_compute already opened
-    shard_rows = [fut.result() for fut in shard_futs]
+    processed_files = sorted(f for s in shards[: len(shard_rows)] for f in s)
     all_rows = shard_rows[0].union(*shard_rows[1:]) if len(shard_rows) > 1 else shard_rows[0]
 
     # --- phase B: global dedup (one hash shuffle, stages/dedup.py) ---
@@ -431,5 +417,5 @@ def run_flagship(
     if ckpt_writer is not None:
         ckpt_writer.result()  # checkpoint durable before returning
     stats["timed_out"] = timed_out
-    stats["shards_done"] = f"{len(shard_futs)}/{len(shards)}"
+    stats["shards_done"] = f"{len(shard_rows)}/{len(shards)}"
     return FlagshipResult(joined=joined, errors=errors, knn=knn, tiles=tiles, stats=stats)

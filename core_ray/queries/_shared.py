@@ -8,6 +8,8 @@ and imports its shared helpers from here. No subject module imports another.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import os
 
 import numpy as np
@@ -121,6 +123,31 @@ def _ray_session_key():
     except Exception:
         pass
     return None
+
+
+def _session_cached(fn):
+    """Cache ``fn(*args)`` per live Ray session: a materialized Dataset is
+    served again only inside the session that made it, and nothing is
+    cached while Ray is not initialized. The session is read again after
+    ``fn`` runs, since running it may have started Ray."""
+    cache: dict = {}
+    sig = inspect.signature(fn)
+
+    @functools.wraps(fn)
+    def cached(*args, **kwargs):
+        bound = sig.bind(*args, **kwargs)
+        bound.apply_defaults()
+        call = tuple(bound.arguments.values())
+        key = (_ray_session_key(), call)
+        if key in cache:
+            return cache[key]
+        out = fn(*args, **kwargs)
+        session = _ray_session_key()
+        if session is not None:
+            cache[(session, call)] = out
+        return out
+
+    return cached
 
 
 _MORAN_NLON = 360  # 1-deg grid, lon cells 0..359 (no wrap: rook weights)

@@ -17,12 +17,12 @@ import pyarrow.parquet as pq
 
 from core_ray.pipelines.corpus import _bucket_thresholds, curate_corpus
 from core_ray.queries._shared import (
-    _DGD, _collect_table, _ensure_docs_golden, _ray_session_key, _read, query,
+    _DGD, _collect_table, _ensure_docs_golden, _read, _session_cached, query,
 )
 from core_ray.rounding import sql_round_np
 from core_ray.stages.agg import count_by_u64, hash_strings, map_groups_partitioned, sum_by_u64
 from core_ray.stages.cc import connected_components
-from core_ray.stages.join import filter_not_in, filter_semi, hash_join
+from core_ray.stages.join import fits_broadcast, hash_join, lookup_join
 from core_ray.text.analysis import Fingerprinter, repetition_fractions
 from core_ray.text.dedup import (
     _md5_utf8_col, exact_dedup_groups, minhash_near_dups, simhash_near_dups,
@@ -57,39 +57,24 @@ def doc_fingerprint(sf_dir: str):
     ).select_columns(["doc_id", "fingerprint"])
 
 
-_DUP_CHAIN_CACHE: dict = {}
-
-
+@_session_cached
 def _dup_pairs(sf_dir: str, threshold: float = 0.5):
     """Session+sf-keyed materialization of the minhash -> banding -> pair
     chain — the expensive step of the dedup family (VERDICT r4 "what's
     missing 3": five consumers re-ran it from scratch). The pair table is
     bounded by near-dups (the dedup contract), so pinning it costs what
     any single consumer's own run would."""
-    key = (_ray_session_key(), sf_dir, threshold, "pairs")
-    if key[0] is not None and key in _DUP_CHAIN_CACHE:
-        return _DUP_CHAIN_CACHE[key]
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    pairs = minhash_near_dups(ds, threshold=threshold).materialize()
-    key = (_ray_session_key(), sf_dir, threshold, "pairs")
-    if key[0] is not None:
-        _DUP_CHAIN_CACHE[key] = pairs
-    return pairs
+    return minhash_near_dups(ds, threshold=threshold).materialize()
 
 
+@_session_cached
 def _dup_clusters(sf_dir: str, threshold: float = 0.5):
-    """Materialized CC cluster table over _dup_pairs (same cache; the
-    pointer-jumping rounds run once per session per sf_dir)."""
-    key = (_ray_session_key(), sf_dir, threshold, "clusters")
-    if key[0] is not None and key in _DUP_CHAIN_CACHE:
-        return _DUP_CHAIN_CACHE[key]
-    clusters = connected_components(
+    """Materialized CC cluster table over _dup_pairs (also session-cached;
+    the pointer-jumping rounds run once per session per sf_dir)."""
+    return connected_components(
         _dup_pairs(sf_dir, threshold), src="id_a", dst="id_b"
     ).materialize()
-    key = (_ray_session_key(), sf_dir, threshold, "clusters")
-    if key[0] is not None:
-        _DUP_CHAIN_CACHE[key] = clusters
-    return clusters
 
 
 @query(sql=f"SELECT * FROM read_parquet('{_DGD}/minhash_pairs.parquet')")
@@ -458,7 +443,7 @@ def doc_dup_source_matrix(sf_dir: str):
     node = cl_t["node"].to_numpy(zero_copy_only=False).astype(np.int64)
     comp = cl_t["comp"].to_numpy(zero_copy_only=False).astype(np.int64)
 
-    members = filter_semi(
+    members = lookup_join(
         _read(sf_dir, "documents", ["doc_id", "source"]).map_batches(
             lambda b: pa.table(
                 {
@@ -472,7 +457,7 @@ def doc_dup_source_matrix(sf_dir: str):
             lambda b: pa.table({"doc_id": pc.cast(b["node"], pa.int64())}),
             batch_format="pyarrow",
         ),
-        "doc_id",
+        "doc_id", how="semi",
     )
     m_t = _collect_table(members)  # bounded by paired docs
     mdoc = m_t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -525,15 +510,11 @@ def doc_cross_lingual_dup(sf_dir: str):
     ia = pairs_t["id_a"].to_numpy(zero_copy_only=False).astype(np.int64)
     ib = pairs_t["id_b"].to_numpy(zero_copy_only=False).astype(np.int64)
 
-    import ray
-
     ids = np.unique(np.concatenate([ia, ib]))
-    members = filter_semi(
+    members = lookup_join(
         _read(sf_dir, "documents", ["doc_id", "lang"]),
-        ray.data.from_arrow(
-            pa.table({"doc_id": pa.array(ids, pa.int64())})
-        ),
-        "doc_id",
+        pa.table({"doc_id": pa.array(ids, pa.int64())}),
+        "doc_id", how="semi",
     )
     m_t = _collect_table(members)  # bounded by paired docs
     lang_of = dict(
@@ -639,15 +620,14 @@ SELECT doc_id FROM documents
 WHERE doc_id NOT IN (
   SELECT node FROM read_parquet('{_DGD}/dup_clusters.parquet') WHERE node <> comp)
 """)
-def doc_dedup_keep(sf_dir: str, broadcast_max: int = 2_000_000):
+def doc_dedup_keep(sf_dir: str):
     """The APPLY step of near-dup dedup: the corpus minus every non-
     representative cluster member (keep = each component's min doc id,
     plus all unpaired docs). The drop set is the cluster table minus its
     representatives — bounded by the number of PAIRED docs in the common
     case, so it broadcasts — but a 50 %-duplicate crawl makes it
-    O(corpus/2), so above ``broadcast_max`` the probe switches to a
-    distributed anti hash-join and the drop set never reaches the driver
-    (stages/join.filter_not_in, both regimes equivalence-tested)."""
+    O(corpus/2), and then the anti lookup_join shuffles instead and the
+    drop set never reaches the driver (both regimes equivalence-tested)."""
     _ensure_docs_golden(sf_dir)
     clusters = _dup_clusters(sf_dir, threshold=0.5)
     drop_ds = clusters.map_batches(
@@ -656,12 +636,12 @@ def doc_dedup_keep(sf_dir: str, broadcast_max: int = 2_000_000):
         ),
         batch_format="pyarrow",
     )
-    return filter_not_in(
+    return lookup_join(
         _read(sf_dir, "documents", ["doc_id"]),
         drop_ds,
         on="doc_id",
-        broadcast_max=broadcast_max,
-        ds_schema=pa.schema([("doc_id", pa.int64())]),
+        how="anti",
+        left_schema=pa.schema([("doc_id", pa.int64())]),
     )
 
 
@@ -972,15 +952,15 @@ FROM g JOIN c USING (gram) GROUP BY 1
 
 
 @query(sql=DOC_NGRAM_NOVELTY_SQL)
-def doc_ngram_novelty(sf_dir: str, n: int = 3, broadcast_max: int = 2_000_000):
+def doc_ngram_novelty(sf_dir: str, n: int = 3):
     """Per-document n-gram novelty: the fraction of a document's word
     3-grams that occur exactly once in the WHOLE corpus (a dedup-adjacent
     curation signal — low novelty means templated/duplicated text). Pass 1
     is combiner-first exact global gram counts — per-batch np.unique
     partials, hash-partitioned by gram string so each partition's sums are
     global (the vocab-count shape). Pass 2 is ADAPTIVE (the same guard
-    pattern as the minhash verify join): when the singleton-gram set fits
-    ``broadcast_max`` it is broadcast once and each document scores inside
+    rule as stages/join.lookup_join): when the singleton-gram set fits
+    ``join.BROADCAST_MAX_BYTES`` it is broadcast once and each document scores inside
     ONE map_batches (documents are row-local, so no join and no per-doc
     shuffle exist at all); above the guard, per-doc gram rows hash-join to
     the counts (stages/join.py — fully distributed, the singleton set is
@@ -1017,14 +997,11 @@ def doc_ngram_novelty(sf_dir: str, n: int = 3, broadcast_max: int = 2_000_000):
         "gram", reduce_counts,
     ).materialize()  # O(distinct grams), reused by whichever pass-2 path wins
 
-    singles = counts.filter(expr="cnt == 1")
-    n_singles = singles.count()
-    if n_singles <= broadcast_max:
+    singles = counts.filter(expr="cnt == 1").select_columns(["gram"]).materialize()
+    if fits_broadcast(singles):
         import ray
 
-        bench = np.sort(
-            np.asarray(_collect_table(singles.select_columns(["gram"]))["gram"].to_pylist())
-        )
+        bench = np.sort(np.asarray(_collect_table(singles)["gram"].to_pylist()))
         ref = ray.put(bench)
 
         def score(b: pa.Table) -> pa.Table:
@@ -1358,7 +1335,7 @@ SELECT doc_id FROM documents
 WHERE doc_id % 10 >= 3
   AND text NOT IN (SELECT text FROM documents WHERE doc_id % 10 < 7)
 """)
-def doc_incremental_new(sf_dir: str, broadcast_max: int = 2_000_000):
+def doc_incremental_new(sf_dir: str):
     """Cross-snapshot incremental dedup — the op a recurring crawl runs
     before adding a new snapshot to the corpus: keep only NEW docs whose
     exact text was never seen in the previous snapshot. Deterministic
@@ -1369,9 +1346,10 @@ def doc_incremental_new(sf_dir: str, broadcast_max: int = 2_000_000):
 
     Scale shape: the old side reduces to DISTINCT text keys (zero-copy md5
     of the Arrow utf-8 buffer -> u64, exact count_by_u64 combiner — text
-    never leaves its scan), then stages/join.filter_not_in probes the new
-    side: broadcast sorted-searchsorted under the guard, distributed anti
-    hash-join above it (a 10^12-doc seen-set never reaches the driver). At
+    never leaves its scan), then an anti stages/join.lookup_join probes the
+    new side: broadcast sorted-searchsorted while the seen set fits,
+    distributed anti hash-join above it (a 10^12-doc seen-set never reaches
+    the driver). At
     that scale the key should widen to the full 128-bit digest; u64 is
     collision-safe for any single-box corpus (p ~ n^2/2^64)."""
     def text_key(b: pa.Table, which: str) -> pa.Table:
@@ -1394,16 +1372,14 @@ def doc_incremental_new(sf_dir: str, broadcast_max: int = 2_000_000):
             batch_format="pyarrow", batch_size=4096,
         ),
         "key",
-    ).map_batches(lambda b: b.select(["key"]), batch_format="pyarrow").materialize()
-    # materialized: filter_not_in consumes the seen set twice (count + probe);
-    # lazy, the whole old-snapshot scan + md5 + shuffle would run twice
+    ).map_batches(lambda b: b.select(["key"]), batch_format="pyarrow")
 
     new = _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
         lambda b: text_key(b, "new"), batch_format="pyarrow", batch_size=4096
     )
-    out = filter_not_in(
-        new, seen, on="key", broadcast_max=broadcast_max,
-        ds_schema=pa.schema([("doc_id", pa.int64()), ("key", pa.uint64())]),
+    out = lookup_join(
+        new, seen, on="key", how="anti",
+        left_schema=pa.schema([("doc_id", pa.int64()), ("key", pa.uint64())]),
     )
     return out.map_batches(
         lambda b: b.select(["doc_id"]), batch_format="pyarrow"

@@ -18,7 +18,7 @@ import pyarrow.parquet as pq
 from core_ray.collect import collect_table
 from core_ray.queries._shared import (
     _BPE_MERGES, _DGD, _GE_CELL_MILLI, _GT_CELL_MILLI, _KMV_MULT, GEO_LAT_SQL, GEO_LON_SQL,
-    _collect_numpy, _collect_table, _derive_coords, _ensure_docs_golden, _ray_session_key, _read,
+    _collect_numpy, _collect_table, _derive_coords, _ensure_docs_golden, _read, _session_cached,
     _tdiv, query,
 )
 from core_ray.rounding import sql_round, sql_round_np
@@ -27,7 +27,7 @@ from core_ray.stages.agg import (
     sum_by_u64,
 )
 from core_ray.stages.distband import distance_pairs
-from core_ray.stages.join import hash_join
+from core_ray.stages.join import fits_broadcast, hash_join
 from core_ray.text.analysis import (
     STOPWORDS, LangId, add_quality, add_token_counts, repetition_fractions,
 )
@@ -1977,13 +1977,13 @@ SELECT doc_id, CAST(COUNT(*) AS BIGINT) AS n_tokens,
        CAST(SUM(r) AS DOUBLE) / CAST(COUNT(*) AS DOUBLE) AS mean_sur
 FROM tok GROUP BY 1
 """)
-def doc_unigram_surprisal(sf_dir: str, broadcast_max: int = 2_000_000):
+def doc_unigram_surprisal(sf_dir: str):
     """UNIGRAM LM SURPRISAL scoring (the CCNet/fineweb-style perplexity
     proxy): per document, the token count and the total / mean -log2
     unigram probability under the corpus's own unigram model. Pass 1 is
     the combiner-first exact vocab count (same shape as doc_vocab_top20);
     pass 2 is ADAPTIVE like doc_ngram_novelty: a vocab that fits
-    ``broadcast_max`` rides the closure and every document scores inside
+    ``join.BROADCAST_MAX_BYTES`` rides the closure and every document scores inside
     one map_batches (searchsorted lookups, bincount reduce — no join
     exists); above the guard, per-doc DISTINCT-word rows hash-join the
     counts (stages/join.py, string keys) and a groupby finishes — the
@@ -2014,7 +2014,6 @@ def doc_unigram_surprisal(sf_dir: str, broadcast_max: int = 2_000_000):
         .materialize()
     )
     total = counts.aggregate(Sum("c", alias_name="t"))["t"]
-    n_vocab = counts.count()
     tf = float(total)
 
     def _surprisal_micro(cnt: np.ndarray) -> np.ndarray:
@@ -2022,7 +2021,7 @@ def doc_unigram_surprisal(sf_dir: str, broadcast_max: int = 2_000_000):
             -np.log2(cnt.astype(np.float64) / tf) * 1000000.0, 0
         ).astype(np.int64)
 
-    if n_vocab <= broadcast_max:
+    if fits_broadcast(counts):
         tab = _collect_table(counts)
         vocab = np.asarray(tab["w"].to_pylist())
         vcnt = tab["c"].to_numpy(zero_copy_only=False)
@@ -3207,21 +3206,13 @@ def doc_yule_k(sf_dir: str):
             ),
         }
     )
-_BPE_CACHE: dict = {}
-
-
+@_session_cached
 def _bpe_learn(sf_dir: str):
     """Shared (session, sf)-keyed BPE learner: returns the materialized
     word-frequency vocab Dataset and the learned merge list — one corpus
     pass + {_BPE_MERGES} vocab rounds serve both doc_bpe_merges (the
     training table) and doc_bpe_apply (the encode-side evaluation)."""
-    key = (_ray_session_key(), sf_dir)
-    if key[0] is not None and key in _BPE_CACHE:
-        return _BPE_CACHE[key]
-    vocab, rows = _bpe_learn_impl(sf_dir)
-    if key[0] is not None:
-        _BPE_CACHE[key] = (vocab, rows)
-    return vocab, rows
+    return _bpe_learn_impl(sf_dir)
 
 
 def _bpe_apply_merges(syms: list, cur) -> list:
@@ -3515,7 +3506,7 @@ SELECT doc_id, CAST(COUNT(*) AS BIGINT) AS n_bigrams,
        CAST(SUM(r) AS DOUBLE) / CAST(COUNT(*) AS DOUBLE) AS mean_bits
 FROM scored GROUP BY 1
 """)
-def doc_bigram_ppl(sf_dir: str, broadcast_max: int = 2_000_000):
+def doc_bigram_ppl(sf_dir: str):
     """HELD-OUT BIGRAM LM PERPLEXITY (the CCNet-style quality filter one
     order up from doc_unigram_surprisal): train an add-one-smoothed
     bigram model on the EVEN doc_ids, score every ODD doc with it —
@@ -3526,7 +3517,7 @@ def doc_bigram_ppl(sf_dir: str, broadcast_max: int = 2_000_000):
     the reference-corpus-vs-crawl split a production LM filter uses.
 
     Two regimes, same outputs: when train vocab AND bigram-type counts
-    fit ``broadcast_max`` the model rides ray.put and every test doc
+    fit ``join.BROADCAST_MAX_BYTES`` the model rides ray.put and every test doc
     scores inside one map_batches (searchsorted on a packed int64
     (w1_idx, w2_idx) key — no join exists); above the guard the model is
     NEVER collected: test bigram rows map to UNK via two distributed
@@ -3573,10 +3564,9 @@ def doc_bigram_ppl(sf_dir: str, broadcast_max: int = 2_000_000):
         .materialize()
     )
     n_vocab = vocab_ds.count()
-    n_bg_types = bg_counts.count()
     v_smooth = n_vocab + 1  # +1 for UNK
 
-    if max(n_vocab, n_bg_types) <= broadcast_max:
+    if fits_broadcast(vocab_ds, bg_counts):
         vt = _collect_table(vocab_ds)
         vocab = np.sort(np.asarray(vt["w"].to_pylist()))
         bt = _collect_table(bg_counts)
@@ -3791,7 +3781,7 @@ ranked AS (
 SELECT doc_id, CAST(rn AS BIGINT) AS rank, w AS token, tf, df, weight
 FROM ranked WHERE rn <= {_KW_K}
 """)
-def doc_top_keywords(sf_dir: str, broadcast_max: int = 2_000_000):
+def doc_top_keywords(sf_dir: str):
     """PER-DOCUMENT KEYWORD EXTRACTION (tf-rarity weighting, the
     document-tagging pass a curation pipeline runs before clustering /
     routing): for every document, its top-{_KW_K} tokens by
@@ -3802,7 +3792,7 @@ def doc_top_keywords(sf_dir: str, broadcast_max: int = 2_000_000):
 
     Plan: pass 1 is the per-doc-DISTINCT document-frequency combiner
     (token df + corpus N); pass 2 is ADAPTIVE like doc_unigram_surprisal
-    — a df table within ``broadcast_max`` rides ray.put and every doc
+    — a df table within ``join.BROADCAST_MAX_BYTES`` rides ray.put and every doc
     ranks its own tokens inside one map_batches (searchsorted + lexsort
     top-{_KW_K}); above the guard the df side is NEVER collected: per-doc
     (token, tf) rows hash_join the df table and a doc_id-partitioned
@@ -3827,8 +3817,6 @@ def doc_top_keywords(sf_dir: str, broadcast_max: int = 2_000_000):
         .aggregate(Count(alias_name="df"))
         .materialize()
     )
-    n_vocab = df_ds.count()
-
     def topk_from_segments(
         ids: np.ndarray, toks: np.ndarray, tf: np.ndarray, dfv: np.ndarray
     ) -> pa.Table:
@@ -3859,7 +3847,7 @@ def doc_top_keywords(sf_dir: str, broadcast_max: int = 2_000_000):
             }
         )
 
-    if n_vocab <= broadcast_max:
+    if fits_broadcast(df_ds):
         dt = _collect_table(df_ds)
         vocab = np.asarray(dt["w"].to_pylist())
         dfc = dt["df"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -4803,7 +4791,7 @@ SELECT doc_id, CAST(COUNT(*) AS BIGINT) AS n_bigrams,
        CAST(SUM(r) AS DOUBLE) / CAST(COUNT(*) AS DOUBLE) AS mean_bits
 FROM scored GROUP BY 1
 """)
-def doc_kn_ppl(sf_dir: str, broadcast_max: int = 2_000_000):
+def doc_kn_ppl(sf_dir: str):
     """INTERPOLATED KNESER-NEY BIGRAM PERPLEXITY (Kneser & Ney 1995 /
     Chen & Goodman 1999 — the smoothing that made n-gram LMs the
     pre-neural quality-filter standard; one rung above doc_bigram_ppl's
@@ -4833,7 +4821,7 @@ def doc_kn_ppl(sf_dir: str, broadcast_max: int = 2_000_000):
     continuation denominator.
 
     Two regimes, same outputs (the doc_bigram_ppl contract): when the
-    model fits ``broadcast_max`` it rides ray.put and every test doc
+    model fits ``join.BROADCAST_MAX_BYTES`` it rides ray.put and every test doc
     scores inside one map_batches (vocab searchsorted + packed int64
     bigram keys — no shuffle at all); above the guard the model tables
     (C2, (C1, N1f) fused, N1b — each O(corpus) at web scale) never
@@ -4884,7 +4872,7 @@ def doc_kn_ppl(sf_dir: str, broadcast_max: int = 2_000_000):
     big_v = n_vocab + 1  # +1 for UNK
     denom_cont = float(big_b + big_v)
 
-    if max(big_b, n_vocab) <= broadcast_max:
+    if fits_broadcast(bg_counts, vocab_ds):
         import ray
 
         vt = _collect_table(vocab_ds)
@@ -6028,7 +6016,7 @@ FROM docsum
 ORDER BY score_micro, doc_id
 LIMIT {_ML_TOPK}
 """)
-def doc_moore_lewis(sf_dir: str, broadcast_max: int = 2_000_000):
+def doc_moore_lewis(sf_dir: str):
     """MOORE-LEWIS CROSS-ENTROPY-DIFFERENCE DATA SELECTION (Moore &
     Lewis ACL'10 — the canonical "find general-pool documents that look
     like my in-domain corpus" scorer behind every domain-adaptation
@@ -6047,7 +6035,7 @@ def doc_moore_lewis(sf_dir: str, broadcast_max: int = 2_000_000):
 
     Scale shape: pass 1 is ONE combiner-first vocab count emitting
     (token, c_all, c_in) partials; the vocab broadcasts under
-    ``broadcast_max`` and fails loud above it (the surprisal op's
+    ``join.BROADCAST_MAX_BYTES`` and fails loud above it (the surprisal op's
     distributed string-join regime is the documented scale path);
     pass 2 scores every pool document vectorized and prunes to a
     per-batch top-20 — blocks x 20 rows reach the driver."""
@@ -6092,7 +6080,7 @@ def doc_moore_lewis(sf_dir: str, broadcast_max: int = 2_000_000):
                 "score_micro": pa.array([], pa.int64()),
             }
         )
-    if n_vocab > broadcast_max:
+    if not fits_broadcast(counts):
         raise ValueError(
             "doc_moore_lewis: vocab exceeds the broadcast guard — run the "
             "doc_unigram_surprisal string-join regime for this corpus"

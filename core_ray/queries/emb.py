@@ -16,7 +16,7 @@ from core_ray.collect import collect_table
 from core_ray.fixtures.docs_golden import golden_kmeans
 from core_ray.queries._shared import (
     _DGD, _PQ_ITERS, _PQ_K, _PQ_M, _SQ_TOPK, _collect_table, _ensure_docs_golden, _p,
-    _ray_session_key, _read, _sf_of, _tdiv, query,
+    _read, _session_cached, _sf_of, _tdiv, query,
 )
 from core_ray.rounding import sql_round_np
 from core_ray.stages.agg import count_by_u64, map_groups_partitioned, sum_by_u64
@@ -1589,21 +1589,13 @@ def emb_int8_recall(sf_dir: str):
             ),
         }
     )
-_PQ_CACHE: dict = {}
-
-
+@_session_cached
 def _pq_train(sf_dir: str):
     """Shared (session, sf)-keyed PQ training: returns the materialized
     embeddings Dataset, the trained (m, k, sub) codebook array and the
     subspace width — one training serves emb_pq_distortion (codebook
     quality) and emb_pq_recall (retrieval quality)."""
-    key = (_ray_session_key(), sf_dir)
-    if key[0] is not None and key in _PQ_CACHE:
-        return _PQ_CACHE[key]
-    out = _pq_train_impl(sf_dir)
-    if key[0] is not None:
-        _PQ_CACHE[key] = out
-    return out
+    return _pq_train_impl(sf_dir)
 
 
 def _pq_mat(b: pa.Table) -> np.ndarray:

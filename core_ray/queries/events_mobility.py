@@ -14,13 +14,13 @@ import pyarrow.compute as pc
 from core_ray.queries._shared import (
     _BI_RADIUS, _DGD, _FRECHET_K, _FRECHET_MAX_USERS, _GE_CELL_MILLI, _GT_CELL_MILLI, _MORAN_NLAT,
     _MORAN_NLON, _STG_DAY_US, _TT_DAY_US, GEO_LAT_SQL, GEO_LON_SQL, GEO_RECTS, _collect_table,
-    _derive_coords, _ensure_docs_golden, _ray_session_key, _read, query,
+    _derive_coords, _ensure_docs_golden, _read, _session_cached, query,
 )
 from core_ray.rounding import sql_round_np
 from core_ray.stages.agg import count_by_u64, map_groups_partitioned, min_by_u64, sum_by_u64
 from core_ray.stages.dbscan import dbscan_from_pairs
 from core_ray.stages.distband import distance_pairs, haversine_km
-from core_ray.stages.join import filter_not_in, filter_semi, hash_join
+from core_ray.stages.join import fits_broadcast, hash_join, lookup_join
 from core_ray.stages.stjoin import spacetime_all_pairs, spacetime_pairs
 
 
@@ -241,9 +241,7 @@ def _contact_coords(event_id: np.ndarray, user_id: np.ndarray):
     return lat, lon
 
 
-_CONTACT_PAIRS_CACHE: dict = {}
-
-
+@_session_cached
 def _contact_pairs_ds(sf_dir: str):
     """Shared sf-keyed materialization of the CONTACT PAIR table — the
     (uid_a, uid_b) rows of the 3D home+ghost space-time join that
@@ -255,9 +253,6 @@ def _contact_pairs_ds(sf_dir: str):
     holds two int64 columns only — at 100 TB the pair table is the
     operator's OUTPUT scale, so pinning it in the object store costs no
     more than any consumer's own shuffle would."""
-    key = (_ray_session_key(), sf_dir)
-    if key[0] is not None and key in _CONTACT_PAIRS_CACHE:
-        return _CONTACT_PAIRS_CACHE[key]
 
     def coords(b: pa.Table) -> pa.Table:
         ev = b["event_id"].to_numpy(zero_copy_only=False)
@@ -277,15 +272,11 @@ def _contact_pairs_ds(sf_dir: str):
     pts = _read(sf_dir, "events", ["event_id", "user_id", "ts"]).map_batches(
         coords, batch_format="pyarrow", batch_size=65536
     )
-    pairs = (
+    return (
         spacetime_pairs(pts, _CONTACT_RADIUS_DEG, _CONTACT_WINDOW_US)
         .select_columns(["uid_a", "uid_b"])
         .materialize()
     )
-    key = (_ray_session_key(), sf_dir)  # session now definitely live
-    if key[0] is not None:
-        _CONTACT_PAIRS_CACHE[key] = pairs
-    return pairs
 
 
 def _pack_user_pairs(b: pa.Table) -> pa.Table:
@@ -3135,8 +3126,8 @@ def events_kcore(sf_dir: str):
     Scale shape: edges come from the contact-family shared
     materialization, made globally DISTINCT by one pair-keyed hash
     partition; each peel round is one count_by_u64 degree pass plus two
-    guarded anti-joins (stages/join.filter_not_in: drop set broadcast
-    under the guard, distributed marker join above — the same two-regime
+    anti lookup_joins (stages/join.py: drop set broadcast while it fits,
+    distributed anti hash join above — the same two-regime
     contract as the dedup keep-list), so no round ever collects edges or
     vertices to the driver; the driver sees only per-round drop COUNTS
     and the final 3-row summary. Rounds are data-dependent but bounded:
@@ -3211,16 +3202,16 @@ def events_kcore(sf_dir: str):
 
             u_schema_a = pa.schema([("u", pa.int64()), ("ub", pa.int64())])
             u_schema_b = pa.schema([("u", pa.int64()), ("ua", pa.int64())])
-            edges = filter_not_in(
+            edges = lookup_join(
                 edges.map_batches(a_as_u, batch_format="pyarrow"),
-                bad, on="u", n_drop=n_bad, ds_schema=u_schema_a,
+                bad, on="u", how="anti", left_schema=u_schema_a,
             ).map_batches(
                 lambda b: pa.table({"ua": b["u"], "ub": b["ub"]}),
                 batch_format="pyarrow",
             )
-            edges = filter_not_in(
+            edges = lookup_join(
                 edges.map_batches(b_as_u, batch_format="pyarrow"),
-                bad, on="u", n_drop=n_bad, ds_schema=u_schema_b,
+                bad, on="u", how="anti", left_schema=u_schema_b,
             ).map_batches(back_to_edges, batch_format="pyarrow").materialize()
             n_edges = edges.count()
         else:
@@ -3384,7 +3375,7 @@ SELECT CAST((SELECT COUNT(*) FROM kedges) AS BIGINT) AS n_edges,
        CASE WHEN w.w > 0 THEN ROUND(3.0 * tri.t / w.w, 6) END AS gcc
 FROM w, tri
 """)
-def events_triangles(sf_dir: str, closure_broadcast_max: int = 2_000_000):
+def events_triangles(sf_dir: str):
     """TRIANGLE COUNT + GLOBAL CLUSTERING COEFFICIENT of the contact
     graph (the graph-analytics staple the degree/assortativity/k-core
     family still lacked; gcc = 3*triangles / wedges). The algorithm is
@@ -3516,18 +3507,19 @@ def events_triangles(sf_dir: str, closure_broadcast_max: int = 2_000_000):
             }
         )
 
-    # Two value-identical closure regimes (the filter_semi contract): the
+    # Two value-identical closure regimes (the lookup_join rule): the
     # DISTINCT edge-key set is tiny relative to the wedge volume (8 bytes
-    # an edge — 16 MB at 2M edges), so under the guard it broadcasts once
-    # and every wedge closes INSIDE its source partition (the 10M-wedge
-    # union shuffle disappears); above the guard wedges + edge markers
+    # an edge), so while it fits join.BROADCAST_MAX_BYTES it broadcasts
+    # once and every wedge closes INSIDE its source partition (the
+    # 10M-wedge union shuffle disappears); above it wedges + edge markers
     # co-partition by pair key and close distributedly.
     import ray
 
-    broadcast = n_edges <= closure_broadcast_max
+    ekeys = e.map_batches(pack_edges, batch_format="pyarrow").materialize()
+    broadcast = fits_broadcast(ekeys)
     ekeys_ref = None
     if broadcast:
-        et = _collect_table(e.map_batches(pack_edges, batch_format="pyarrow"))
+        et = _collect_table(ekeys)
         ekeys_ref = ray.put(
             np.sort(et["key"].to_numpy(zero_copy_only=False).astype(np.uint64))
         )
@@ -3572,8 +3564,8 @@ def events_triangles(sf_dir: str, closure_broadcast_max: int = 2_000_000):
         )
     else:
         wedges = map_groups_partitioned(oriented, "key", wedge_rows)
-        edge_keys = e.map_batches(
-            lambda b: pack_edges(b).append_column(
+        edge_keys = ekeys.map_batches(
+            lambda b: b.append_column(
                 "kind", pa.array(np.ones(b.num_rows, np.int8), pa.int8())
             ),
             batch_format="pyarrow",
@@ -3953,8 +3945,8 @@ def events_densest_subgraph(sf_dir: str):
     Scale shape: the events_kcore contract — edges from the
     contact-family shared materialization made DISTINCT by one pair-hash
     partition; each round is one count_by_u64 degree pass + two guarded
-    filter_not_in peels (drop-set broadcast under the guard, distributed
-    marker join above); the driver sees per-round COUNTS only. The SQL
+    anti lookup_join peels (drop-set broadcast while it fits, distributed
+    anti hash join above); the driver sees per-round COUNTS only. The SQL
     mirror is the kcore-style recursive CTE whose working table is the
     previous round's edge set, with per-round snapshots grouped by
     iteration."""
@@ -4005,26 +3997,25 @@ def events_densest_subgraph(sf_dir: str):
             return pa.table({"u": pa.array(u[c * v <= 4 * e], pa.int64())})
 
         bad = deg.map_batches(low_deg, batch_format="pyarrow").materialize()
-        n_bad = bad.count()
         # the min-degree vertex always fails deg*V <= 4E=2*avg*V -> >= 1 peel
         u_schema_a = pa.schema([("u", pa.int64()), ("ub", pa.int64())])
         u_schema_b = pa.schema([("u", pa.int64()), ("ua", pa.int64())])
-        edges = filter_not_in(
+        edges = lookup_join(
             edges.map_batches(
                 lambda b: pa.table({"u": b["ua"], "ub": b["ub"]}),
                 batch_format="pyarrow",
             ),
-            bad, on="u", n_drop=n_bad, ds_schema=u_schema_a,
+            bad, on="u", how="anti", left_schema=u_schema_a,
         ).map_batches(
             lambda b: pa.table({"ua": b["u"], "ub": b["ub"]}),
             batch_format="pyarrow",
         )
-        edges = filter_not_in(
+        edges = lookup_join(
             edges.map_batches(
                 lambda b: pa.table({"u": b["ub"], "ua": b["ua"]}),
                 batch_format="pyarrow",
             ),
-            bad, on="u", n_drop=n_bad, ds_schema=u_schema_b,
+            bad, on="u", how="anti", left_schema=u_schema_b,
         ).map_batches(
             lambda b: pa.table({"ua": b["ua"], "ub": b["u"]}),
             batch_format="pyarrow",
@@ -4166,10 +4157,9 @@ def events_graph_diameter(sf_dir: str):
                 )
 
             front_src = frontier.map_batches(as_src, batch_format="pyarrow")
-            n_front = front_src.count()
-            touched = filter_semi(
-                und, front_src, on="src", n_keep=n_front,
-                ds_schema=pa.schema([("src", pa.int64()), ("dst", pa.int64())]),
+            touched = lookup_join(
+                und, front_src, on="src", how="semi",
+                left_schema=pa.schema([("src", pa.int64()), ("dst", pa.int64())]),
             )
 
             def cand(b: pa.Table, d=r) -> pa.Table:

@@ -18,7 +18,7 @@ from core_ray.stages.agg import (
     _GOLD, count_by_u64, histogram_quantile_cont, map_groups_partitioned, max_by_u64, sum_by_u64,
 )
 from core_ray.stages.interval import interval_join_bucketed
-from core_ray.stages.join import filter_semi, hash_join
+from core_ray.stages.join import hash_join, lookup_join
 from core_ray.stages.sketch import approx_group_quantiles
 from core_ray.text.jsonops import json_field_int64
 
@@ -2800,8 +2800,8 @@ def events_bloom_semijoin(sf_dir: str):
     members + ~4e-4 false positives pay the shuffle; the exact hash semi
     join then removes the false positives — the OUTPUT is exact (no
     false negatives by construction), which is why a SQL oracle can
-    check it at all. ``broadcast_max=0`` forces the scale regime here
-    (at 10^12 events the purchaser set exceeds any broadcast budget);
+    check it at all. ``bloom_prefilter=True`` forces the scale regime
+    here (at 10^12 events the purchaser set exceeds any broadcast budget);
     the bloom-on/off equivalence is a unit in tests/test_join.py.
     Reference analog: candidate pre-filtering before the expensive exact
     phase (pkg/parser/detector.go's cheap-check cascade)."""
@@ -2826,9 +2826,10 @@ def events_bloom_semijoin(sf_dir: str):
         ),
         batch_format="pyarrow",
     )
-    hits = filter_semi(
-        clicks, purchasers, on="user_id", broadcast_max=0,
-        ds_schema=pa.schema([("user_id", pa.int64())]),
+    hits = lookup_join(
+        clicks, purchasers, on="user_id", how="semi",
+        left_schema=pa.schema([("user_id", pa.int64())]),
+        right_schema=pa.schema([("user_id", pa.int64())]),
         bloom_prefilter=True,
     )
     t = _collect_table(

@@ -20,7 +20,7 @@ from core_ray.stages.agg import count_by_u64, map_groups_partitioned, min_by_u64
 from core_ray.stages.cc import connected_components
 from core_ray.stages.dbscan import dbscan
 from core_ray.stages.distband import distance_pairs, haversine_distance_pairs, haversine_km
-from core_ray.stages.join import filter_not_in, hash_join
+from core_ray.stages.join import hash_join, lookup_join
 from core_ray.stages.pip import PipJoin, build_polygon_index
 from core_ray.stages.segjoin import segment_crossings
 
@@ -2516,7 +2516,7 @@ def _grid_bfs_distributed(nodes: np.ndarray, seeds: np.ndarray):
     """Distributed frontier rounds over an occupied-node graph: dist and
     frontier live as Datasets; per round the frontier flat-maps its 4
     neighbor probes (clipped to occupied via a broadcast sorted key array
-    — filter_semi's distributed regime is the swap-in above its guard) and
+    — a semi stages/join.lookup_join is the swap-in at scale) and
     agg.min_by_u64 merges them; the driver moves one row-count per round
     (the node set grows monotonically, so stagnation == fixpoint)."""
     import ray
@@ -3118,7 +3118,7 @@ def geo_tile_regions(sf_dir: str, z: int = 5, min_points: int = 2):
     adjacency = ONE distributed hash_join of each tile's (right, down)
     neighbor probes against the occupied keys (no all-pairs); regions close
     through stages/cc.py (log-round pointer jumping above its guard);
-    singletons re-attach via filter_not_in. The DuckDB oracle recomputes
+    singletons re-attach via an anti lookup_join. The DuckDB oracle recomputes
     the labeling through a fully independent RECURSIVE-CTE min-reachable
     closure (the emb_dup_clusters pattern, on a grid graph)."""
     import ray
@@ -3167,11 +3167,8 @@ def geo_tile_regions(sf_dir: str, z: int = 5, min_points: int = 2):
     )
     labeled = connected_components(edges, src="u", dst="nk").materialize()
 
-    singles = filter_not_in(
-        occ,
-        labeled.map_batches(lambda b: pa.table({"k": b["node"]}),
-                            batch_format="pyarrow"),
-        on="k", ds_schema=int_schema,
+    singles = lookup_join(
+        occ, labeled, on="k", right_on="node", how="anti", left_schema=int_schema,
     ).map_batches(
         lambda b: pa.table({"node": b["k"], "comp": b["k"]}),
         batch_format="pyarrow",
@@ -3238,9 +3235,9 @@ def geo_dbscan(sf_dir: str, eps: float = _DBSCAN_EPS,
     components of the core-core subgraph, border points take the MINIMUM
     neighboring core cluster (deterministic where sequential DBSCAN is
     visit-order-dependent), everything else noise. Core-membership filters
-    route through filter_semi/filter_not_in (broadcast under the guard,
-    distributed marker joins above it — the core set is O(corpus) on dense
-    data). The oracle re-derives all of it in SQL: brute-force eps pairs,
+    route through semi/anti stages/join.lookup_join (broadcast while the
+    core set fits, distributed hash joins above — the core set is
+    O(corpus) on dense data). The oracle re-derives all of it in SQL: brute-force eps pairs,
     degree counts, a RECURSIVE min-reachable closure over core-core edges,
     and a MIN() border attach."""
     def coords(b: pa.Table) -> pa.Table:

@@ -24,7 +24,7 @@ from core_ray.rounding import sql_round_np
 from core_ray.rules import full_registry
 from core_ray.stages.agg import count_by_u64, map_groups_partitioned
 from core_ray.stages.geocode import Geocoder
-from core_ray.stages.join import filter_not_in, hash_join
+from core_ray.stages.join import hash_join, lookup_join
 from core_ray.stages.nest import explode_list, nest_by_key, nest_hierarchy
 
 
@@ -619,8 +619,8 @@ def pages_s2_compact(sf_dir: str, level: int = 12, parent_level: int = 11):
     scales with distinct cells, not mentions); parent derivation is pure
     integer prefix arithmetic (geo/s2.py::cell_parent — exactly mirrored in
     SQL); full-sibling detection is count_by_u64 over parents of DISTINCT
-    children; partial children survive through the guarded anti-join
-    (filter_not_in on the parent key). No floats anywhere — the oracle is
+    children; partial children survive through the anti lookup_join on
+    the parent key. No floats anywhere — the oracle is
     integer-exact."""
     _ensure_pages_golden(sf_dir)
     cells = _run_pages(sf_dir).joined.select_columns(["s2_cell"])
@@ -665,12 +665,9 @@ def pages_s2_compact(sf_dir: str, level: int = 12, parent_level: int = 11):
         ),
         batch_format="pyarrow",
     )
-    partial_children = filter_not_in(
-        occ_p,
-        full.map_batches(lambda b: pa.table({"parent": b["key"]}),
-                         batch_format="pyarrow"),
-        on="parent",
-        ds_schema=pa.schema([("key", pa.uint64()), ("parent", pa.uint64())]),
+    partial_children = lookup_join(
+        occ_p, full, on="parent", right_on="key", how="anti",
+        left_schema=pa.schema([("key", pa.uint64()), ("parent", pa.uint64())]),
     ).map_batches(
         lambda b: pa.table(
             {

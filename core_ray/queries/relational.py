@@ -1,11 +1,10 @@
 """Relational queries over the TPC-H-style tables (lineitem, orders, customer,
-part, partsupp, supplier, nation, region): filters, broadcast semi-joins,
-anti-joins, grouped aggregates and deterministic top-k.
+part, partsupp, supplier, nation, region): filters, semi- and anti-joins
+through stages/join.lookup_join, grouped aggregates and deterministic top-k.
 """
 
 from __future__ import annotations
 
-import os
 from datetime import datetime
 
 import numpy as np
@@ -17,7 +16,7 @@ import pyarrow.parquet as pq
 from core_ray.queries._shared import _collect_numpy, _collect_table, _p, _read, query
 from core_ray.rounding import sql_round, sql_round_np
 from core_ray.stages.agg import count_by_u64, map_groups_partitioned, min_by_u64, sum_by_u64
-from core_ray.stages.join import hash_join
+from core_ray.stages.join import hash_join, lookup_join, read_dim
 
 
 # ================================================================ relational
@@ -83,7 +82,7 @@ def q1_pricing_summary(sf_dir: str):
     return agg.map_batches(finish, batch_format="pyarrow")
 
 
-# Q3-style: broadcast semi-joins (customer segment -> orders -> lineitem),
+# Q3-style: semi-join cascade (customer segment -> orders -> lineitem),
 # groupby revenue, deterministic top-10 (SURVEY.md §2.5 J1 small-side pattern).
 
 _Q3_DATE = datetime(1998, 1, 1)
@@ -103,64 +102,28 @@ ORDER BY revenue DESC, o_orderkey
 LIMIT 10
 """)
 def q3_top_orders(sf_dir: str):
-    """Distributed cascade of broadcast semi-joins — no fact table is ever
-    materialized on the driver (only the *surviving key sets* cross, each the
-    product of a distributed filter; membership tests are vectorized
-    ``np.isin`` against a sorted broadcast array, never per-row Python)."""
-    import ray
+    """Distributed cascade of semi-joins (stages/join.lookup_join): the
+    BUILDING customers filter the date-pruned orders, whose surviving keys
+    filter the ship-date-pruned lineitem. No fact table ever reaches the
+    driver; each key set is the product of a distributed filter."""
+    import ray.data
     from ray.data.aggregate import Sum
 
-    # small side 1: BUILDING-segment customer keys. customer is a DIMENSION
-    # table (~1.5% of lineitem): below a size guard it reads driver-side in
-    # one pruned pyarrow scan (like q5's nation/region/supplier) — saving a
-    # whole distributed execution; above it, the distributed filter path.
-    cust_path = _p(sf_dir, "customer")
-    if os.path.getsize(cust_path) < 256 * 1024 * 1024:
-        ct = pq.read_table(cust_path, columns=["c_custkey", "c_mktsegment"])
-        cust_keys = np.sort(
-            ct.filter(pc.equal(ct["c_mktsegment"], "BUILDING"))["c_custkey"]
-            .to_numpy(zero_copy_only=False)
-        )
-    else:
-        cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
-        cust_keys = np.sort(
-            _collect_numpy(cust.filter(expr="c_mktsegment == 'BUILDING'"), "c_custkey")
-        )
-    cust_ref = ray.put(cust_keys)
-
-    # small side 2: order keys surviving (date filter ⋉ customer set) — a
-    # distributed map_batches semi-join over orders; only keys come back.
-    # The date predicates are PUSHED INTO THE READ (pyarrow dataset filter:
-    # row-group pruning via statistics + exact row filtering in the scanner,
-    # VERDICT r2 item 6) — the date columns never leave storage.
-    # plain functions over broadcast refs, not actor pools: the semi-join
-    # probe is stateless (one plasma ray.get per batch, shared memory on the
-    # node), and an actor pool's spin-up is pure latency on each of these
-    # two short chained executions
-    def orders_semi(b: pa.Table, ref=cust_ref) -> pa.Table:
-        keys = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
-        m = np.isin(b["o_custkey"].to_numpy(zero_copy_only=False), keys)
-        return b.filter(pa.array(m)).select(["o_orderkey"])
-
-    import ray.data
-
+    # the segment and date predicates are PUSHED INTO THE READS (pyarrow
+    # dataset filter: row-group pruning via statistics + exact row filtering
+    # in the scanner, VERDICT r2 item 6) — those columns never leave storage
+    cust = read_dim(
+        _p(sf_dir, "customer"), ["c_custkey"],
+        filter=pads.field("c_mktsegment") == "BUILDING",
+    )
     orders = ray.data.read_parquet(
         _p(sf_dir, "orders"),
         columns=["o_orderkey", "o_custkey"],
         filter=pads.field("o_orderdate") < _Q3_DATE,
     )
-    okeys = np.sort(
-        _collect_numpy(
-            orders.map_batches(orders_semi, batch_format="pyarrow", batch_size=65536),
-            "o_orderkey",
-        )
-    )
-    okeys_ref = ray.put(okeys)
+    okeys = lookup_join(orders, cust, on="o_custkey", right_on="c_custkey", how="semi")
 
-    def lineitem_semi(b: pa.Table, ref=okeys_ref) -> pa.Table:
-        ok = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
-        m = np.isin(b["l_orderkey"].to_numpy(zero_copy_only=False), ok)
-        b = b.filter(pa.array(m))
+    def revenue(b: pa.Table) -> pa.Table:
         rev = pc.multiply(b["l_extendedprice"], pc.subtract(1.0, b["l_discount"]))
         return pa.table({"o_orderkey": b["l_orderkey"], "rev": rev})
 
@@ -170,7 +133,8 @@ def q3_top_orders(sf_dir: str):
         filter=pads.field("l_shipdate") > _Q3_DATE,
     )
     agg = (
-        li.map_batches(lineitem_semi, batch_format="pyarrow", batch_size=65536)
+        lookup_join(li, okeys, on="l_orderkey", right_on="o_orderkey", how="semi")
+        .map_batches(revenue, batch_format="pyarrow", batch_size=65536)
         .groupby("o_orderkey")
         .aggregate(Sum("rev", alias_name="revenue"))
     )
@@ -184,7 +148,7 @@ def q3_top_orders(sf_dir: str):
     return out.sort(["revenue", "o_orderkey"], descending=[True, False]).limit(10)
 
 
-# Q5-style: chained broadcast dimension joins -> per-nation revenue.
+# Q5-style: chained dimension lookups -> per-nation revenue.
 
 
 @query(sql="""
@@ -197,46 +161,28 @@ WHERE r_name = 'ASIA'
 GROUP BY 1
 """)
 def q5_region_revenue(sf_dir: str, region: str = "ASIA"):
-    import ray
     from ray.data.aggregate import Sum
 
-    nation = pq.read_table(_p(sf_dir, "nation"))
-    reg = pq.read_table(_p(sf_dir, "region"))
-    supplier = pq.read_table(_p(sf_dir, "supplier"))
-    rkey = {r["r_regionkey"] for r in reg.to_pylist() if r["r_name"] == region}
-    n_in = {
-        r["n_nationkey"]: r["n_name"]
-        for r in nation.to_pylist()
-        if r["n_regionkey"] in rkey
-    }
-    supp_nation = {
-        r["s_suppkey"]: n_in[r["s_nationkey"]]
-        for r in supplier.to_pylist()
-        if r["s_nationkey"] in n_in
-    }
-    # broadcast as SORTED parallel arrays so the fact-table probe is
-    # vectorized (np.searchsorted + np.take), never a per-row dict.get
-    skeys = np.sort(np.fromiter(supp_nation.keys(), dtype=np.int64, count=len(supp_nation)))
-    snames = np.asarray([supp_nation[k] for k in skeys])
-    ref = ray.put((skeys, snames))
+    nation = pq.read_table(_p(sf_dir, "nation"), columns=["n_nationkey", "n_name", "n_regionkey"])
+    reg = pq.read_table(_p(sf_dir, "region"), columns=["r_regionkey", "r_name"])
+    rkeys = reg.filter(pc.equal(reg["r_name"], region))["r_regionkey"].combine_chunks()
+    n_in = nation.filter(pc.is_in(nation["n_regionkey"], value_set=rkeys)).select(
+        ["n_nationkey", "n_name"]
+    )
+    supp = read_dim(_p(sf_dir, "supplier"), ["s_suppkey", "s_nationkey"])
 
-    # plain task, not an actor pool: the probe is stateless (plasma fetch
-    # per batch) and pool spin-up is pure latency on a short execution
-    def map_supp(b: pa.Table, ref=ref) -> pa.Table:
-        skeys, snames = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
-        if len(skeys) == 0:
-            return pa.table(
-                {"n_name": pa.array([], pa.string()), "rev": pa.array([], pa.float64())}
-            )
-        keys = b["l_suppkey"].to_numpy(zero_copy_only=False)
-        pos, hit = _sorted_probe(skeys, keys)
-        rev = pc.multiply(b["l_extendedprice"], pc.subtract(1.0, b["l_discount"]))
-        t = pa.table({"n_name": pa.array(snames[pos], pa.string()), "rev": rev})
-        return t.filter(pa.array(hit))
+    def rev(b: pa.Table) -> pa.Table:
+        r = pc.multiply(b["l_extendedprice"], pc.subtract(1.0, b["l_discount"]))
+        return pa.table({"n_name": b["n_name"], "rev": r})
 
     li = _read(sf_dir, "lineitem", ["l_suppkey", "l_extendedprice", "l_discount"])
+    # chained lookups: lineitem -> supplier nation -> region's nation names
     agg = (
-        li.map_batches(map_supp, batch_format="pyarrow", batch_size=65536)
+        lookup_join(
+            lookup_join(li, supp, on="l_suppkey", right_on="s_suppkey"),
+            n_in, on="s_nationkey", right_on="n_nationkey",
+        )
+        .map_batches(rev, batch_format="pyarrow", batch_size=65536)
         .groupby("n_name")
         .aggregate(Sum("rev", alias_name="revenue"))
     )
@@ -256,12 +202,10 @@ WHERE NOT EXISTS (SELECT 1 FROM orders o
                     AND o.o_orderdate >= TIMESTAMP '2000-06-01')
 """)
 def cust_no_orders(sf_dir: str):
-    """Anti-join: customers with NO order since the cutoff. The order-key
-    side is filtered + reduced DISTRIBUTEDLY to its distinct custkeys
-    (per-batch np.unique combiner), broadcast sorted, and the probe is a
-    vectorized np.isin — the same broadcast-semi-join shape as q3, negated."""
-    import ray
-
+    """Anti-join: customers with NO order since the cutoff. The order side
+    is filtered and reduced per batch to its distinct custkeys (np.unique
+    combiner) before the anti lookup_join against customer — the q3 shape,
+    negated."""
     orders = _read(sf_dir, "orders", ["o_custkey", "o_orderdate"])
 
     def recent_keys(b: pa.Table) -> pa.Table:
@@ -270,21 +214,9 @@ def cust_no_orders(sf_dir: str):
             {"o_custkey": pa.array(np.unique(b["o_custkey"].to_numpy(zero_copy_only=False)))}
         )
 
-    okeys = np.unique(
-        _collect_numpy(
-            orders.map_batches(recent_keys, batch_format="pyarrow", batch_size=131072),
-            "o_custkey",
-        )
-    )
-    ref = ray.put(okeys)
-
-    def anti(b: pa.Table, ref=ref) -> pa.Table:
-        keys = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
-        m = np.isin(b["c_custkey"].to_numpy(zero_copy_only=False), keys)
-        return b.filter(pa.array(~m))
-
+    recent = orders.map_batches(recent_keys, batch_format="pyarrow", batch_size=131072)
     cust = _read(sf_dir, "customer", ["c_custkey", "c_name"])
-    return cust.map_batches(anti, batch_format="pyarrow", batch_size=65536)
+    return lookup_join(cust, recent, on="c_custkey", right_on="o_custkey", how="anti")
 
 
 @query(sql="""
@@ -334,9 +266,6 @@ def orders_cust_join(sf_dir: str):
     )
 
 
-_Q10_BROADCAST_MAX_BYTES = 256 * 1024 * 1024  # tests force the shuffle path by 0
-
-
 @query(sql="""
 SELECT c_custkey, c_name,
        SUM(CAST(ROUND(l_extendedprice * (1.0 - l_discount) * 100.0) AS BIGINT)) / 100.0 AS revenue
@@ -351,11 +280,10 @@ LIMIT 20
 def q10_returned_revenue(sf_dir: str, k: int = 20):
     """TPC-H q10 shape: revenue of RETURNED items per customer, top-k.
     Plan: pruned+filtered lineitem scan (returnflag pushed into the read) ->
-    hash-partitioned equi-join against the orders key map (NEITHER fact side
-    broadcast) -> exact integer-cents partitioned sum by custkey
-    (agg.sum_by_u64) -> tiny sort+limit; customer names
-    attached from the small dimension driver-side (same <256 MB guard
-    discipline as q3/q5)."""
+    lookup_join against the orders key map (stages/join.py picks broadcast
+    or shuffle) -> exact integer-cents partitioned sum by custkey
+    (agg.sum_by_u64) -> tiny sort+limit; the k customer names are read
+    with the top-k keys pushed into the scan."""
     import ray.data
 
     li = ray.data.read_parquet(
@@ -381,53 +309,22 @@ def q10_returned_revenue(sf_dir: str, k: int = 20):
         ),
         batch_format="pyarrow",
     )
-    # ADAPTIVE join strategy (the broadcast-vs-shuffle selector, same guard
-    # discipline as q3's customer side): below the size guard the orders key
-    # map broadcasts as sorted parallel arrays and the probe is a vectorized
-    # searchsorted — two fewer all-to-alls; above it, the fully-distributed
-    # hash-partitioned equi-join. Output identical either way.
-    import ray
-
-    orders_path = _p(sf_dir, "orders")
-    if os.path.getsize(orders_path) < _Q10_BROADCAST_MAX_BYTES:
-        ot = pq.read_table(orders_path, columns=["o_orderkey", "o_custkey"])
-        ok = ot["o_orderkey"].to_numpy(zero_copy_only=False)
-        oc = ot["o_custkey"].to_numpy(zero_copy_only=False)
-        order = np.argsort(ok, kind="stable")
-        ref = ray.put((ok[order], oc[order]))
-
-        def map_cust(b: pa.Table, ref=ref) -> pa.Table:
-            okeys, ocust = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
-            keys = b["okey"].to_numpy(zero_copy_only=False)
-            pos = np.searchsorted(okeys, keys)
-            pos = np.minimum(pos, len(okeys) - 1)
-            hit = okeys[pos] == keys
-            t = pa.table(
-                {
-                    "key": pa.array(ocust[pos].astype(np.uint64), pa.uint64()),
-                    "cents": b["cents"],
-                }
-            )
-            return t.filter(pa.array(hit))
-
-        keyed = li.map_batches(map_cust, batch_format="pyarrow", batch_size=65536)
-    else:
-        orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"]).map_batches(
-            lambda b: pa.table({"okey": b["o_orderkey"], "o_custkey": b["o_custkey"]}),
-            batch_format="pyarrow",
-        )
-        keyed = hash_join(li, orders, on="okey").map_batches(
-            lambda b: pa.table(
-                {"key": pc.cast(b["o_custkey"], pa.uint64()), "cents": b["cents"]}
-            ),
-            batch_format="pyarrow",
-        )
+    orders = read_dim(_p(sf_dir, "orders"), ["o_orderkey", "o_custkey"])
+    keyed = lookup_join(li, orders, on="okey", right_on="o_orderkey").map_batches(
+        lambda b: pa.table(
+            {"key": pc.cast(b["o_custkey"], pa.uint64()), "cents": b["cents"]}
+        ),
+        batch_format="pyarrow",
+    )
     sums = sum_by_u64(keyed, "key", "cents")
     top = _collect_table(
         sums.sort(["cnt", "key"], descending=[True, False]).limit(k)
     )
     ckeys = top["key"].to_numpy(zero_copy_only=False).astype(np.int64)
-    ct = pq.read_table(_p(sf_dir, "customer"), columns=["c_custkey", "c_name"])
+    ct = pq.read_table(
+        _p(sf_dir, "customer"), columns=["c_custkey", "c_name"],
+        filters=pads.field("c_custkey").isin(ckeys.tolist()),
+    )
     name_of = dict(zip(ct["c_custkey"].to_pylist(), ct["c_name"].to_pylist()))
     return pa.table(
         {
@@ -577,12 +474,10 @@ GROUP BY 1
 """)
 def q12_priority_class(sf_dir: str):
     """TPC-H q12 shape: conditional aggregation (CASE WHEN) after an
-    equi-join. The ship-year filter rides the read; the orders side joins
-    adaptively (q10 discipline): below the size guard it broadcasts as a
-    sorted (okey -> is_high) bitmap probed with searchsorted, above it the
-    fully-distributed hash join. Per-batch combiner folds to <=2 rows before
-    the final 2-key groupby."""
-    import ray
+    equi-join. The ship-year filter rides the read; the orders priority
+    attaches by lookup_join and the high/low flag is computed on the joined
+    batches. Per-batch combiner folds to <=2 rows before the final 2-key
+    groupby."""
     import ray.data
     from ray.data.aggregate import Sum
 
@@ -592,60 +487,20 @@ def q12_priority_class(sf_dir: str):
         filter=(pads.field("l_shipdate") >= datetime(1997, 1, 1))
         & (pads.field("l_shipdate") < datetime(1998, 1, 1)),
     )
-
-    orders_path = _p(sf_dir, "orders")
-    if os.path.getsize(orders_path) < _Q10_BROADCAST_MAX_BYTES:
-        ot = pq.read_table(orders_path, columns=["o_orderkey", "o_orderpriority"])
-        ok = ot["o_orderkey"].to_numpy(zero_copy_only=False)
-        hi = pc.is_in(ot["o_orderpriority"], value_set=pa.array(_Q12_HIGH)).to_numpy(
-            zero_copy_only=False
-        )
-        order = np.argsort(ok, kind="stable")
-        ref = ray.put((ok[order], hi[order]))
-
-        def attach(b: pa.Table, ref=ref) -> pa.Table:
-            okeys, ishigh = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
-            keys = b["l_orderkey"].to_numpy(zero_copy_only=False)
-            pos = np.searchsorted(okeys, keys)
-            pos = np.minimum(pos, len(okeys) - 1)
-            hit = okeys[pos] == keys
-            t = pa.table(
-                {
-                    "l_linestatus": b["l_linestatus"],
-                    "high": pa.array(ishigh[pos].astype(np.int64), pa.int64()),
-                }
-            )
-            return t.filter(pa.array(hit))
-
-        joined = li.map_batches(attach, batch_format="pyarrow", batch_size=65536)
-    else:
-        li2 = li.map_batches(
-            lambda b: pa.table({"okey": b["l_orderkey"], "l_linestatus": b["l_linestatus"]}),
-            batch_format="pyarrow",
-        )
-        om = ray.data.read_parquet(
-            orders_path, columns=["o_orderkey", "o_orderpriority"]
-        ).map_batches(
-            lambda b: pa.table(
-                {
-                    "okey": b["o_orderkey"],
-                    "high": pc.cast(
-                        pc.is_in(b["o_orderpriority"], value_set=pa.array(_Q12_HIGH)),
-                        pa.int64(),
-                    ),
-                }
-            ),
-            batch_format="pyarrow",
-        )
-        joined = hash_join(li2, om, on="okey").select_columns(["l_linestatus", "high"])
+    orders = read_dim(_p(sf_dir, "orders"), ["o_orderkey", "o_orderpriority"])
 
     def partial(b: pa.Table) -> pa.Table:
-        lo = pc.subtract(1, b["high"])
-        t = pa.table({"l_linestatus": b["l_linestatus"], "high": b["high"], "low": lo})
+        hi = pc.cast(
+            pc.is_in(b["o_orderpriority"], value_set=pa.array(_Q12_HIGH)), pa.int64()
+        )
+        t = pa.table(
+            {"l_linestatus": b["l_linestatus"], "high": hi, "low": pc.subtract(1, hi)}
+        )
         return pa.TableGroupBy(t, "l_linestatus").aggregate([("high", "sum"), ("low", "sum")])
 
     agg = (
-        joined.map_batches(partial, batch_format="pyarrow", batch_size=131072)
+        lookup_join(li, orders, on="l_orderkey", right_on="o_orderkey")
+        .map_batches(partial, batch_format="pyarrow", batch_size=131072)
         .groupby("l_linestatus")
         .aggregate(Sum("high_sum", alias_name="high_count"), Sum("low_sum", alias_name="low_count"))
     )
@@ -735,16 +590,8 @@ def q18_heavy_orders(sf_dir: str, k: int = 20):
 # ratio, distinct-count per group with anti-join, per-group-avg threshold
 # join, disjunctive multi-table predicate, scalar-subquery threshold +
 # anti-join. Discipline as above: predicates ride the read, facts never
-# broadcast, dims attach adaptively (sorted-array broadcast under the q10
-# size guard, hash_join above it), monetary math in exact integer units.
-
-
-def _sorted_probe(keys_sorted: np.ndarray, probe: np.ndarray):
-    """Positions of ``probe`` values in a sorted key array + hit mask."""
-    pos = np.searchsorted(keys_sorted, probe)
-    pos = np.minimum(pos, max(len(keys_sorted) - 1, 0))
-    hit = keys_sorted[pos] == probe if len(keys_sorted) else np.zeros(len(probe), bool)
-    return pos, hit
+# broadcast, dims attach by stages/join.lookup_join (which picks broadcast
+# or shuffle), monetary math in exact integer units.
 
 
 @query(sql="""
@@ -800,12 +647,10 @@ WHERE l_shipdate >= DATE '1997-09-01' AND l_shipdate < DATE '1997-10-01'
 """)
 def q14_promo_revenue(sf_dir: str):
     """TPC-H q14 shape: conditional aggregation ratio after a fact-dim
-    join. The month window rides the lineitem read; the part side reduces
-    to ONE bit (is-promo) and attaches adaptively — a sorted
-    (pkey -> promo) bitmap broadcast under the size guard, hash_join above
-    it. Revenue in exact 10^-4 units; the ratio is one float division on
-    the driver, identical IEEE ops to the SQL."""
-    import ray
+    join. The month window rides the lineitem read; the part type attaches
+    by lookup_join and the promo bit is computed on the joined batches.
+    Revenue in exact 10^-4 units; the ratio is one float division on the
+    driver, identical IEEE ops to the SQL."""
     import ray.data
 
     li = ray.data.read_parquet(
@@ -814,67 +659,30 @@ def q14_promo_revenue(sf_dir: str):
         filter=(pads.field("l_shipdate") >= datetime(1997, 9, 1))
         & (pads.field("l_shipdate") < datetime(1997, 10, 1)),
     )
+    part = read_dim(_p(sf_dir, "part"), ["p_partkey", "p_type"])
 
-    def units_of(b: pa.Table) -> np.ndarray:
-        return sql_round_np(
+    def partial(b: pa.Table) -> pa.Table:
+        u = sql_round_np(
             b["l_extendedprice"].to_numpy(zero_copy_only=False)
             * (1.0 - b["l_discount"].to_numpy(zero_copy_only=False))
             * 10000.0,
             0,
         ).astype(np.int64)
-
-    part_path = _p(sf_dir, "part")
-    if os.path.getsize(part_path) < _Q10_BROADCAST_MAX_BYTES:
-        pt = pq.read_table(part_path, columns=["p_partkey", "p_type"])
-        pk = pt["p_partkey"].to_numpy(zero_copy_only=False)
-        promo = pc.equal(pt["p_type"], "PROMO").to_numpy(zero_copy_only=False)
-        order = np.argsort(pk, kind="stable")
-        ref = ray.put((pk[order], promo[order]))
-
-        def partial(b: pa.Table, ref=ref) -> pa.Table:
-            pks, isp = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
-            pos, hit = _sorted_probe(pks, b["l_partkey"].to_numpy(zero_copy_only=False))
-            u = units_of(b)
-            pu = u[hit & isp[pos]]
-            return pa.table(
-                {
-                    "p": pa.array([int(pu.sum())], pa.int64()),
-                    "t": pa.array([int(u[hit].sum())], pa.int64()),
-                }
-            )
-
-        parts = li.map_batches(partial, batch_format="pyarrow", batch_size=131072)
-    else:
-        li2 = li.map_batches(
-            lambda b: pa.table(
-                {"pkey": b["l_partkey"], "units": pa.array(units_of(b), pa.int64())}
-            ),
-            batch_format="pyarrow",
+        promo = pc.fill_null(pc.equal(b["p_type"], "PROMO"), False).to_numpy(
+            zero_copy_only=False
         )
-        pm = ray.data.read_parquet(part_path, columns=["p_partkey", "p_type"]).map_batches(
-            lambda b: pa.table(
-                {
-                    "pkey": b["p_partkey"],
-                    "promo": pc.cast(pc.equal(b["p_type"], "PROMO"), pa.int64()),
-                }
-            ),
-            batch_format="pyarrow",
+        return pa.table(
+            {
+                "p": pa.array([int(u[promo].sum())], pa.int64()),
+                "t": pa.array([int(u.sum())], pa.int64()),
+            }
         )
-        j = hash_join(li2, pm, on="pkey")
 
-        def partial(b: pa.Table) -> pa.Table:
-            u = b["units"].to_numpy(zero_copy_only=False)
-            f = b["promo"].to_numpy(zero_copy_only=False)
-            return pa.table(
-                {
-                    "p": pa.array([int((u * f).sum())], pa.int64()),
-                    "t": pa.array([int(u.sum())], pa.int64()),
-                }
-            )
-
-        parts = j.map_batches(partial, batch_format="pyarrow", batch_size=131072)
-
-    pt_tbl = _collect_table(parts)
+    pt_tbl = _collect_table(
+        lookup_join(li, part, on="l_partkey", right_on="p_partkey").map_batches(
+            partial, batch_format="pyarrow", batch_size=131072
+        )
+    )
     p = int(pc.sum(pt_tbl["p"]).as_py() or 0)
     t = int(pc.sum(pt_tbl["t"]).as_py() or 0)
     val = sql_round(100.0 * p / t, 6) if t else None
@@ -894,32 +702,21 @@ GROUP BY 1, 2, 3
 """)
 def q16_supplier_cnt(sf_dir: str):
     """TPC-H q16 shape: COUNT(DISTINCT supplier) per part group, with a
-    NOT-IN supplier anti-join. Plan: the part-supplier relation is distinct
-    (partkey, suppkey) pairs from lineitem — ONE packed-u64 count_by_u64;
-    excluded suppliers (tiny dim subset) broadcast as an np.isin mask;
-    group labels are discovered DISTRIBUTEDLY (per-batch distinct triple
-    combiner -> tiny driver set, <= brands x types x sizes rows), parts map
-    to a dense gid (sorted-array broadcast under the size guard, hash_join
-    above); distinct (gid, suppkey) and the final per-gid counts are two
-    more packed count_by_u64 passes — no shuffle ever carries strings."""
-    import ray
+    NOT-IN supplier anti-join. Plan: lineitem minus the excluded suppliers
+    (anti lookup_join) reduces to distinct (partkey, suppkey) pairs — ONE
+    packed-u64 count_by_u64; group labels are discovered DISTRIBUTEDLY
+    (per-batch distinct triple combiner -> tiny driver set, <= brands x
+    types x sizes rows); the qualifying parts attach by lookup_join and
+    the dense gid is computed on the joined batches; distinct (gid,
+    suppkey) and the final per-gid counts are two more packed count_by_u64
+    passes — no shuffle ever carries strings."""
     import ray.data
-
-    # excluded suppliers: tiny dim subset -> driver np array
-    supp = _read(sf_dir, "supplier", ["s_suppkey", "s_acctbal"]).map_batches(
-        lambda b: b.filter(pc.less(b["s_acctbal"], _Q16_SUPP_BAL)).select(["s_suppkey"]),
-        batch_format="pyarrow",
-    )
-    excl = np.unique(_collect_table(supp)["s_suppkey"].to_numpy(zero_copy_only=False))
 
     pfilter = (pads.field("p_brand") != "Brand#1") & (
         pads.field("p_size").isin(list(_Q16_SIZES))
     )
-    parts = ray.data.read_parquet(
-        _p(sf_dir, "part"),
-        columns=["p_partkey", "p_brand", "p_type", "p_size"],
-        filter=pfilter,
-    )
+    pcols = ["p_partkey", "p_brand", "p_type", "p_size"]
+    parts = ray.data.read_parquet(_p(sf_dir, "part"), columns=pcols, filter=pfilter)
 
     def _codes(b: pa.Table) -> pa.Array:
         return pc.binary_join_element_wise(
@@ -944,82 +741,43 @@ def q16_supplier_cnt(sf_dir: str):
         )
 
     # distinct (partkey, suppkey) pairs, excluded suppliers dropped
-    def pairs_pre(b: pa.Table, excl=excl) -> pa.Table:
+    excl = read_dim(
+        _p(sf_dir, "supplier"), ["s_suppkey"],
+        filter=pads.field("s_acctbal") < _Q16_SUPP_BAL,
+    )
+
+    def pack_pairs(b: pa.Table) -> pa.Table:
         pk = b["l_partkey"].to_numpy(zero_copy_only=False).astype(np.uint64)
         sk = b["l_suppkey"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        keep = ~np.isin(sk.astype(np.int64), excl)
-        return pa.table(
-            {"key": pa.array((pk[keep] << np.uint64(32)) | sk[keep], pa.uint64())}
-        )
+        return pa.table({"key": pa.array((pk << np.uint64(32)) | sk, pa.uint64())})
 
     li = _read(sf_dir, "lineitem", ["l_partkey", "l_suppkey"])
     pairs = count_by_u64(
-        li.map_batches(pairs_pre, batch_format="pyarrow", batch_size=131072), "key"
+        lookup_join(li, excl, on="l_suppkey", right_on="s_suppkey", how="anti")
+        .map_batches(pack_pairs, batch_format="pyarrow", batch_size=131072),
+        "key",
+    )
+    unpacked = pairs.map_batches(
+        lambda b: pa.table(
+            {
+                "pkey": pc.cast(pc.shift_right(b["key"], 32), pa.int64()),
+                "skey": pc.cast(pc.bit_wise_and(b["key"], 0xFFFFFFFF), pa.uint64()),
+            }
+        ),
+        batch_format="pyarrow",
     )
 
-    part_path = _p(sf_dir, "part")
-    if os.path.getsize(part_path) < _Q10_BROADCAST_MAX_BYTES:
-        pt = pq.read_table(part_path, columns=["p_partkey", "p_brand", "p_type", "p_size"])
-        pt = pt.filter(
-            pc.and_(
-                pc.not_equal(pt["p_brand"], "Brand#1"),
-                pc.is_in(pt["p_size"], value_set=pa.array(list(_Q16_SIZES), pa.int32())),
-            )
-        )
-        pk = pt["p_partkey"].to_numpy(zero_copy_only=False)
-        gid = np.searchsorted(gset, _codes(pt).to_numpy(zero_copy_only=False))
-        order = np.argsort(pk, kind="stable")
-        ref = ray.put((pk[order], gid[order]))
-
-        def attach(b: pa.Table, ref=ref) -> pa.Table:
-            pks, gids = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
-            key = b["key"].to_numpy(zero_copy_only=False)
-            pkey = (key >> np.uint64(32)).astype(np.int64)
-            skey = (key & np.uint64(0xFFFFFFFF)).astype(np.uint64)
-            pos, hit = _sorted_probe(pks, pkey)
-            g = gids[pos][hit].astype(np.uint64)
-            return pa.table(
-                {"key": pa.array((g << np.uint64(32)) | skey[hit], pa.uint64())}
-            )
-
-        gs_pairs = pairs.map_batches(attach, batch_format="pyarrow", batch_size=131072)
-    else:
-        unpacked = pairs.map_batches(
-            lambda b: pa.table(
-                {
-                    "pkey": pc.cast(
-                        pc.shift_right(b["key"], 32), pa.int64()
-                    ),
-                    "skey": pc.cast(
-                        pc.bit_wise_and(b["key"], 0xFFFFFFFF), pa.int64()
-                    ),
-                }
-            ),
-            batch_format="pyarrow",
+    def gid_pairs(b: pa.Table, gset=gset) -> pa.Table:
+        gid = np.searchsorted(gset, _codes(b).to_numpy(zero_copy_only=False))
+        skey = b["skey"].to_numpy(zero_copy_only=False)
+        return pa.table(
+            {"key": pa.array((gid.astype(np.uint64) << np.uint64(32)) | skey, pa.uint64())}
         )
 
-        def gid_map(b: pa.Table, gset=gset) -> pa.Table:
-            gid = np.searchsorted(gset, _codes(b).to_numpy(zero_copy_only=False))
-            return pa.table(
-                {"pkey": b["p_partkey"], "gid": pa.array(gid.astype(np.int64), pa.int64())}
-            )
-
-        pm = parts.map_batches(gid_map, batch_format="pyarrow")
-        gs_pairs = hash_join(unpacked, pm, on="pkey").map_batches(
-            lambda b: pa.table(
-                {
-                    "key": pa.array(
-                        (
-                            b["gid"].to_numpy(zero_copy_only=False).astype(np.uint64)
-                            << np.uint64(32)
-                        )
-                        | b["skey"].to_numpy(zero_copy_only=False).astype(np.uint64),
-                        pa.uint64(),
-                    )
-                }
-            ),
-            batch_format="pyarrow",
-        )
+    part = read_dim(_p(sf_dir, "part"), pcols, filter=pfilter)
+    gs_pairs = lookup_join(unpacked, part, on="pkey", right_on="p_partkey").map_batches(
+        gid_pairs, batch_format="pyarrow", batch_size=131072
+    )
 
     # distinct (gid, suppkey) -> per-gid count; result <= #groups rows
     gs_distinct = count_by_u64(gs_pairs, "key").map_batches(
@@ -1059,123 +817,62 @@ WHERE CAST(ROUND(l.l_quantity * 100.0) AS BIGINT) * 5 * ag.cnt < ag.s100
 """)
 def q17_small_qty_revenue(sf_dir: str):
     """TPC-H q17 shape: join against a per-group AVERAGE threshold
-    (correlated-subquery flattening). Plan: qualifying partkeys (one brand,
-    dim side) broadcast sorted; pass 1 computes per-part (sum_qty, count)
-    in ONE packed sum_by_u64 (qty100 << 21 | 1 — exact while a part has
-    < 2^21 lineitems); the threshold re-attaches adaptively on pass 2 and
-    the avg comparison is pure integers (qty*5*cnt < sum — no division);
-    revenue in 10^-4 units, one-row result."""
-    import ray
-
-    # qualifying partkeys (one brand, ~1/25 of the dim): distributed filter,
-    # only the surviving key set crosses to the driver
-    pk_ds = _read(sf_dir, "part", ["p_partkey", "p_brand"]).map_batches(
-        lambda b: b.filter(pc.equal(b["p_brand"], _Q17_BRAND)).select(["p_partkey"]),
-        batch_format="pyarrow",
+    (correlated-subquery flattening). Plan: the qualifying partkeys (one
+    brand, dim side) semi-filter lineitem; pass 1 computes per-part
+    (sum_qty, count) in ONE packed sum_by_u64 (qty100 << 21 | 1 — exact
+    while a part has < 2^21 lineitems); the per-part stats re-attach by
+    lookup_join on pass 2 and the avg comparison is pure integers
+    (qty*5*cnt < sum — no division); revenue in 10^-4 units, one-row
+    result."""
+    brand = read_dim(
+        _p(sf_dir, "part"), ["p_partkey"], filter=pads.field("p_brand") == _Q17_BRAND
     )
-    pkeys = np.sort(_collect_table(pk_ds)["p_partkey"].to_numpy(zero_copy_only=False))
-    pref = ray.put(pkeys)
 
-    def qty_pre(b: pa.Table, pref=pref) -> pa.Table:
-        pks = ray.get(pref) if isinstance(pref, ray.ObjectRef) else pref
-        pk = b["l_partkey"].to_numpy(zero_copy_only=False)
-        pos, hit = _sorted_probe(pks, pk)
+    def qty_pre(b: pa.Table) -> pa.Table:
         q100 = sql_round_np(
-            b["l_quantity"].to_numpy(zero_copy_only=False)[hit] * 100.0, 0
+            b["l_quantity"].to_numpy(zero_copy_only=False) * 100.0, 0
         ).astype(np.int64)
         return pa.table(
             {
-                "key": pa.array(pk[hit].astype(np.uint64), pa.uint64()),
+                "key": pc.cast(b["l_partkey"], pa.uint64()),
                 "v": pa.array((q100 << 21) | 1, pa.int64()),
             }
         )
 
     li = _read(sf_dir, "lineitem", ["l_partkey", "l_quantity"])
     agg = sum_by_u64(
-        li.map_batches(qty_pre, batch_format="pyarrow", batch_size=131072), "key", "v"
+        lookup_join(li, brand, on="l_partkey", right_on="p_partkey", how="semi")
+        .map_batches(qty_pre, batch_format="pyarrow", batch_size=131072),
+        "key", "v",
+    )
+    stats = agg.map_batches(
+        lambda b: pa.table({"pkey": pc.cast(b["key"], pa.int64()), "v": b["cnt"]}),
+        batch_format="pyarrow",
     )
 
-    # the per-part stat table has <= |qualifying parts| rows — broadcastable
-    # exactly when the part dim itself is (same guard as the other adaptive
-    # joins); above the guard it re-attaches via the distributed hash join
-    if os.path.getsize(_p(sf_dir, "part")) < _Q10_BROADCAST_MAX_BYTES:
-        at = _collect_table(agg)
-        ak = at["key"].to_numpy(zero_copy_only=False).astype(np.int64)
-        av = at["cnt"].to_numpy(zero_copy_only=False)
-        order = np.argsort(ak, kind="stable")
-        sref = ray.put((ak[order], av[order]))
-
-        def partial(b: pa.Table, sref=sref) -> pa.Table:
-            aks, avs = ray.get(sref) if isinstance(sref, ray.ObjectRef) else sref
-            pk = b["l_partkey"].to_numpy(zero_copy_only=False)
-            pos, hit = _sorted_probe(aks, pk)
-            v = avs[pos]
-            s100, cnt = v >> 21, v & ((1 << 21) - 1)
-            q100 = sql_round_np(
-                b["l_quantity"].to_numpy(zero_copy_only=False) * 100.0, 0
-            ).astype(np.int64)
-            u = sql_round_np(
-                b["l_extendedprice"].to_numpy(zero_copy_only=False) * 10000.0, 0
-            ).astype(np.int64)
-            keep = hit & (q100 * 5 * cnt < s100)
-            return pa.table(
-                {
-                    "u": pa.array([int(u[keep].sum())], pa.int64()),
-                    "n": pa.array([int(keep.sum())], pa.int64()),
-                }
-            )
-
-        parts = _read(
-            sf_dir, "lineitem", ["l_partkey", "l_quantity", "l_extendedprice"]
-        ).map_batches(partial, batch_format="pyarrow", batch_size=131072)
-    else:
-        li2 = _read(
-            sf_dir, "lineitem", ["l_partkey", "l_quantity", "l_extendedprice"]
-        ).map_batches(
-            lambda b: pa.table(
-                {
-                    "pkey": b["l_partkey"],
-                    "q100": pa.array(
-                        sql_round_np(
-                            b["l_quantity"].to_numpy(zero_copy_only=False) * 100.0, 0
-                        ).astype(np.int64),
-                        pa.int64(),
-                    ),
-                    "u": pa.array(
-                        sql_round_np(
-                            b["l_extendedprice"].to_numpy(zero_copy_only=False) * 10000.0,
-                            0,
-                        ).astype(np.int64),
-                        pa.int64(),
-                    ),
-                }
-            ),
-            batch_format="pyarrow",
+    def partial(b: pa.Table) -> pa.Table:
+        v = b["v"].to_numpy(zero_copy_only=False)
+        s100, cnt = v >> 21, v & ((1 << 21) - 1)
+        q100 = sql_round_np(
+            b["l_quantity"].to_numpy(zero_copy_only=False) * 100.0, 0
+        ).astype(np.int64)
+        u = sql_round_np(
+            b["l_extendedprice"].to_numpy(zero_copy_only=False) * 10000.0, 0
+        ).astype(np.int64)
+        keep = q100 * 5 * cnt < s100
+        return pa.table(
+            {
+                "u": pa.array([int(u[keep].sum())], pa.int64()),
+                "n": pa.array([int(keep.sum())], pa.int64()),
+            }
         )
-        am = agg.map_batches(
-            lambda b: pa.table(
-                {"pkey": pc.cast(b["key"], pa.int64()), "v": b["cnt"]}
-            ),
-            batch_format="pyarrow",
+
+    li2 = _read(sf_dir, "lineitem", ["l_partkey", "l_quantity", "l_extendedprice"])
+    t = _collect_table(
+        lookup_join(li2, stats, on="l_partkey", right_on="pkey").map_batches(
+            partial, batch_format="pyarrow", batch_size=131072
         )
-        j = hash_join(li2, am, on="pkey")
-
-        def partial(b: pa.Table) -> pa.Table:
-            v = b["v"].to_numpy(zero_copy_only=False)
-            s100, cnt = v >> 21, v & ((1 << 21) - 1)
-            q100 = b["q100"].to_numpy(zero_copy_only=False)
-            u = b["u"].to_numpy(zero_copy_only=False)
-            keep = q100 * 5 * cnt < s100
-            return pa.table(
-                {
-                    "u": pa.array([int(u[keep].sum())], pa.int64()),
-                    "n": pa.array([int(keep.sum())], pa.int64()),
-                }
-            )
-
-        parts = j.map_batches(partial, batch_format="pyarrow", batch_size=131072)
-
-    t = _collect_table(parts)
+    )
     u = int(pc.sum(t["u"]).as_py() or 0)
     n = int(pc.sum(t["n"]).as_py() or 0)
     return pa.table(
@@ -1207,10 +904,9 @@ def q2_min_cost_supplier(sf_dir: str):
     supplier offering the minimum price (price tie -> min suppkey). Plan:
     ONE packed agg.min_by_u64 pass (price_cents << 24 | suppkey, so the
     u64 minimum IS the lexicographic (price, suppkey) argmin — no window,
-    no second scan); supplier names attach from the tiny dim broadcast.
+    no second scan); supplier names attach by lookup_join.
     Bound: suppkey < 2^24, price < 2^39 cents — both hold by orders of
     magnitude at any TPC-H scale."""
-    import ray
 
     def pre(b: pa.Table) -> pa.Table:
         cents = sql_round_np(
@@ -1229,28 +925,23 @@ def q2_min_cost_supplier(sf_dir: str):
     li = _read(sf_dir, "lineitem", ["l_partkey", "l_suppkey", "l_extendedprice"])
     best = min_by_u64(li.map_batches(pre, batch_format="pyarrow", batch_size=131072), "key", "val")
 
-    st = _collect_table(_read(sf_dir, "supplier", ["s_suppkey", "s_name"]))
-    sk = st["s_suppkey"].to_numpy(zero_copy_only=False)
-    order = np.argsort(sk, kind="stable")
-    names = np.asarray(st["s_name"].to_pylist())[order]
-    ref = ray.put((sk[order], names))
-
-    def finish(b: pa.Table, ref=ref) -> pa.Table:
-        sks, nms = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
+    def unpack(b: pa.Table) -> pa.Table:
         v = b["val"].to_numpy(zero_copy_only=False)
-        supp = (v & np.uint64((1 << _Q2_SUPP_BITS) - 1)).astype(np.int64)
         cents = (v >> np.uint64(_Q2_SUPP_BITS)).astype(np.int64)
-        pos, hit = _sorted_probe(sks, supp)
         return pa.table(
             {
                 "p_partkey": pc.cast(b["key"], pa.int64()),
-                "s_suppkey": pa.array(supp, pa.int64()),
+                "s_suppkey": pa.array(
+                    (v & np.uint64((1 << _Q2_SUPP_BITS) - 1)).astype(np.int64), pa.int64()
+                ),
                 "min_price": pa.array(sql_round_np(cents / 100.0, 2), pa.float64()),
-                "s_name": pa.array(np.where(hit, nms[pos], None)),
             }
         )
 
-    return best.map_batches(finish, batch_format="pyarrow")
+    supp = read_dim(_p(sf_dir, "supplier"), ["s_suppkey", "s_name"])
+    return lookup_join(
+        best.map_batches(unpack, batch_format="pyarrow"), supp, on="s_suppkey"
+    )
 
 
 _Q7_NATIONS = ("NATION_3", "NATION_7")
@@ -1275,88 +966,73 @@ GROUP BY 1, 2, 3
 def q7_nation_volume(sf_dir: str):
     """TPC-H q7 shape: shipping volume between two nations, grouped by the
     directed (supp_nation, cust_nation) pair and ship year. Plan: the
-    supplier side prunes lineitem EARLY (tiny suppkey -> nationkey
-    broadcast, rows outside the two nations never reach the join); the
+    supplier side prunes lineitem EARLY (the two nations' suppliers attach
+    by lookup_join, rows outside them never reach the fact join); the
     orders fact attaches via the fully-distributed hash join (fact-fact —
-    never broadcast); customer nation attaches from the customer dim under
-    the adaptive size guard; final group is (2 x 2 x years) rows via a
-    per-batch combiner. Exact integer 10^-4 revenue units."""
-    import ray
+    never broadcast); the two nations' customers attach to orders the same
+    way; final group is (2 x 2 x years) rows via a per-batch combiner.
+    Exact integer 10^-4 revenue units."""
     import ray.data
     from ray.data.aggregate import Sum
 
-    # nation name -> key (tiny)
-    nt = _collect_table(_read(sf_dir, "nation", ["n_nationkey", "n_name"]))
+    # nation name -> key (25-row dimension)
+    nt = pq.read_table(_p(sf_dir, "nation"), columns=["n_nationkey", "n_name"])
     key_of = dict(zip(nt["n_name"].to_pylist(), nt["n_nationkey"].to_pylist()))
-    nk = {key_of[n] for n in _Q7_NATIONS if n in key_of}
+    nk = sorted(key_of[n] for n in _Q7_NATIONS if n in key_of)
     name_of = {key_of[n]: n for n in _Q7_NATIONS if n in key_of}
 
-    # supplier -> nation (tiny dim): sorted broadcast, two-nation mask
-    st = _collect_table(_read(sf_dir, "supplier", ["s_suppkey", "s_nationkey"]))
-    sk = st["s_suppkey"].to_numpy(zero_copy_only=False)
-    sn = st["s_nationkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-    order = np.argsort(sk, kind="stable")
-    sref = ray.put((sk[order], sn[order]))
+    supp = read_dim(
+        _p(sf_dir, "supplier"), ["s_suppkey", "s_nationkey"],
+        filter=pads.field("s_nationkey").isin(nk),
+    )
 
-    def li_pre(b: pa.Table, sref=sref) -> pa.Table:
-        sks, sns = ray.get(sref) if isinstance(sref, ray.ObjectRef) else sref
-        pos, hit = _sorted_probe(sks, b["l_suppkey"].to_numpy(zero_copy_only=False))
-        nat = sns[pos]
-        keep = hit & np.isin(nat, list(nk))
+    def li_pre(b: pa.Table) -> pa.Table:
         units = sql_round_np(
-            b["l_extendedprice"].to_numpy(zero_copy_only=False)[keep]
-            * (1.0 - b["l_discount"].to_numpy(zero_copy_only=False)[keep])
+            b["l_extendedprice"].to_numpy(zero_copy_only=False)
+            * (1.0 - b["l_discount"].to_numpy(zero_copy_only=False))
             * 10000.0,
             0,
         ).astype(np.int64)
         yr = (
-            b["l_shipdate"].to_numpy(zero_copy_only=False)[keep]
+            b["l_shipdate"].to_numpy(zero_copy_only=False)
             .astype("datetime64[Y]")
             .astype(np.int64)
             + 1970
         )
         return pa.table(
             {
-                "okey": pa.array(
-                    b["l_orderkey"].to_numpy(zero_copy_only=False)[keep], pa.int64()
-                ),
-                "supp_nk": pa.array(nat[keep], pa.int64()),
+                "okey": pc.cast(b["l_orderkey"], pa.int64()),
+                "supp_nk": pc.cast(b["s_nationkey"], pa.int64()),
                 "l_year": pa.array(yr, pa.int64()),
                 "units": pa.array(units, pa.int64()),
             }
         )
 
-    li = ray.data.read_parquet(
-        _p(sf_dir, "lineitem"),
-        columns=["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount", "l_shipdate"],
-        filter=(pads.field("l_shipdate") >= datetime(1996, 1, 1))
-        & (pads.field("l_shipdate") < datetime(1998, 1, 1)),
+    li = lookup_join(
+        ray.data.read_parquet(
+            _p(sf_dir, "lineitem"),
+            columns=["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount", "l_shipdate"],
+            filter=(pads.field("l_shipdate") >= datetime(1996, 1, 1))
+            & (pads.field("l_shipdate") < datetime(1998, 1, 1)),
+        ),
+        supp, on="l_suppkey", right_on="s_suppkey",
     ).map_batches(li_pre, batch_format="pyarrow", batch_size=131072)
 
-    # customer -> nation, restricted to the two nations (dim under guard)
-    cust_path = _p(sf_dir, "customer")
-    ct = pq.read_table(cust_path, columns=["c_custkey", "c_nationkey"])
-    ck = ct["c_custkey"].to_numpy(zero_copy_only=False)
-    cn = ct["c_nationkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-    corder = np.argsort(ck, kind="stable")
-    cref = ray.put((ck[corder], cn[corder]))
-
-    def orders_pre(b: pa.Table, cref=cref) -> pa.Table:
-        cks, cns = ray.get(cref) if isinstance(cref, ray.ObjectRef) else cref
-        pos, hit = _sorted_probe(cks, b["o_custkey"].to_numpy(zero_copy_only=False))
-        nat = cns[pos]
-        keep = hit & np.isin(nat, list(nk))
-        return pa.table(
+    cust = read_dim(
+        _p(sf_dir, "customer"), ["c_custkey", "c_nationkey"],
+        filter=pads.field("c_nationkey").isin(nk),
+    )
+    orders = lookup_join(
+        _read(sf_dir, "orders", ["o_orderkey", "o_custkey"]),
+        cust, on="o_custkey", right_on="c_custkey",
+    ).map_batches(
+        lambda b: pa.table(
             {
-                "okey": pa.array(
-                    b["o_orderkey"].to_numpy(zero_copy_only=False)[keep], pa.int64()
-                ),
-                "cust_nk": pa.array(nat[keep], pa.int64()),
+                "okey": pc.cast(b["o_orderkey"], pa.int64()),
+                "cust_nk": pc.cast(b["c_nationkey"], pa.int64()),
             }
-        )
-
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"]).map_batches(
-        orders_pre, batch_format="pyarrow", batch_size=131072
+        ),
+        batch_format="pyarrow",
     )
     j = hash_join(li, orders, on="okey")
 
@@ -1416,8 +1092,7 @@ def q15_top_supplier(sf_dir: str):
     is the point of the shape). Plan: per-supplier exact revenue units via
     ONE sum_by_u64; the global max is a per-batch combiner over that small
     table (never collected whole); a second pass filters equality. Output
-    joins the tiny supplier dim for names."""
-    import ray
+    joins the supplier dim for names by lookup_join."""
     import ray.data
 
     def pre(b: pa.Table) -> pa.Table:
@@ -1457,21 +1132,11 @@ def q15_top_supplier(sf_dir: str):
     )
     mx = int(pc.max(mx_parts["m"]).as_py())
 
-    st = _collect_table(_read(sf_dir, "supplier", ["s_suppkey", "s_name"]))
-    sk = st["s_suppkey"].to_numpy(zero_copy_only=False)
-    order = np.argsort(sk, kind="stable")
-    names = np.asarray(st["s_name"].to_pylist())[order]
-    ref = ray.put((sk[order], names))
-
-    def winners(b: pa.Table, ref=ref, mx=mx) -> pa.Table:
-        sks, nms = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
+    def winners(b: pa.Table, mx=mx) -> pa.Table:
         keep = b.filter(pc.equal(b["cnt"], mx))
-        supp = keep["key"].to_numpy(zero_copy_only=False).astype(np.int64)
-        pos, hit = _sorted_probe(sks, supp)
         return pa.table(
             {
-                "s_suppkey": pa.array(supp, pa.int64()),
-                "s_name": pa.array(np.where(hit, nms[pos], None)),
+                "s_suppkey": pc.cast(keep["key"], pa.int64()),
                 "total_revenue": pa.array(
                     sql_round_np(
                         keep["cnt"].to_numpy(zero_copy_only=False) / 10000.0, 2
@@ -1481,7 +1146,10 @@ def q15_top_supplier(sf_dir: str):
             }
         )
 
-    return rev.map_batches(winners, batch_format="pyarrow")
+    supp = read_dim(_p(sf_dir, "supplier"), ["s_suppkey", "s_name"])
+    return lookup_join(
+        rev.map_batches(winners, batch_format="pyarrow"), supp, on="s_suppkey"
+    )
 
 
 _Q19_BRACKETS = (
@@ -1503,10 +1171,10 @@ WHERE (p_brand = 'Brand#12' AND l_quantity BETWEEN 1 AND 11 AND p_size BETWEEN 1
 def q19_disjunctive_revenue(sf_dir: str):
     """TPC-H q19 shape: revenue under a DISJUNCTION of multi-table
     predicate brackets (brand x quantity-range x size-range). The common
-    envelope (quantity <= max bracket) rides the read; part attrs reduce to
-    (brand_num, size) ints and attach adaptively; the OR-of-ANDs mask is
-    one vectorized expression; exact integer units, one-row result."""
-    import ray
+    envelope (quantity <= max bracket) rides the read; part attrs attach by
+    lookup_join and reduce to (brand_num, size) ints on the joined batches;
+    the OR-of-ANDs mask is one vectorized expression; exact integer units,
+    one-row result."""
     import ray.data
 
     qmax = float(max(hi for _, _, hi, _, _ in _Q19_BRACKETS))
@@ -1515,94 +1183,41 @@ def q19_disjunctive_revenue(sf_dir: str):
         columns=["l_partkey", "l_quantity", "l_extendedprice", "l_discount"],
         filter=pads.field("l_quantity") <= qmax,
     )
+    part = read_dim(_p(sf_dir, "part"), ["p_partkey", "p_brand", "p_size"])
 
-    def mask_of(bn: np.ndarray, size: np.ndarray, qty: np.ndarray) -> np.ndarray:
-        m = np.zeros(len(bn), dtype=bool)
+    def partial(b: pa.Table) -> pa.Table:
+        bn = pc.cast(pc.utf8_slice_codeunits(b["p_brand"], 6, 99), pa.int64()).to_numpy(
+            zero_copy_only=False
+        )
+        size = b["p_size"].to_numpy(zero_copy_only=False).astype(np.int64)
+        qty = b["l_quantity"].to_numpy(zero_copy_only=False)
+        keep = np.zeros(b.num_rows, dtype=bool)
         for brand, qlo, qhi, slo, shi in _Q19_BRACKETS:
-            m |= (
+            keep |= (
                 (bn == brand)
                 & (qty >= qlo)
                 & (qty <= qhi)
                 & (size >= slo)
                 & (size <= shi)
             )
-        return m
-
-    def units_of(b: pa.Table) -> np.ndarray:
-        return sql_round_np(
+        u = sql_round_np(
             b["l_extendedprice"].to_numpy(zero_copy_only=False)
             * (1.0 - b["l_discount"].to_numpy(zero_copy_only=False))
             * 10000.0,
             0,
-        ).astype(np.int64)
-
-    part_path = _p(sf_dir, "part")
-    if os.path.getsize(part_path) < _Q10_BROADCAST_MAX_BYTES:
-        pt = pq.read_table(part_path, columns=["p_partkey", "p_brand", "p_size"])
-        pk = pt["p_partkey"].to_numpy(zero_copy_only=False)
-        bn = pc.cast(pc.utf8_slice_codeunits(pt["p_brand"], 6, 99), pa.int64()).to_numpy(
-            zero_copy_only=False
+        ).astype(np.int64)[keep]
+        return pa.table(
+            {
+                "u": pa.array([int(u.sum())], pa.int64()),
+                "n": pa.array([int(keep.sum())], pa.int64()),
+            }
         )
-        sz = pt["p_size"].to_numpy(zero_copy_only=False).astype(np.int64)
-        order = np.argsort(pk, kind="stable")
-        ref = ray.put((pk[order], bn[order], sz[order]))
 
-        def partial(b: pa.Table, ref=ref) -> pa.Table:
-            pks, bns, szs = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
-            pos, hit = _sorted_probe(pks, b["l_partkey"].to_numpy(zero_copy_only=False))
-            qty = b["l_quantity"].to_numpy(zero_copy_only=False)
-            keep = hit & mask_of(bns[pos], szs[pos], qty)
-            u = units_of(b)[keep]
-            return pa.table(
-                {
-                    "u": pa.array([int(u.sum())], pa.int64()),
-                    "n": pa.array([int(keep.sum())], pa.int64()),
-                }
-            )
-
-        parts = li.map_batches(partial, batch_format="pyarrow", batch_size=131072)
-    else:
-        li2 = li.map_batches(
-            lambda b: pa.table(
-                {
-                    "pkey": b["l_partkey"],
-                    "qty": b["l_quantity"],
-                    "units": pa.array(units_of(b), pa.int64()),
-                }
-            ),
-            batch_format="pyarrow",
+    t = _collect_table(
+        lookup_join(li, part, on="l_partkey", right_on="p_partkey").map_batches(
+            partial, batch_format="pyarrow", batch_size=131072
         )
-        pm = ray.data.read_parquet(
-            part_path, columns=["p_partkey", "p_brand", "p_size"]
-        ).map_batches(
-            lambda b: pa.table(
-                {
-                    "pkey": b["p_partkey"],
-                    "bn": pc.cast(pc.utf8_slice_codeunits(b["p_brand"], 6, 99), pa.int64()),
-                    "sz": pc.cast(b["p_size"], pa.int64()),
-                }
-            ),
-            batch_format="pyarrow",
-        )
-        j = hash_join(li2, pm, on="pkey")
-
-        def partial(b: pa.Table) -> pa.Table:
-            keep = mask_of(
-                b["bn"].to_numpy(zero_copy_only=False),
-                b["sz"].to_numpy(zero_copy_only=False),
-                b["qty"].to_numpy(zero_copy_only=False),
-            )
-            u = b["units"].to_numpy(zero_copy_only=False)[keep]
-            return pa.table(
-                {
-                    "u": pa.array([int(u.sum())], pa.int64()),
-                    "n": pa.array([int(keep.sum())], pa.int64()),
-                }
-            )
-
-        parts = j.map_batches(partial, batch_format="pyarrow", batch_size=131072)
-
-    t = _collect_table(parts)
+    )
     u = int(pc.sum(t["u"]).as_py() or 0)
     n = int(pc.sum(t["n"]).as_py() or 0)
     return pa.table(
@@ -1634,11 +1249,10 @@ def q22_idle_balance(sf_dir: str):
     threshold is two integers (sum, count of positive rounded cents) from a
     per-batch combiner; RECENT purchaser custkeys (idle = no order since
     the cutoff — every customer has ordered at least once in this corpus)
-    reduce distributedly to a distinct sorted array (broadcast, negated
-    np.isin probe — the cust_no_orders shape); the avg comparison is
+    reduce distributedly to a distinct key set that anti-filters customer
+    (lookup_join — the cust_no_orders shape); the avg comparison is
     integer cross-multiply (cents * n > sum), so both engines agree
     exactly."""
-    import ray
     import ray.data
 
     def cents_of(b: pa.Table) -> np.ndarray:
@@ -1674,17 +1288,15 @@ def q22_idle_balance(sf_dir: str):
             batch_format="pyarrow",
         ),
         "key",
+    ).map_batches(
+        lambda b: pa.table({"o_custkey": pc.cast(b["key"], pa.int64())}),
+        batch_format="pyarrow",
     )
-    pkeys = np.sort(
-        _collect_table(purch)["key"].to_numpy(zero_copy_only=False).astype(np.int64)
-    )
-    pref = ray.put(pkeys)
 
-    def partial(b: pa.Table, pref=pref, s=s, n=n) -> pa.Table:
-        pks = ray.get(pref) if isinstance(pref, ray.ObjectRef) else pref
+    def partial(b: pa.Table, s=s, n=n) -> pa.Table:
         ck = b["c_custkey"].to_numpy(zero_copy_only=False)
         c = cents_of(b)
-        keep = (c * n > s) & ~np.isin(ck, pks)
+        keep = c * n > s
         code = ck[keep] % 7
         cc = c[keep]
         u = np.unique(code)
@@ -1699,7 +1311,8 @@ def q22_idle_balance(sf_dir: str):
         )
 
     parts = _collect_table(
-        cust.map_batches(partial, batch_format="pyarrow", batch_size=131072)
+        lookup_join(cust, purch, on="c_custkey", right_on="o_custkey", how="anti")
+        .map_batches(partial, batch_format="pyarrow", batch_size=131072)
     )
     code = parts["cntrycode"].to_numpy(zero_copy_only=False)
     order = np.argsort(code, kind="stable")
@@ -1804,57 +1417,40 @@ GROUP BY 1
 def q8_market_share(sf_dir: str):
     """TPC-H q8 shape: national market share — the share of one nation's
     suppliers in a region's market for one part type, by order year. Plan:
-    both dims reduce to sorted broadcasts (part -> is-type bit set,
-    supplier -> nationkey), the region's customer set prunes orders BEFORE
+    the part type semi-filters lineitem and the supplier nation attaches
+    (both lookup_join), the region's customers semi-filter orders BEFORE
     the fact-fact hash join on orderkey, and the share is a conditional /
     total ratio of exact 10^-4 integer units with ONE float division per
     year (identical IEEE ops to the SQL)."""
-    import ray
     import ray.data
     from ray.data.aggregate import Sum
 
     nt = pq.read_table(_p(sf_dir, "nation"), columns=["n_nationkey", "n_name", "n_regionkey"])
     rt = pq.read_table(_p(sf_dir, "region"), columns=["r_regionkey", "r_name"])
     region_key = rt["r_regionkey"].to_pylist()[rt["r_name"].to_pylist().index(_Q8_REGION)]
-    region_nations = {
+    region_nations = sorted(
         k
         for k, r in zip(nt["n_nationkey"].to_pylist(), nt["n_regionkey"].to_pylist())
         if r == region_key
-    }
+    )
     nation_key = nt["n_nationkey"].to_pylist()[nt["n_name"].to_pylist().index(_Q8_NATION)]
 
-    # part dim -> sorted partkey set of the target type (broadcast)
-    pt = pq.read_table(_p(sf_dir, "part"), columns=["p_partkey", "p_type"])
-    pks = np.sort(
-        pt.filter(pc.equal(pt["p_type"], _Q8_TYPE))["p_partkey"].to_numpy(
-            zero_copy_only=False
-        )
-    )
-    # supplier dim -> sorted suppkey -> nationkey (broadcast)
-    st = pq.read_table(_p(sf_dir, "supplier"), columns=["s_suppkey", "s_nationkey"])
-    sk = st["s_suppkey"].to_numpy(zero_copy_only=False)
-    sn = st["s_nationkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-    sorder = np.argsort(sk, kind="stable")
-    bref = ray.put((pks, sk[sorder], sn[sorder]))
+    part = read_dim(_p(sf_dir, "part"), ["p_partkey"], filter=pads.field("p_type") == _Q8_TYPE)
+    supp = read_dim(_p(sf_dir, "supplier"), ["s_suppkey", "s_nationkey"])
 
-    def li_pre(b: pa.Table, bref=bref) -> pa.Table:
-        pks, sks, sns = ray.get(bref) if isinstance(bref, ray.ObjectRef) else bref
-        pk = b["l_partkey"].to_numpy(zero_copy_only=False)
-        _, keep = _sorted_probe(pks, pk)
-        spos, shit = _sorted_probe(sks, b["l_suppkey"].to_numpy(zero_copy_only=False))
-        keep &= shit
+    def li_pre(b: pa.Table) -> pa.Table:
         units = sql_round_np(
-            b["l_extendedprice"].to_numpy(zero_copy_only=False)[keep]
-            * (1.0 - b["l_discount"].to_numpy(zero_copy_only=False)[keep])
+            b["l_extendedprice"].to_numpy(zero_copy_only=False)
+            * (1.0 - b["l_discount"].to_numpy(zero_copy_only=False))
             * 10000.0,
             0,
         ).astype(np.int64)
-        is_nat = (sns[spos][keep] == nation_key).astype(np.int64)
+        is_nat = (
+            b["s_nationkey"].to_numpy(zero_copy_only=False) == nation_key
+        ).astype(np.int64)
         return pa.table(
             {
-                "okey": pa.array(
-                    b["l_orderkey"].to_numpy(zero_copy_only=False)[keep], pa.int64()
-                ),
+                "okey": pc.cast(b["l_orderkey"], pa.int64()),
                 "units": pa.array(units, pa.int64()),
                 "nat_units": pa.array(units * is_nat, pa.int64()),
             }
@@ -1862,39 +1458,40 @@ def q8_market_share(sf_dir: str):
 
     li = _read(
         sf_dir, "lineitem", ["l_orderkey", "l_partkey", "l_suppkey", "l_extendedprice", "l_discount"]
+    )
+    li = lookup_join(
+        lookup_join(li, part, on="l_partkey", right_on="p_partkey", how="semi"),
+        supp, on="l_suppkey", right_on="s_suppkey",
     ).map_batches(li_pre, batch_format="pyarrow", batch_size=131072)
 
-    # orders in the window, customers in the region (customer dim broadcast)
-    ct = pq.read_table(_p(sf_dir, "customer"), columns=["c_custkey", "c_nationkey"])
-    ck = ct["c_custkey"].to_numpy(zero_copy_only=False)
-    cn = ct["c_nationkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-    corder = np.argsort(ck, kind="stable")
-    cref = ray.put((ck[corder], cn[corder]))
+    # orders in the window, customers in the region
+    cust = read_dim(
+        _p(sf_dir, "customer"), ["c_custkey"],
+        filter=pads.field("c_nationkey").isin(region_nations),
+    )
 
-    def orders_pre(b: pa.Table, cref=cref) -> pa.Table:
-        cks, cns = ray.get(cref) if isinstance(cref, ray.ObjectRef) else cref
-        pos, hit = _sorted_probe(cks, b["o_custkey"].to_numpy(zero_copy_only=False))
-        keep = hit & np.isin(cns[pos], list(region_nations))
+    def orders_pre(b: pa.Table) -> pa.Table:
         yr = (
-            b["o_orderdate"].to_numpy(zero_copy_only=False)[keep]
+            b["o_orderdate"].to_numpy(zero_copy_only=False)
             .astype("datetime64[Y]")
             .astype(np.int64)
             + 1970
         )
         return pa.table(
             {
-                "okey": pa.array(
-                    b["o_orderkey"].to_numpy(zero_copy_only=False)[keep], pa.int64()
-                ),
+                "okey": pc.cast(b["o_orderkey"], pa.int64()),
                 "o_year": pa.array(yr, pa.int64()),
             }
         )
 
-    orders = ray.data.read_parquet(
-        _p(sf_dir, "orders"),
-        columns=["o_orderkey", "o_custkey", "o_orderdate"],
-        filter=(pads.field("o_orderdate") >= datetime(1995, 1, 1))
-        & (pads.field("o_orderdate") < datetime(1997, 1, 1)),
+    orders = lookup_join(
+        ray.data.read_parquet(
+            _p(sf_dir, "orders"),
+            columns=["o_orderkey", "o_custkey", "o_orderdate"],
+            filter=(pads.field("o_orderdate") >= datetime(1995, 1, 1))
+            & (pads.field("o_orderdate") < datetime(1997, 1, 1)),
+        ),
+        cust, on="o_custkey", right_on="c_custkey", how="semi",
     ).map_batches(orders_pre, batch_format="pyarrow", batch_size=131072)
 
     j = hash_join(li, orders, on="okey")
@@ -1943,57 +1540,49 @@ def q9_profit_proxy(sf_dir: str):
     """TPC-H q9 shape: product-type profit by supplier nation and year.
     The corpus has no partsupp, so supply cost is the deterministic proxy
     0.5 * p_retailprice * l_quantity (identical expression in the SQL) —
-    the PLAN is q9's: a substring-filtered part dim and the supplier dim
-    both attach as sorted broadcasts, profit is exact 10^-4 integer units,
-    and the final group is (nation x year) via a per-batch combiner."""
-    import ray
+    the PLAN is q9's: the substring-filtered part dim and the supplier dim
+    both attach by lookup_join, profit is exact 10^-4 integer units, and
+    the final group is (nation x year) via a per-batch combiner."""
     from ray.data.aggregate import Sum
 
-    pt = pq.read_table(_p(sf_dir, "part"), columns=["p_partkey", "p_name", "p_retailprice"])
-    m = pc.match_substring(pt["p_name"], _Q9_TOKEN)
-    pt = pt.filter(m)
-    pk = pt["p_partkey"].to_numpy(zero_copy_only=False)
-    price = pt["p_retailprice"].to_numpy(zero_copy_only=False)
-    porder = np.argsort(pk, kind="stable")
+    part = read_dim(
+        _p(sf_dir, "part"), ["p_partkey", "p_retailprice"],
+        filter=pc.match_substring(pads.field("p_name"), _Q9_TOKEN),
+    )
+    supp = read_dim(_p(sf_dir, "supplier"), ["s_suppkey", "s_nationkey"])
 
-    st = pq.read_table(_p(sf_dir, "supplier"), columns=["s_suppkey", "s_nationkey"])
-    sk = st["s_suppkey"].to_numpy(zero_copy_only=False)
-    sn = st["s_nationkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-    sorder = np.argsort(sk, kind="stable")
-    bref = ray.put((pk[porder], price[porder], sk[sorder], sn[sorder]))
-
-    def partial(b: pa.Table, bref=bref) -> pa.Table:
-        pks, prices, sks, sns = ray.get(bref) if isinstance(bref, ray.ObjectRef) else bref
-        ppos, phit = _sorted_probe(pks, b["l_partkey"].to_numpy(zero_copy_only=False))
-        spos, shit = _sorted_probe(sks, b["l_suppkey"].to_numpy(zero_copy_only=False))
-        keep = phit & shit
-        ext = b["l_extendedprice"].to_numpy(zero_copy_only=False)[keep]
-        disc = b["l_discount"].to_numpy(zero_copy_only=False)[keep]
-        qty = b["l_quantity"].to_numpy(zero_copy_only=False)[keep]
-        cost = prices[ppos][keep]
+    def partial(b: pa.Table) -> pa.Table:
+        ext = b["l_extendedprice"].to_numpy(zero_copy_only=False)
+        disc = b["l_discount"].to_numpy(zero_copy_only=False)
+        qty = b["l_quantity"].to_numpy(zero_copy_only=False)
+        cost = b["p_retailprice"].to_numpy(zero_copy_only=False)
         profit = sql_round_np(ext * (1.0 - disc) * 10000.0, 0).astype(
             np.int64
         ) - sql_round_np(0.5 * cost * qty * 10000.0, 0).astype(np.int64)
         yr = (
-            b["l_shipdate"].to_numpy(zero_copy_only=False)[keep]
+            b["l_shipdate"].to_numpy(zero_copy_only=False)
             .astype("datetime64[Y]")
             .astype(np.int64)
             + 1970
         )
         t = pa.table(
             {
-                "nk": pa.array(sns[spos][keep], pa.int64()),
+                "nk": pc.cast(b["s_nationkey"], pa.int64()),
                 "l_year": pa.array(yr, pa.int64()),
                 "profit_u": pa.array(profit, pa.int64()),
             }
         )
         return pa.TableGroupBy(t, ["nk", "l_year"]).aggregate([("profit_u", "sum")])
 
+    li = _read(
+        sf_dir,
+        "lineitem",
+        ["l_partkey", "l_suppkey", "l_quantity", "l_extendedprice", "l_discount", "l_shipdate"],
+    )
     agg = (
-        _read(
-            sf_dir,
-            "lineitem",
-            ["l_partkey", "l_suppkey", "l_quantity", "l_extendedprice", "l_discount", "l_shipdate"],
+        lookup_join(
+            lookup_join(li, part, on="l_partkey", right_on="p_partkey"),
+            supp, on="l_suppkey", right_on="s_suppkey",
         )
         .map_batches(partial, batch_format="pyarrow", batch_size=131072)
         .groupby(["nk", "l_year"])
@@ -2092,44 +1681,37 @@ def q20_excess_shippers(sf_dir: str):
     — here, suppliers whose shipped quantity of one brand's parts in one
     year exceeds the per-supplier average of that same aggregate (the
     partsupp availqty threshold re-expressed self-referentially). Plan:
-    brand partkeys broadcast as a sorted set, ONE combiner pass sums
-    integer centi-units per supplier, the scalar threshold is derived from
-    the collected per-supplier sums (tiny: |supplier| rows), and the name
-    join is a driver-side dim lookup."""
-    import ray
+    the brand's partkeys semi-filter lineitem (lookup_join), ONE combiner
+    pass sums integer centi-units per supplier, the scalar threshold is
+    derived from the collected per-supplier sums (tiny: |supplier| rows),
+    and the name join is a driver-side dim lookup."""
     import ray.data
     from ray.data.aggregate import Sum
 
-    pt = pq.read_table(_p(sf_dir, "part"), columns=["p_partkey", "p_brand"])
-    pks = np.sort(
-        pt.filter(pc.equal(pt["p_brand"], _Q20_BRAND))["p_partkey"].to_numpy(
-            zero_copy_only=False
-        )
+    part = read_dim(
+        _p(sf_dir, "part"), ["p_partkey"], filter=pads.field("p_brand") == _Q20_BRAND
     )
-    pref = ray.put(pks)
 
-    def pre(b: pa.Table, pref=pref) -> pa.Table:
-        pks = ray.get(pref) if isinstance(pref, ray.ObjectRef) else pref
-        pk = b["l_partkey"].to_numpy(zero_copy_only=False)
-        _, keep = _sorted_probe(pks, pk)
+    def pre(b: pa.Table) -> pa.Table:
         cq = sql_round_np(
-            b["l_quantity"].to_numpy(zero_copy_only=False)[keep] * 100.0, 0
+            b["l_quantity"].to_numpy(zero_copy_only=False) * 100.0, 0
         ).astype(np.int64)
         t = pa.table(
             {
-                "sk": pa.array(b["l_suppkey"].to_numpy(zero_copy_only=False)[keep], pa.int64()),
+                "sk": pc.cast(b["l_suppkey"], pa.int64()),
                 "cq": pa.array(cq, pa.int64()),
             }
         )
         return pa.TableGroupBy(t, ["sk"]).aggregate([("cq", "sum")])
 
+    li = ray.data.read_parquet(
+        _p(sf_dir, "lineitem"),
+        columns=["l_partkey", "l_suppkey", "l_quantity"],
+        filter=(pads.field("l_shipdate") >= datetime(_Q20_YEAR, 1, 1))
+        & (pads.field("l_shipdate") < datetime(_Q20_YEAR + 1, 1, 1)),
+    )
     agg = (
-        ray.data.read_parquet(
-            _p(sf_dir, "lineitem"),
-            columns=["l_partkey", "l_suppkey", "l_quantity"],
-            filter=(pads.field("l_shipdate") >= datetime(_Q20_YEAR, 1, 1))
-            & (pads.field("l_shipdate") < datetime(_Q20_YEAR + 1, 1, 1)),
-        )
+        lookup_join(li, part, on="l_partkey", right_on="p_partkey", how="semi")
         .map_batches(pre, batch_format="pyarrow", batch_size=131072)
         .groupby("sk")
         .aggregate(Sum("cq_sum", alias_name="cq"))

@@ -25,9 +25,9 @@ decomposes into operators this engine already has:
   6. everything else     -> noise (cluster NULL).
 
 Scale shape: the core set is O(points) on dense data, so core-membership
-filters go through stages/join.filter_semi / filter_not_in — broadcast
-searchsorted under their size guard, distributed marker anti/semi hash-join
-above it (the keep-list lesson from VERDICT r3 item 3 applied from day one).
+filters are semi/anti stages/join.lookup_join calls — broadcast
+searchsorted while the core set fits, distributed anti/semi hash join above
+it (the keep-list lesson from VERDICT r3 item 3 applied from day one).
 Cluster labels are component-minimum point ids: deterministic, and stable
 under any partitioning.
 """
@@ -40,7 +40,7 @@ import pyarrow as pa
 from core_ray.stages.agg import count_by_u64, min_by_u64
 from core_ray.stages.cc import connected_components
 from core_ray.stages.distband import distance_pairs
-from core_ray.stages.join import filter_not_in, filter_semi, hash_join
+from core_ray.stages.join import hash_join, lookup_join
 
 
 def dbscan(pts, eps: float, min_pts: int, id_col: str = "doc_id",
@@ -78,29 +78,19 @@ def dbscan_from_pairs(pts, pairs, min_pts: int, id_col: str = "doc_id"):
         return pa.table({"node": pa.array(k[c + 1 >= min_pts], pa.int64())})
 
     core = deg.map_batches(core_of, batch_format="pyarrow").materialize()
-    n_core = core.count()
     node_schema = pa.schema([("node", pa.int64())])
     pair_schema = pa.schema(
         [("doc_a", pa.int64()), ("doc_b", pa.int64()), ("sq_dist", pa.float64())]
     )
 
-    def _as(name):
-        return core.map_batches(
-            lambda b, name=name: pa.table({name: b["node"]}),
-            batch_format="pyarrow",
-        )
-
-    core_edges = filter_semi(
-        filter_semi(pairs, _as("doc_a"), on="doc_a",
-                    n_keep=n_core, ds_schema=pair_schema),
-        _as("doc_b"), on="doc_b", n_keep=n_core, ds_schema=pair_schema,
+    core_edges = lookup_join(
+        lookup_join(pairs, core, on="doc_a", right_on="node", how="semi",
+                    left_schema=pair_schema),
+        core, on="doc_b", right_on="node", how="semi", left_schema=pair_schema,
     )
     comps = connected_components(core_edges, src="doc_a", dst="doc_b").materialize()
-    singles = filter_not_in(
-        core,
-        comps.map_batches(lambda b: pa.table({"node": b["node"]}),
-                          batch_format="pyarrow"),
-        on="node", ds_schema=node_schema,
+    singles = lookup_join(
+        core, comps, on="node", how="anti", left_schema=node_schema,
     ).map_batches(
         lambda b: pa.table({"node": b["node"], "comp": b["node"]}),
         batch_format="pyarrow",
@@ -120,9 +110,9 @@ def dbscan_from_pairs(pts, pairs, min_pts: int, id_col: str = "doc_id"):
 
     oriented = pairs.map_batches(orient, batch_format="pyarrow")
     uv_schema = pa.schema([("u", pa.int64()), ("node", pa.int64())])
-    cand = filter_not_in(
-        filter_semi(oriented, core, on="node", n_keep=n_core, ds_schema=uv_schema),
-        _as("u"), on="u", n_drop=n_core, ds_schema=uv_schema,
+    cand = lookup_join(
+        lookup_join(oriented, core, on="node", how="semi", left_schema=uv_schema),
+        core, on="u", right_on="node", how="anti", left_schema=uv_schema,
     )
     lab_schema = pa.schema([("node", pa.int64()), ("comp", pa.int64())])
     bj = hash_join(cand, core_lab, on="node",
@@ -160,11 +150,9 @@ def dbscan_from_pairs(pts, pairs, min_pts: int, id_col: str = "doc_id"):
         lambda b: pa.table({"node": b[id_col]}), batch_format="pyarrow"
     )
     id_schema = pa.schema([("node", pa.int64())])
-    noise = filter_not_in(
-        filter_not_in(ids, core, on="node", n_drop=n_core, ds_schema=id_schema),
-        border_lab.map_batches(lambda b: pa.table({"node": b["node"]}),
-                               batch_format="pyarrow"),
-        on="node", ds_schema=id_schema,
+    noise = lookup_join(
+        lookup_join(ids, core, on="node", how="anti", left_schema=id_schema),
+        border_lab, on="node", how="anti", left_schema=id_schema,
     )
 
     def tag(role):

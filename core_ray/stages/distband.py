@@ -34,13 +34,6 @@ from core_ray.stages.agg import map_groups_partitioned
 
 _OFF21 = np.int64(1 << 20)
 
-_EMPTY = {
-    "doc_a": pa.array([], pa.int64()),
-    "doc_b": pa.array([], pa.int64()),
-    "sq_dist": pa.array([], pa.float64()),
-}
-
-
 def haversine_km(lat_a: np.ndarray, lon_a: np.ndarray,
                  lat_b: np.ndarray, lon_b: np.ndarray) -> np.ndarray:
     """Great-circle distance in km (R = 6371.0088). The expression tree is

@@ -1,14 +1,39 @@
-"""Distributed hash-partitioned equi-join (large-large; SURVEY.md §2.5 J1 is
-the broadcast small-side pattern — this is its all-to-all sibling for when
-NEITHER side fits the object store), plus the membership filters and the
-distributed Bloom-filter build built on it.
+"""Equi-joins: the J1 lookup join (SURVEY.md §2.5) and the distributed
+hash join it falls back to, plus the distributed Bloom-filter build.
 
-Ray 2.49 has a native ``Dataset.join`` (hash-shuffle strategy). ``hash_join``
-stays because it measured faster and runs on small clusters: on 300 k x
-300 k int keys with 4 partitions it took 1.8 s against ``Dataset.join``'s
-3.5 s, and ``Dataset.join`` hung at ``num_cpus=1``, where its hash-shuffle
-aggregator actors reserve the only CPU (single draws on a 1-core box,
-ROADMAP direction 2). It composes the join from Ray Data primitives:
+J1 lives here and nowhere else. ``lookup_join(left, right, on, how=...)``
+attaches or filters ``left`` (a Dataset, usually a fact table) by a
+``right`` side that is a ``pa.Table`` or a Dataset, for ``how`` in
+inner / left / semi / anti. The regime rule has one input, the Arrow size
+of the right side (semi/anti: its key column only), and one constant,
+``BROADCAST_MAX_BYTES``:
+
+  size <= BROADCAST_MAX_BYTES — broadcast. The right side is collected,
+  sorted by key, ``ray.put`` once, and every left batch probes it with
+  ``np.searchsorted``. No shuffle; the left side streams.
+
+  size  > BROADCAST_MAX_BYTES — shuffle. The right side never reaches the
+  driver: ``hash_join`` co-partitions both sides (semi/anti run Acero's
+  left-semi / left-anti join inside each partition). ``bloom_prefilter=True``
+  selects this regime outright and first drops the left rows a distributed
+  Bloom filter over the right keys rules out (the data-induced semi-join
+  reduction of *Pushing Data-Induced Predicates Through Joins*, VLDB 2019).
+
+Both regimes give the same rows: inner/left emit one row per matching
+right row (duplicate right keys multiply, as in SQL), semi/anti emit each
+left row at most once, and null keys never match. ``read_dim`` reads a
+dimension table onto the driver when its parquet footer says the projection
+fits the same constant, so a small dimension costs no Ray execution at all.
+``fits_broadcast`` applies the rule for the row-local scoring queries that
+ship a model (a vocabulary, an edge set) to every batch instead of joining.
+
+``hash_join`` is also called directly for fact-fact joins. Ray 2.49 has a
+native ``Dataset.join`` (hash-shuffle strategy). ``hash_join`` stays because
+it measured faster and runs on small clusters: on 300 k x 300 k int keys
+with 4 partitions it took 1.8 s against ``Dataset.join``'s 3.5 s, and
+``Dataset.join`` hung at ``num_cpus=1``, where its hash-shuffle aggregator
+actors reserve the only CPU (single draws on a 1-core box, ROADMAP
+direction 2). It composes the join from Ray Data primitives:
 
   1. both sides are tagged with ``__part = hash(key) % n_parts`` (the SAME
      hash both sides — co-partitioning) and padded to a common schema with
@@ -32,9 +57,9 @@ would surface once per salt under right/full semantics.
 
 NULL keys never match (SQL equi-join semantics). Null-key rows are dropped
 up front on any side whose unmatched rows would vanish anyway (both sides
-for inner, the non-preserved side for left/right); on preserved sides they
-are retained and surface as unmatched rows with nulls, exactly like SQL
-outer joins.
+for inner and semi, the non-preserved side for left/right/anti); on
+preserved sides they are retained and surface as unmatched rows with nulls,
+exactly like SQL outer joins (and NOT EXISTS for anti).
 """
 
 from __future__ import annotations
@@ -42,12 +67,19 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
+
+# The one broadcast-vs-shuffle threshold (Arrow bytes of the right side).
+# Tests force a regime with monkeypatch.setattr(join, "BROADCAST_MAX_BYTES", ...).
+BROADCAST_MAX_BYTES = 256 * 1024 * 1024
 
 _JOIN_TYPES = {
     "inner": "inner",
     "left": "left outer",
     "right": "right outer",
     "full": "full outer",
+    "semi": "left semi",
+    "anti": "left anti",
 }
 
 
@@ -97,7 +129,8 @@ def hash_join(left, right, on: str, right_on: str | None = None,
               salt_keys: dict | None = None):
     """left ⋈ right on ``on`` (== ``right_on`` on the right side; defaults to
     ``on``). Non-key column names must be disjoint across sides. Returns a
-    Dataset with columns [on, *left_others, *right_others].
+    Dataset with columns [on, *left_others, *right_others]; semi and anti
+    return the left columns in left order.
 
     ``left_schema``/``right_schema``: optional pyarrow schemas for when a
     side can be EMPTY (an empty Dataset has no inferable schema)."""
@@ -133,7 +166,7 @@ def hash_join(left, right, on: str, right_on: str | None = None,
     # null keys on a PRESERVED side must survive (they surface as unmatched
     # rows); on other sides they can never contribute and are dropped early
     keep_nulls = {
-        0: how in ("left", "full"),
+        0: how in ("left", "full", "anti"),
         1: how in ("right", "full"),
     }
 
@@ -201,7 +234,9 @@ def hash_join(left, right, on: str, right_on: str | None = None,
         right.map_batches(_pad(1, right_on), batch_format="pyarrow")
     )
 
-    out_names = [on, *l_names, *r_names]
+    out_names = (
+        list(lsch.names) if how in ("semi", "anti") else [on, *l_names, *r_names]
+    )
     join_type = _JOIN_TYPES[how]
 
     def _local(g: pa.Table) -> pa.Table:
@@ -216,92 +251,155 @@ def hash_join(left, right, on: str, right_on: str | None = None,
     return tagged.groupby("__part").map_groups(_local, batch_format="pyarrow")
 
 
-def _filter_membership(ds, ids_ds, on: str, member: bool, broadcast_max: int,
-                       n_ids: int | None, ds_schema, bloom_prefilter: bool = False):
-    """Keep the rows of ``ds`` whose ``on`` value is in ``ids_ds[on]``
-    (``member=True``) or is not (``member=False``) — the one implementation
-    behind filter_semi and filter_not_in (regimes: filter_not_in)."""
-    import ray
+def _nbytes(side) -> int:
+    """Arrow bytes of a Table or of a MATERIALIZED Dataset (block metadata;
+    nothing executes)."""
+    return side.nbytes if isinstance(side, pa.Table) else side.size_bytes() or 0
 
-    if n_ids is None:
-        n_ids = ids_ds.count()
 
-    if n_ids <= broadcast_max:
+def fits_broadcast(*sides) -> bool:
+    """The J1 regime rule: True when ``sides`` (Tables or materialized
+    Datasets) together hold at most ``BROADCAST_MAX_BYTES`` Arrow bytes."""
+    return sum(_nbytes(s) for s in sides) <= BROADCAST_MAX_BYTES
+
+
+def read_dim(path: str, columns: list, filter=None):
+    """A dimension table's projection: a driver ``pa.Table`` when the
+    parquet footer's uncompressed size of ``columns`` fits
+    ``BROADCAST_MAX_BYTES``, else a lazy Dataset. ``filter`` is a pyarrow
+    dataset expression applied by either reader. The driver read skips a
+    Ray execution: on the sf0.01 ``orders`` (o_orderkey, o_custkey)
+    projection, 2.3 ms against 60 ms for a Ray Data read-and-collect
+    (medians of 10, Ray ``num_cpus=2``, one vCPU)."""
+    md = pq.ParquetFile(path).metadata
+    want = set(columns)
+    nbytes = sum(
+        rg.column(i).total_uncompressed_size
+        for rg in (md.row_group(r) for r in range(md.num_row_groups))
+        for i in range(rg.num_columns)
+        if rg.column(i).path_in_schema in want
+    )
+    if nbytes <= BROADCAST_MAX_BYTES:
+        return pq.read_table(path, columns=columns, filters=filter)
+    import ray.data
+
+    return ray.data.read_parquet(path, columns=columns, filter=filter)
+
+
+def _key_numpy(col) -> np.ndarray:
+    """A null-free key column as a numpy array that sorts and compares by
+    value: numbers natively, strings as fixed-width unicode, anything else
+    as Python objects."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    a = col.to_numpy(zero_copy_only=False)
+    if pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
+        a = a.astype(str)
+    return a
+
+
+def lookup_join(left, right, on: str, right_on: str | None = None,
+                how: str = "inner", *, left_schema=None, right_schema=None,
+                bloom_prefilter: bool = False):
+    """left ⋈ right on ``left[on] == right[right_on]`` (``right_on``
+    defaults to ``on``), choosing broadcast or shuffle by the right side's
+    Arrow size (module docstring). ``right`` is a ``pa.Table`` or a Dataset
+    (materialized here, since it is measured and then consumed).
+
+    inner/left return [on, *left_others, *right_others]; non-key column
+    names must be disjoint. semi/anti return the left columns and only read
+    the right key. ``left_schema``/``right_schema`` are passed to
+    ``hash_join`` (and name the right columns when the right side is empty
+    and schema-less). ``bloom_prefilter=True`` (semi only) forces the
+    shuffle regime behind a Bloom pre-filter of the left side."""
+    if how not in ("inner", "left", "semi", "anti"):
+        raise ValueError("how must be one of ['anti', 'inner', 'left', 'semi']")
+    if bloom_prefilter and how != "semi":
+        raise ValueError("bloom_prefilter requires how='semi'")
+    right_on = right_on or on
+    if how in ("semi", "anti"):
+        if isinstance(right, pa.Table):
+            right = right.select([right_on])
+        else:
+            right = right.select_columns([right_on])
+        if right_schema is not None:
+            right_schema = pa.schema([right_schema.field(right_on)])
+    if not isinstance(right, pa.Table):
+        right = right.materialize()
+    if not bloom_prefilter and fits_broadcast(right):
         from core_ray.collect import collect_table
 
-        t = collect_table(ids_ds)
-        ids_sorted = (
-            np.sort(t[on].to_numpy(zero_copy_only=False))
-            if t.num_rows
-            else np.zeros(0, np.int64)
-        )
-        ref = ray.put(ids_sorted)
+        table = right if isinstance(right, pa.Table) else collect_table(right)
+        if right_on not in table.column_names:  # empty and schema-less
+            if right_schema is None and how in ("inner", "left"):
+                raise ValueError("right side is empty: pass right_schema")
+            table = (right_schema or pa.schema([(right_on, pa.int64())])).empty_table()
+        return _broadcast_join(left, table, on, right_on, how)
 
-        def probe(b: pa.Table, ref=ref) -> pa.Table:
-            srt = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
-            ids = b[on].to_numpy(zero_copy_only=False)
-            hit = np.zeros(len(ids), dtype=bool)
-            if len(srt):
-                pos = np.searchsorted(srt, ids)
-                inb = pos < len(srt)
-                hit[inb] = srt[pos[inb]] == ids[inb]
-            return b.filter(pa.array(hit if member else ~hit))
+    import ray
+    import ray.data
 
-        return ds.map_batches(probe, batch_format="pyarrow", batch_size=65536)
-
-    lsch = ds_schema if ds_schema is not None else ds.schema()
-    key_type = dict(zip(lsch.names, lsch.types))[on]
+    if isinstance(right, pa.Table):
+        right_schema = right_schema or right.schema
+        right = ray.data.from_arrow(right)
     if bloom_prefilter:
-        bloom = bloom_of_ds(ids_ds, on, n_ids)
-        bref = ray.put(bloom)
+        bref = ray.put(bloom_of_ds(right, right_on, right.count()))
 
         def bloom_probe(b: pa.Table, bref=bref) -> pa.Table:
             bl = ray.get(bref) if isinstance(bref, ray.ObjectRef) else bref
             keys = b[on].to_numpy(zero_copy_only=False).astype(np.uint64)
             return b.filter(pa.array(bl.contains(keys)))
 
-        ds = ds.map_batches(bloom_probe, batch_format="pyarrow",
-                            batch_size=65536)
-    marker = ids_ds.map_batches(
-        lambda b: pa.table(
-            {
-                on: b[on],
-                "__hit": pa.array(np.ones(b.num_rows, np.int8), pa.int8()),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-    mschema = pa.schema([(on, key_type), ("__hit", pa.int8())])
-    j = hash_join(ds, marker, on=on, how="left",
-                  left_schema=lsch, right_schema=mschema)
-    cols = list(lsch.names)
-    matched = pc.is_valid if member else pc.is_null
-    return j.map_batches(
-        lambda b: b.filter(matched(b["__hit"])).select(cols),
-        batch_format="pyarrow",
-    )
+        left = left.map_batches(bloom_probe, batch_format="pyarrow", batch_size=65536)
+    return hash_join(left, right, on=on, right_on=right_on, how=how,
+                     left_schema=left_schema, right_schema=right_schema)
 
 
-def filter_not_in(ds, drop_ds, on: str, broadcast_max: int = 2_000_000,
-                  n_drop: int | None = None, ds_schema=None):
-    """Anti-membership filter: remove from ``ds`` every row whose ``on``
-    value appears in ``drop_ds[on]``. Drop ids must be GLOBALLY UNIQUE
-    (true for CC node tables, contamination hit lists, keep-list drops —
-    a duplicated id on the join path would duplicate surviving rows).
+def _broadcast_join(left, table: pa.Table, on: str, right_on: str, how: str):
+    """The broadcast regime of lookup_join: ``table`` sorted by key and
+    ``ray.put`` once; each left batch finds its match range per row with two
+    ``searchsorted`` calls."""
+    import ray
 
-    Two regimes, value-identical (equivalence unit in tests/test_join.py):
+    key_type = table.schema.field(right_on).type
+    table = table.filter(pc.is_valid(table[right_on]))
+    keys = _key_numpy(table[right_on])
+    if how in ("semi", "anti"):
+        ref = ray.put((np.unique(keys), None))
+    else:
+        order = np.argsort(keys, kind="stable")
+        ref = ray.put((keys[order], table.drop_columns([right_on]).take(pa.array(order))))
 
-      n_drop <= broadcast_max — the drop ids are collected once, sorted,
-      ``ray.put`` once, and probed per batch with vectorized searchsorted.
-      Zero shuffles; the corpus side streams. Right when drops are bounded
-      by the paired-doc count (the common near-dup case).
+    def probe(b: pa.Table, ref=ref) -> pa.Table:
+        rkeys, payload = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
+        lo = np.zeros(b.num_rows, np.int64)
+        cnt = np.zeros(b.num_rows, np.int64)
+        if len(rkeys):
+            col = b[on].combine_chunks() if isinstance(b[on], pa.ChunkedArray) else b[on]
+            valid = pc.is_valid(col).to_numpy(zero_copy_only=False)
+            pk = _key_numpy(col.filter(pa.array(valid)).cast(key_type))
+            lo[valid] = np.searchsorted(rkeys, pk, "left")
+            cnt[valid] = np.searchsorted(rkeys, pk, "right") - lo[valid]
+        if how == "semi":
+            return b.filter(pa.array(cnt > 0))
+        if how == "anti":
+            return b.filter(pa.array(cnt == 0))
+        others = [n for n in b.column_names if n != on]
+        overlap = set(others) & set(payload.column_names)
+        if overlap:
+            raise ValueError(f"non-key columns must be disjoint, overlap: {sorted(overlap)}")
+        reps = np.maximum(cnt, 1) if how == "left" else cnt
+        lidx = np.repeat(np.arange(b.num_rows), reps)
+        first = np.cumsum(reps) - reps
+        ridx = np.repeat(lo - first, reps) + np.arange(len(lidx))
+        miss = np.repeat(cnt == 0, reps) if how == "left" else None
+        lt = b.select([on, *others]).take(pa.array(lidx))
+        rt = payload.take(pa.array(ridx, pa.int64(), mask=miss))
+        for name, column in zip(rt.column_names, rt.columns):
+            lt = lt.append_column(name, column)
+        return lt
 
-      n_drop  > broadcast_max — the drop set NEVER reaches the driver: a
-      distributed left hash_join against (on, marker) rows + a null filter
-      (anti-join). A 50 %-duplicate crawl (drop set O(corpus/2), common for
-      CC snapshots) lands here instead of OOMing the driver.
-    """
-    return _filter_membership(ds, drop_ds, on, False, broadcast_max, n_drop, ds_schema)
+    return left.map_batches(probe, batch_format="pyarrow", batch_size=65536)
 
 
 class BloomFilter:
@@ -376,34 +474,3 @@ def bloom_of_ds(keep_ds, on: str, n_keys: int, bits_per_key: int = 16, k: int = 
             t["word_idx"].to_numpy(zero_copy_only=False).astype(np.int64)
         ] = t["word"].to_numpy(zero_copy_only=False).astype(np.uint64)
     return bloom
-
-
-def filter_semi(ds, keep_ds, on: str, broadcast_max: int = 2_000_000,
-                n_keep: int | None = None, ds_schema=None,
-                bloom_prefilter: bool = False):
-    """Semi-membership filter: keep from ``ds`` only rows whose ``on`` value
-    appears in ``keep_ds[on]`` — the SEMI sibling of filter_not_in, with the
-    same contract (keep ids GLOBALLY UNIQUE — a duplicated id on the join
-    path would duplicate surviving rows) and the same two value-identical
-    regimes:
-
-      n_keep <= broadcast_max — keep ids collected once, sorted, ``ray.put``
-      once, probed per batch with vectorized searchsorted. Zero shuffles.
-
-      n_keep  > broadcast_max — the keep set never reaches the driver: a
-      distributed left hash_join against (on, marker) rows + a not-null
-      filter. The DBSCAN core set is O(corpus) on dense data — it
-      lands here instead of OOMing the driver.
-
-    ``bloom_prefilter=True`` (distributed regime only): a Bloom filter over
-    the keep ids is built distributedly (``bloom_of_ds`` — driver traffic
-    bounded by the bloom's bit-array size, never O(n_keep)), broadcast once,
-    and probed per batch BEFORE the shuffle, so only bloom-hits (true
-    members + ~4e-4 false positives) pay the all-to-all; the exact hash
-    join then removes the false positives. Output-identical to the
-    un-bloomed path (no false negatives) — equivalence unit in
-    tests/test_join.py. This is the standard 100-TB trick when ``ds`` is
-    mostly non-members: the shuffled volume drops to ~the match size.
-    """
-    return _filter_membership(ds, keep_ds, on, True, broadcast_max, n_keep,
-                              ds_schema, bloom_prefilter)

@@ -166,7 +166,7 @@ def _md5_utf8_col(col) -> list[bytes]:
     produce, minus the full-text Python copy per doc. That copy was the r3
     signature-kernel scaling regression (VERDICT r3 item 5): the allocator
     pressure of re-encoding every text capped 2->8 cpu efficiency at 0.62;
-    the buffer-slice form measures 0.85 (scripts/sig_kernel_scaling.py)."""
+    the buffer-slice form measures 0.85 (BASELINE.md)."""
     col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
     if len(col) == 0:
         return []
@@ -337,92 +337,40 @@ def _bucketed_pairs(bands_ds, bucket_cols: tuple[str, str], id_col: str, id_type
     )
 
 
-def _estimate_table(pairs_t: pa.Table, sig_of: dict, threshold: float, id_type) -> pa.Table:
-    a_ids = pairs_t["id_a"].to_pylist()
-    b_ids = pairs_t["id_b"].to_pylist()
-    if not a_ids:
-        return pa.table(
-            {
-                "id_a": pa.array([], id_type),
-                "id_b": pa.array([], id_type),
-                "jaccard_est": pa.array([], pa.float64()),
-            }
-        )
-    a = np.frombuffer(b"".join(sig_of[i] for i in a_ids), dtype=np.uint64).reshape(len(a_ids), N_PERM)
-    b = np.frombuffer(b"".join(sig_of[i] for i in b_ids), dtype=np.uint64).reshape(len(b_ids), N_PERM)
-    est = np.round((a == b).mean(axis=1), 6)
-    keep = pa.array(est >= threshold)
-    return pa.table(
-        {
-            "id_a": pairs_t["id_a"].filter(keep),
-            "id_b": pairs_t["id_b"].filter(keep),
-            "jaccard_est": pa.array(est[est >= threshold], pa.float64()),
-        }
-    )
+def _estimate(distinct, reps, id_col: str, threshold: float, id_type):
+    """Re-attach both signatures to the distinct candidate pairs and keep
+    the pairs whose estimate reaches ``threshold``. A semi lookup_join
+    first keeps only the candidates' signature rows (LSH candidates are
+    usually a vanishing fraction of the corpus); the two attaches are
+    lookup_joins, so they broadcast while those signatures fit and hash
+    join above (stages/join.py)."""
+    from core_ray.stages.join import lookup_join
 
+    def ids_of(b: pa.Table) -> pa.Table:
+        ids = np.unique(np.concatenate([
+            b["id_a"].to_numpy(zero_copy_only=False),
+            b["id_b"].to_numpy(zero_copy_only=False),
+        ]))
+        return pa.table({id_col: pa.array(ids, id_type)})
 
-def _estimate_broadcast(distinct, reps, id_col: str, threshold: float, id_type):
-    """Small candidate set: collect the pair ids, semi-filter the signature
-    rows distributedly, broadcast the (tiny) id->sig dict, estimate in one
-    map over the pairs."""
-    import ray
-
-    pair_tables = [t for t in ray.get(distinct.to_arrow_refs()) if t.num_rows]
-    need = np.unique(
-        np.concatenate(
-            [t["id_a"].to_numpy(zero_copy_only=False) for t in pair_tables]
-            + [t["id_b"].to_numpy(zero_copy_only=False) for t in pair_tables]
-        )
-    )
-    need_ref = ray.put(need)
-
-    def pick(b: pa.Table, need_ref=need_ref) -> pa.Table:
-        nd = ray.get(need_ref) if not isinstance(need_ref, np.ndarray) else need_ref
-        m = np.isin(b[id_col].to_numpy(zero_copy_only=False), nd)
-        return b.filter(pa.array(m))
-
-    sig_tables = [
-        t
-        for t in ray.get(
-            reps.map_batches(pick, batch_format="pyarrow").to_arrow_refs()
-        )
-        if t.num_rows
-    ]
-    sig_of = {}
-    for t in sig_tables:
-        sig_of.update(zip(t[id_col].to_pylist(), t["sig"].to_pylist()))
-    sig_ref = ray.put(sig_of)
-
-    def est(b: pa.Table, sig_ref=sig_ref) -> pa.Table:
-        so = ray.get(sig_ref) if not isinstance(sig_ref, dict) else sig_ref
-        return _estimate_table(b, so, threshold, id_type)
-
-    return distinct.map_batches(est, batch_format="pyarrow")
-
-
-def _estimate_joined(distinct, reps, id_col: str, threshold: float, id_type):
-    """Large candidate set: re-join signatures onto the pairs with the
-    generic hash-partitioned equi-join."""
-    from core_ray.stages.join import hash_join
-
-    sig_a = reps.map_batches(
-        lambda b: pa.table({"id_a": b[id_col], "sig_a": b["sig"]}),
+    sig_schema = pa.schema([(id_col, id_type), ("sig", pa.binary())])
+    sigs = lookup_join(
+        reps, distinct.map_batches(ids_of, batch_format="pyarrow"),
+        on=id_col, how="semi", left_schema=sig_schema,
+    ).materialize()  # the right side of both attaches
+    # attach sig(id_a), rename it sig_a (a fused map), then attach sig(id_b)
+    j1 = lookup_join(
+        distinct, sigs, on="id_a", right_on=id_col,
+        left_schema=pa.schema([("id_a", id_type), ("id_b", id_type)]),
+        right_schema=sig_schema,
+    ).map_batches(
+        lambda b: pa.table({"id_a": b["id_a"], "id_b": b["id_b"], "sig_a": b["sig"]}),
         batch_format="pyarrow",
     )
-    sig_b = reps.map_batches(
-        lambda b: pa.table({"id_b": b[id_col], "sig_b": b["sig"]}),
-        batch_format="pyarrow",
-    )
-    pair_schema = pa.schema([("id_a", id_type), ("id_b", id_type)])
-    j1 = hash_join(
-        distinct, sig_a, on="id_a",
-        left_schema=pair_schema,
-        right_schema=pa.schema([("id_a", id_type), ("sig_a", pa.binary())]),
-    )
-    joined = hash_join(
-        j1, sig_b, on="id_b",
+    joined = lookup_join(
+        j1, sigs, on="id_b", right_on=id_col,
         left_schema=pa.schema([("id_a", id_type), ("id_b", id_type), ("sig_a", pa.binary())]),
-        right_schema=pa.schema([("id_b", id_type), ("sig_b", pa.binary())]),
+        right_schema=sig_schema,
     )
 
     def estimate(b: pa.Table) -> pa.Table:
@@ -435,7 +383,7 @@ def _estimate_joined(distinct, reps, id_col: str, threshold: float, id_type):
                 }
             )
         a = _sigbin_to_np(b["sig_a"])
-        bb = _sigbin_to_np(b["sig_b"])
+        bb = _sigbin_to_np(b["sig"])
         est = np.round((a == bb).mean(axis=1), 6)
         keep = pa.array(est >= threshold)
         return pa.table(
@@ -450,8 +398,7 @@ def _estimate_joined(distinct, reps, id_col: str, threshold: float, id_type):
 
 
 def minhash_near_dups(ds, id_col: str = "doc_id", col: str = "text",
-                      k: int = 3, threshold: float = 0.6,
-                      broadcast_pairs_threshold: int = 200_000):
+                      k: int = 3, threshold: float = 0.6):
     """Dataset[documents] -> near-dup pairs (id_a < id_b, jaccard_est >= t),
     at CLUSTER granularity for byte-identical duplicates: cross-corpus pairs
     are emitted against each exact-duplicate cluster's min-id REPRESENTATIVE
@@ -470,14 +417,10 @@ def minhash_near_dups(ds, id_col: str = "doc_id", col: str = "text",
          is NOT replicated into the 16 band rows (16x lighter shuffle);
       4. candidate pairs are generated with one vectorized call per hash
          partition (np.triu_indices per multi-member bucket);
-      5. signatures are re-attached to the distinct candidate pairs by an
-         ADAPTIVE join: below ``broadcast_pairs_threshold`` pairs, the
-         candidate ids are collected and exactly their signatures broadcast
-         (2 fewer shuffles); above it, the generic hash-partitioned
-         equi-join (stages/join.py). Output identical either way.
+      5. the candidates' signatures are re-attached to the distinct pairs
+         by stages/join.lookup_join (broadcast while they fit, the
+         hash-partitioned equi-join above). Output identical either way.
     """
-    from core_ray.stages.join import hash_join
-
     # TASK map, not an actor pool: the signature kernel is stateless
     # (module-level permutation tables), so a pool buys nothing and costs a
     # fresh actor cold-start per execution — measured 2.6-4.7 s -> 1.8 s
@@ -521,13 +464,7 @@ def minhash_near_dups(ds, id_col: str = "doc_id", col: str = "text",
     )
     distinct = _distinct_pairs(cand).materialize()  # tiny: candidate pairs only
 
-    # adaptive join strategy (the broadcast-vs-shuffle selector): LSH
-    # candidates are usually a vanishing fraction of the corpus — collect the
-    # candidate ids, broadcast-fetch exactly those signatures, and estimate
-    # in one map. Beyond the threshold, fall back to the fully-distributed
-    # hash-partitioned equi-join (identical output).
-    n_pairs = distinct.count()
-    if n_pairs == 0:
+    if distinct.count() == 0:
         near = distinct.map_batches(
             lambda b: pa.table(
                 {
@@ -538,10 +475,8 @@ def minhash_near_dups(ds, id_col: str = "doc_id", col: str = "text",
             ),
             batch_format="pyarrow",
         )
-    elif n_pairs <= broadcast_pairs_threshold:
-        near = _estimate_broadcast(distinct, reps, id_col, threshold, id_type)
     else:
-        near = _estimate_joined(distinct, reps, id_col, threshold, id_type)
+        near = _estimate(distinct, reps, id_col, threshold, id_type)
     star_pairs = stars.map_batches(
         lambda b: pa.table(
             {

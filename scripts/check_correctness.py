@@ -5,9 +5,13 @@ driver's correctness gate). Usage:
 
 Owns its Ray session (the driver contract itself never does)."""
 
+import os
 import sys
 import time
 import traceback
+
+# run as a script, sys.path[0] is scripts/: put the repo root ahead of it
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
 def main():

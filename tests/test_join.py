@@ -229,7 +229,7 @@ def test_salted_join_with_colliding_salt_partitions(ray_session):
     assert _norm(collect(plain)) == _norm(collect(salted))
 
 
-# ---------------------------------------------------------------- filter_not_in
+# ------------------------------------------------- lookup_join how='anti'
 
 
 def _fni_fixture(seed=11, n=20_000, n_drop=6_000):
@@ -245,18 +245,20 @@ def _fni_fixture(seed=11, n=20_000, n_drop=6_000):
     return t, drop
 
 
-def test_filter_not_in_paths_agree(ray_session):
+def test_filter_not_in_paths_agree(ray_session, monkeypatch):
     """Broadcast probe and distributed anti hash-join must be value-identical
     (VERDICT r3 item 3: every broadcast needs a tested scale path)."""
     import ray
 
-    from core_ray.stages.join import filter_not_in
+    from core_ray.stages import join
 
     t, drop = _fni_fixture()
-    a = filter_not_in(ray.data.from_arrow(t), ray.data.from_arrow(drop),
-                      on="doc_id", broadcast_max=10**9)
-    b = filter_not_in(ray.data.from_arrow(t), ray.data.from_arrow(drop),
-                      on="doc_id", broadcast_max=0)
+    monkeypatch.setattr(join, "BROADCAST_MAX_BYTES", 10**9)
+    a = join.lookup_join(ray.data.from_arrow(t), ray.data.from_arrow(drop),
+                         on="doc_id", how="anti")
+    monkeypatch.setattr(join, "BROADCAST_MAX_BYTES", 0)
+    b = join.lookup_join(ray.data.from_arrow(t), ray.data.from_arrow(drop),
+                         on="doc_id", how="anti")
     ta, tb = collect_sorted(a), collect_sorted(b)
     assert _norm(ta) == _norm(tb)
     rows = sorted(zip(ta["doc_id"].to_pylist(), ta["val"].to_pylist()))
@@ -272,39 +274,44 @@ def collect_sorted(ds):
     return pa.concat_tables(tabs) if tabs else pa.table({"doc_id": pa.array([], pa.int64())})
 
 
-def test_filter_not_in_empty_drop(ray_session):
+def test_filter_not_in_empty_drop(ray_session, monkeypatch):
     import ray
 
-    from core_ray.stages.join import filter_not_in
+    from core_ray.stages import join
 
     t, _ = _fni_fixture()
     empty = pa.table({"doc_id": pa.array([], pa.int64())})
-    out = filter_not_in(ray.data.from_arrow(t), ray.data.from_arrow(empty),
-                        on="doc_id", broadcast_max=10**9)
+    monkeypatch.setattr(join, "BROADCAST_MAX_BYTES", 10**9)
+    out = join.lookup_join(ray.data.from_arrow(t), ray.data.from_arrow(empty),
+                           on="doc_id", how="anti")
     assert collect_sorted(out).num_rows == t.num_rows
 
 
-def test_dedup_keep_forced_join_path_equivalent(ray_session):
-    """doc_dedup_keep under the forced anti-join guard (broadcast_max=0)
+def test_dedup_keep_forced_join_path_equivalent(ray_session, monkeypatch):
+    """doc_dedup_keep under the forced anti-join guard (BROADCAST_MAX_BYTES=0)
     must equal the broadcast default — the keep-list scale hatch is exact."""
     from core_ray.collect import collect_table
     from core_ray.queries import doc_dedup_keep
+    from core_ray.stages import join
 
     sf = "/root/testdata/sf0.001"
     a = sorted(collect_table(doc_dedup_keep(sf))["doc_id"].to_pylist())
-    b = sorted(collect_table(doc_dedup_keep(sf, broadcast_max=0))["doc_id"].to_pylist())
+    monkeypatch.setattr(join, "BROADCAST_MAX_BYTES", 0)
+    b = sorted(collect_table(doc_dedup_keep(sf))["doc_id"].to_pylist())
     assert a == b and len(a) > 0
 
 
-def test_incremental_new_forced_join_path_equivalent(ray_session):
+def test_incremental_new_forced_join_path_equivalent(ray_session, monkeypatch):
     """doc_incremental_new under the forced anti-join guard must equal the
     broadcast default, and must actually drop the snapshot overlap."""
     from core_ray.collect import collect_table
     from core_ray.queries import doc_incremental_new
+    from core_ray.stages import join
 
     sf = "/root/testdata/sf0.001"
     a = sorted(collect_table(doc_incremental_new(sf))["doc_id"].to_pylist())
-    b = sorted(collect_table(doc_incremental_new(sf, broadcast_max=0))["doc_id"].to_pylist())
+    monkeypatch.setattr(join, "BROADCAST_MAX_BYTES", 0)
+    b = sorted(collect_table(doc_incremental_new(sf))["doc_id"].to_pylist())
     assert a == b and len(a) > 0
     assert all(d % 10 >= 7 for d in a)  # every overlap doc dropped
 
@@ -330,22 +337,24 @@ def test_hash_join_binary_keys(ray_session):
     assert got == [(b"B" * 16, 2, 20), (b"C" * 16, 3, 30)]
 
 
-# ---------------------------------------------------------------- filter_semi
+# ------------------------------------------------- lookup_join how='semi'
 
 
-def test_filter_semi_paths_agree(ray_session):
+def test_filter_semi_paths_agree(ray_session, monkeypatch):
     """Broadcast searchsorted probe and distributed semi hash-join must be
-    value-identical (same contract as filter_not_in: every broadcast has a
+    value-identical (same contract as the anti join: every broadcast has a
     tested scale path)."""
     import ray
 
-    from core_ray.stages.join import filter_semi
+    from core_ray.stages import join
 
     t, keep = _fni_fixture()
-    a = filter_semi(ray.data.from_arrow(t), ray.data.from_arrow(keep),
-                    on="doc_id", broadcast_max=10**9)
-    b = filter_semi(ray.data.from_arrow(t), ray.data.from_arrow(keep),
-                    on="doc_id", broadcast_max=0)
+    monkeypatch.setattr(join, "BROADCAST_MAX_BYTES", 10**9)
+    a = join.lookup_join(ray.data.from_arrow(t), ray.data.from_arrow(keep),
+                         on="doc_id", how="semi")
+    monkeypatch.setattr(join, "BROADCAST_MAX_BYTES", 0)
+    b = join.lookup_join(ray.data.from_arrow(t), ray.data.from_arrow(keep),
+                         on="doc_id", how="semi")
     ta, tb = collect_sorted(a), collect_sorted(b)
     assert _norm(ta) == _norm(tb)
     rows = sorted(zip(ta["doc_id"].to_pylist(), ta["val"].to_pylist()))
@@ -354,46 +363,48 @@ def test_filter_semi_paths_agree(ray_session):
     assert all(r[0] in kept for r in rows)
 
 
-def test_filter_semi_empty_keep(ray_session):
+def test_filter_semi_empty_keep(ray_session, monkeypatch):
     import ray
 
-    from core_ray.stages.join import filter_semi
+    from core_ray.stages import join
 
     t, _ = _fni_fixture()
     empty = pa.table({"doc_id": pa.array([], pa.int64())})
-    out = filter_semi(ray.data.from_arrow(t), ray.data.from_arrow(empty),
-                      on="doc_id", broadcast_max=10**9)
+    monkeypatch.setattr(join, "BROADCAST_MAX_BYTES", 10**9)
+    out = join.lookup_join(ray.data.from_arrow(t), ray.data.from_arrow(empty),
+                           on="doc_id", how="semi")
     assert collect_sorted(out).num_rows == 0
 
 
 def test_semi_and_not_in_partition(ray_session):
-    """filter_semi(keep) and filter_not_in(keep) split ds exactly."""
+    """The semi and anti lookup_joins against one keep set split ds exactly."""
     import ray
 
-    from core_ray.stages.join import filter_not_in, filter_semi
+    from core_ray.stages.join import lookup_join
 
     t, keep = _fni_fixture(seed=7)
-    ins = collect_sorted(filter_semi(
-        ray.data.from_arrow(t), ray.data.from_arrow(keep), on="doc_id"))
-    outs = collect_sorted(filter_not_in(
-        ray.data.from_arrow(t), ray.data.from_arrow(keep), on="doc_id"))
+    ins = collect_sorted(lookup_join(
+        ray.data.from_arrow(t), ray.data.from_arrow(keep), on="doc_id", how="semi"))
+    outs = collect_sorted(lookup_join(
+        ray.data.from_arrow(t), ray.data.from_arrow(keep), on="doc_id", how="anti"))
     assert ins.num_rows + outs.num_rows == t.num_rows
     assert not (set(ins["doc_id"].to_pylist()) & set(outs["doc_id"].to_pylist()))
 
 
-def test_filter_semi_bloom_prefilter_equivalent(ray_session):
+def test_filter_semi_bloom_prefilter_equivalent(ray_session, monkeypatch):
     """bloom_prefilter=True must be output-identical to the plain
     distributed semi path (no false negatives by Bloom construction; the
     exact join removes the false positives)."""
     import ray
 
-    from core_ray.stages.join import filter_semi
+    from core_ray.stages import join
 
     t, keep = _fni_fixture(seed=11)
-    plain = filter_semi(ray.data.from_arrow(t), ray.data.from_arrow(keep),
-                        on="doc_id", broadcast_max=0)
-    bloomed = filter_semi(ray.data.from_arrow(t), ray.data.from_arrow(keep),
-                          on="doc_id", broadcast_max=0, bloom_prefilter=True)
+    monkeypatch.setattr(join, "BROADCAST_MAX_BYTES", 0)
+    plain = join.lookup_join(ray.data.from_arrow(t), ray.data.from_arrow(keep),
+                             on="doc_id", how="semi")
+    bloomed = join.lookup_join(ray.data.from_arrow(t), ray.data.from_arrow(keep),
+                               on="doc_id", how="semi", bloom_prefilter=True)
     assert _norm(collect_sorted(plain)) == _norm(collect_sorted(bloomed))
 
 
@@ -432,3 +443,138 @@ def test_salted_hash_wraps_silently_like_python_ints():
                 for s in range(64)]
         assert got.dtype == np.uint64
         assert got.tolist() == want
+
+
+# ---------------------------------------------------------------- lookup_join
+
+_LOOKUP_SQL = {
+    "inner": "SELECT l.k, lv, rv FROM l JOIN r ON l.k = r.k",
+    "left": "SELECT l.k, lv, rv FROM l LEFT JOIN r ON l.k = r.k",
+    "semi": "SELECT * FROM l WHERE EXISTS (SELECT 1 FROM r WHERE r.k = l.k)",
+    "anti": "SELECT * FROM l WHERE NOT EXISTS (SELECT 1 FROM r WHERE r.k = l.k)",
+}
+
+
+def _lookup_tables(key_type: str, seed=3):
+    """Null keys on both sides and duplicate right keys (~120 rows over 70
+    keys), int or string keys."""
+    rng = np.random.default_rng(seed)
+    lk = [int(v) for v in rng.integers(0, 50, 600)]
+    rk = [int(v) for v in rng.integers(0, 70, 120)]
+    lk = [None if i % 17 == 0 else v for i, v in enumerate(lk)]
+    rk = [None if i % 13 == 0 else v for i, v in enumerate(rk)]
+    if key_type == "string":
+        lk = [None if v is None else f"k{v}" for v in lk]
+        rk = [None if v is None else f"k{v}" for v in rk]
+    typ = pa.int64() if key_type == "int" else pa.string()
+    left = pa.table({"k": pa.array(lk, typ), "lv": pa.array(np.arange(600), pa.int64())})
+    right = pa.table({"k": pa.array(rk, typ), "rv": pa.array(np.arange(120) * 10, pa.int64())})
+    return left, right
+
+
+def _collect(ds):
+    from core_ray.collect import collect_table
+
+    return collect_table(ds)
+
+
+@pytest.mark.parametrize("key_type", ["int", "string"])
+@pytest.mark.parametrize("how", ["inner", "left", "semi", "anti"])
+def test_lookup_join_regimes_match_duckdb(ray_session, monkeypatch, how, key_type):
+    """Every ``how``, right side as a Table and as a Dataset, broadcast
+    (constant large) and shuffle (constant 0): all four give DuckDB's rows,
+    with null keys on both sides and duplicate right keys (inner/left emit
+    one row per matching right row, semi/anti each left row at most once)."""
+    import ray
+
+    from core_ray.stages import join
+
+    left, right = _lookup_tables(key_type)
+    want = _norm(_duck(left, right, _LOOKUP_SQL[how]))
+    assert want[1]
+    for bmax in (10**9, 0):
+        monkeypatch.setattr(join, "BROADCAST_MAX_BYTES", bmax)
+        for r in (right, ray.data.from_arrow(right)):
+            got = _collect(join.lookup_join(
+                ray.data.from_arrow(left).repartition(3), r, on="k", how=how))
+            assert _norm(got) == want, (bmax, type(r).__name__)
+
+
+@pytest.mark.parametrize("how", ["inner", "left", "semi", "anti"])
+def test_lookup_join_empty_right(ray_session, monkeypatch, how):
+    import ray
+
+    from core_ray.stages import join
+
+    left, right = _lookup_tables("int")
+    empty = right.slice(0, 0)
+    want = _norm(_duck(left, empty, _LOOKUP_SQL[how]))
+    for bmax in (10**9, 0):
+        monkeypatch.setattr(join, "BROADCAST_MAX_BYTES", bmax)
+        got = _collect(join.lookup_join(ray.data.from_arrow(left), empty, on="k", how=how))
+        assert _norm(got) == want, bmax
+
+
+def test_lookup_join_right_on_and_column_order(ray_session, monkeypatch):
+    """``right_on`` names the right key; inner output is [on, *left, *right]
+    and semi keeps the left columns in left order, in both regimes."""
+    import ray
+
+    from core_ray.stages import join
+
+    left = pa.table({"v": pa.array([1, 2, 3], pa.int64()),
+                     "k": pa.array([10, 20, 30], pa.int64())})
+    right = pa.table({"rk": pa.array([20, 30, 40], pa.int64()),
+                      "name": pa.array(["b", "c", "d"])})
+    for bmax in (10**9, 0):
+        monkeypatch.setattr(join, "BROADCAST_MAX_BYTES", bmax)
+        inner = _collect(join.lookup_join(ray.data.from_arrow(left), right,
+                                          on="k", right_on="rk"))
+        assert inner.column_names == ["k", "v", "name"]
+        assert sorted(inner["name"].to_pylist()) == ["b", "c"]
+        semi = _collect(join.lookup_join(ray.data.from_arrow(left), right,
+                                         on="k", right_on="rk", how="semi"))
+        assert semi.column_names == ["v", "k"]
+        assert sorted(semi["k"].to_pylist()) == [20, 30]
+
+
+def test_read_dim_driver_table_or_dataset(monkeypatch, tmp_path):
+    """read_dim reads onto the driver while the footer says the projection
+    fits, and hands back a lazy Dataset (same rows) when it does not."""
+    import pyarrow.dataset as pads
+    import pyarrow.parquet as pq
+
+    from core_ray.stages import join
+
+    path = str(tmp_path / "dim.parquet")
+    pq.write_table(pa.table({"k": pa.array(range(100), pa.int64()),
+                             "s": pa.array([f"x{i}" for i in range(100)])}), path)
+    t = join.read_dim(path, ["k"], filter=pads.field("s") == "x7")
+    assert isinstance(t, pa.Table) and t.to_pydict() == {"k": [7]}
+    monkeypatch.setattr(join, "BROADCAST_MAX_BYTES", 0)
+    ds = join.read_dim(path, ["k"], filter=pads.field("s") == "x7")
+    assert not isinstance(ds, pa.Table)
+
+
+def test_broadcast_thresholds_live_in_join_only():
+    """The broadcast-vs-shuffle choice has one home, stages/join.py: no
+    query sizes a file to pick a regime, and no function takes its own
+    broadcast threshold."""
+    import ast
+    import pathlib
+
+    root = pathlib.Path(__file__).resolve().parents[1] / "core_ray"
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        src = path.read_text()
+        if rel.startswith("queries/"):
+            found += [f"{rel}:{i} getsize" for i, line in enumerate(src.splitlines(), 1)
+                      if "os.path.getsize(" in line]
+        for node in ast.walk(ast.parse(src)):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                a = node.args
+                for arg in a.posonlyargs + a.args + a.kwonlyargs:
+                    if "broadcast_max" in arg.arg or arg.arg == "broadcast_pairs_threshold":
+                        found.append(f"{rel}:{node.lineno} {arg.arg}")
+    assert not found, "broadcast thresholds outside stages/join.py: " + ", ".join(found)

@@ -104,44 +104,44 @@ class TestEmbNearDupChunked:
         assert one == many and len(one) > 0
 
 
-def test_q10_broadcast_and_shuffle_paths_agree(ray_session):
+def test_q10_broadcast_and_shuffle_paths_agree(ray_session, monkeypatch):
     """q10's adaptive join (broadcast orders map vs hash_join) must be a
     pure strategy choice — identical output either way."""
     from core_ray.queries import relational as Q
+    from core_ray.stages import join
 
     sf = "/root/testdata/sf0.001"
     a = Q.q10_returned_revenue(sf)
-    saved = Q._Q10_BROADCAST_MAX_BYTES
-    try:
-        Q._Q10_BROADCAST_MAX_BYTES = 0  # force the hash_join path
-        b = Q.q10_returned_revenue(sf)
-    finally:
-        Q._Q10_BROADCAST_MAX_BYTES = saved
+    monkeypatch.setattr(join, "BROADCAST_MAX_BYTES", 0)  # force the hash_join path
+    b = Q.q10_returned_revenue(sf)
     assert a.equals(b)
 
 
 @pytest.mark.parametrize(
     "name",
-    ["q14_promo_revenue", "q16_supplier_cnt", "q17_small_qty_revenue", "q19_disjunctive_revenue"],
+    ["q14_promo_revenue", "q16_supplier_cnt", "q17_small_qty_revenue", "q19_disjunctive_revenue",
+     "q2_min_cost_supplier", "q3_top_orders", "q5_region_revenue", "q7_nation_volume",
+     "q8_market_share", "q9_profit_proxy", "q12_priority_class", "q15_top_supplier",
+     "q20_excess_shippers", "q22_idle_balance", "cust_no_orders"],
 )
-def test_relational_wave3_paths_agree(ray_session, name):
-    """The wave-3 adaptive joins (sorted-array broadcast vs hash_join) must
-    be a pure strategy choice — identical rows either way."""
+def test_relational_wave3_paths_agree(ray_session, monkeypatch, name):
+    """Every relational lookup (stages/join.lookup_join: sorted-array
+    broadcast vs hash_join) must be a pure strategy choice — identical rows
+    either way."""
+    from core_ray.collect import collect_table
     from core_ray.queries import relational as Q
+    from core_ray.stages import join
 
     sf = "/root/testdata/sf0.001"
 
     def rows(t):
+        t = t if isinstance(t, pa.Table) else collect_table(t)
         cols = sorted(t.column_names)
         return sorted(zip(*[t[c].to_pylist() for c in cols]), key=str)
 
     a = rows(getattr(Q, name)(sf))
-    saved = Q._Q10_BROADCAST_MAX_BYTES
-    try:
-        Q._Q10_BROADCAST_MAX_BYTES = 0  # force the hash_join path
-        b = rows(getattr(Q, name)(sf))
-    finally:
-        Q._Q10_BROADCAST_MAX_BYTES = saved
+    monkeypatch.setattr(join, "BROADCAST_MAX_BYTES", 0)  # force the hash_join path
+    b = rows(getattr(Q, name)(sf))
     assert a == b and len(a) > 0
 
 
@@ -192,14 +192,15 @@ def test_silhouette_multichunk_equivalent(ray_session):
     assert canon(one).equals(canon(many))
 
 
-def test_unigram_surprisal_paths_equivalent(ray_session):
-    """broadcast_max=0 forces the distributed hash-join scoring path; it
+def test_unigram_surprisal_paths_equivalent(ray_session, monkeypatch):
+    """BROADCAST_MAX_BYTES=0 forces the distributed hash-join scoring path; it
     must be value-identical to the broadcast path (the adaptive-guard
     contract every broadcast in the repo carries)."""
     import pyarrow.compute as pc
 
     from core_ray.collect import collect_table
     from core_ray.queries import doc_unigram_surprisal
+    from core_ray.stages import join
 
     sf = "/root/testdata/sf0.001"
 
@@ -208,6 +209,42 @@ def test_unigram_surprisal_paths_equivalent(ray_session):
         return t.take(pc.sort_indices(t, sort_keys=[("doc_id", "ascending")]))
 
     bc = canon(collect_table(doc_unigram_surprisal(sf)))
-    dj = canon(collect_table(doc_unigram_surprisal(sf, broadcast_max=0)))
+    monkeypatch.setattr(join, "BROADCAST_MAX_BYTES", 0)
+    dj = canon(collect_table(doc_unigram_surprisal(sf)))
     assert bc.num_rows == dj.num_rows > 0
     assert bc.equals(dj)
+
+
+def test_minhash_near_dups_forced_shuffle_equivalent(ray_session, monkeypatch):
+    """minhash_near_dups re-attaches signatures to its candidate pairs by
+    lookup_join; with BROADCAST_MAX_BYTES=0 every attach shuffles, and the
+    pairs must equal the broadcast run's."""
+    import numpy as np
+    import ray
+
+    from core_ray.collect import collect_table
+    from core_ray.stages import join
+    from core_ray.text.dedup import minhash_near_dups
+
+    # 40 random 30-word docs, each followed by a copy with one word changed
+    rng = np.random.default_rng(5)
+    vocab = [f"w{i}" for i in range(300)]
+    texts = []
+    for _ in range(40):
+        words = list(rng.choice(vocab, 30))
+        texts.append(" ".join(words))
+        words[int(rng.integers(30))] = "changed"
+        texts.append(" ".join(words))
+    docs = pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()),
+                     "text": pa.array(texts)})
+
+    def pairs():
+        ds = ray.data.from_arrow(docs).repartition(4)
+        t = collect_table(minhash_near_dups(ds, threshold=0.5))
+        return sorted(zip(t["id_a"].to_pylist(), t["id_b"].to_pylist(),
+                          t["jaccard_est"].to_pylist()))
+
+    a = pairs()
+    monkeypatch.setattr(join, "BROADCAST_MAX_BYTES", 0)
+    b = pairs()
+    assert a == b and len(a) > 0

@@ -73,9 +73,10 @@ def test_entry_contract(ray_session):
     assert set(ORACLE_SQL) == set(QUERIES)
 
 
-def test_ngram_novelty_paths_agree(ray_session):
+def test_ngram_novelty_paths_agree(ray_session, monkeypatch):
     """Broadcast and distributed-join pass-2 paths must be value-identical."""
     from core_ray.queries import doc_ngram_novelty
+    from core_ray.stages import join
 
     a = (
         doc_ngram_novelty(SF_DIR)
@@ -83,8 +84,9 @@ def test_ngram_novelty_paths_agree(ray_session):
         .sort_values("doc_id")
         .reset_index(drop=True)
     )
+    monkeypatch.setattr(join, "BROADCAST_MAX_BYTES", 0)  # force the join path
     b = (
-        doc_ngram_novelty(SF_DIR, broadcast_max=0)  # force the join path
+        doc_ngram_novelty(SF_DIR)
         .to_pandas()
         .sort_values("doc_id")
         .reset_index(drop=True)

@@ -364,10 +364,11 @@ def test_kn_ppl_matches_loop_reference(ray_session):
     assert got == want
 
 
-def test_kn_ppl_regimes_agree(ray_session):
-    """broadcast_max=0 forces the distributed three-join path; outputs
+def test_kn_ppl_regimes_agree(ray_session, monkeypatch):
+    """BROADCAST_MAX_BYTES=0 forces the distributed three-join path; outputs
     must equal the broadcast regime's bit-for-bit."""
     from core_ray.queries import doc_kn_ppl
+    from core_ray.stages import join
 
     ids, texts = _kn_corpus()
     d = _write(
@@ -379,7 +380,8 @@ def test_kn_ppl_regimes_agree(ray_session):
         }
     )
     a = _kn_got(_collect(doc_kn_ppl(d)))
-    b = _kn_got(_collect(doc_kn_ppl(d, broadcast_max=0)))
+    monkeypatch.setattr(join, "BROADCAST_MAX_BYTES", 0)
+    b = _kn_got(_collect(doc_kn_ppl(d)))
     assert a == b and len(a) > 0
 
 

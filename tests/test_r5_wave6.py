@@ -221,8 +221,9 @@ def _bppl_reference(texts, ids):
     return out
 
 
-def test_bigram_ppl_matches_reference_both_regimes(ray_session):
+def test_bigram_ppl_matches_reference_both_regimes(ray_session, monkeypatch):
     from core_ray.queries import doc_bigram_ppl
+    from core_ray.stages import join
 
     rng = np.random.default_rng(17)
     vocab = ["the", "cat", "sat", "mat", "dog", "ran", "far", "zeta"]
@@ -242,9 +243,10 @@ def test_bigram_ppl_matches_reference_both_regimes(ray_session):
         }
     )
     exp = sorted(_bppl_reference(texts, list(range(40))))
-    for bmax in (2_000_000, 0):  # broadcast regime, then distributed
+    for bmax in (join.BROADCAST_MAX_BYTES, 0):  # broadcast regime, then distributed
+        monkeypatch.setattr(join, "BROADCAST_MAX_BYTES", bmax)
         got = (
-            doc_bigram_ppl(d, broadcast_max=bmax)
+            doc_bigram_ppl(d)
             .to_pandas()
             .sort_values("doc_id")
         )
@@ -343,8 +345,9 @@ def _keywords_reference(texts, k=3):
     return rows
 
 
-def test_top_keywords_matches_reference_both_regimes(ray_session):
+def test_top_keywords_matches_reference_both_regimes(ray_session, monkeypatch):
     from core_ray.queries import doc_top_keywords
+    from core_ray.stages import join
 
     rng = np.random.default_rng(29)
     vocab = ["common"] * 1 + ["mid", "rare", "unique", "apple", "zebra"]
@@ -364,9 +367,10 @@ def test_top_keywords_matches_reference_both_regimes(ray_session):
         }
     )
     exp = _keywords_reference(texts)
-    for bmax in (2_000_000, 0):
+    for bmax in (join.BROADCAST_MAX_BYTES, 0):
+        monkeypatch.setattr(join, "BROADCAST_MAX_BYTES", bmax)
         got = (
-            doc_top_keywords(d, broadcast_max=bmax)
+            doc_top_keywords(d)
             .to_pandas()
             .sort_values(["doc_id", "rank"])
         )

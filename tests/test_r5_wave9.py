@@ -473,10 +473,11 @@ def test_triangles_matches_bruteforce(ray_session):
     assert r["gcc"] == round(3.0 * tri / wedges, 6)
 
 
-def test_triangles_closure_regimes_agree(ray_session):
+def test_triangles_closure_regimes_agree(ray_session, monkeypatch):
     """Broadcast edge-set closure and distributed union-shuffle closure
-    must be value-identical (the filter_semi two-regime contract)."""
+    must be value-identical (the lookup_join two-regime contract)."""
     from core_ray.queries import events_triangles
+    from core_ray.stages import join
 
     n = 80
     eids = np.arange(n, dtype=np.int64)
@@ -492,7 +493,8 @@ def test_triangles_closure_regimes_agree(ray_session):
         }
     )
     a = events_triangles(d).to_pylist()
-    b = events_triangles(d, closure_broadcast_max=0).to_pylist()
+    monkeypatch.setattr(join, "BROADCAST_MAX_BYTES", 0)
+    b = events_triangles(d).to_pylist()
     assert a == b
     assert a[0]["n_triangles"] > 0
 
