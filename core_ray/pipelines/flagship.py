@@ -10,10 +10,15 @@ over the spatial workload (§7.1 dataflow):
       -> Geocoder actor pool         (cascade; broadcast geo-IP dict)
       -> CellEncoder actor pool      (hex res-7 + s2 level-12)
       -> PipJoin actor pool          (broadcast STRtree; deepest-wins)
-      -> checkpoint  <ckpt>/phaseA/shard=K   (per-shard lineage manifest;
-         finished shards are SKIPPED on rerun)
+      -> checkpoint  <ckpt>/phaseA/shard-K   (per-shard lineage manifest;
+         finished shards are SKIPPED on rerun; a shard's fingerprint is its
+         page files' (path, size, mtime), so a touched file reruns its shard)
 
-  Phase B (global, wide):
+  Phase B (global, wide), keyed on phase A's OUTPUT: its fingerprint is the
+  sum of the shard checkpoints' row digests (state/lineage.py), so a shard
+  that recomputes to the same rows (a re-fetched or copied file, a phase-A
+  version bump that changes no row) reruns no wide stage — the early cutoff
+  of build systems:
       union of shard checkpoints
       -> exact dedup by (url, mention_idx)   [one key-hash shuffle; carries
          text exactly once — equivalent to page-level dedup because duplicate
@@ -23,7 +28,12 @@ over the spatial workload (§7.1 dataflow):
       -> kNN per hex cell (ring-1 expansion, salted hot cells)
       -> tile rollup z in {7, 9, 12}
       -> stats (driver-side small aggregates, the ScanStats/ConfidenceDist
-         analog, scanner.go:102-125)
+         analog, scanner.go:102-125; kept in a small record beside the
+         checkpoints, so a resumed run does not recount them)
+
+A resumed phase B opens only what it returns: the deduped checkpoint (for
+joined / errors), and the kNN and tiles checkpoints. Their inputs are read
+only when they compute.
 
 Every stage version is pinned below; bumping one invalidates exactly the
 checkpoints it feeds (state/lineage.py).
@@ -41,12 +51,14 @@ from core_ray.stages.knn import knn_per_cell
 from core_ray.stages.tiles import tile_rollup
 from core_ray.state.lineage import (
     CheckpointStore,
+    combine_digests,
     fingerprint_config,
     fingerprint_paths,
     fingerprint_table,
 )
 
-STAGE_VERSIONS = {"phaseA": 3, "deduped": 3, "knn": 2, "tiles": 2}
+# phaseA 4: manifests carry the row digest phase B is keyed on
+STAGE_VERSIONS = {"phaseA": 4, "deduped": 3, "knn": 2, "tiles": 2, "stats": 1}
 
 # config fields each stage's OUTPUT depends on (state/lineage.py
 # fingerprint_config): resuming with a changed knob recomputes exactly the
@@ -141,7 +153,7 @@ def _stats_pass(deduped) -> dict:
         .groupby("derivation_source")
         .aggregate(Sum("rows_sum", alias_name="rows"), Sum("pages_sum", alias_name="pages"))
     )
-    per_src = {r["derivation_source"]: (r["rows"], r["pages"]) for r in agg.take_all()}
+    per_src = {r["derivation_source"]: (int(r["rows"]), int(r["pages"])) for r in agg.take_all()}
     _err_srcs = ("none", "oversize")
     hist = {s: p for s, (r, p) in per_src.items() if s not in _err_srcs}
     rows_no_signal = per_src.get("none", (0, 0))[0]
@@ -205,10 +217,7 @@ def scan_files(
         import ray.data
 
         return ray.data.from_items([])
-    out = parts[0]
-    for p in parts[1:]:
-        out = out.union(p)
-    return out
+    return parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
 
 
 def run_flagship(
@@ -278,8 +287,9 @@ def run_flagship(
     import time as _time
 
     t_start = _time.monotonic()
-    # phase B's input: the shard checkpoints load_or_compute already opened
-    shard_rows = []
+    # phase B's input: the shard checkpoints load_or_compute already opened,
+    # and the row digests their manifests record
+    shard_rows, shard_digests = [], []
     timed_out = False
     # shards run in order, one at a time, so the completed set is always
     # shards[0..n): a deadline-bounded run never poisons a later resume
@@ -299,15 +309,18 @@ def run_flagship(
             lambda files=files: _phase_a(files, geoip_ref, admin_ref, cfg),
             str(k),
         ))
-    # downstream fingerprints cover the files actually PROCESSED, so a
-    # partial (deadline-bounded) run never poisons a later full run's resume
-    processed_files = sorted(f for s in shards[: len(shard_rows)] for f in s)
+        shard_digests.append(store.digest("phaseA", str(k)))
     all_rows = shard_rows[0].union(*shard_rows[1:]) if len(shard_rows) > 1 else shard_rows[0]
 
     # --- phase B: global dedup (one hash shuffle, stages/dedup.py) ---
     from core_ray.stages.dedup import dedup_exact
 
-    input_fp = fingerprint_paths(processed_files) + "+" + phase_a_cfg_fp
+    # keyed on the rows phase A produced for the shards that ran (so a
+    # partial, deadline-bounded run never poisons a later full run's
+    # resume), not on the files' stats: a shard recomputed to the same rows
+    # leaves every phase-B fingerprint unchanged. The digest sum does not
+    # depend on how files were assigned to shards.
+    input_fp = combine_digests(shard_digests) + "+" + phase_a_cfg_fp
     ckpt_writer = None
     deduped_from_ckpt = store.is_complete("deduped", STAGE_VERSIONS["deduped"], input_fp)
     if deduped_from_ckpt:
@@ -348,8 +361,9 @@ def run_flagship(
     # knn, tiles and stats all read only the deduped checkpoint — run their
     # executions concurrently (independent sub-DAGs sharing the cluster).
     # On RESUME runs the checkpoint read is COLUMN-PRUNED per consumer (the
-    # wide text column must never be decoded for knn/tiles); on cold runs
-    # the materialized in-memory blocks are selected instead (no decode).
+    # wide text column must never be decoded for knn/tiles) and opened only
+    # by a consumer that computes; on cold runs the materialized in-memory
+    # blocks are selected instead (no decode).
     def _joined_narrow(columns: list[str]):
         src = (
             store.load("deduped", columns=columns + ["derivation_source"])
@@ -360,9 +374,6 @@ def run_flagship(
             expr="derivation_source != 'none' and derivation_source != 'oversize'"
         ).select_columns(columns)
 
-    knn_input = _joined_narrow(["url", "mention_idx", "lat", "lon", "hex_cell"])
-    tiles_input = _joined_narrow(["url", "lat", "lon"])
-
     knn_fp = input_fp + "+" + fingerprint_config(cfg, _KNN_CFG)
     tiles_fp = input_fp + "+" + fingerprint_config(cfg, _TILES_CFG)
 
@@ -372,7 +383,7 @@ def run_flagship(
             STAGE_VERSIONS["knn"],
             knn_fp,
             lambda: knn_per_cell(
-                knn_input,
+                _joined_narrow(["url", "mention_idx", "lat", "lon", "hex_cell"]),
                 k=cfg.knn_k,
                 hot_threshold=cfg.hot_cell_threshold,
                 salt_target=cfg.salt_group_target,
@@ -385,7 +396,7 @@ def run_flagship(
             "tiles",
             STAGE_VERSIONS["tiles"],
             tiles_fp,
-            lambda: tile_rollup(tiles_input, cfg.tile_zooms),
+            lambda: tile_rollup(_joined_narrow(["url", "lat", "lon"]), cfg.tile_zooms),
         )
 
     def _empty():
@@ -401,19 +412,30 @@ def run_flagship(
     if not cfg.stage_enabled("tiles"):
         _tiles = _empty
 
-    stats_src = (
-        store.load("deduped", columns=["derivation_source", "mention_idx"])
-        if deduped_from_ckpt
-        else deduped
-    )
+    # the stats record lives under the deduped stage's fingerprint and
+    # version: it is a function of the deduped rows alone
+    stats_fp = f"{input_fp}+deduped{STAGE_VERSIONS['deduped']}"
+    cached_stats = store.load_record("stats", STAGE_VERSIONS["stats"], stats_fp)
+
+    def _stats():
+        if cached_stats is not None:
+            return cached_stats
+        stats = _stats_pass(
+            store.load("deduped", columns=["derivation_source", "mention_idx"])
+            if deduped_from_ckpt
+            else deduped
+        )
+        store.save_record("stats", STAGE_VERSIONS["stats"], stats_fp, stats)
+        return stats
+
     if available >= 16:
         with ThreadPoolExecutor(max_workers=3) as pool:
             knn_f = pool.submit(_knn)
             tiles_f = pool.submit(_tiles)
-            stats_f = pool.submit(_stats_pass, stats_src)
+            stats_f = pool.submit(_stats)
             knn, tiles, stats = knn_f.result(), tiles_f.result(), stats_f.result()
     else:
-        knn, tiles, stats = _knn(), _tiles(), _stats_pass(stats_src)
+        knn, tiles, stats = _knn(), _tiles(), _stats()
     if ckpt_writer is not None:
         ckpt_writer.result()  # checkpoint durable before returning
     stats["timed_out"] = timed_out

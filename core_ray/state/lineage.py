@@ -5,29 +5,51 @@ scanner.go:224-270 ScanFiles only re-parses changed files; here a failed run
 skips finished work):
 
 - each checkpointed stage writes to ``<root>/<stage>/data/`` (a directory of
-  part files) ATOMICALLY: written to a tmp dir first, renamed into place.
+  part files) ATOMICALLY: written to a ``<stage>.tmp-<id>`` dir first,
+  renamed into place. A write that raises removes its tmp dir, and a save
+  sweeps the tmp dirs a killed process left behind.
 - a ``manifest.json`` records stage name + STAGE VERSION + the INPUT
-  FINGERPRINT + per-file row counts + wall time. A code change bumps the
-  stage version and invalidates the checkpoint instead of silently mixing
-  outputs (SURVEY.md §7.3 "Resume semantics").
+  FINGERPRINT + per-file row counts + wall time + an order-independent
+  128-bit DIGEST of the rows written. A code change bumps the stage version
+  and invalidates the checkpoint instead of silently mixing outputs
+  (SURVEY.md §7.3 "Resume semantics").
 - resume = if the manifest matches (stage, version, fingerprint), read the
   parquet back instead of recomputing; the streaming pipeline downstream is
   unaffected.
 
+The digest is the sum, mod 2**64 in each of two lanes, of one hash per
+row, so it is the same for the same multiset of rows however they are
+ordered or split into blocks and files, and sums across checkpoints
+(``combine_digests``). The write tasks compute it (``_digest_sink_class``),
+so it costs no extra execution and no read-back. A consumer keyed on it
+instead of on its input paths reruns only when the rows changed — the early
+cutoff of build systems (Mokhov, Mitchell & Peyton Jones, *Build Systems à
+la Carte*, ICFP 2018); pipelines/flagship.py keys phase B on it.
+
 Sharded map phases additionally write one checkpoint per input shard
-(``<root>/<stage>/shard=K/``) so partial progress survives: finished shards
+(``<root>/<stage>/shard-K/``) so partial progress survives: finished shards
 are skipped on rerun (see pipelines/flagship.py).
 """
 
 from __future__ import annotations
 
+import functools
+import glob
+import hashlib
 import json
 import os
 import shutil
 import time
 import uuid
 
+import numpy as np
+import pyarrow as pa
 import pyarrow.parquet as pq
+
+# compact: shuffle/union stages emit hundreds of tiny blocks; writing them
+# 1:1 would make every downstream read/groupby pay one task and one shuffle
+# partition per tiny file
+_MIN_ROWS_PER_FILE = 32_768
 
 
 class CheckpointStore:
@@ -69,6 +91,11 @@ class CheckpointStore:
             # ValueError covers json.JSONDecodeError and pyarrow's ArrowInvalid
             return False
 
+    def digest(self, stage: str, shard: str | None = None) -> str:
+        """The row digest a completed checkpoint's manifest records."""
+        with open(self.manifest_path(stage, shard)) as f:
+            return json.load(f)["digest"]
+
     def load(self, stage: str, shard: str | None = None, columns: list[str] | None = None):
         import ray.data
 
@@ -82,39 +109,37 @@ class CheckpointStore:
         needs the data back opens it with ``load`` (``load_or_compute``
         does), and a caller that still holds ``ds`` keeps using that."""
         final = self._dir(stage, shard)
+        for stale in glob.glob(glob.escape(final) + ".tmp-*"):
+            shutil.rmtree(stale, ignore_errors=True)  # left by a killed save
         tmp = f"{final}.tmp-{uuid.uuid4().hex[:8]}"
         data_dir = os.path.join(tmp, "data")
         os.makedirs(data_dir, exist_ok=True)  # empty output still checkpoints
-        t0 = time.perf_counter()
-        # compact: shuffle/union stages emit hundreds of tiny blocks; writing
-        # them 1:1 would make every downstream read/groupby pay one task and
-        # one shuffle partition per tiny file
         try:
-            ds.write_parquet(data_dir, min_rows_per_file=32_768)
-        except TypeError:  # older ray: num_rows_per_file
-            ds.write_parquet(data_dir, num_rows_per_file=32_768)
-        wall = time.perf_counter() - t0
-        files = []
-        for name in sorted(os.listdir(data_dir)):
-            if name.endswith(".parquet"):
-                meta = pq.read_metadata(os.path.join(data_dir, name))
-                files.append({"file": name, "rows": meta.num_rows})
-        manifest = {
-            "stage": stage,
-            "version": version,
-            "fingerprint": fingerprint,
-            "rows": sum(f["rows"] for f in files),
-            "wall_s": round(wall, 3),
-            "throughput_rows_per_s": round(sum(f["rows"] for f in files) / wall, 1) if wall > 0 else None,
-            "files": files,
-            "written_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        }
-        with open(os.path.join(tmp, "manifest.json"), "w") as f:
-            json.dump(manifest, f, indent=1)
-        if os.path.isdir(final):
-            shutil.rmtree(final)
-        os.makedirs(os.path.dirname(final), exist_ok=True)
-        os.replace(tmp, final)
+            t0 = time.perf_counter()
+            sink = _digest_sink_class()(data_dir)
+            ds.write_datasink(sink)
+            wall = time.perf_counter() - t0
+            rows = sum(f["rows"] for f in sink.files)
+            manifest = {
+                "stage": stage,
+                "version": version,
+                "fingerprint": fingerprint,
+                "rows": rows,
+                "digest": combine_digests([f.pop("digest") for f in sink.files]),
+                "wall_s": round(wall, 3),
+                "throughput_rows_per_s": round(rows / wall, 1) if wall > 0 else None,
+                "files": sink.files,
+                "written_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+            }
+            with open(os.path.join(tmp, "manifest.json"), "w") as f:
+                json.dump(manifest, f, indent=1)
+            if os.path.isdir(final):
+                shutil.rmtree(final)
+            os.makedirs(os.path.dirname(final), exist_ok=True)
+            os.replace(tmp, final)
+        except BaseException:
+            shutil.rmtree(tmp, ignore_errors=True)
+            raise
 
     def load_or_compute(self, stage: str, version: int, fingerprint: str, compute, shard: str | None = None):
         """Resume-or-run one stage; ``compute`` is a thunk returning a Dataset.
@@ -125,11 +150,182 @@ class CheckpointStore:
             self.save(compute(), stage, version, fingerprint, shard)
         return self.load(stage, shard)
 
+    def _record_path(self, name: str) -> str:
+        return os.path.join(self.root, f"{name}.json")
+
+    def save_record(self, name: str, version: int, fingerprint: str, value) -> None:
+        """Store a small JSON-able ``value`` (a driver-side result, not a
+        Dataset) atomically under ``<root>/<name>.json``."""
+        path = self._record_path(name)
+        tmp = f"{path}.tmp-{uuid.uuid4().hex[:8]}"
+        try:
+            with open(tmp, "w") as f:
+                json.dump({"version": version, "fingerprint": fingerprint, "value": value}, f)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+            raise
+
+    def load_record(self, name: str, version: int, fingerprint: str):
+        """The value ``save_record`` stored under this version and
+        fingerprint, or None."""
+        try:
+            with open(self._record_path(name)) as f:
+                r = json.load(f)
+        except (OSError, ValueError):
+            return None
+        if r.get("version") != version or r.get("fingerprint") != fingerprint:
+            return None
+        return r.get("value")
+
+
+@functools.cache
+def _digest_sink_class():
+    """The Ray Data datasink behind ``CheckpointStore.save`` (built on
+    first use: this module does not import Ray at import time). Each write
+    task writes its rows (at least ``_MIN_ROWS_PER_FILE`` per file, as
+    ``write_parquet(min_rows_per_file=...)`` would) to one part file and
+    returns ``{file, rows, digest}``; ``files`` collects those returns on
+    the driver, so the manifest needs no footer re-read."""
+    from ray.data import Datasink
+    from ray.data.block import BlockAccessor
+
+    class DigestParquetSink(Datasink):
+        def __init__(self, data_dir: str):
+            self.data_dir = data_dir
+            self.files: list[dict] = []
+
+        @property
+        def min_rows_per_write(self) -> int:
+            return _MIN_ROWS_PER_FILE
+
+        def write(self, blocks, ctx):
+            tables = [BlockAccessor.for_block(b).to_arrow() for b in blocks]
+            tables = [t for t in tables if t.num_rows]
+            if not tables:
+                return None
+            schema = pa.unify_schemas([t.schema for t in tables])
+            table = pa.concat_tables([t.cast(schema) for t in tables])
+            name = f"part-{ctx.task_idx:05d}-{uuid.uuid4().hex[:8]}.parquet"
+            pq.write_table(table, os.path.join(self.data_dir, name))
+            return {"file": name, "rows": table.num_rows, "digest": table_digest(table)}
+
+        def on_write_complete(self, write_result):
+            self.files = sorted((r for r in write_result.write_returns if r),
+                                key=lambda r: r["file"])
+
+    return DigestParquetSink
+
+
+# ---------------------------------------------------------------- digest
+
+_LANE_SEEDS = (0x243F6A8885A308D3, 0x13198A2E03707344)
+_GOLD = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer; array arithmetic wraps mod 2**64."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _tag(*parts) -> np.uint64:
+    h = hashlib.blake2b("\x1f".join(map(str, parts)).encode(), digest_size=8).digest()
+    return np.uint64(int.from_bytes(h, "little"))
+
+
+def _type_family(t: pa.DataType) -> str:
+    """Type name folded into each value's hash. String and binary widths
+    (``string`` / ``large_string``) share one name so the digest follows
+    the values, not the offset width a block happened to get."""
+    if pa.types.is_string(t) or pa.types.is_large_string(t):
+        return "utf8"
+    if pa.types.is_binary(t) or pa.types.is_large_binary(t):
+        return "binary"
+    return str(t)
+
+
+def _value_words(arr: pa.Array, lane: int) -> np.ndarray:
+    """One uint64 per value of ``arr`` for the caller to hash (null slots
+    are arbitrary; the caller masks them). Fixed-width values give their
+    BIT PATTERN, so ``-0.0`` and ``0.0`` differ (a spurious difference
+    only costs a recompute); strings and binaries go through polars'
+    vectorized hash (fixed seed, deterministic for one polars build);
+    anything else through blake2b of its Python repr."""
+    t = arr.type
+    if pa.types.is_boolean(t):
+        arr = arr.cast(pa.uint8())
+    try:
+        width = arr.type.bit_width
+    except ValueError:
+        width = 0
+    if width in (8, 16, 32, 64):
+        n = width // 8
+        raw = np.frombuffer(arr.buffers()[1], dtype=np.dtype(f"<u{n}"),
+                            count=arr.offset + len(arr))[arr.offset:]
+        return raw.astype(np.uint64)
+    if pa.types.is_string(t) or pa.types.is_large_string(t) or pa.types.is_binary(t) \
+            or pa.types.is_large_binary(t):
+        try:
+            import polars as pl
+
+            return pl.from_arrow(arr).hash(seed=_LANE_SEEDS[lane]).to_numpy().astype(np.uint64)
+        except ImportError:
+            pass
+    key = _LANE_SEEDS[lane].to_bytes(8, "little")
+    return np.fromiter(
+        (int.from_bytes(hashlib.blake2b(repr(v).encode(), digest_size=8, key=key).digest(), "little")
+         for v in arr.to_pylist()),
+        dtype=np.uint64, count=len(arr),
+    )
+
+
+def table_digest(table: pa.Table) -> str:
+    """Order-independent 128-bit digest of ``table``'s rows (module
+    docstring), as 32 hex digits. Each row hash covers every column by
+    name, type family and value, with null distinct from every value; a
+    duplicated or dropped row changes the sum."""
+    n = table.num_rows
+    cols = []
+    for name in sorted(table.column_names):
+        arr = table[name].combine_chunks()
+        if pa.types.is_dictionary(arr.type):
+            arr = arr.cast(arr.type.value_type)
+        valid = (np.ones(n, dtype=bool) if arr.null_count == 0
+                 else arr.is_valid().to_numpy(zero_copy_only=False))
+        cols.append((name, arr, valid))
+    lanes = []
+    for lane, seed in enumerate(_LANE_SEEDS):
+        row = np.full(n, seed, dtype=np.uint64)
+        for name, arr, valid in cols:
+            if pa.types.is_null(arr.type):
+                h = np.zeros(n, dtype=np.uint64)
+            else:
+                h = _mix(_value_words(arr, lane) ^ _tag(lane, name, _type_family(arr.type)))
+            h = np.where(valid, h, _tag(lane, name, "null"))
+            row = _mix(row * _GOLD + h)
+        lanes.append(int(row.sum(dtype=np.uint64)))
+    return "".join(f"{v:016x}" for v in lanes)
+
+
+def combine_digests(digests: list[str]) -> str:
+    """Digest of the union of the row multisets behind ``digests``: the
+    lane-wise sum mod 2**64. Independent of how rows were split among
+    checkpoints (or shards)."""
+    lanes = [0, 0]
+    for d in digests:
+        lanes = [(a + int(d[16 * i:16 * (i + 1)], 16)) & 0xFFFFFFFFFFFFFFFF
+                 for i, a in enumerate(lanes)]
+    return "".join(f"{v:016x}" for v in lanes)
+
+
+# ---------------------------------------------------------------- inputs
+
 
 def fingerprint_paths(paths: list[str]) -> str:
     """Input fingerprint: sorted (path, size, mtime_ns) digest."""
-    import hashlib
-
     h = hashlib.sha256()
     for p in sorted(paths):
         st = os.stat(p)
@@ -142,8 +338,6 @@ def fingerprint_config(cfg, fields: tuple[str, ...]) -> str:
     the stage fingerprint so resuming in an existing checkpoint dir with a
     changed config recomputes instead of silently returning stale results
     (execution-only knobs like batch sizes are deliberately excluded)."""
-    import hashlib
-
     s = "|".join(f"{f}={getattr(cfg, f)!r}" for f in fields)
     return hashlib.sha256(s.encode()).hexdigest()[:8]
 
@@ -152,10 +346,6 @@ def fingerprint_table(table) -> str:
     """Content digest of a small broadcast-side pyarrow Table (admin polygons,
     geo-IP map): IPC-serialize and hash. Small sides only — never a fact
     table."""
-    import hashlib
-
-    import pyarrow as pa
-
     sink = pa.BufferOutputStream()
     with pa.ipc.new_stream(sink, table.schema) as w:
         w.write_table(table)

@@ -679,21 +679,19 @@ def verify_pairs_joined(pairs_ds, docs_ds, id_col: str = "doc_id",
                         text_col: str = "text", n: int = 5,
                         threshold: float = 0.5, id_type=None):
     """Exact n-gram-Jaccard verification at corpus scale: the corpus is
-    SEMI-FILTERED to the candidate ids first (distributed np.isin against
-    the broadcast sorted id set — candidate sets are small by LSH
-    construction), then candidate texts are RE-JOINED by id through the
-    hash-partitioned equi-join, so the two all-to-alls move pair rows + the
-    candidate texts only — never the corpus. Equivalent output to
-    verify_pairs_exact."""
+    SEMI-JOINED to the candidate ids first (``join.lookup_join``: the id
+    set is broadcast when it fits ``BROADCAST_MAX_BYTES`` and shuffled
+    otherwise, so it never has to reach the driver), then candidate texts
+    are RE-JOINED by id through the hash-partitioned equi-join, so the two
+    all-to-alls move pair rows + the candidate texts only — never the
+    corpus. Equivalent output to verify_pairs_exact."""
     import pyarrow.compute as pc
-    import ray
 
-    from core_ray.stages.join import hash_join
+    from core_ray.stages.join import hash_join, lookup_join
 
     id_type = id_type or pa.int64()
-    pairs_ds = pairs_ds.materialize()  # consumed twice: id collection + join
-    pair_tables = [t for t in ray.get(pairs_ds.to_arrow_refs()) if t.num_rows]
-    if not pair_tables:
+    pairs_ds = pairs_ds.materialize()  # consumed twice: id set + join
+    if pairs_ds.count() == 0:
         return pairs_ds.map_batches(
             lambda b: pa.table(
                 {
@@ -704,20 +702,15 @@ def verify_pairs_joined(pairs_ds, docs_ds, id_col: str = "doc_id",
             ),
             batch_format="pyarrow",
         )
-    need = np.unique(
-        np.concatenate(
-            [t["id_a"].to_numpy(zero_copy_only=False) for t in pair_tables]
-            + [t["id_b"].to_numpy(zero_copy_only=False) for t in pair_tables]
-        )
+    ids = pairs_ds.map_batches(
+        lambda b: pa.table({id_col: pa.chunked_array(
+            b["id_a"].chunks + b["id_b"].chunks, b["id_a"].type)}),
+        batch_format="pyarrow",
     )
-    need_ref = ray.put(need)
-
-    def pick(b: pa.Table, need_ref=need_ref) -> pa.Table:
-        nd = need_ref if isinstance(need_ref, np.ndarray) else ray.get(need_ref)
-        m = np.isin(b[id_col].to_numpy(zero_copy_only=False), nd)
-        return b.filter(pa.array(m))
-
-    cand_docs = docs_ds.map_batches(pick, batch_format="pyarrow").materialize()
+    cand_docs = lookup_join(
+        docs_ds, ids, on=id_col, how="semi",
+        right_schema=pa.schema([(id_col, id_type)]),
+    ).materialize()
     text_a = cand_docs.map_batches(
         lambda b: pa.table(
             {"id_a": b[id_col], "text_a": b[text_col].cast(pa.large_string())}

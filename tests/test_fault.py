@@ -67,3 +67,66 @@ def test_actor_pool_worker_death_recovers(ray_session, tmp_path):
     ).sum("x")
     assert out == n * (n - 1) // 2 + 7 * n
     assert not os.path.exists(marker)
+
+
+def test_dedup_checkpoint_writer_dies_mid_write(ray_session, tmp_path, monkeypatch):
+    """The background ``deduped`` checkpoint write fails mid-write (and a
+    killed earlier writer left a torn tmp dir): the rerun recomputes
+    ``deduped``, resumes kNN and tiles (their fingerprints are unchanged)
+    and returns the outputs of a clean run."""
+    import glob
+    import json
+
+    import pytest
+
+    from core_ray.collect import collect_table
+    from core_ray.config import PipelineConfig
+    from core_ray.fixtures.pages import write_corpus
+    from core_ray.pipelines.flagship import run_flagship
+    from core_ray.state.lineage import CheckpointStore
+
+    c = write_corpus(str(tmp_path / "corpus"), 300, n_page_files=3)
+    files = sorted(glob.glob(str(tmp_path / "corpus" / "pages" / "*.parquet")))
+    ckpt = str(tmp_path / "ckpt")
+
+    def run(checkpoint_dir):
+        res = run_flagship(files, c.admin_polygons, c.geoip_ranges, PipelineConfig(),
+                           checkpoint_dir=checkpoint_dir)
+        out = {k: collect_table(getattr(res, k)) for k in ("joined", "knn", "tiles")}
+        out = {k: t.sort_by([(n, "ascending") for n in t.column_names if n != "text"])
+               for k, t in out.items()}
+        return out, res.stats
+
+    save = CheckpointStore.save
+
+    def dying_save(store, ds, stage, *args, **kwargs):
+        if stage == "deduped":
+            def die(b: pa.Table) -> pa.Table:
+                raise RuntimeError("checkpoint writer died")
+
+            ds = ds.map_batches(die, batch_format="pyarrow")
+        return save(store, ds, stage, *args, **kwargs)
+
+    monkeypatch.setattr(CheckpointStore, "save", dying_save)
+    with pytest.raises(Exception, match="checkpoint writer died"):
+        run(ckpt)
+    monkeypatch.undo()
+    assert not os.path.exists(os.path.join(ckpt, "deduped"))
+    assert glob.glob(os.path.join(ckpt, "deduped.tmp-*")) == []
+    torn = os.path.join(ckpt, "deduped.tmp-0badc0de", "data")
+    os.makedirs(torn)
+    with open(os.path.join(torn, "part-00000.parquet"), "wb") as f:
+        f.write(b"PAR1 torn")
+
+    wide = {s: os.path.join(ckpt, s, "manifest.json") for s in ("knn", "tiles")}
+    before = {s: os.stat(m).st_mtime_ns for s, m in wide.items()}
+    got, got_stats = run(ckpt)
+    assert {s: os.stat(m).st_mtime_ns for s, m in wide.items()} == before
+    with open(os.path.join(ckpt, "deduped", "manifest.json")) as f:
+        assert json.load(f)["stage"] == "deduped"
+    assert glob.glob(os.path.join(ckpt, "deduped.tmp-*")) == []
+
+    want, want_stats = run(str(tmp_path / "ckpt_clean"))
+    assert got_stats == want_stats
+    for k in want:
+        assert got[k].equals(want[k]), k

@@ -153,10 +153,10 @@ def test_checkpoint_reader_count(ray_session, corpus, tmp_path_factory, monkeypa
     """Every ``read_parquet`` call blocks the calling process on a
     footer-sampling task. With S shards a cold run opens each page shard
     once and each phase-A checkpoint once, plus the kNN and tiles
-    checkpoints (2S + 2); a
-    full resume opens the S phase-A checkpoints, the deduped checkpoint
-    once per consumer (pipeline, kNN input, tiles input, stats) and the kNN
-    and tiles checkpoints (S + 6)."""
+    checkpoints (2S + 2); a full resume opens the S phase-A checkpoints,
+    the deduped checkpoint once (for joined / errors) and the kNN and tiles
+    checkpoints (S + 3): the kNN and tiles inputs are opened only when
+    those stages compute, and the stats come from their record."""
     import glob
 
     import ray.data
@@ -183,7 +183,7 @@ def test_checkpoint_reader_count(ray_session, corpus, tmp_path_factory, monkeypa
     cold, n_cold = run()
     assert n_cold <= 2 * n_shards + 2, calls
     resumed, n_resume = run()
-    assert n_resume <= n_shards + 6, calls
+    assert n_resume <= n_shards + 3, calls
     assert resumed.stats == cold.stats
 
 
@@ -320,3 +320,125 @@ def test_deleted_phase_a_part_recomputes_that_shard(ray_session, corpus, tmp_pat
     assert res2.stats == res1.stats
     for k, want in first.items():
         assert rows(getattr(res2, k)) == want, k
+
+
+def _sorted_table(ds, keys):
+    from core_ray.collect import collect_table
+
+    return collect_table(ds).sort_by([(k, "ascending") for k in keys])
+
+
+_OUTPUT_KEYS = {
+    "joined": ["url", "mention_idx"],
+    "knn": ["url", "mention_idx", "rank"],
+    "tiles": ["tile_z", "tile_x", "tile_y"],
+}
+
+
+def _outputs(res) -> dict:
+    out = {k: _sorted_table(getattr(res, k), keys) for k, keys in _OUTPUT_KEYS.items()}
+    out["stats"] = res.stats
+    return out
+
+
+def _assert_same_outputs(got: dict, want: dict) -> None:
+    assert got["stats"] == want["stats"]
+    for k in _OUTPUT_KEYS:
+        assert got[k].equals(want[k]), k
+
+
+def _wide_manifests(ckpt: str) -> dict:
+    """(mtime_ns, fingerprint) of the phase-B checkpoints' manifests."""
+    import json
+    import os
+
+    out = {}
+    for stage in ("deduped", "knn", "tiles"):
+        path = os.path.join(ckpt, stage, "manifest.json")
+        with open(path) as f:
+            out[stage] = (os.stat(path).st_mtime_ns, json.load(f)["fingerprint"])
+    return out
+
+
+def _edit_page_file(path: str) -> None:
+    """Change one page file's content: move one page's coordinate mention
+    to another city, delete another page, and append a byte-identical
+    duplicate of a third (a warc_ts tie, so dedup keeps either copy)."""
+    import re
+
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    t = pq.read_table(path)
+    texts = t["text"].to_pylist()
+    mention = re.compile(r"located at (-?\d+\.\d{4}), (-?\d+\.\d{4}) nearby")
+    moved = next(i for i, x in enumerate(texts) if mention.search(x))
+    old = mention.search(texts[moved]).group(0)
+    lat = float(mention.search(texts[moved]).group(1))
+    new = "located at -33.8688, 151.2093 nearby" if lat > 0 else "located at 35.6762, 139.6503 nearby"
+    htmls = t["html"].to_pylist()
+    assert old.encode() in htmls[moved]
+    texts[moved] = texts[moved].replace(old, new, 1)
+    htmls[moved] = htmls[moved].replace(old.encode(), new.encode(), 1)
+    t = t.set_column(t.column_names.index("text"), "text", pa.array(texts, t["text"].type))
+    t = t.set_column(t.column_names.index("html"), "html", pa.array(htmls, t["html"].type))
+
+    urls = t["url"].to_pylist()
+    unique = [i for i, u in enumerate(urls) if urls.count(u) == 1 and i != moved]
+    dropped, duplicated = unique[0], unique[1]
+    keep = pc.not_equal(pa.array(range(t.num_rows)), dropped)
+    t = pa.concat_tables([t.filter(keep), t.slice(duplicated, 1)])
+    pq.write_table(t, path, row_group_size=8192)
+
+
+@pytest.mark.parametrize("salted", [False, True], ids=["unsalted", "salted"])
+def test_phase_b_cutoff_follows_row_content(ray_session, corpus, tmp_path, salted):
+    """Phase B is keyed on phase A's output digests. Editing a page file's
+    content recomputes dedup, kNN and tiles, with outputs equal to a cold
+    run over the edited corpus; bumping a file's mtime alone recomputes
+    that one phase-A shard and reuses every wide stage."""
+    import glob
+    import json
+    import os
+    import shutil
+
+    out_dir, c = corpus
+    pages = tmp_path / "pages"
+    shutil.copytree(f"{out_dir}/pages", pages)
+    files = sorted(glob.glob(f"{pages}/*.parquet"))
+    cfg = (PipelineConfig(hot_cell_threshold=10, salt_group_target=10) if salted
+           else PipelineConfig())
+    ckpt = str(tmp_path / "ckpt")
+
+    def run(checkpoint_dir):
+        return run_flagship(files, c.admin_polygons, c.geoip_ranges, cfg,
+                            checkpoint_dir=checkpoint_dir)
+
+    orig = _outputs(run(ckpt))
+    before = _wide_manifests(ckpt)
+
+    _edit_page_file(files[1])
+    delta = _outputs(run(ckpt))
+    edited = _wide_manifests(ckpt)
+    for stage in before:
+        assert edited[stage][1] != before[stage][1], f"{stage} was not recomputed"
+    cold = _outputs(run(str(tmp_path / "ckpt_cold")))
+    _assert_same_outputs(delta, cold)
+    # the edit reached the outputs: one page fewer, one mention moved
+    assert delta["stats"]["pages_deduped"] == orig["stats"]["pages_deduped"] - 1
+    for k in _OUTPUT_KEYS:
+        assert not delta[k].equals(orig[k]), k
+
+    shard_manifests = sorted(glob.glob(f"{ckpt}/phaseA/shard-*/manifest.json"))
+    shards_before = {m: os.stat(m).st_mtime_ns for m in shard_manifests}
+    st = os.stat(files[2])
+    os.utime(files[2], ns=(st.st_atime_ns, st.st_mtime_ns + 1_000_000_000))
+    bumped = _outputs(run(ckpt))
+    shards_after = {m: os.stat(m).st_mtime_ns for m in shard_manifests}
+    rerun = [m for m in shard_manifests if shards_after[m] != shards_before[m]]
+    assert len(rerun) == 1, rerun
+    with open(rerun[0]) as f:
+        assert json.load(f)["digest"]
+    assert _wide_manifests(ckpt) == edited, "an mtime-only change reran a wide stage"
+    _assert_same_outputs(bumped, delta)

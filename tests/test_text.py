@@ -275,6 +275,34 @@ class TestVerifyJoined:
         assert sorted(map(key, bd)) == sorted(map(key, jn))
         assert len(bd) > 0
 
+    def test_shuffle_regime_equals_broadcast(self, ray_session, monkeypatch):
+        """The corpus filter is a lookup_join semi join: forcing its shuffle
+        regime (no id set on the driver) gives the same pairs."""
+        import ray.data
+
+        from core_ray.stages import join
+
+        texts = [f"w{i % 7} w{i % 5} w{i % 3} alpha beta gamma delta" for i in range(60)]
+        docs = _docs_table(texts)
+        pairs = pa.table({
+            "id_a": pa.array(list(range(0, 50, 2)), pa.int64()),
+            "id_b": pa.array(list(range(1, 51, 2)), pa.int64()),
+        })
+
+        def run():
+            return sorted(
+                (r["id_a"], r["id_b"], r["jaccard"])
+                for r in dedup.verify_pairs_joined(
+                    ray.data.from_arrow(pairs), ray.data.from_arrow(docs).repartition(4),
+                    threshold=0.2,
+                ).take_all()
+            )
+
+        broadcast = run()
+        monkeypatch.setattr(join, "BROADCAST_MAX_BYTES", 0)
+        assert run() == broadcast
+        assert len(broadcast) > 0
+
 
 class TestWordNgrams:
     """_word_ngrams: the vectorized gram builder under contamination/novelty."""
