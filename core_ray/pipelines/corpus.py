@@ -29,6 +29,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from core_ray.collect import collect_table
+
 
 @dataclass
 class CurationResult:
@@ -49,10 +51,7 @@ def _bucket_thresholds(ds) -> tuple[float, float]:
         ),
         "key",
     )
-    import ray
-
-    parts = [t for t in ray.get(hist.to_arrow_refs()) if t.num_rows]
-    h = pa.concat_tables(parts)
+    h = collect_table(hist)
     vals = h["key"].to_numpy(zero_copy_only=False).astype(np.int64)
     cnts = h["cnt"].to_numpy(zero_copy_only=False).astype(np.int64)
     return (

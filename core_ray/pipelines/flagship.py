@@ -79,22 +79,17 @@ class FlagshipResult:
     stats: dict = field(default_factory=dict)
 
 
-def _geoip_dict(geoip_table: pa.Table) -> dict[str, tuple[float, float]]:
-    return {
-        h: (la, lo)
-        for h, la, lo in zip(
-            geoip_table["host"].to_pylist(),
-            geoip_table["lat"].to_pylist(),
-            geoip_table["lon"].to_pylist(),
-        )
-    }
+def _sides_fp(admin_table: pa.Table, geoip_table: pa.Table) -> str:
+    return fingerprint_table(admin_table) + fingerprint_table(geoip_table)
 
 
-def _phase_a(page_files: list[str], geoip_ref, admin_ref, cfg: PipelineConfig):
+def _phase_a(page_files: list[str], geoip_table: pa.Table, admin_table: pa.Table,
+             sides_fp: str, cfg: PipelineConfig):
     """One fused per-document stage.
 
-    TASK-based (not an actor pool); per-worker state is cached across tasks
-    (stages/analyzer.py::analyze_batch_task). The read does NOT fuse with
+    TASK-based (not an actor pool); per-worker state is cached across tasks,
+    keyed on ``sides_fp`` (stages/analyzer.py::analyze_batch_task). The side
+    tables ride the map UDF by value. The read does NOT fuse with
     the analyze map: ``Dataset.stats()`` lists ``ReadParquet->SplitBlocks``
     and ``MapBatches(analyze_batch_task)->Write`` as separate operators, so
     the read's blocks, ``html`` included, pass through the object store once.
@@ -121,8 +116,9 @@ def _phase_a(page_files: list[str], geoip_ref, admin_ref, cfg: PipelineConfig):
     )
     fn = functools.partial(
         analyze_batch_task,
-        geoip_ref=geoip_ref,
-        admin_ref=admin_ref,
+        geoip_table=geoip_table,
+        admin_table=admin_table,
+        sides_fp=sides_fp,
         max_html_bytes=cfg.max_html_bytes,
         hex_res=cfg.hex_res,
         s2_level=cfg.s2_level,
@@ -186,8 +182,6 @@ def scan_files(
     resume granularity run_flagship's round-robin shards can't offer."""
     import hashlib
 
-    import ray
-
     cfg = cfg or PipelineConfig()
     checkpoint_dir = checkpoint_dir or cfg.checkpoint_dir
     if checkpoint_dir is None:
@@ -195,9 +189,7 @@ def scan_files(
 
         checkpoint_dir = tempfile.mkdtemp(prefix="core_ray_scan_")
     store = CheckpointStore(checkpoint_dir)
-    geoip_ref = ray.put(_geoip_dict(geoip_table))
-    admin_ref = ray.put(admin_table)
-    sides_fp = fingerprint_table(admin_table) + fingerprint_table(geoip_table)
+    sides_fp = _sides_fp(admin_table, geoip_table)
     cfg_fp = fingerprint_config(cfg, _PHASE_A_CFG) + sides_fp
 
     parts = []
@@ -209,7 +201,7 @@ def scan_files(
                 "scanfiles",
                 STAGE_VERSIONS["phaseA"],
                 fp,
-                lambda f=f: _phase_a([f], geoip_ref, admin_ref, cfg),
+                lambda f=f: _phase_a([f], geoip_table, admin_table, sides_fp, cfg),
                 shard=shard,
             )
         )
@@ -266,9 +258,6 @@ def run_flagship(
         checkpoint_dir = tempfile.mkdtemp(prefix="core_ray_ckpt_")
     store = CheckpointStore(checkpoint_dir)
 
-    geoip_ref = ray.put(_geoip_dict(geoip_table))
-    admin_ref = ray.put(admin_table)
-
     # --- phase A: sharded map-only, per-shard resume. Shards run
     # SEQUENTIALLY, each as one task-fused streaming execution that already
     # saturates the node; concurrent shard executions measured
@@ -282,7 +271,7 @@ def run_flagship(
     available = int(ray.cluster_resources().get("CPU", 8))
     # side tables + config are INPUTS: fold them into every stage fingerprint
     # so a changed polygon set / geoip map / knob invalidates its checkpoints
-    sides_fp = fingerprint_table(admin_table) + fingerprint_table(geoip_table)
+    sides_fp = _sides_fp(admin_table, geoip_table)
     phase_a_cfg_fp = fingerprint_config(cfg, _PHASE_A_CFG) + sides_fp
     import time as _time
 
@@ -306,7 +295,7 @@ def run_flagship(
             "phaseA",
             STAGE_VERSIONS["phaseA"],
             fp,
-            lambda files=files: _phase_a(files, geoip_ref, admin_ref, cfg),
+            lambda files=files: _phase_a(files, geoip_table, admin_table, sides_fp, cfg),
             str(k),
         ))
         shard_digests.append(store.digest("phaseA", str(k)))

@@ -999,13 +999,9 @@ def doc_ngram_novelty(sf_dir: str, n: int = 3):
 
     singles = counts.filter(expr="cnt == 1").select_columns(["gram"]).materialize()
     if fits_broadcast(singles):
-        import ray
-
         bench = np.sort(np.asarray(_collect_table(singles)["gram"].to_pylist()))
-        ref = ray.put(bench)
 
-        def score(b: pa.Table) -> pa.Table:
-            singleton = ray.get(ref)  # zero-copy plasma read, cached per worker
+        def score(b: pa.Table, singleton=bench) -> pa.Table:
             ridx, grams, _ = _word_ngrams(b["text"], n)
             ids = b["doc_id"].to_numpy(zero_copy_only=False)
             if len(ridx) == 0:

@@ -381,7 +381,6 @@ def doc_source_geo_entropy(sf_dir: str):
     Float parity: per-cell c*log2(c) rounds to integer micro-bits
     (sql_round_np == DuckDB ROUND), sums are exact BIGINT, and entropy is
     one fixed double chain shared with the oracle."""
-    import ray
     from ray.data.aggregate import Sum
 
     ds = _read(sf_dir, "documents", ["doc_id", "source"])
@@ -398,10 +397,8 @@ def doc_source_geo_entropy(sf_dir: str):
         .aggregate(Sum("one", alias_name="n"))
     )
     sources = np.sort(np.asarray(src_t["source"].to_pylist()))
-    src_ref = ray.put(sources)
 
-    def pack(b: pa.Table) -> pa.Table:
-        srcs = ray.get(src_ref)
+    def pack(b: pa.Table, srcs=sources) -> pa.Table:
         doc_id = b["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         idx = np.searchsorted(srcs, np.asarray(b["source"].to_pylist()))
         gx = ((doc_id * 104729) % 360000) // _GE_CELL_MILLI
@@ -488,7 +485,6 @@ def doc_lang_dissimilarity(sf_dir: str):
     fold over all pairs. int64 bound: c*total <= N^2 — safe to ~3e9 docs
     per language; the driver fold widens to Python ints beyond
     (documented hatch)."""
-    import ray
     from ray.data.aggregate import Sum
 
     ds = _read(sf_dir, "documents", ["doc_id", "lang"])
@@ -505,10 +501,8 @@ def doc_lang_dissimilarity(sf_dir: str):
         .aggregate(Sum("one", alias_name="n"))
     )
     langs = np.sort(np.asarray(lang_t["lang"].to_pylist()))
-    lang_ref = ray.put(langs)
 
-    def pack(b: pa.Table) -> pa.Table:
-        ls = ray.get(lang_ref)
+    def pack(b: pa.Table, ls=langs) -> pa.Table:
         doc_id = b["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         idx = np.searchsorted(ls, np.asarray(b["lang"].to_pylist()))
         gx = ((doc_id * 104729) % 360000) // _GE_CELL_MILLI
@@ -1586,7 +1580,6 @@ def doc_lang_region_mi(sf_dir: str):
     is the cross-multiplied (c_lr * N)/(c_l * c_r), one exact-integer
     division chain cast to double identically on both sides; MI = one
     exact integer sum / (1e6 * N)."""
-    import ray
     from ray.data.aggregate import Sum
 
     ds = _read(sf_dir, "documents", ["doc_id", "lang"])
@@ -1603,10 +1596,8 @@ def doc_lang_region_mi(sf_dir: str):
         .aggregate(Sum("one", alias_name="n"))
     )
     langs = np.sort(np.asarray(lang_t["lang"].to_pylist()))
-    lang_ref = ray.put(langs)
 
-    def pack(b: pa.Table) -> pa.Table:
-        ls = ray.get(lang_ref)
+    def pack(b: pa.Table, ls=langs) -> pa.Table:
         doc_id = b["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         idx = np.searchsorted(ls, np.asarray(b["lang"].to_pylist()))
         rx = ((doc_id * 104729) % 360000) // _GT_CELL_MILLI
@@ -1797,7 +1788,6 @@ def doc_pmi_collocations(sf_dir: str):
     top-{K} under (pmi desc, bigram asc); PMI is ONE double chain
     log2((c_xy * N)/(c_x * c_y)) mirrored in SQL, support floor
     c_xy >= {MIN}."""
-    import ray
     from ray.data.aggregate import Sum
 
     ds = _read(sf_dir, "documents", ["text"])
@@ -1822,7 +1812,6 @@ def doc_pmi_collocations(sf_dir: str):
     order = np.argsort(uc_raw)
     uc = uni["c"].to_numpy(zero_copy_only=False).astype(np.int64)[order]
     n_total = float(uc.sum())
-    uni_ref = ray.put((uw, uc))
 
     def bi_partial(b: pa.Table) -> pa.Table:
         rows = []
@@ -1845,8 +1834,7 @@ def doc_pmi_collocations(sf_dir: str):
             }
         )
 
-    def prune(g: pa.Table) -> pa.Table:
-        uw_, uc_ = ray.get(uni_ref)
+    def prune(g: pa.Table, uw_=uw, uc_=uc) -> pa.Table:
         bgs = np.asarray(g["bg"].to_pylist())
         c = g["c"].to_numpy(zero_copy_only=False).astype(np.int64)
         order = np.argsort(bgs, kind="stable")
@@ -2440,8 +2428,6 @@ def doc_quality_buckets(sf_dir: str):
     driver; ulp differences vs the SQL QUANTILE_CONT cannot flip a bucket
     because an interpolated threshold either IS an exact integer (frac 0)
     or lies strictly between two adjacent integer signal values."""
-    import ray
-
     ds = _read(sf_dir, "documents", ["doc_id", "n_chars"])
 
     hist = count_by_u64(
@@ -3517,7 +3503,7 @@ def doc_bigram_ppl(sf_dir: str):
     the reference-corpus-vs-crawl split a production LM filter uses.
 
     Two regimes, same outputs: when train vocab AND bigram-type counts
-    fit ``join.BROADCAST_MAX_BYTES`` the model rides ray.put and every test doc
+    fit ``join.BROADCAST_MAX_BYTES`` the model rides the score UDF and every test doc
     scores inside one map_batches (searchsorted on a packed int64
     (w1_idx, w2_idx) key — no join exists); above the guard the model is
     NEVER collected: test bigram rows map to UNK via two distributed
@@ -3526,7 +3512,6 @@ def doc_bigram_ppl(sf_dir: str):
     at web scale and stay in tasks. Float parity: per-BIGRAM micro-bit
     rounding (log2 is ULP-divergent), order-independent BIGINT sums, one
     exact int/int division for the mean."""
-    import ray
     from ray.data.aggregate import Sum
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
@@ -3596,10 +3581,8 @@ def doc_bigram_ppl(sf_dir: str):
         pk, bg_c2s = pk[o], bg_c2[o]
         c1_arr = np.zeros(n_vocab + 1, np.int64)  # index 0 = UNK -> 0
         np.add.at(c1_arr, (pk // stride).astype(np.int64), bg_c2s)
-        model = ray.put((vocab, pk, bg_c2s, c1_arr))
 
-        def score(b: pa.Table) -> pa.Table:
-            voc, keys, c2s, c1a = ray.get(model)
+        def score(b: pa.Table, voc=vocab, keys=pk, c2s=bg_c2s, c1a=c1_arr) -> pa.Table:
             per = [t.split(" ") for t in b["text"].to_pylist()]
             ids = b["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
             keep = np.fromiter((len(p) >= 2 for p in per), bool, len(per))
@@ -3792,12 +3775,11 @@ def doc_top_keywords(sf_dir: str):
 
     Plan: pass 1 is the per-doc-DISTINCT document-frequency combiner
     (token df + corpus N); pass 2 is ADAPTIVE like doc_unigram_surprisal
-    — a df table within ``join.BROADCAST_MAX_BYTES`` rides ray.put and every doc
+    — a df table within ``join.BROADCAST_MAX_BYTES`` rides the score UDF and every doc
     ranks its own tokens inside one map_batches (searchsorted + lexsort
     top-{_KW_K}); above the guard the df side is NEVER collected: per-doc
     (token, tf) rows hash_join the df table and a doc_id-partitioned
     fold ranks per segment. Driver sees only final keyword rows."""
-    import ray
     from ray.data.aggregate import Count
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
@@ -3853,10 +3835,8 @@ def doc_top_keywords(sf_dir: str):
         dfc = dt["df"].to_numpy(zero_copy_only=False).astype(np.int64)
         o = np.argsort(vocab)
         vocab, dfc = vocab[o], dfc[o]
-        model = ray.put((vocab, dfc))
 
-        def score(b: pa.Table) -> pa.Table:
-            voc, dfa = ray.get(model)
+        def score(b: pa.Table, voc=vocab, dfa=dfc) -> pa.Table:
             ids = b["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
             per = [t.split(" ") for t in b["text"].to_pylist()]
             all_ids, all_tok, all_tf = [], [], []
@@ -4554,8 +4534,6 @@ def doc_pack_blocks(sf_dir: str):
     offsets and one hash partition BY RANGE give every doc its exact
     global start offset with a per-range local cumsum. Block ids are then
     pure integer division — order-free and FP-free end to end."""
-    import ray
-
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
     def tok_counts(b: pa.Table) -> pa.Table:
@@ -4594,10 +4572,8 @@ def doc_pack_blocks(sf_dir: str):
     base = np.zeros(n_rng, np.int64)
     if n_rng > 1:
         base[1:] = np.cumsum(sums)[:-1]
-    base_ref = ray.put(base)
 
-    def per_range(g: pa.Table) -> pa.Table:
-        b = ray.get(base_ref) if not isinstance(base_ref, np.ndarray) else base_ref
+    def per_range(g: pa.Table, b=base) -> pa.Table:
         ids = g["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         n = g["n_tokens"].to_numpy(zero_copy_only=False).astype(np.int64)
         order = np.argsort(ids, kind="stable")
@@ -4821,7 +4797,7 @@ def doc_kn_ppl(sf_dir: str):
     continuation denominator.
 
     Two regimes, same outputs (the doc_bigram_ppl contract): when the
-    model fits ``join.BROADCAST_MAX_BYTES`` it rides ray.put and every test doc
+    model fits ``join.BROADCAST_MAX_BYTES`` it rides the score UDF and every test doc
     scores inside one map_batches (vocab searchsorted + packed int64
     bigram keys — no shuffle at all); above the guard the model tables
     (C2, (C1, N1f) fused, N1b — each O(corpus) at web scale) never
@@ -4873,8 +4849,6 @@ def doc_kn_ppl(sf_dir: str):
     denom_cont = float(big_b + big_v)
 
     if fits_broadcast(bg_counts, vocab_ds):
-        import ray
-
         vt = _collect_table(vocab_ds)
         vocab = np.sort(np.asarray(vt["w"].to_pylist()))
         bt = _collect_table(bg_counts)
@@ -4907,10 +4881,9 @@ def doc_kn_ppl(sf_dir: str):
         np.add.at(c1_arr, i1_all, bg_c2s)
         np.add.at(n1f_arr, i1_all, 1)
         np.add.at(n1b_arr, i2_all, 1)
-        model = ray.put((vocab, pk, bg_c2s, c1_arr, n1f_arr, n1b_arr))
 
-        def score(b: pa.Table) -> pa.Table:
-            voc, keys, c2s, c1a, n1fa, n1ba = ray.get(model)
+        def score(b: pa.Table, voc=vocab, keys=pk, c2s=bg_c2s, c1a=c1_arr,
+                  n1fa=n1f_arr, n1ba=n1b_arr) -> pa.Table:
             per = [t.split(" ") for t in b["text"].to_pylist()]
             ids = b["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
             keep = np.fromiter((len(p) >= 2 for p in per), bool, len(per))

@@ -104,8 +104,6 @@ def emb_kmeans(sf_dir: str, k: int = _KMEANS_K, iters: int = _KMEANS_ITERS):
     vectors); the driver folds k x dim doubles and re-broadcasts. The
     corpus is materialized once and re-read per iteration from the object
     store — the standard distributed-k-means access pattern."""
-    import ray
-
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"]).materialize()
 
     def _mat(b: pa.Table) -> np.ndarray:
@@ -125,8 +123,7 @@ def emb_kmeans(sf_dir: str, k: int = _KMEANS_K, iters: int = _KMEANS_ITERS):
     order = np.argsort(seeds["vec_id"].to_numpy(zero_copy_only=False))[:k]
     centers = sql_round_np(_mat(seeds)[order], 6)
 
-    def partials(b: pa.Table, cref) -> pa.Table:
-        c = ray.get(cref) if isinstance(cref, ray.ObjectRef) else cref
+    def partials(b: pa.Table, c: np.ndarray) -> pa.Table:
         x = _mat(b)
         d = ((x[:, None, :] - c[None, :, :]) ** 2).sum(axis=2)
         a = d.argmin(axis=1)
@@ -144,9 +141,8 @@ def emb_kmeans(sf_dir: str, k: int = _KMEANS_K, iters: int = _KMEANS_ITERS):
         )
 
     for _ in range(iters):
-        cref = ray.put(centers)
         pt = collect_table(
-            ds.map_batches(partials, fn_args=(cref,), batch_format="pyarrow",
+            ds.map_batches(partials, fn_args=(centers,), batch_format="pyarrow",
                            batch_size=65536)
         )
         cl = pt["cluster"].to_numpy(zero_copy_only=False)
@@ -160,10 +156,7 @@ def emb_kmeans(sf_dir: str, k: int = _KMEANS_K, iters: int = _KMEANS_ITERS):
         newc[nz] = sums[nz] / cnts[nz, None]
         centers = sql_round_np(newc, 6)
 
-    cref = ray.put(centers)
-
-    def assign(b: pa.Table, cref=cref) -> pa.Table:
-        c = ray.get(cref) if isinstance(cref, ray.ObjectRef) else cref
+    def assign(b: pa.Table, c=centers) -> pa.Table:
         x = _mat(b)
         d = ((x[:, None, :] - c[None, :, :]) ** 2).sum(axis=2)
         return pa.table(
@@ -299,6 +292,7 @@ def emb_near_dup_pairs(sf_dir: str, threshold: float = 0.35, chunk_rows: int = 4
         mat = np.frombuffer(b"".join(t["nvec"].to_pylist()), dtype=np.float64)
         return ids, mat.reshape(len(ids), -1)
 
+    # ray.get of Dataset blocks on demand (block-nested loop), not of a driver object
     def score(batch: pa.Table, refs=refs) -> pa.Table:
         out_a, out_b, out_s = [], [], []
         for ci, cjs in zip(batch["ci"].to_pylist(), batch["cjs"].to_pylist()):
@@ -432,6 +426,7 @@ def emb_silhouette(sf_dir: str, chunk_rows: int = 1024):
         mat = np.frombuffer(b"".join(t["vec"].to_pylist()), dtype=np.float64)
         return ids, lab, mat.reshape(len(ids), -1)
 
+    # ray.get of Dataset blocks on demand (block-nested loop), not of a driver object
     def score(batch: pa.Table, refs=refs) -> pa.Table:
         out_i, out_li, out_lj, out_s = [], [], [], []
 
@@ -711,8 +706,6 @@ def emb_pagerank(sf_dir: str, shard_above_edges: int = 50_000_000):
     shared per-iteration 1e-12 rounding contract (equivalence-forced in
     tests/test_pagerank.py; see stages/pagerank.py for the boundary
     caveat)."""
-    import ray
-
     _ensure_pagerank_golden(sf_dir)
 
     # consumed exactly once (by the undirected expansion, which is itself
@@ -765,10 +758,7 @@ def emb_pagerank(sf_dir: str, shard_above_edges: int = 50_000_000):
     rank = np.full(n, 1.0 / n)
 
     for _ in range(_PAGERANK_ITERS):
-        state = ray.put((nodes_u, rank / deg))
-
-        def contrib(b: pa.Table, state=state) -> pa.Table:
-            nd, share = ray.get(state)
+        def contrib(b: pa.Table, nd=nodes_u, share=rank / deg) -> pa.Table:
             s = b["src"].to_numpy(zero_copy_only=False)
             dst = b["dst"].to_numpy(zero_copy_only=False)
             vals = share[np.searchsorted(nd, s)]
@@ -817,8 +807,6 @@ def emb_pca_power(sf_dir: str, iters: int = 8):
     loadings + a dim = -1 row with the Rayleigh eigenvalue ||A v||^2
     (rounded 6). The corpus is materialized once and re-read per
     iteration from the object store."""
-    import ray
-
     _ensure_docs_golden(sf_dir)
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"]).materialize()
 
@@ -842,8 +830,7 @@ def emb_pca_power(sf_dir: str, iters: int = 8):
     d = len(first["embedding"][0].as_py())
     v = sql_round_np(np.full(d, 1.0) / np.sqrt(float(d)), 6)
 
-    def partials(b: pa.Table, vref) -> pa.Table:
-        vv = ray.get(vref) if isinstance(vref, ray.ObjectRef) else vref
+    def partials(b: pa.Table, vv: np.ndarray) -> pa.Table:
         x = _mat(b)
         z = x @ vv
         y = x.T @ z
@@ -858,11 +845,10 @@ def emb_pca_power(sf_dir: str, iters: int = 8):
 
     lam = None
     for it in range(iters + 1):
-        vref = ray.put(v)
         pt = _collect_table(
             ds.map_batches(
                 partials,
-                fn_args=(vref,),
+                fn_args=(v,),
                 batch_format="pyarrow",
                 batch_size=65536,
             )
@@ -1027,6 +1013,7 @@ def emb_hubness(sf_dir: str, chunk_rows: int = 4096):
         mat = np.frombuffer(b"".join(t["qvec"].to_pylist()), dtype=np.int64)
         return ids, mat.reshape(len(ids), -1)
 
+    # ray.get of Dataset blocks on demand (block-nested loop), not of a driver object
     def local_topk(batch: pa.Table, refs=refs) -> pa.Table:
         out_s, out_n, out_d = [], [], []
         for ci, cjs in zip(batch["ci"].to_pylist(), batch["cjs"].to_pylist()):
@@ -1179,6 +1166,7 @@ def emb_intrinsic_dim(sf_dir: str, chunk_rows: int = 4096):
         mat = np.frombuffer(b"".join(t["qvec"].to_pylist()), dtype=np.int64)
         return ids, mat.reshape(len(ids), -1)
 
+    # ray.get of Dataset blocks on demand (block-nested loop), not of a driver object
     def local_top2(batch: pa.Table, refs=refs) -> pa.Table:
         out_s, out_d = [], []
         for ci, cjs in zip(batch["ci"].to_pylist(), batch["cjs"].to_pylist()):
@@ -1349,8 +1337,6 @@ def emb_mmr_topk(sf_dir: str):
     prune + driver merge (the doc_vocab_top20 top-k contract), then the
     greedy loop runs on the bounded pool (pool^2 integer distances);
     the corpus itself is touched by exactly two pruned passes."""
-    import ray
-
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
 
     qrow = _collect_table(
@@ -1366,10 +1352,8 @@ def emb_mmr_topk(sf_dir: str):
         np.array(qrow["embedding"].to_pylist(), dtype=np.float64)[0] * 1000000.0,
         0,
     ).astype(np.int64)
-    q_ref = ray.put(q)
 
-    def local_pool(b: pa.Table, q_ref=q_ref) -> pa.Table:
-        qv = ray.get(q_ref) if isinstance(q_ref, ray.ObjectRef) else q_ref
+    def local_pool(b: pa.Table, qv=q) -> pa.Table:
         ids = b["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         x = sql_round_np(
             np.array(b["embedding"].to_pylist(), dtype=np.float64) * 1000000.0, 0
@@ -1524,12 +1508,9 @@ def emb_int8_recall(sf_dir: str):
     q_ids = probes["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
     q_raw = _batch_matrix(probes)
     q_codes = quantize(q_raw)
-    import ray
 
-    probe_ref = ray.put((q_ids, q_raw, q_codes, mn, scale))
-
-    def local_topk(b: pa.Table) -> pa.Table:
-        ids_q, qr, qc, mn_b, s_b = ray.get(probe_ref)
+    def local_topk(b: pa.Table, ids_q=q_ids, qr=q_raw, qc=q_codes, mn_b=mn,
+                   s_b=scale) -> pa.Table:
         x = _batch_matrix(b)
         ids = b["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -1605,8 +1586,6 @@ def _pq_mat(b: pa.Table) -> np.ndarray:
 
 
 def _pq_train_impl(sf_dir: str):
-    import ray
-
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"]).materialize()
 
     def seed_prune(b: pa.Table) -> pa.Table:
@@ -1624,8 +1603,7 @@ def _pq_train_impl(sf_dir: str):
         np.stack([seed_mat[:, s * sub:(s + 1) * sub] for s in range(_PQ_M)]), 6
     )
 
-    def partials(b: pa.Table, cref) -> pa.Table:
-        c = ray.get(cref) if isinstance(cref, ray.ObjectRef) else cref
+    def partials(b: pa.Table, c: np.ndarray) -> pa.Table:
         x = _pq_mat(b)
         out = {"s": [], "cluster": [], "dim": [], "sum": [], "cnt": []}
         for s in range(_PQ_M):
@@ -1651,10 +1629,9 @@ def _pq_train_impl(sf_dir: str):
         )
 
     for _ in range(_PQ_ITERS):
-        cref = ray.put(centers)
         pt = collect_table(
             ds.map_batches(
-                partials, fn_args=(cref,), batch_format="pyarrow", batch_size=65536
+                partials, fn_args=(centers,), batch_format="pyarrow", batch_size=65536
             )
         )
         sarr = pt["s"].to_numpy(zero_copy_only=False)
@@ -1688,14 +1665,10 @@ def emb_pq_distortion(sf_dir: str):
     evaluation pass reports per-subspace MSE and codebook occupancy.
     Oracle: independent pure-Python per-vector-loop golden
     (fixtures/docs_golden.golden_pq_distortion) via golden parquet."""
-    import ray
-
     _ensure_docs_golden(sf_dir)
     ds, centers, sub = _pq_train(sf_dir)
-    cref = ray.put(centers)
 
-    def eval_partial(b: pa.Table, cref=cref, sub=sub) -> pa.Table:
-        c = ray.get(cref) if isinstance(cref, ray.ObjectRef) else cref
+    def eval_partial(b: pa.Table, c=centers, sub=sub) -> pa.Table:
         x = _pq_mat(b)
         rows_s, rows_sq, rows_n, rows_used = [], [], [], []
         for s in range(_PQ_M):
@@ -1753,8 +1726,6 @@ def emb_pq_recall(sf_dir: str):
     per-probe LUT, sequential subspace accumulation mirroring the golden
     bit-for-bit) with per-batch local top-k partials to the driver.
     Exact side ranks by squared euclidean (ties -> lower vec_id)."""
-    import ray
-
     _ensure_docs_golden(sf_dir)
     ds, centers, sub = _pq_train(sf_dir)
 
@@ -1768,10 +1739,8 @@ def emb_pq_recall(sf_dir: str):
     )
     q_ids = probes["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
     q_raw = _pq_mat(probes)
-    probe_ref = ray.put((q_ids, q_raw, centers))
 
-    def local_topk(b: pa.Table, sub=sub) -> pa.Table:
-        ids_q, qr, c = ray.get(probe_ref)
+    def local_topk(b: pa.Table, sub=sub, ids_q=q_ids, qr=q_raw, c=centers) -> pa.Table:
         x = _pq_mat(b)
         ids = b["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         nq, n = len(ids_q), len(ids)
@@ -1885,7 +1854,7 @@ def emb_sign_recall(sf_dir: str):
     measure recall@{_SGN_TOPK} against the exact dot-product ranking).
     This is the ITQ/sign-random-projection baseline every binary-hash
     paper reports. Distribution: the packed probe words + raw probe
-    matrix broadcast once (``ray.put``); each batch packs its vectors
+    matrix ride the UDF once; each batch packs its vectors
     (padded np.packbits -> uint64 words), XOR+SWAR-popcounts against the
     probes, and emits per-batch local top-k partials for BOTH rankings;
     the driver merges <= blocks x probes x k rows. Hamming ties break by
@@ -1912,12 +1881,8 @@ def emb_sign_recall(sf_dir: str):
     q_ids = probes["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
     q_raw = _batch_matrix(probes)
     q_words = pack_signs(q_raw)
-    import ray
 
-    probe_ref = ray.put((q_ids, q_raw, q_words))
-
-    def local_topk(b: pa.Table) -> pa.Table:
-        ids_q, qr, qw = ray.get(probe_ref)
+    def local_topk(b: pa.Table, ids_q=q_ids, qr=q_raw, qw=q_words) -> pa.Table:
         x = _batch_matrix(b)
         ids = b["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         words = pack_signs(x)
@@ -2033,13 +1998,11 @@ def emb_matryoshka_recall(sf_dir: str):
     precision per coordinate where this cuts COORDINATES).
 
     Distribution (the emb_sign_recall contract): probes (vec_id % 100
-    == 0) broadcast once via ray.put; each batch computes both double
+    == 0) ride the UDF once; each batch computes both double
     dot rankings against its vectors and emits per-batch local top-k
     partials; the driver merges <= blocks x probes x k rows. Ties break
     by vec_id ascending on both rankings; the SQL mirror ranks with
     list_dot_product over the same slices."""
-    import ray
-
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
     probes = _collect_table(
         ds.map_batches(
@@ -2051,10 +2014,8 @@ def emb_matryoshka_recall(sf_dir: str):
     )
     q_ids = probes["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
     q_raw = _batch_matrix(probes)
-    probe_ref = ray.put((q_ids, q_raw))
 
-    def local_topk(b: pa.Table) -> pa.Table:
-        ids_q, qr = ray.get(probe_ref)
+    def local_topk(b: pa.Table, ids_q=q_ids, qr=q_raw) -> pa.Table:
         x = _batch_matrix(b)
         ids = b["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         ex = qr @ x.T                                        # full 64-dim dots
@@ -2185,12 +2146,10 @@ def emb_jl_recall(sf_dir: str):
     y_j = sum_i s(i,j) * x_i is itself an integer linear map, mirrored in
     SQL as a CASE-signed SUM over the unnested dims.
 
-    Distribution: probes (vec_id % 100 == 0) collect once and broadcast
-    via ``ray.put``; each batch quantizes, projects (one int matmul) and
+    Distribution: probes (vec_id % 100 == 0) collect once and ride the
+    UDF; each batch quantizes, projects (one int matmul) and
     emits per-batch local top-k partials for BOTH rankings; the driver
     merges <= blocks x probes x (k+1) x 2 rows — never O(n^2)."""
-    import ray
-
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
     def quant(x: np.ndarray) -> np.ndarray:
         s = x * 1000.0
@@ -2217,10 +2176,8 @@ def emb_jl_recall(sf_dir: str):
         )
     qm = quant(_batch_matrix(probes))
     qy = qm @ _jl_signs(qm.shape[1])
-    probe_ref = ray.put((q_ids, qm, qy))
 
-    def local_topk(b: pa.Table) -> pa.Table:
-        ids_q, qmm, qyy = ray.get(probe_ref)
+    def local_topk(b: pa.Table, ids_q=q_ids, qmm=qm, qyy=qy) -> pa.Table:
         xm = quant(_batch_matrix(b))
         ids = b["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         y = xm @ _jl_signs(xm.shape[1])

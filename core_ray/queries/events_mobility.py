@@ -1429,7 +1429,6 @@ def events_cell_gini(sf_dir: str):
     both moments are exact integers; G = one fixed double chain. Event
     types are bounded, cells are geometry-bounded: one distributed
     (type, cell) count pass, driver fold."""
-    import ray
     from ray.data.aggregate import Sum
 
     ds = _read(sf_dir, "events", ["event_id", "event_type"])
@@ -1446,10 +1445,8 @@ def events_cell_gini(sf_dir: str):
         .aggregate(Sum("one", alias_name="n"))
     )
     types = np.sort(np.asarray(ty_t["event_type"].to_pylist()))
-    ty_ref = ray.put(types)
 
-    def pack(b: pa.Table) -> pa.Table:
-        ts = ray.get(ty_ref)
+    def pack(b: pa.Table, ts=types) -> pa.Table:
         eid = b["event_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         idx = np.searchsorted(ts, np.asarray(b["event_type"].to_pylist()))
         gx = ((eid * 104729) % 360000) // _GE_CELL_MILLI
@@ -1641,8 +1638,6 @@ def events_knox(sf_dir: str):
     the exact integer-microsecond check); every count is an exact int and
     the ratio is ONE double division (X*C(n,2) stays in int64 to ~1e9
     corpus pairs-within — widening documented)."""
-    import ray
-
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts"])
 
     def shape(b: pa.Table) -> pa.Table:
@@ -1787,7 +1782,6 @@ def events_type_region_chisq(sf_dir: str):
     int64 up to ~3e9 events under these cardinalities), so chi2 is an
     exact integer sum divided once. Output includes dof for the test
     lookup."""
-    import ray
     from ray.data.aggregate import Sum
 
     ds = _read(sf_dir, "events", ["event_id", "event_type"])
@@ -1804,10 +1798,8 @@ def events_type_region_chisq(sf_dir: str):
         .aggregate(Sum("one", alias_name="n"))
     )
     types = np.sort(np.asarray(ty_t["event_type"].to_pylist()))
-    ty_ref = ray.put(types)
 
-    def pack(b: pa.Table) -> pa.Table:
-        ts = ray.get(ty_ref)
+    def pack(b: pa.Table, ts=types) -> pa.Table:
         eid = b["event_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         idx = np.searchsorted(ts, np.asarray(b["event_type"].to_pylist()))
         rx = ((eid * 104729) % 360000) // _GT_CELL_MILLI
@@ -3513,18 +3505,16 @@ def events_triangles(sf_dir: str):
     # once and every wedge closes INSIDE its source partition (the
     # 10M-wedge union shuffle disappears); above it wedges + edge markers
     # co-partition by pair key and close distributedly.
-    import ray
-
     ekeys = e.map_batches(pack_edges, batch_format="pyarrow").materialize()
     broadcast = fits_broadcast(ekeys)
-    ekeys_ref = None
+    sorted_keys = None
     if broadcast:
         et = _collect_table(ekeys)
-        ekeys_ref = ray.put(
-            np.sort(et["key"].to_numpy(zero_copy_only=False).astype(np.uint64))
+        sorted_keys = np.sort(
+            et["key"].to_numpy(zero_copy_only=False).astype(np.uint64)
         )
 
-    def wedge_rows(g: pa.Table) -> pa.Table:
+    def wedge_rows(g: pa.Table, ek=sorted_keys) -> pa.Table:
         src = g["key"].to_numpy(zero_copy_only=False).astype(np.int64)
         dst = g["dst"].to_numpy(zero_copy_only=False).astype(np.int64)
         order = np.lexsort((dst, src))
@@ -3544,7 +3534,6 @@ def events_triangles(sf_dir: str):
             out.append((lo << np.uint64(32)) | hi)
         keys = np.concatenate(out) if out else np.zeros(0, np.uint64)
         if broadcast:
-            ek = ray.get(ekeys_ref) if not isinstance(ekeys_ref, np.ndarray) else ekeys_ref
             closed = 0
             if len(keys) and len(ek):
                 pos = np.searchsorted(ek, keys)

@@ -562,8 +562,6 @@ def events_value_percentile(sf_dir: str):
     sorted lookup so each row computes cnt_less / (N-1) locally — exact,
     two passes, no all-to-all over rows. The division uses the same
     integers as SQL's (rank-1)/(N-1), so the doubles are bit-identical."""
-    import ray
-
     ds = _read(sf_dir, "events", ["event_id", "value"])
 
     def cents_of(b: pa.Table) -> np.ndarray:
@@ -586,10 +584,8 @@ def events_value_percentile(sf_dir: str):
     vals, cnts = vals[order], cnts[order]
     below = np.concatenate([[0], np.cumsum(cnts)[:-1]])
     n_total = int(cnts.sum())
-    ref = ray.put((vals, below))
 
-    def rank(b: pa.Table, ref=ref) -> pa.Table:
-        vs, bl = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
+    def rank(b: pa.Table, vs=vals, bl=below) -> pa.Table:
         c = cents_of(b)
         pos = np.searchsorted(vs, c)  # every value exists in the histogram
         # SQL PERCENT_RANK of a single-row table is 0, not 0/0
@@ -1213,8 +1209,6 @@ def events_late_data(sf_dir: str):
     and ORs in the broadcast carry. Classified rows collapse to per-(hour,
     class) partial counts inside the same pass — only O(hours x 3) rows ever
     shuffle after that."""
-    import ray
-
     ds = _read(sf_dir, "events", ["event_id", "ts"])
 
     def with_ets(b: pa.Table) -> pa.Table:
@@ -1245,16 +1239,12 @@ def events_late_data(sf_dir: str):
     prefix = np.zeros(len(bv), dtype=np.uint64)
     if len(bv) > 1:
         prefix[1:] = np.maximum.accumulate(bv)[:-1]
-    carry_ref = ray.put((bk, prefix))
 
-    def per_part(g: pa.Table, carry_ref=carry_ref) -> pa.Table:
+    def per_part(g: pa.Table, bks=bk, pfx=prefix) -> pa.Table:
         if g.num_rows == 0:
             return pa.table(
                 {"key": pa.array([], pa.uint64()), "cnt": pa.array([], pa.int64())}
             )
-        bks, pfx = (
-            ray.get(carry_ref) if isinstance(carry_ref, ray.ObjectRef) else carry_ref
-        )
         bu = g["bucket"].to_numpy(zero_copy_only=False).astype(np.uint64)
         eid = g["event_id"].to_numpy(zero_copy_only=False)
         ets = g["ets"].to_numpy(zero_copy_only=False).astype(np.uint64)
@@ -1712,7 +1702,6 @@ def events_audience_overlap(sf_dir: str):
     fold) -> bounded mask histogram partials; the driver sees
     O(2^T x blocks) integers, never a user row. Zero-overlap pairs are
     dropped (the SQL join emits no row for them)."""
-    import ray
     from ray.data.aggregate import Sum
 
     ds = _read(sf_dir, "events", ["user_id", "event_type"])
@@ -1750,10 +1739,8 @@ def events_audience_overlap(sf_dir: str):
             f"audience bitmask fold assumes a bounded type domain "
             f"(got {nt} > 16 types; the 2^T mask histogram would blow up)"
         )
-    ty_ref = ray.put(types)
 
-    def to_bits(b: pa.Table) -> pa.Table:
-        ts = ray.get(ty_ref)
+    def to_bits(b: pa.Table, ts=types) -> pa.Table:
         uid = b["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         idx = np.searchsorted(ts, np.asarray(b["event_type"].to_pylist()))
         pair = np.unique(
@@ -3211,8 +3198,6 @@ def events_global_ranks(sf_dir: str):
     The sample is bounded (every {_GRANK_SAMPLE_MOD}th row per batch,
     quantile-thinned on the driver), and a skewed sample only unbalances
     partitions — never corrupts ranks."""
-    import ray
-
     ds = _read(sf_dir, "events", ["event_id", "value"]).materialize()
 
     def sample(b: pa.Table) -> pa.Table:
@@ -3231,10 +3216,8 @@ def events_global_ranks(sf_dir: str):
         bounds = np.unique(samp[qpos])
     else:
         bounds = np.zeros(0, np.float64)
-    bref = ray.put(bounds)
 
-    def tag(b: pa.Table) -> pa.Table:
-        bd = ray.get(bref) if not isinstance(bref, np.ndarray) else bref
+    def tag(b: pa.Table, bd=bounds) -> pa.Table:
         v = b["value"].to_numpy(zero_copy_only=False)
         part = np.searchsorted(bd, v, side="right").astype(np.int32)
         return pa.table(
@@ -3279,10 +3262,8 @@ def events_global_ranks(sf_dir: str):
     base = np.zeros(n_parts, np.int64)
     if n_parts > 1:
         base[1:] = np.cumsum(counts)[:-1]
-    base_ref = ray.put(base)
 
-    def local_rank(g: pa.Table) -> pa.Table:
-        bs = ray.get(base_ref) if not isinstance(base_ref, np.ndarray) else base_ref
+    def local_rank(g: pa.Table, bs=base) -> pa.Table:
         p = int(g["part"][0].as_py())
         v = g["value"].to_numpy(zero_copy_only=False)
         eid = g["event_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -3458,8 +3439,6 @@ def events_bloom_fpr_eval(sf_dir: str):
     false_pos) integer partials. Driver traffic: the bitset + four
     scalars. fpr_emp is one int/int division; fpr_theory one float
     expression, both ROUND 6 on both sides."""
-    import ray
-
     ds = _read(sf_dir, "events", ["user_id", "event_type"])
     m32 = np.uint64(0xFFFFFFFF)
 
@@ -3492,7 +3471,6 @@ def events_bloom_fpr_eval(sf_dir: str):
     )
     bitset = np.zeros(_BF_M, bool)
     bitset[bits_t["key"].to_numpy(zero_copy_only=False).astype(np.int64)] = True
-    bits_ref = ray.put(bitset)
 
     def user_flag(b: pa.Table) -> pa.Table:
         uid = b["user_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
@@ -3535,8 +3513,7 @@ def events_bloom_fpr_eval(sf_dir: str):
             }
         )
 
-    def probe_partial(g: pa.Table) -> pa.Table:
-        bset = ray.get(bits_ref)
+    def probe_partial(g: pa.Table, bset=bitset) -> pa.Table:
         u = g["user"].to_numpy(zero_copy_only=False).astype(np.int64)
         f = g["flag"].to_numpy(zero_copy_only=False).astype(np.int64)
         order = np.argsort(u, kind="stable")

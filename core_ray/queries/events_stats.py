@@ -585,7 +585,6 @@ def events_circular_hours(sf_dir: str):
     weighted sums are exact int64 from the bounded (type, hour) count
     table, and R = one fixed sqrt chain of two exact integers over
     1e6*n."""
-    import ray
     from ray.data.aggregate import Sum
 
     ds = _read(sf_dir, "events", ["event_id", "ts", "event_type"])
@@ -602,10 +601,8 @@ def events_circular_hours(sf_dir: str):
         .aggregate(Sum("one", alias_name="n"))
     )
     types = np.sort(np.asarray(ty_t["event_type"].to_pylist()))
-    ty_ref = ray.put(types)
 
-    def pack(b: pa.Table) -> pa.Table:
-        ts = ray.get(ty_ref)
+    def pack(b: pa.Table, ts=types) -> pa.Table:
         us = pc.cast(b["ts"], pa.int64()).to_numpy(zero_copy_only=False)
         idx = np.searchsorted(ts, np.asarray(b["event_type"].to_pylist()))
         hour = (us // 3600000000) % 24
@@ -4189,8 +4186,6 @@ def events_mann_whitney(sf_dir: str):
     spec the partitioned path must equal.
 
     All-integer end to end; empty arm -> empty result on both engines."""
-    import ray
-
     ds = _read(sf_dir, "events", ["user_id", "value"])
 
     def per_user(g: pa.Table) -> pa.Table:
@@ -4224,10 +4219,8 @@ def events_mann_whitney(sf_dir: str):
         bounds = np.unique(samp[qpos])
     else:
         bounds = np.zeros(0, np.int64)
-    bref = ray.put(bounds)
 
-    def tag(b: pa.Table) -> pa.Table:
-        bd = ray.get(bref)
+    def tag(b: pa.Table, bd=bounds) -> pa.Table:
         v = b["tot"].to_numpy(zero_copy_only=False)
         return pa.table(
             {
@@ -4350,8 +4343,6 @@ def events_wasserstein_arms(sf_dir: str):
     n0*n1*gap is documented to ~1e15 at sf0.1 — inside int64, fail-loud
     is the SQL's HUGEINT cast). Per-user rows never reach the driver.
     The SQL mirror is the direct window-cumsum over merged values."""
-    import ray
-
     ds = _read(sf_dir, "events", ["user_id", "value"])
 
     def per_user(g: pa.Table) -> pa.Table:
@@ -4393,10 +4384,8 @@ def events_wasserstein_arms(sf_dir: str):
         bounds = np.unique(samp[qpos])
     else:
         bounds = np.zeros(0, np.int64)
-    bref = ray.put(bounds)
 
-    def tag(b: pa.Table) -> pa.Table:
-        bd = ray.get(bref)
+    def tag(b: pa.Table, bd=bounds) -> pa.Table:
         v = b["tot"].to_numpy(zero_copy_only=False)
         return pa.table(
             {
@@ -4448,10 +4437,8 @@ def events_wasserstein_arms(sf_dir: str):
         c1 += int(m1s[i])
         if i + 1 < len(parts_v):  # between-partition segment
             w1 += abs(c0 * n1 - c1 * n0) * int(vmins[i + 1] - vmaxs[i])
-    cref = ray.put((carry, n0, n1))
 
-    def phase_b(g: pa.Table) -> pa.Table:
-        cy, nn0, nn1 = ray.get(cref)
+    def phase_b(g: pa.Table, cy=carry, nn0=n0, nn1=n1) -> pa.Table:
         part = g["part"].to_numpy(zero_copy_only=False).astype(np.int64)
         arm = g["arm"].to_numpy(zero_copy_only=False)
         tot = g["tot"].to_numpy(zero_copy_only=False)
@@ -4828,8 +4815,6 @@ def events_ks_arms(sf_dir: str):
     co-locate by construction (routing is a function of value), so the
     CDF step at every distinct value is evaluated exactly once. The SQL
     mirror is the direct window cumsum."""
-    import ray
-
     ds = _read(sf_dir, "events", ["user_id", "value"])
 
     def per_user(g: pa.Table) -> pa.Table:
@@ -4871,10 +4856,8 @@ def events_ks_arms(sf_dir: str):
         bounds = np.unique(samp[qpos])
     else:
         bounds = np.zeros(0, np.int64)
-    bref = ray.put(bounds)
 
-    def tag(b: pa.Table) -> pa.Table:
-        bd = ray.get(bref)
+    def tag(b: pa.Table, bd=bounds) -> pa.Table:
         v = b["tot"].to_numpy(zero_copy_only=False)
         return pa.table(
             {
@@ -4918,10 +4901,8 @@ def events_ks_arms(sf_dir: str):
         carry[int(p)] = (c0, c1)
         c0 += int(m0s[i])
         c1 += int(m1s[i])
-    cref = ray.put((carry, n0, n1))
 
-    def phase_b(g: pa.Table) -> pa.Table:
-        cy, nn0, nn1 = ray.get(cref)
+    def phase_b(g: pa.Table, cy=carry, nn0=n0, nn1=n1) -> pa.Table:
         part = g["part"].to_numpy(zero_copy_only=False).astype(np.int64)
         arm = g["arm"].to_numpy(zero_copy_only=False)
         tot = g["tot"].to_numpy(zero_copy_only=False)
@@ -5014,12 +4995,10 @@ def events_qte(sf_dir: str):
     third trick (after the Mann-Whitney fold and the Wasserstein carry):
     phase A gives the driver per-(partition, arm) MASSES, so each target
     rank resolves to (partition, local index) exactly; phase B ships the
-    tiny (arm, part) -> local-rank request map back via ``ray.put`` and
+    tiny (arm, part) -> local-rank request map back inside its UDF and
     each partition emits only its requested order statistics — per-user
     rows never reach the driver. The SQL mirror is the direct
     ROW_NUMBER pick per arm."""
-    import ray
-
     ds = _read(sf_dir, "events", ["user_id", "value"])
 
     def per_user(g: pa.Table) -> pa.Table:
@@ -5063,10 +5042,8 @@ def events_qte(sf_dir: str):
         bounds = np.unique(samp[qpos])
     else:
         bounds = np.zeros(0, np.int64)
-    bref = ray.put(bounds)
 
-    def tag(b: pa.Table) -> pa.Table:
-        bd = ray.get(bref)
+    def tag(b: pa.Table, bd=bounds) -> pa.Table:
         v = b["tot"].to_numpy(zero_copy_only=False)
         return pa.table(
             {
@@ -5120,10 +5097,8 @@ def events_qte(sf_dir: str):
                         (k - cum, p)
                     )
             cum += int(m)
-    rref = ray.put(requests)
 
-    def phase_b(g: pa.Table) -> pa.Table:
-        req = ray.get(rref)
+    def phase_b(g: pa.Table, req=requests) -> pa.Table:
         part = g["part"].to_numpy(zero_copy_only=False).astype(np.int64)
         arm = g["arm"].to_numpy(zero_copy_only=False)
         tot = g["tot"].to_numpy(zero_copy_only=False)

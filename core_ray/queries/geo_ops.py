@@ -127,9 +127,7 @@ def geo_pip_admin(sf_dir: str):
     """Point-in-polygon with deepest-wins precedence over the deterministic
     rect hierarchy — runs the REAL PipJoin actor (STRtree + tie-breaks) so the
     DuckDB oracle validates the containment-join machinery itself."""
-    import ray
-
-    admin_ref = ray.put(_geo_admin_table())
+    admin = _geo_admin_table()
     ds = _read(sf_dir, "documents", ["doc_id"])
 
     def coords(b: pa.Table) -> pa.Table:
@@ -145,7 +143,7 @@ def geo_pip_admin(sf_dir: str):
 
     pts = ds.map_batches(coords, batch_format="pyarrow", batch_size=65536)
     out = pts.map_batches(
-        PipJoin, fn_constructor_args=(admin_ref,), batch_format="pyarrow",
+        PipJoin, fn_constructor_args=(admin,), batch_format="pyarrow",
         batch_size=65536, concurrency=(1, 4),
     )
     return out.select_columns(["doc_id", "admin_id", "admin_level"])
@@ -374,10 +372,9 @@ def geo_zonal_stats(sf_dir: str):
     stage (PipJoin appends, never projects), so the stats need no second
     join; the final group is |zones| rows via a per-batch combiner. The
     mean is one float division of exact integer sums, mirrored in SQL."""
-    import ray
     from ray.data.aggregate import Sum
 
-    admin_ref = ray.put(_geo_admin_table())
+    admin = _geo_admin_table()
 
     def coords(b: pa.Table) -> pa.Table:
         doc_id = b["doc_id"].to_numpy(zero_copy_only=False)
@@ -395,7 +392,7 @@ def geo_zonal_stats(sf_dir: str):
         _read(sf_dir, "documents", ["doc_id", "n_chars"])
         .map_batches(coords, batch_format="pyarrow", batch_size=65536)
         .map_batches(
-            PipJoin, fn_constructor_args=(admin_ref,), batch_format="pyarrow",
+            PipJoin, fn_constructor_args=(admin,), batch_format="pyarrow",
             batch_size=65536, concurrency=(1, 4),
         )
     )
@@ -837,7 +834,6 @@ def geo_kde_tiles(sf_dir: str):
     contribution rounds to INTEGER micro-density before the order-
     independent BIGINT sum — a flip needs exp() within ~1e-16 of a
     rounding boundary (p ~ 1e-10 per contribution)."""
-    import ray
     from ray.data.aggregate import Sum
 
     def scatter(b: pa.Table) -> pa.Table:
@@ -1102,7 +1098,7 @@ def geo_knn_classify(sf_dir: str):
     document (doc_id % {mod} == 0 — standing in for a small labeled query
     set) is assigned the majority ``lang`` among its 5 nearest OTHER
     documents. The spatial twin of emb_topk's broadcast-probe plan: the
-    probe matrix is ray.put-broadcast (probes << corpus by contract — the
+    probe matrix rides the UDF (probes << corpus by contract — the
     same bound doc_contamination documents), every batch computes a
     vectorized (P x B) squared-degree distance block and emits per-probe
     LOCAL top-k partials, and one probe-keyed partition pass merges
@@ -1221,7 +1217,7 @@ def geo_idw_interp(sf_dir: str):
     (``n_chars``) at each probe site (doc_id % {mod} == 0) from its 8
     nearest other documents — the classic geostatistics gridding operator
     (Shepard 1968). Same broadcast-probe plan as geo_knn_classify: probe
-    matrix ray.put-small by contract, per-batch (P x B) vectorized distance
+    matrix UDF-small by contract, per-batch (P x B) vectorized distance
     blocks emit per-probe local top-k partials, one probe-keyed partition
     pass merges and reduces. No corpus shuffle.
 
@@ -1717,8 +1713,6 @@ def geo_doc_event_band(sf_dir: str):
     against its event rows with repeat/offset-arange expansion (chunked
     against dense cells), and filters on the exact mirrored sq_dist
     chain."""
-    import ray
-
     r = _BI_RADIUS
     r2 = r * r
 
@@ -2025,17 +2019,16 @@ def _grid_sssp_distributed(nodes: np.ndarray, weights: np.ndarray,
                            seeds: np.ndarray):
     """Distributed weighted relaxation rounds: dist lives as a Dataset;
     per round the improved frontier flat-maps 4 neighbor probes carrying
-    cost + the neighbor's toll (tolls broadcast — geometry-bounded here;
-    an unbounded graph would deliver them via a distributed join, the
-    documented swap), agg.min_by_u64 merges, and the driver moves one
-    order-independent checksum per round (costs only decrease, so an
-    unchanged checksum is a fixpoint proof)."""
+    cost + the neighbor's toll, agg.min_by_u64 merges, and the driver moves
+    one order-independent checksum per round (costs only decrease, so an
+    unchanged checksum is a fixpoint proof). The sorted occupied nodes and
+    their tolls ride the probe UDF as default arguments, shipped once per
+    round with it: the grid bounds them to 72 x 28 nodes (~32 KB)."""
     import ray
 
     order = np.argsort(nodes)
     occ_sorted = nodes[order]
     toll_sorted = weights[order]
-    occ_ref = ray.put((occ_sorted, toll_sorted))
 
     dist = ray.data.from_arrow(
         pa.table(
@@ -2047,8 +2040,7 @@ def _grid_sssp_distributed(nodes: np.ndarray, weights: np.ndarray,
     ).materialize()
     frontier = dist
 
-    def probe(b: pa.Table) -> pa.Table:
-        occ_arr, tolls = ray.get(occ_ref)
+    def probe(b: pa.Table, occ_arr=occ_sorted, tolls=toll_sorted) -> pa.Table:
         nd_ = b["node"].to_numpy(zero_copy_only=False).astype(np.int64)
         d_ = b["d"].to_numpy(zero_copy_only=False).astype(np.uint64)
         gx, gy = nd_ // 1024, nd_ % 1024
@@ -2515,14 +2507,14 @@ def geo_grid_bfs(sf_dir: str, force_distributed: bool = False):
 def _grid_bfs_distributed(nodes: np.ndarray, seeds: np.ndarray):
     """Distributed frontier rounds over an occupied-node graph: dist and
     frontier live as Datasets; per round the frontier flat-maps its 4
-    neighbor probes (clipped to occupied via a broadcast sorted key array
-    — a semi stages/join.lookup_join is the swap-in at scale) and
+    neighbor probes (clipped to occupied via a sorted key array) and
     agg.min_by_u64 merges them; the driver moves one row-count per round
-    (the node set grows monotonically, so stagnation == fixpoint)."""
+    (the node set grows monotonically, so stagnation == fixpoint). The
+    sorted key array rides the probe UDF as a default argument, shipped
+    once per round with it: the grid bounds it to 72 x 28 nodes (16 KB)."""
     import ray
 
     occ_sorted = np.sort(nodes)
-    occ_ref = ray.put(occ_sorted)
 
     dist = ray.data.from_arrow(
         pa.table(
@@ -2535,8 +2527,7 @@ def _grid_bfs_distributed(nodes: np.ndarray, seeds: np.ndarray):
     frontier = dist
     n_found = dist.count()
 
-    def probe(b: pa.Table) -> pa.Table:
-        occ_arr = ray.get(occ_ref)
+    def probe(b: pa.Table, occ_arr=occ_sorted) -> pa.Table:
         nd_ = b["node"].to_numpy(zero_copy_only=False).astype(np.int64)
         d_ = b["d"].to_numpy(zero_copy_only=False).astype(np.uint64)
         gx, gy = nd_ // 1024, nd_ % 1024
@@ -2716,8 +2707,6 @@ def geo_pip_triangles(sf_dir: str):
     exercise BETWEEN boxes; here the DuckDB mirror is the exact half-plane
     sign test per CCW triangle, so the general polygon kernel itself is
     driver-hash-checked."""
-    import ray
-
     tri_tbl = pa.table(
         {
             "admin_id": pa.array([t[0] for t in GEO_TRIS], pa.string()),
@@ -2732,11 +2721,9 @@ def geo_pip_triangles(sf_dir: str):
             ),
         }
     )
-    tref = ray.put(tri_tbl)
 
     class TriJoin:
-        def __init__(self, r):
-            t = ray.get(r) if isinstance(r, ray.ObjectRef) else r
+        def __init__(self, t: pa.Table):
             self.parts, self.tree = build_polygon_index(t)
 
         def __call__(self, b: pa.Table) -> pa.Table:
@@ -2762,7 +2749,7 @@ def geo_pip_triangles(sf_dir: str):
             )
 
     return _read(sf_dir, "documents", ["doc_id"]).map_batches(
-        TriJoin, fn_constructor_args=(tref,), batch_format="pyarrow",
+        TriJoin, fn_constructor_args=(tri_tbl,), batch_format="pyarrow",
         batch_size=65536, concurrency=(1, 4),
     )
 
@@ -3121,8 +3108,6 @@ def geo_tile_regions(sf_dir: str, z: int = 5, min_points: int = 2):
     singletons re-attach via an anti lookup_join. The DuckDB oracle recomputes
     the labeling through a fully independent RECURSIVE-CTE min-reachable
     closure (the emb_dup_clusters pattern, on a grid graph)."""
-    import ray
-
     n = float(1 << z)
     ds = _read(sf_dir, "documents", ["doc_id"])
 

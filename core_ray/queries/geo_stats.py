@@ -672,7 +672,6 @@ def geo_lang_boundaries(sf_dir: str):
     comparison (each boundary edge emitted ONCE, at its left/upper
     cell — the raster-adjacency single-emission rule shared with
     geo_moran_i's neighbor join)."""
-    import ray
     from ray.data.aggregate import Sum
 
     ds = _read(sf_dir, "documents", ["doc_id", "lang"])
@@ -689,10 +688,8 @@ def geo_lang_boundaries(sf_dir: str):
         .aggregate(Sum("one", alias_name="n"))
     )
     langs = np.sort(np.asarray(lang_t["lang"].to_pylist()))
-    lang_ref = ray.put(langs)
 
-    def pack(b: pa.Table) -> pa.Table:
-        ls = ray.get(lang_ref)
+    def pack(b: pa.Table, ls=langs) -> pa.Table:
         doc_id = b["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         idx = np.searchsorted(ls, np.asarray(b["lang"].to_pylist()))
         gx = ((doc_id * 104729) % 360000) // _GE_CELL_MILLI
@@ -1173,7 +1170,6 @@ def geo_lang_simpson(sf_dir: str):
     (bounded), integer numerator/denominator emitted, ONE double
     division. No quantizer needed anywhere: the rare all-integer
     diversity statistic."""
-    import ray
     from ray.data.aggregate import Sum
 
     ds = _read(sf_dir, "documents", ["doc_id", "lang"])
@@ -1190,10 +1186,8 @@ def geo_lang_simpson(sf_dir: str):
         .aggregate(Sum("one", alias_name="n"))
     )
     langs = np.sort(np.asarray(lang_t["lang"].to_pylist()))
-    lang_ref = ray.put(langs)
 
-    def pack(b: pa.Table) -> pa.Table:
-        ls = ray.get(lang_ref)
+    def pack(b: pa.Table, ls=langs) -> pa.Table:
         doc_id = b["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         idx = np.searchsorted(ls, np.asarray(b["lang"].to_pylist()))
         rx = ((doc_id * 104729) % 360000) // _GT_CELL_MILLI
@@ -2448,7 +2442,6 @@ def geo_type_hhi(sf_dir: str):
     from one packed (cell, type) count pass (bounded), one double
     division; no quantizer anywhere (the Simpson-index trick on squared
     shares)."""
-    import ray
     from ray.data.aggregate import Sum
 
     ds = _read(sf_dir, "events", ["event_id", "event_type"])
@@ -2465,10 +2458,8 @@ def geo_type_hhi(sf_dir: str):
         .aggregate(Sum("one", alias_name="n"))
     )
     types = np.sort(np.asarray(ty_t["event_type"].to_pylist()))
-    ty_ref = ray.put(types)
 
-    def pack(b: pa.Table) -> pa.Table:
-        ts = ray.get(ty_ref)
+    def pack(b: pa.Table, ts=types) -> pa.Table:
         eid = b["event_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         idx = np.searchsorted(ts, np.asarray(b["event_type"].to_pylist()))
         gx = ((eid * 104729) % 360000) // _GE_CELL_MILLI

@@ -45,7 +45,7 @@ reference's selective blank-import activation (strategies/all/all.go).
 
 Broadcast side tables ride the Geocoder's ``state`` dict: rules that need
 one (airport, gazetteer) read ``state['airports']`` / ``state['gazetteer']``
-(plain ``{name: (lat, lon)}`` dicts, ray.put once, resolved per actor) and
+(plain ``{name: (lat, lon)}`` dicts, handed to each actor by value) and
 fall through when the table is absent.
 """
 

@@ -23,7 +23,7 @@ import pyarrow as pa
 from core_ray.config import register_stage
 from core_ray.stages.cellencode import CellEncoder
 from core_ray.stages.extract import ExtractText
-from core_ray.stages.geocode import Geocoder
+from core_ray.stages.geocode import Geocoder, geoip_dict
 from core_ray.stages.pip import PipJoin
 
 
@@ -31,8 +31,8 @@ from core_ray.stages.pip import PipJoin
 class PageAnalyzer:
     def __init__(
         self,
-        geoip_ref,
-        admin_ref,
+        geoip: dict,
+        admin: pa.Table,
         max_html_bytes: int = 10 * 1024 * 1024,
         hex_res: int = 7,
         s2_level: int = 12,
@@ -41,9 +41,9 @@ class PageAnalyzer:
         extra_state=None,  # extra broadcast side tables for registry rules
     ):
         self.extract = ExtractText(max_html_bytes)
-        self.geocode = Geocoder(geoip_ref, registry=registry, extra_state=extra_state)
+        self.geocode = Geocoder(geoip, registry=registry, extra_state=extra_state)
         self.encode = CellEncoder(hex_res, s2_level, with_s2="s2-encode" in stage_sel)
-        self.pip = PipJoin(admin_ref) if "pip" in stage_sel else None
+        self.pip = PipJoin(admin) if "pip" in stage_sel else None
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         out = self.encode(self.geocode(self.extract(batch)))
@@ -59,25 +59,31 @@ class PageAnalyzer:
 # decode -> UDF without touching plasma — and Ray reuses worker processes,
 # so caching the built PageAnalyzer in a module global amortizes state
 # exactly like an actor would (state here is light: regexes + STRtree over
-# ~10^2 polygons; a heavy-model stage should stay an actor pool).
+# ~10^2 polygons; a heavy-model stage should stay an actor pool). The side
+# tables ride the UDF by value; the cache is keyed on their fingerprint, so a
+# worker reuses its analyzer across shards and runs until the tables change.
 
 _WORKER_ANALYZERS: dict = {}
 
 
 def analyze_batch_task(
     batch: pa.Table,
-    geoip_ref,
-    admin_ref,
+    geoip_table: pa.Table,
+    admin_table: pa.Table,
+    sides_fp: str,
     max_html_bytes: int,
     hex_res: int,
     s2_level: int,
     stage_sel: tuple[str, ...] = ("s2-encode", "pip"),
 ) -> pa.Table:
-    key = (str(geoip_ref), str(admin_ref), max_html_bytes, hex_res, s2_level, stage_sel)
+    """``sides_fp`` must fingerprint both side tables (state/lineage.py
+    fingerprint_table): it is the worker cache key in their place."""
+    key = (sides_fp, max_html_bytes, hex_res, s2_level, stage_sel)
     analyzer = _WORKER_ANALYZERS.get(key)
     if analyzer is None:
         analyzer = PageAnalyzer(
-            geoip_ref, admin_ref, max_html_bytes, hex_res, s2_level, stage_sel=stage_sel
+            geoip_dict(geoip_table), admin_table, max_html_bytes, hex_res, s2_level,
+            stage_sel=stage_sel,
         )
         _WORKER_ANALYZERS.clear()  # one live config per worker is plenty
         _WORKER_ANALYZERS[key] = analyzer

@@ -38,6 +38,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from core_ray.collect import collect_table
+
 _GOLD = np.uint64(0x9E3779B97F4A7C15)
 _M = np.uint64(0xFFFFFFFFFFFFFFFF)
 
@@ -127,10 +129,7 @@ def connected_components(edges_ds, src: str = "src", dst: str = "dst",
     if n_edges == 0:
         return ray.data.from_arrow(empty)
     if n_edges <= local_edges_threshold:
-        import ray
-
-        parts = ray.get(edges.to_arrow_refs())
-        t = pa.concat_tables([p for p in parts if p.num_rows])
+        t = collect_table(edges)
         return ray.data.from_arrow(
             _cc_local(
                 t["eu"].to_numpy(zero_copy_only=False),

@@ -13,8 +13,9 @@ ConfidenceDist):
   3. no signal -> one row with derivation_source='none' (error-as-data;
      routed to the side-channel table downstream, scanner.go:81-100 analog)
 
-The geo-IP table is the broadcast small side (ST4/J1 pattern): ``ray.put``
-once on the driver, ``ray.get`` once per actor in __init__.
+The geo-IP table is the broadcast small side (ST4/J1 pattern): a plain
+``{host: (lat, lon)}`` dict handed to __init__ by value, built once per actor
+or cached worker (``geoip_dict``).
 """
 
 from __future__ import annotations
@@ -23,6 +24,16 @@ import numpy as np
 import pyarrow as pa
 
 from core_ray.config import register_stage
+
+
+def geoip_dict(geoip_table: pa.Table) -> dict[str, tuple[float, float]]:
+    """(host, lat, lon) table -> the ``{host: (lat, lon)}`` dict Geocoder takes."""
+    return dict(
+        zip(
+            geoip_table["host"].to_pylist(),
+            zip(geoip_table["lat"].to_pylist(), geoip_table["lon"].to_pylist()),
+        )
+    )
 
 
 def host_of(url: str) -> str:
@@ -50,24 +61,16 @@ class Geocoder:
     'oversize' (text null: extract skipped the page) bypasses the cascade.
     """
 
-    def __init__(self, geoip_ref, registry=None, extra_state=None):
-        # broadcast small sides, fetched once per actor (zero per-batch cost).
-        # Ray auto-resolves ObjectRefs passed in fn_constructor_args, so these
-        # are usually already values; accept raw refs too for direct use.
-        # ``extra_state``: additional {name: table-or-ref} entries exposed to
+    def __init__(self, geoip: dict, registry=None, extra_state=None):
+        # broadcast small sides, handed over once per actor (zero per-batch
+        # cost). ``extra_state``: additional {name: table} entries exposed to
         # registry rules via the cascade state dict (e.g. the catalog's
         # 'airports' / 'gazetteer' broadcast tables).
-        import ray
-
         from core_ray.registry import DEFAULT_REGISTRY
 
-        if isinstance(geoip_ref, ray.ObjectRef):
-            geoip_ref = ray.get(geoip_ref)
-        self.geoip: dict[str, tuple[float, float]] = geoip_ref
+        self.geoip: dict[str, tuple[float, float]] = geoip
         self.registry = registry if registry is not None else DEFAULT_REGISTRY
-        self.state = {"geoip": self.geoip}
-        for k, v in (extra_state or {}).items():
-            self.state[k] = ray.get(v) if isinstance(v, ray.ObjectRef) else v
+        self.state = {"geoip": self.geoip, **(extra_state or {})}
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         urls = batch["url"].to_pylist()

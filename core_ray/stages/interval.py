@@ -74,8 +74,6 @@ def interval_join_bucketed(points_ds, intervals: pa.Table, point_col: str,
                            id_col: str = "interval_id", lo_col: str = "lo",
                            hi_col: str = "hi", bucket_width: int | None = None):
     """Distributed variant: identical output to interval_join_broadcast."""
-    import ray
-
     ids, lo, hi = _intervals_np(intervals, id_col, lo_col, hi_col)
     id_type = intervals.schema.field(id_col).type
     if bucket_width is None:
@@ -99,14 +97,12 @@ def interval_join_bucketed(points_ds, intervals: pa.Table, point_col: str,
             "__hi": pa.array(hi[iv_row], pa.int64()),
         }
     )
-    iv_ref = ray.put(iv_tbl)
 
     def bucket_of(b: pa.Table) -> pa.Table:
         p = b[point_col].to_numpy(zero_copy_only=False).astype(np.int64)
         return b.append_column("__bucket", pa.array(p // bucket_width, pa.int64()))
 
-    def reduce(pts: pa.Table, iv_ref=iv_ref) -> pa.Table:
-        iv = ray.get(iv_ref) if isinstance(iv_ref, ray.ObjectRef) else iv_ref
+    def reduce(pts: pa.Table, iv=iv_tbl) -> pa.Table:
         p_bucket = pts["__bucket"].to_numpy(zero_copy_only=False)
         ivp = iv.filter(pa.compute.is_in(iv["__bucket"], value_set=pa.array(np.unique(p_bucket))))
         p = pts[point_col].to_numpy(zero_copy_only=False).astype(np.int64)

@@ -343,10 +343,11 @@ def lookup_join(left, right, on: str, right_on: str | None = None,
         right_schema = right_schema or right.schema
         right = ray.data.from_arrow(right)
     if bloom_prefilter:
+        # a ref, not a UDF value: the filter grows with the right side's row count
         bref = ray.put(bloom_of_ds(right, right_on, right.count()))
 
         def bloom_probe(b: pa.Table, bref=bref) -> pa.Table:
-            bl = ray.get(bref) if isinstance(bref, ray.ObjectRef) else bref
+            bl = ray.get(bref)
             keys = b[on].to_numpy(zero_copy_only=False).astype(np.uint64)
             return b.filter(pa.array(bl.contains(keys)))
 
@@ -364,6 +365,8 @@ def _broadcast_join(left, table: pa.Table, on: str, right_on: str, how: str):
     key_type = table.schema.field(right_on).type
     table = table.filter(pc.is_valid(table[right_on]))
     keys = _key_numpy(table[right_on])
+    # a ref, not a UDF value: the side may reach BROADCAST_MAX_BYTES (256 MiB),
+    # above Ray Data's 100 MiB UDF-size warning
     if how in ("semi", "anti"):
         ref = ray.put((np.unique(keys), None))
     else:
@@ -371,7 +374,7 @@ def _broadcast_join(left, table: pa.Table, on: str, right_on: str, how: str):
         ref = ray.put((keys[order], table.drop_columns([right_on]).take(pa.array(order))))
 
     def probe(b: pa.Table, ref=ref) -> pa.Table:
-        rkeys, payload = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
+        rkeys, payload = ray.get(ref)
         lo = np.zeros(b.num_rows, np.int64)
         cnt = np.zeros(b.num_rows, np.int64)
         if len(rkeys):

@@ -37,6 +37,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from core_ray.collect import collect_table
 from core_ray.geo import hexgrid
 from core_ray.stages.agg import _GOLD, _n_parts, count_by_u64, sum_by_u64
 
@@ -364,8 +365,6 @@ def _hot_sets(ds, group_res: int, hot_threshold: int, salt_target: int,
     output, two fewer distributed executions."""
     import math
 
-    import ray
-
     fine = count_by_u64(
         ds.select_columns(["hex_cell"]).map_batches(
             lambda b: pa.table({"key": b["hex_cell"]}), batch_format="pyarrow",
@@ -378,11 +377,9 @@ def _hot_sets(ds, group_res: int, hot_threshold: int, salt_target: int,
         return np.zeros(0, dtype=np.uint64), {}
 
     if n_cells <= driver_cells_threshold:
-        tables = [t for t in ray.get(fine.to_arrow_refs()) if t.num_rows]
-        cells = np.concatenate(
-            [t["key"].to_numpy(zero_copy_only=False).astype(np.uint64) for t in tables]
-        )
-        counts = np.concatenate([t["cnt"].to_numpy(zero_copy_only=False) for t in tables])
+        t = collect_table(fine)
+        cells = t["key"].to_numpy(zero_copy_only=False).astype(np.uint64)
+        counts = t["cnt"].to_numpy(zero_copy_only=False)
         coarse_k = _group_key(cells, group_res)
         order = np.argsort(coarse_k, kind="stable")
         co, cnt_o = coarse_k[order], counts[order]
@@ -411,21 +408,16 @@ def _hot_sets(ds, group_res: int, hot_threshold: int, salt_target: int,
         "key",
         "cnt",
     )
-    hot_coarse_tables = [
-        t
-        for t in ray.get(coarse.filter(expr=f"cnt > {hot_threshold}").to_arrow_refs())
-        if t.num_rows
-    ]
+    hot_co = collect_table(coarse.filter(expr=f"cnt > {hot_threshold}"))
     hot_coarse = (
-        np.concatenate(
-            [t["key"].to_numpy(zero_copy_only=False).astype(np.uint64) for t in hot_coarse_tables]
-        )
-        if hot_coarse_tables
+        hot_co["key"].to_numpy(zero_copy_only=False).astype(np.uint64)
+        if hot_co.num_rows
         else np.zeros(0, dtype=np.uint64)
     )
     fine_salts: dict[int, int] = {}
-    for t in ray.get(fine.filter(expr=f"cnt > {hot_threshold}").to_arrow_refs()):
-        for k, c in zip(t["key"].to_pylist(), t["cnt"].to_pylist()):
+    hot_fine = collect_table(fine.filter(expr=f"cnt > {hot_threshold}"))
+    if hot_fine.num_rows:
+        for k, c in zip(hot_fine["key"].to_pylist(), hot_fine["cnt"].to_pylist()):
             fine_salts[int(k)] = math.ceil(int(c) / salt_target)
     return hot_coarse, fine_salts
 

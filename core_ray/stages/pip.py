@@ -39,14 +39,8 @@ def build_polygon_index(admin_table: pa.Table):
 
 @register_stage("pip")
 class PipJoin:
-    def __init__(self, admin_ref):
-        # Ray auto-resolves ObjectRefs in fn_constructor_args (broadcast: the
-        # table is stored once, fetched per actor); accept a raw ref too.
-        import ray
-
-        if isinstance(admin_ref, ray.ObjectRef):
-            admin_ref = ray.get(admin_ref)
-        self.parts, self.tree = build_polygon_index(admin_ref)
+    def __init__(self, admin: pa.Table):
+        self.parts, self.tree = build_polygon_index(admin)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         lat = batch["lat"].to_numpy(zero_copy_only=False)

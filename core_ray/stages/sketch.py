@@ -27,6 +27,8 @@ import math
 import numpy as np
 import pyarrow as pa
 
+from core_ray.collect import collect_table
+
 
 class DDSketchParams:
     def __init__(self, alpha: float = 0.01, min_positive: float = 1e-9,
@@ -111,8 +113,6 @@ def approx_group_quantiles(ds, group_col: str, val_col: str, qs=(0.5, 0.9),
     one representative row per (group, bin) — exactness of counts is
     preserved because sum_by_u64 keys on (group_hash, bin) and hash
     collisions across groups are rejected by a final name check."""
-    import ray
-
     from core_ray.stages.agg import hash_strings, sum_by_u64
 
     params = DDSketchParams(alpha=alpha, two_sided=two_sided)
@@ -147,12 +147,10 @@ def approx_group_quantiles(ds, group_col: str, val_col: str, qs=(0.5, 0.9),
     ).materialize()
     # counts: exact sum per (group_hash, bin) key
     sums = sum_by_u64(partials.select_columns(["key", "cnt"]), "key", "cnt")
-    sum_tabs = [t for t in ray.get(sums.to_arrow_refs()) if t.num_rows]
-    merged = pa.concat_tables(sum_tabs)
+    merged = collect_table(sums)
     # representative names per key (first wins; dedup driver-side — #keys is
     # #groups x #occupied-bins, small by construction)
-    name_tabs = [t for t in ray.get(partials.select_columns(["key", "name"]).to_arrow_refs()) if t.num_rows]
-    names = pa.concat_tables(name_tabs)
+    names = collect_table(partials.select_columns(["key", "name"]))
     # representative name per GROUP HASH (not per key): a collision between
     # two group names on the same hash corrupts the merged histogram, so it
     # must be detected even when the groups occupy disjoint bins
@@ -233,8 +231,6 @@ def approx_top_k(ds, key_col: str, k: int = 20, m: int = 4096):
     ``true <= est + err_bound`` with ``err_bound = n_total // (m + 1)``;
     every item whose true count exceeds ``err_bound`` is guaranteed to
     survive into the candidate set. Rows with est <= 0 never surface."""
-    import ray
-
     from core_ray.stages.agg import sum_by_u64
 
     def partial(b: pa.Table) -> pa.Table:
@@ -256,10 +252,8 @@ def approx_top_k(ds, key_col: str, k: int = 20, m: int = 4096):
         )
 
     partials = ds.map_batches(partial, batch_format="pyarrow", batch_size=131072).materialize()
-    n_total = 0
-    for t in ray.get(partials.select_columns(["nrows"]).to_arrow_refs()):
-        if t.num_rows:
-            n_total += int(np.sum(t["nrows"].to_numpy(zero_copy_only=False)))
+    nrows = collect_table(partials.select_columns(["nrows"]))
+    n_total = int(np.sum(nrows["nrows"].to_numpy(zero_copy_only=False))) if nrows.num_rows else 0
 
     sums = sum_by_u64(partials.select_columns(["key", "cnt"]), "key", "cnt")
 
@@ -272,9 +266,8 @@ def approx_top_k(ds, key_col: str, k: int = 20, m: int = 4096):
         )
 
     comp = sums.map_batches(recompress, batch_format="pyarrow")
-    tabs = [t for t in ray.get(comp.to_arrow_refs()) if t.num_rows]
-    if tabs:
-        merged = pa.concat_tables(tabs)
+    merged = collect_table(comp)
+    if merged.num_rows:
         items = merged["key"].to_numpy(zero_copy_only=False).astype(np.uint64)
         ests = merged["cnt"].to_numpy(zero_copy_only=False)
     else:

@@ -752,19 +752,16 @@ def verify_pairs_joined(pairs_ds, docs_ds, id_col: str = "doc_id",
     return joined.map_batches(score, batch_format="pyarrow")
 
 
-def verify_pairs_exact(pairs_ds, docs_ref, id_col: str = "doc_id",
+def verify_pairs_exact(pairs_ds, docs: dict, id_col: str = "doc_id",
                        n: int = 5, threshold: float = 0.5):
     """Exact n-gram-Jaccard verification of candidate pairs against a
-    BROADCAST id->text dict — the small-side variant; verify_pairs_joined
-    is the corpus-scale path (re-join by id, no broadcast)."""
+    BROADCAST id->text dict, shipped once per actor — the small-side
+    variant; verify_pairs_joined is the corpus-scale path (re-join by id,
+    no broadcast)."""
 
     class Verify:
-        def __init__(self, docs_ref):
-            import ray
-
-            if isinstance(docs_ref, ray.ObjectRef):
-                docs_ref = ray.get(docs_ref)
-            self.docs: dict = docs_ref
+        def __init__(self, docs: dict):
+            self.docs = docs
 
         def __call__(self, batch: pa.Table) -> pa.Table:
             a = batch["id_a"].to_pylist()
@@ -776,6 +773,6 @@ def verify_pairs_exact(pairs_ds, docs_ref, id_col: str = "doc_id",
             return out.filter(pc.greater_equal(out["jaccard"], threshold))
 
     return pairs_ds.map_batches(
-        Verify, fn_constructor_args=(docs_ref,),
+        Verify, fn_constructor_args=(docs,),
         batch_format="pyarrow", concurrency=(1, 4),
     )

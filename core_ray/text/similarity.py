@@ -1,8 +1,8 @@
 """Embedding similarity: brute-force cosine top-k, LSH-bucketed ANN, centroids.
 
 Patterns (per the brief's similarity-search requirement):
-- brute-force top-k: the BASELINE — query matrix broadcast once (ray.put),
-  each batch computes a numpy matmul against it and emits only its local
+- brute-force top-k: the BASELINE — query matrix shipped once per actor
+  (``fn_constructor_args``), each batch computes a numpy matmul against it and emits only its local
   top-k per query; a final small groupby merges per-query top-k. No stage
   ever materializes the full similarity matrix.
 - LSH ANN: the SCALE PATH — signed-random-projection signatures bucket the
@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from core_ray.collect import collect_table
 from core_ray.rounding import sql_round_np
 
 
@@ -32,14 +33,9 @@ def _batch_matrix(batch: pa.Table, col: str = "embedding") -> np.ndarray:
 class _BruteTopK:
     """Per-batch local top-k against the broadcast query matrix."""
 
-    def __init__(self, queries_ref, k: int, id_col: str, col: str):
-        import ray
-
-        if isinstance(queries_ref, ray.ObjectRef):
-            queries_ref = ray.get(queries_ref)
-        self.q_ids, q = queries_ref  # (ids: np.ndarray, matrix: (q, d) float64)
-        qn = q / np.linalg.norm(q, axis=1, keepdims=True)
-        self.q_mat = qn
+    def __init__(self, q_ids: np.ndarray, q: np.ndarray, k: int, id_col: str, col: str):
+        self.q_ids = q_ids
+        self.q_mat = q / np.linalg.norm(q, axis=1, keepdims=True)  # (q, d) float64
         self.k = k
         self.id_col = id_col
         self.col = col
@@ -90,12 +86,10 @@ def brute_force_topk(ds, query_ids: np.ndarray, query_matrix: np.ndarray,
                      k: int = 5, id_col: str = "vec_id", col: str = "embedding"):
     """Exact cosine top-k of each query against the whole dataset (self
     excluded). Returns (query_id, vec_id, rank, sim[rounded 6])."""
-    import ray
-
-    q_ref = ray.put((np.asarray(query_ids, dtype=np.int64),
-                     np.asarray(query_matrix, dtype=np.float64)))
     partial = ds.map_batches(
-        _BruteTopK, fn_constructor_args=(q_ref, k, id_col, col),
+        _BruteTopK,
+        fn_constructor_args=(np.asarray(query_ids, dtype=np.int64),
+                             np.asarray(query_matrix, dtype=np.float64), k, id_col, col),
         batch_format="pyarrow", batch_size=4096, concurrency=(1, 8),
     )
     return partial.groupby("query_id").map_groups(
@@ -264,19 +258,14 @@ def ivf_ann_topk(ds, query_ids, k: int = 5, n_clusters: int = 16, nprobe: int = 
     tested against brute force for recall. Queries are replicated nprobe
     ways; candidates once per bucket — the standard IVF trade.
     """
-    import ray
-
     # --- train on a sample (driver-side; tiny) ---
-    sample = ds.limit(train_sample)
-    xs = _batch_matrix(pa.concat_tables(ray.get(sample.to_arrow_refs())), col)
+    xs = _batch_matrix(collect_table(ds.limit(train_sample)), col)
     xs = xs / np.maximum(np.linalg.norm(xs, axis=1, keepdims=True), 1e-30)
     centers = _kmeans_fit(xs, n_clusters)
     centers = centers / np.maximum(np.linalg.norm(centers, axis=1, keepdims=True), 1e-30)
     qset = frozenset(int(i) for i in np.asarray(query_ids).tolist())
-    c_ref = ray.put(centers)
 
-    def assign(batch: pa.Table, c_ref=c_ref) -> pa.Table:
-        cs = ray.get(c_ref) if isinstance(c_ref, ray.ObjectRef) else c_ref
+    def assign(batch: pa.Table, cs=centers) -> pa.Table:
         x = _batch_matrix(batch, col)
         xn = x / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), 1e-30)
         sims = xn @ cs.T

@@ -442,3 +442,81 @@ def test_phase_b_cutoff_follows_row_content(ray_session, corpus, tmp_path, salte
         assert json.load(f)["digest"]
     assert _wide_manifests(ckpt) == edited, "an mtime-only change reran a wide stage"
     _assert_same_outputs(bumped, delta)
+
+
+def _most_common(col):
+    import pyarrow.compute as pc
+
+    counts = pc.value_counts(col.drop_null()).to_pylist()
+    return max(counts, key=lambda v: (v["counts"], v["values"]))["values"]
+
+
+def test_worker_analyzer_follows_side_tables(ray_session, corpus, tmp_path):
+    """Phase A's workers cache their PageAnalyzer across runs, keyed on the
+    side-table fingerprint: a run with one admin polygon removed must not
+    reuse the analyzer built for the full table, and a run back on the full
+    table gives the first run's rows exactly."""
+    import glob
+
+    import pyarrow.compute as pc
+
+    from core_ray.collect import collect_table
+    from core_ray.pipelines.flagship import scan_files
+
+    out_dir, c = corpus
+    files = sorted(glob.glob(f"{out_dir}/pages/*.parquet"))
+    sort_keys = [("url", "ascending"), ("mention_idx", "ascending"), ("warc_ts", "ascending")]
+
+    def run(admin, name):
+        ds = scan_files(files, admin, c.geoip_ranges, PipelineConfig(),
+                        checkpoint_dir=str(tmp_path / name))
+        return collect_table(ds).sort_by(sort_keys)
+
+    first = run(c.admin_polygons, "first")
+    gone = _most_common(first["admin_id"])
+    fewer = c.admin_polygons.filter(pc.not_equal(c.admin_polygons["admin_id"], gone))
+    assert fewer.num_rows == c.admin_polygons.num_rows - 1
+
+    second = run(fewer, "second")
+    assert second.num_rows == first.num_rows
+    was_gone = pc.equal(first["admin_id"], gone).fill_null(False)
+    assert pc.sum(was_gone).as_py() > 0
+    assert pc.sum(pc.equal(second["admin_id"], gone).fill_null(False)).as_py() == 0
+    unchanged = pc.invert(was_gone)
+    assert second.filter(unchanged).equals(first.filter(unchanged))
+
+    third = run(c.admin_polygons, "third")
+    assert third.equals(first)
+
+
+def test_analyzer_cache_key_is_side_fingerprint(corpus, monkeypatch):
+    """The same cache in one process, where reuse is certain: a new side
+    fingerprint rebuilds the analyzer, so the removed polygon's pages move
+    to another admin_id."""
+    import glob
+
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from core_ray.pipelines.flagship import _sides_fp
+    from core_ray.stages import analyzer
+    from core_ray.stages.analyzer import analyze_batch_task
+
+    monkeypatch.setattr(analyzer, "_WORKER_ANALYZERS", {})  # this process's cache only
+    out_dir, c = corpus
+    pages = pq.read_table(sorted(glob.glob(f"{out_dir}/pages/*.parquet"))[0],
+                          columns=["url", "warc_ts", "html", "lang"])
+    cfg = PipelineConfig()
+
+    def analyze(admin):
+        return analyze_batch_task(
+            pages, c.geoip_ranges, admin, _sides_fp(admin, c.geoip_ranges),
+            cfg.max_html_bytes, cfg.hex_res, cfg.s2_level, cfg.stage_sel_phase_a,
+        )
+
+    full = analyze(c.admin_polygons)
+    gone = _most_common(full["admin_id"])
+    fewer = c.admin_polygons.filter(pc.not_equal(c.admin_polygons["admin_id"], gone))
+    assert pc.sum(pc.equal(full["admin_id"], gone).fill_null(False)).as_py() > 0
+    assert pc.sum(pc.equal(analyze(fewer)["admin_id"], gone).fill_null(False)).as_py() == 0
+    assert analyze(c.admin_polygons).equals(full)

@@ -264,9 +264,9 @@ class TestVerifyJoined:
                 "id_b": pa.array([1, 2, 3], pa.int64()),
             }
         )
-        docs_ref = ray.put(dict(zip(docs["doc_id"].to_pylist(), docs["text"].to_pylist())))
+        by_id = dict(zip(docs["doc_id"].to_pylist(), docs["text"].to_pylist()))
         bd = dedup.verify_pairs_exact(
-            ray.data.from_arrow(pairs), docs_ref, threshold=0.2
+            ray.data.from_arrow(pairs), by_id, threshold=0.2
         ).take_all()
         jn = dedup.verify_pairs_joined(
             ray.data.from_arrow(pairs), ray.data.from_arrow(docs), threshold=0.2
