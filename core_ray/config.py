@@ -15,23 +15,6 @@ from typing import Any, Callable
 STAGE_REGISTRY: dict[str, Callable[..., Any]] = {}
 
 
-def pool_size(divisor: int = 1, cap: int | None = None) -> tuple[int, int]:
-    """Actor-pool (min, max) sized to the cluster: max = CPUs // divisor.
-
-    A fixed max (e.g. 8) silently caps throughput on bigger clusters; a pool
-    reserving every CPU starves other stages — callers pick the divisor."""
-    try:
-        import ray
-
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    hi = max(1, cpus // divisor)
-    if cap is not None:
-        hi = min(hi, cap)
-    return (1, hi)
-
-
 def register_stage(name: str):
     """Decorator: register a stage factory under ``name``."""
 

@@ -83,6 +83,24 @@ def _derive_coords(doc_id: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lat, lon
 
 
+def _with_coords(ds, id_col: str):
+    """Dataset[(id_col, lat, lon)]: ``ds``'s ids with their derived
+    coordinates (the input shape of distband.bipartite_band_pairs)."""
+
+    def coords(b: pa.Table) -> pa.Table:
+        ids = b[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        lat, lon = _derive_coords(ids)
+        return pa.table(
+            {
+                id_col: pa.array(ids, pa.int64()),
+                "lat": pa.array(lat, pa.float64()),
+                "lon": pa.array(lon, pa.float64()),
+            }
+        )
+
+    return ds.map_batches(coords, batch_format="pyarrow")
+
+
 # deterministic 3-level rectangle admin hierarchy; bounds at .0005 offsets so
 # no derived point (3 decimals) ever sits on a boundary. Mirrored verbatim in
 # the SQL VALUES list.

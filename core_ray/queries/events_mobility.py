@@ -14,12 +14,12 @@ import pyarrow.compute as pc
 from core_ray.queries._shared import (
     _BI_RADIUS, _DGD, _FRECHET_K, _FRECHET_MAX_USERS, _GE_CELL_MILLI, _GT_CELL_MILLI, _MORAN_NLAT,
     _MORAN_NLON, _STG_DAY_US, _TT_DAY_US, GEO_LAT_SQL, GEO_LON_SQL, GEO_RECTS, _collect_table,
-    _derive_coords, _ensure_docs_golden, _read, _session_cached, query,
+    _derive_coords, _ensure_docs_golden, _read, _session_cached, _with_coords, query,
 )
 from core_ray.rounding import sql_round_np
 from core_ray.stages.agg import count_by_u64, map_groups_partitioned, min_by_u64, sum_by_u64
 from core_ray.stages.dbscan import dbscan_from_pairs
-from core_ray.stages.distband import distance_pairs, haversine_km
+from core_ray.stages.distband import band_replicas, cell_pairs, distance_pairs, haversine_km
 from core_ray.stages.join import fits_broadcast, hash_join, lookup_join
 from core_ray.stages.stjoin import spacetime_all_pairs, spacetime_pairs
 
@@ -1138,9 +1138,11 @@ def events_nearest_doc(sf_dir: str):
     the nearest content item to each telemetry point" enrichment join,
     with BOTH sides corpus-scale (geo_nearest_facility's broadcast trick
     is unavailable; geo_doc_event_band's all-pairs output would be wasted
-    work). Plan: the band join's asymmetric replication INVERTED (events
-    emit one home replica, docs ghost 3x3 so every in-range doc reaches
-    the event's home cell), per-cell per-event local argmin, then ONE
+    work). Plan: the band join's asymmetric replication INVERTED
+    (distband.band_replicas with events on the left: events emit one home
+    replica, docs ghost 3x3 so every in-range doc reaches the event's home
+    cell), each cell's (event, doc) candidates from distband.cell_pairs,
+    a per-event local argmin inside the task, then ONE
     global agg.min_by_u64 reduce keyed by event over the value pack
     (d2_micro << 40 | doc_id) — the u64 minimum IS the lexicographic
     (quantized-distance, doc_id) argmin, the q2_min_cost_supplier packing
@@ -1150,51 +1152,10 @@ def events_nearest_doc(sf_dir: str):
     r = _BI_RADIUS
     r2 = r * r
 
-    docs = _read(sf_dir, "documents", ["doc_id"])
-    evs = _read(sf_dir, "events", ["event_id"])
-
-    def ev_home(b: pa.Table) -> pa.Table:
-        eid = b["event_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        lat, lon = _derive_coords(eid)
-        cx = np.floor(lat / r).astype(np.int64) + (1 << 20)
-        cy = np.floor(lon / r).astype(np.int64) + (1 << 20)
-        return pa.table(
-            {
-                "ck": pa.array(
-                    (cx.astype(np.uint64) << np.uint64(21))
-                    | cy.astype(np.uint64),
-                    pa.uint64(),
-                ),
-                "side": pa.array(np.zeros(len(eid), np.int8), pa.int8()),
-                "id": pa.array(eid, pa.int64()),
-                "lat": pa.array(lat, pa.float64()),
-                "lon": pa.array(lon, pa.float64()),
-            }
-        )
-
-    def doc_rep9(b: pa.Table) -> pa.Table:
-        did = b["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        lat, lon = _derive_coords(did)
-        cx = np.floor(lat / r).astype(np.int64)
-        cy = np.floor(lon / r).astype(np.int64)
-        n = len(did)
-        dx = np.array([0, -1, -1, -1, 0, 0, 1, 1, 1], dtype=np.int64)
-        dy = np.array([0, -1, 0, 1, -1, 1, -1, 0, 1], dtype=np.int64)
-        rcx = (np.repeat(cx, 9) + np.tile(dx, n) + (1 << 20)).astype(np.uint64)
-        rcy = (np.repeat(cy, 9) + np.tile(dy, n) + (1 << 20)).astype(np.uint64)
-        return pa.table(
-            {
-                "ck": pa.array((rcx << np.uint64(21)) | rcy, pa.uint64()),
-                "side": pa.array(np.ones(9 * n, np.int8), pa.int8()),
-                "id": pa.array(np.repeat(did, 9), pa.int64()),
-                "lat": pa.array(np.repeat(lat, 9), pa.float64()),
-                "lon": pa.array(np.repeat(lon, 9), pa.float64()),
-            }
-        )
-
-    rep = evs.map_batches(ev_home, batch_format="pyarrow",
-                          batch_size=65536).union(
-        docs.map_batches(doc_rep9, batch_format="pyarrow", batch_size=65536)
+    rep = band_replicas(
+        _with_coords(_read(sf_dir, "events", ["event_id"]), "event_id"),
+        _with_coords(_read(sf_dir, "documents", ["doc_id"]), "doc_id"),
+        r, "event_id", "doc_id",
     )
 
     _empty = pa.table(
@@ -1202,46 +1163,18 @@ def events_nearest_doc(sf_dir: str):
     )
 
     def per_part(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:
-            return _empty
-        key = g["ck"].to_numpy(zero_copy_only=False).astype(np.uint64)
         side = g["side"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((side, key))
-        key, side = key[order], side[order]
+        order, chunks = cell_pairs(
+            g["ck"].to_numpy(zero_copy_only=False).astype(np.uint64),
+            side == 0, side == 1,
+        )
         ids = g["id"].to_numpy(zero_copy_only=False)[order]
         lat = g["lat"].to_numpy(zero_copy_only=False)[order]
         lon = g["lon"].to_numpy(zero_copy_only=False)[order]
-        n = len(key)
-        new = np.ones(n, dtype=bool)
-        new[1:] = key[1:] != key[:-1]
-        seg_id = np.cumsum(new) - 1
-        starts = np.nonzero(new)[0]
-        seg_end = np.append(starts[1:], n)
-        eidx = np.nonzero(side == 0)[0]  # events come first in a segment
-        if len(eidx) == 0:
-            return _empty
-        eseg = seg_id[eidx]
-        ev_cnt = np.zeros(len(starts), np.int64)
-        np.add.at(ev_cnt, eseg, 1)
-        doc_lo = starts + ev_cnt
-        nd = (seg_end - doc_lo)[eseg]
         out_ev, out_pack = [], []
-        cum = np.cumsum(nd)
-        chunk = cum // (8 << 20)
-        for c in np.unique(chunk):
-            m = chunk == c
-            ei = eidx[m]
-            k = nd[m]
-            if k.sum() == 0:
-                continue
-            left = np.repeat(np.arange(len(ei)), k)
-            off = np.concatenate([[0], np.cumsum(k)])[:-1]
-            right = (
-                np.arange(k.sum()) - np.repeat(off, k)
-                + np.repeat(doc_lo[eseg[m]], k)
-            )
-            dla = lat[ei][left] - lat[right]
-            dlo = lon[ei][left] - lon[right]
+        for left, right in chunks:
+            dla = lat[left] - lat[right]
+            dlo = lon[left] - lon[right]
             d2 = dla * dla + dlo * dlo
             ok = d2 <= r2
             if not ok.any():
@@ -1254,7 +1187,7 @@ def events_nearest_doc(sf_dir: str):
             o = np.lexsort((pack, left))
             lf, pk = left[o], pack[o]
             first = np.r_[True, lf[1:] != lf[:-1]]
-            out_ev.append(ids[ei][lf[first]].astype(np.uint64))
+            out_ev.append(ids[lf[first]].astype(np.uint64))
             out_pack.append(pk[first])
         if not out_ev:
             return _empty

@@ -13,13 +13,15 @@ from core_ray.geo import geometry, hexgrid, mercator
 from core_ray.queries._shared import (
     _BI_RADIUS, _DGD, _DP_EPS, _GE_CELL_MILLI, _GEO_PAIR_RADIUS_DEG, _QT_LMAX, _TT_DAY_US,
     GEO_LAT_SQL, GEO_LON_SQL, GEO_RECTS, _collect_table, _derive_coords, _ensure_docs_golden, _read,
-    query,
+    _with_coords, query,
 )
 from core_ray.rounding import sql_round_np
 from core_ray.stages.agg import count_by_u64, map_groups_partitioned, min_by_u64, sum_by_u64
 from core_ray.stages.cc import connected_components
 from core_ray.stages.dbscan import dbscan
-from core_ray.stages.distband import distance_pairs, haversine_distance_pairs, haversine_km
+from core_ray.stages.distband import (
+    bipartite_band_pairs, cell_pairs, distance_pairs, haversine_distance_pairs, haversine_km,
+)
 from core_ray.stages.join import hash_join, lookup_join
 from core_ray.stages.pip import PipJoin, build_polygon_index
 from core_ray.stages.segjoin import segment_crossings
@@ -1708,133 +1710,16 @@ def geo_doc_event_band(sf_dir: str):
     side emits ONE home replica, the event side replicates to its 3x3
     neighborhood, so every qualifying pair co-locates in exactly the doc's
     home cell and is emitted exactly once — 1x + 9x replication instead of
-    the self-join's 9x on everything, ONE hash shuffle total. The
-    partition kernel sorts by (cell, side), pairs each cell's doc rows
-    against its event rows with repeat/offset-arange expansion (chunked
-    against dense cells), and filters on the exact mirrored sq_dist
-    chain."""
-    r = _BI_RADIUS
-    r2 = r * r
-
-    docs = _read(sf_dir, "documents", ["doc_id"])
-    evs = _read(sf_dir, "events", ["event_id"])
-
-    def doc_rep(b: pa.Table) -> pa.Table:
-        doc_id = b["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        lat, lon = _derive_coords(doc_id)
-        cx = np.floor(lat / r).astype(np.int64) + (1 << 20)
-        cy = np.floor(lon / r).astype(np.int64) + (1 << 20)
-        return pa.table(
-            {
-                "ck": pa.array(
-                    (cx.astype(np.uint64) << np.uint64(21))
-                    | cy.astype(np.uint64),
-                    pa.uint64(),
-                ),
-                "side": pa.array(np.zeros(len(doc_id), np.int8), pa.int8()),
-                "id": pa.array(doc_id, pa.int64()),
-                "lat": pa.array(lat, pa.float64()),
-                "lon": pa.array(lon, pa.float64()),
-            }
-        )
-
-    def ev_rep(b: pa.Table) -> pa.Table:
-        eid = b["event_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        lat, lon = _derive_coords(eid)
-        cx = np.floor(lat / r).astype(np.int64)
-        cy = np.floor(lon / r).astype(np.int64)
-        n = len(eid)
-        dx = np.array([0, -1, -1, -1, 0, 0, 1, 1, 1], dtype=np.int64)
-        dy = np.array([0, -1, 0, 1, -1, 1, -1, 0, 1], dtype=np.int64)
-        rcx = (np.repeat(cx, 9) + np.tile(dx, n) + (1 << 20)).astype(np.uint64)
-        rcy = (np.repeat(cy, 9) + np.tile(dy, n) + (1 << 20)).astype(np.uint64)
-        return pa.table(
-            {
-                "ck": pa.array(
-                    (rcx << np.uint64(21)) | rcy, pa.uint64()
-                ),
-                "side": pa.array(np.ones(9 * n, np.int8), pa.int8()),
-                "id": pa.array(np.repeat(eid, 9), pa.int64()),
-                "lat": pa.array(np.repeat(lat, 9), pa.float64()),
-                "lon": pa.array(np.repeat(lon, 9), pa.float64()),
-            }
-        )
-
-    rep = docs.map_batches(doc_rep, batch_format="pyarrow",
-                           batch_size=65536).union(
-        evs.map_batches(ev_rep, batch_format="pyarrow", batch_size=65536)
+    the self-join's 9x on everything, ONE hash shuffle total. This is
+    stages/distband.py::bipartite_band_pairs: its partition kernel pairs
+    each cell's doc rows against its event rows through cell_pairs
+    (chunked against dense cells) and filters on the exact mirrored
+    sq_dist chain."""
+    return bipartite_band_pairs(
+        _with_coords(_read(sf_dir, "documents", ["doc_id"]), "doc_id"),
+        _with_coords(_read(sf_dir, "events", ["event_id"]), "event_id"),
+        _BI_RADIUS, "doc_id", "event_id",
     )
-
-    _empty = pa.table(
-        {
-            "doc_id": pa.array([], pa.int64()),
-            "event_id": pa.array([], pa.int64()),
-            "sq_dist": pa.array([], pa.float64()),
-        }
-    )
-
-    def per_part(g: pa.Table, chunk_pairs: int = 8 << 20) -> pa.Table:
-        if g.num_rows == 0:
-            return _empty
-        key = g["ck"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        side = g["side"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((side, key))
-        key, side = key[order], side[order]
-        ids = g["id"].to_numpy(zero_copy_only=False)[order]
-        lat = g["lat"].to_numpy(zero_copy_only=False)[order]
-        lon = g["lon"].to_numpy(zero_copy_only=False)[order]
-        n = len(key)
-        new = np.ones(n, dtype=bool)
-        new[1:] = key[1:] != key[:-1]
-        seg_id = np.cumsum(new) - 1
-        starts = np.nonzero(new)[0]
-        seg_end = np.append(starts[1:], n)
-        # docs come first within a segment (side sorts 0 before 1)
-        didx = np.nonzero(side == 0)[0]
-        if len(didx) == 0:
-            return _empty
-        dseg = seg_id[didx]
-        # events of segment s occupy [starts[s] + doc_cnt[s], seg_end[s])
-        doc_cnt = np.zeros(len(starts), np.int64)
-        np.add.at(doc_cnt, dseg, 1)
-        ev_lo = starts + doc_cnt  # first event row per segment
-        ne = (seg_end - ev_lo)[dseg]  # events per doc row
-        out = []
-        cum = np.cumsum(ne)
-        chunk = cum // chunk_pairs
-        for c in np.unique(chunk):
-            m = chunk == c
-            di = didx[m]
-            k = ne[m]
-            if k.sum() == 0:
-                continue
-            left = np.repeat(di, k)
-            off = np.concatenate([[0], np.cumsum(k)])[:-1]
-            right = (
-                np.arange(k.sum()) - np.repeat(off, k)
-                + np.repeat(ev_lo[dseg[m]], k)
-            )
-            dla = lat[left] - lat[right]
-            dlo = lon[left] - lon[right]
-            d2 = dla * dla + dlo * dlo
-            ok = d2 <= r2
-            if ok.any():
-                out.append(
-                    pa.table(
-                        {
-                            "doc_id": pa.array(
-                                ids[left][ok].astype(np.int64), pa.int64()
-                            ),
-                            "event_id": pa.array(
-                                ids[right][ok].astype(np.int64), pa.int64()
-                            ),
-                            "sq_dist": pa.array(d2[ok], pa.float64()),
-                        }
-                    )
-                )
-        return pa.concat_tables(out) if out else _empty
-
-    return map_groups_partitioned(rep, "ck", per_part)
 
 
 @query(sql=f"""
@@ -2267,8 +2152,10 @@ def geo_pip_partitioned(sf_dir: str):
     point lands in its one home 10-deg tile, each zone rectangle
     replicates to every tile its bbox intersects (geo_rect_cover's
     vectorized repeat/offset explode), and the containment test runs
-    per tile — every (point, zone) pair meets in exactly the point's
-    home tile, so emission is exactly-once with NO dedup pass. One hash
+    per tile over distband.cell_pairs' candidates (chunked, so a dense
+    tile degrades to more chunks) — every (point, zone) pair meets in
+    exactly the point's home tile, so emission is exactly-once with NO
+    dedup pass. One hash
     shuffle total; all-pairs output (a doc inside k overlapping zones
     emits k rows — the PIP counting policy). The 200-zone model table
     here stands in for the unbounded side; nothing in the plan reads
@@ -2327,57 +2214,31 @@ def geo_pip_partitioned(sf_dir: str):
         ray.data.from_arrow(zone_rep())
     )
 
-    _empty = pa.table(
-        {"doc_id": pa.array([], pa.int64()),
-         "zone_id": pa.array([], pa.int64())}
-    )
-
     def per_part(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:
-            return _empty
-        key = g["ck"].to_numpy(zero_copy_only=False).astype(np.uint64)
         side = g["side"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((side, key))
-        key, side = key[order], side[order]
+        order, chunks = cell_pairs(
+            g["ck"].to_numpy(zero_copy_only=False).astype(np.uint64),
+            side == 0, side == 1,
+        )
         ids = g["id"].to_numpy(zero_copy_only=False)[order]
         a = g["a"].to_numpy(zero_copy_only=False)[order]
         b = g["b"].to_numpy(zero_copy_only=False)[order]
         c = g["c"].to_numpy(zero_copy_only=False)[order]
         d = g["d"].to_numpy(zero_copy_only=False)[order]
-        n = len(key)
-        new = np.ones(n, dtype=bool)
-        new[1:] = key[1:] != key[:-1]
-        seg_id = np.cumsum(new) - 1
-        starts = np.nonzero(new)[0]
-        seg_end = np.append(starts[1:], n)
-        pidx = np.nonzero(side == 0)[0]
-        if len(pidx) == 0:
-            return _empty
-        pseg = seg_id[pidx]
-        p_cnt = np.zeros(len(starts), np.int64)
-        np.add.at(p_cnt, pseg, 1)
-        z_lo = starts + p_cnt
-        nz = (seg_end - z_lo)[pseg]
-        left = np.repeat(np.arange(len(pidx)), nz)
-        off = np.concatenate([[0], np.cumsum(nz)])[:-1]
-        right = (
-            np.arange(int(nz.sum())) - np.repeat(off, nz)
-            + np.repeat(z_lo[pseg], nz)
-        )
-        plat = a[pidx][left]
-        plon = b[pidx][left]
-        ok = (
-            (plat >= a[right]) & (plat <= b[right])
-            & (plon >= c[right]) & (plon <= d[right])
-        )
+        out_doc, out_zone = [ids[:0]], [ids[:0]]
+        for i, j in chunks:
+            plat = a[i]
+            plon = b[i]
+            ok = (
+                (plat >= a[j]) & (plat <= b[j])
+                & (plon >= c[j]) & (plon <= d[j])
+            )
+            out_doc.append(ids[i][ok])
+            out_zone.append(ids[j][ok])
         return pa.table(
             {
-                "doc_id": pa.array(
-                    ids[pidx][left][ok].astype(np.int64), pa.int64()
-                ),
-                "zone_id": pa.array(
-                    ids[right][ok].astype(np.int64), pa.int64()
-                ),
+                "doc_id": pa.array(np.concatenate(out_doc), pa.int64()),
+                "zone_id": pa.array(np.concatenate(out_zone), pa.int64()),
             }
         )
 

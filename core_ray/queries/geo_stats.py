@@ -17,12 +17,13 @@ import pyarrow.parquet as pq
 
 from core_ray.queries._shared import (
     _GE_CELL_MILLI, _GEO_PAIR_RADIUS_DEG, _GT_CELL_MILLI, _MORAN_NLAT, _MORAN_NLON, _QT_LMAX,
-    GEO_LAT_SQL, GEO_LON_SQL, _collect_table, _derive_coords, _p, _read, _sf_of, _tdiv, query,
+    GEO_LAT_SQL, GEO_LON_SQL, _collect_table, _derive_coords, _p, _read, _sf_of, _tdiv, _with_coords,
+    query,
 )
 from core_ray.rounding import sql_round_np
 from core_ray.stages.agg import count_by_u64, map_groups_partitioned, min_by_u64
 from core_ray.stages.distband import (
-    bipartite_band_pairs, distance_pairs, haversine_km, replicate_to_cells,
+    bipartite_band_pairs, cell_pairs, distance_pairs, haversine_km, replicate_to_cells,
 )
 from core_ray.stages.join import hash_join
 
@@ -80,36 +81,16 @@ def geo_colocation(sf_dir: str, radius: float = _GEO_PAIR_RADIUS_DEG):
     )
 
     def part(g: pa.Table) -> pa.Table:
-        key = g["ck"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        n = len(key)
-        if n == 0:
-            return _empty
-        order = np.argsort(key, kind="stable")
-        key = key[order]
+        order, chunks = cell_pairs(
+            g["ck"].to_numpy(zero_copy_only=False).astype(np.uint64),
+            g["home"].to_numpy(zero_copy_only=False),
+        )
         ids = g["doc_id"].to_numpy(zero_copy_only=False)[order]
         lat = g["lat"].to_numpy(zero_copy_only=False)[order]
         lon = g["lon"].to_numpy(zero_copy_only=False)[order]
-        home = g["home"].to_numpy(zero_copy_only=False)[order]
         lang = np.asarray(g["lang"].to_pylist())[order]
-        new = np.ones(n, dtype=bool)
-        new[1:] = key[1:] != key[:-1]
-        seg_id = np.cumsum(new) - 1
-        starts = np.nonzero(new)[0]
-        seg_len = np.diff(np.append(starts, n)).astype(np.int64)
-        hidx = np.nonzero(home)[0]
-        if len(hidx) == 0:
-            return _empty
-        Lh = seg_len[seg_id[hidx]]
-        chunk_of_home = np.cumsum(Lh) // (8 << 20)
         l1s, l2s, cnts = [], [], []
-        for c in np.unique(chunk_of_home):
-            sel = chunk_of_home == c
-            h = hidx[sel]
-            L = Lh[sel]
-            left = np.repeat(h, L)
-            rps = np.cumsum(L) - L
-            offs = np.arange(int(L.sum())) - np.repeat(rps, L)
-            right = np.repeat(starts[seg_id[h]], L) + offs
+        for left, right in chunks:
             m = ids[right] > ids[left]
             i, j = left[m], right[m]
             dla = lat[i] - lat[j]
@@ -558,37 +539,17 @@ def geo_semivariogram(sf_dir: str, radius: float = _VARIO_RADIUS_DEG):
     )
 
     def part(g: pa.Table) -> pa.Table:
-        key = g["ck"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        n = len(key)
-        if n == 0:
-            return _empty
-        order = np.argsort(key, kind="stable")
-        key = key[order]
+        order, chunks = cell_pairs(
+            g["ck"].to_numpy(zero_copy_only=False).astype(np.uint64),
+            g["home"].to_numpy(zero_copy_only=False),
+        )
         ids = g["doc_id"].to_numpy(zero_copy_only=False)[order]
         lat = g["lat"].to_numpy(zero_copy_only=False)[order]
         lon = g["lon"].to_numpy(zero_copy_only=False)[order]
-        home = g["home"].to_numpy(zero_copy_only=False)[order]
         chars = g["chars"].to_numpy(zero_copy_only=False)[order]
-        new = np.ones(n, dtype=bool)
-        new[1:] = key[1:] != key[:-1]
-        seg_id = np.cumsum(new) - 1
-        starts = np.nonzero(new)[0]
-        seg_len = np.diff(np.append(starts, n)).astype(np.int64)
-        hidx = np.nonzero(home)[0]
-        if len(hidx) == 0:
-            return _empty
         cnt_acc = np.zeros(n_bins, np.int64)
         ssq_acc = np.zeros(n_bins, np.int64)
-        Lh = seg_len[seg_id[hidx]]
-        chunk_of_home = np.cumsum(Lh) // (8 << 20)
-        for c in np.unique(chunk_of_home):
-            sel = chunk_of_home == c
-            h = hidx[sel]
-            L = Lh[sel]
-            left = np.repeat(h, L)
-            rps = np.cumsum(L) - L
-            offs = np.arange(int(L.sum())) - np.repeat(rps, L)
-            right = np.repeat(starts[seg_id[h]], L) + offs
+        for left, right in chunks:
             m = ids[right] > ids[left]
             i, j = left[m], right[m]
             dla = lat[i] - lat[j]
@@ -1671,33 +1632,10 @@ def geo_cross_k(sf_dir: str):
     docs = _read(sf_dir, "documents", ["doc_id"])
     evs = _read(sf_dir, "events", ["event_id"])
 
-    def doc_shape(b: pa.Table) -> pa.Table:
-        doc_id = b["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        lat, lon = _derive_coords(doc_id)
-        return pa.table(
-            {
-                "doc_id": pa.array(doc_id, pa.int64()),
-                "lat": pa.array(lat, pa.float64()),
-                "lon": pa.array(lon, pa.float64()),
-            }
-        )
-
-    def ev_shape(b: pa.Table) -> pa.Table:
-        eid = b["event_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        lat, lon = _derive_coords(eid)
-        return pa.table(
-            {
-                "event_id": pa.array(eid, pa.int64()),
-                "lat": pa.array(lat, pa.float64()),
-                "lon": pa.array(lon, pa.float64()),
-            }
-        )
-
     n_d = docs.count()
     n_e = evs.count()
     pairs = bipartite_band_pairs(
-        docs.map_batches(doc_shape, batch_format="pyarrow"),
-        evs.map_batches(ev_shape, batch_format="pyarrow"),
+        _with_coords(docs, "doc_id"), _with_coords(evs, "event_id"),
         _CROSS_K_RMAX,
     )
 

@@ -25,7 +25,7 @@ kernel, an argsort plus ``ufunc.reduceat`` (``_reduce_by_key``).
 The swap to native Ray Data (``repartition(keys=…)`` / ``Dataset.join``
 under the hash-shuffle strategy) was measured and not taken: both hung at
 ``num_cpus`` 1–2, where the hash-shuffle aggregator actors reserve the only
-CPUs (ROADMAP direction 2). That swap is now a change to this one function.
+CPUs (ROADMAP direction 5). That swap is now a change to this one function.
 """
 
 from __future__ import annotations

@@ -14,12 +14,15 @@ Shape (one shuffle, no all-pairs):
   point's home cell (the other point is home-or-ghost there), so emitting
   (home-left, larger-id-right) pairs counts each pair once with no
   cross-partition dedup;
-- per partition, candidate pairs are built with a fully vectorized
-  segment-offset construction (repeat/cumsum arithmetic — no Python loop
-  over rows or cells), chunked so no single dense cell can blow the heap:
-  mega-city skew degrades to more chunks, never to failure. For adversarial
-  density the documented scale path is sub-cell salting (split hot cells on
-  a finer grid and merge), same policy as stages/knn.py.
+- per partition, ``cell_pairs`` enumerates the candidate pairs with
+  vectorized repeat/cumsum arithmetic (no Python loop over rows or cells),
+  chunked so no single dense cell can blow the heap: mega-city skew
+  degrades to more chunks, never to failure. Every grid-join kernel in the
+  engine (this module, stjoin.py, segjoin.py and the band, co-location,
+  semivariogram, nearest-doc and tile-partitioned containment queries)
+  takes its candidates from it. For adversarial density the documented
+  scale path is sub-cell salting (split hot cells on a finer grid and
+  merge), same policy as stages/knn.py.
 
 Distance is squared-euclidean in coordinate space — (a-b)*(a-b) sums, IEEE
 order identical to a SQL mirror, so threshold comparisons are bit-exact.
@@ -33,6 +36,10 @@ import pyarrow as pa
 from core_ray.stages.agg import map_groups_partitioned
 
 _OFF21 = np.int64(1 << 20)
+# 3x3 neighbourhood offsets, home cell (0, 0) first
+_DX = np.array([0, -1, -1, -1, 0, 0, 1, 1, 1], dtype=np.int64)
+_DY = np.array([0, -1, 0, 1, -1, 1, -1, 0, 1], dtype=np.int64)
+
 
 def haversine_km(lat_a: np.ndarray, lon_a: np.ndarray,
                  lat_b: np.ndarray, lon_b: np.ndarray) -> np.ndarray:
@@ -47,20 +54,11 @@ def haversine_km(lat_a: np.ndarray, lon_a: np.ndarray,
     return 2.0 * 6371.0088 * np.arcsin(np.sqrt(h))
 
 
-def replicate_to_cells(
-    ids: np.ndarray, lat: np.ndarray, lon: np.ndarray, radius: float,
-    radius_lon: float | None = None,
-    lon_wrap_cells: int | None = None,
-) -> pa.Table:
-    """9x home+ghost replication of (id, lat, lon) keyed by packed cell.
-    ``radius_lon`` (default ``radius``) sets the longitude cell size
-    independently — metric bands need wider lon cells at high latitude
-    (see haversine_distance_pairs). ``lon_wrap_cells=n`` switches the lon
-    axis to a RING of n equal cells over [-180, 180) with ghost offsets
-    taken mod n, so pairs straddling the antimeridian co-locate (great-
-    circle distance wraps; coordinate-space distance does not). n must be
-    >= 4 or ghost offsets would alias into the same cell and emit
-    duplicate pairs."""
+def _cells(lat: np.ndarray, lon: np.ndarray, radius: float,
+           radius_lon: float | None = None,
+           lon_wrap_cells: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Integer (lat, lon) cell indices of each point (see replicate_to_cells
+    for ``radius_lon`` and ``lon_wrap_cells``)."""
     cx = np.floor(lat / radius).astype(np.int64)
     if lon_wrap_cells is not None:
         if lon_wrap_cells < 4:
@@ -82,19 +80,46 @@ def replicate_to_cells(
             f"radius {radius} too small for the coordinate extent: cell "
             f"indices exceed the 21-bit packed range (+-{lim})"
         )
-    n = len(ids)
-    dx = np.array([0, -1, -1, -1, 0, 0, 1, 1, 1], dtype=np.int64)
-    dy = np.array([0, -1, 0, 1, -1, 1, -1, 0, 1], dtype=np.int64)
-    rcx = (np.repeat(cx, 9) + np.tile(dx, n) + _OFF21).astype(np.uint64)
-    ry = np.repeat(cy, 9) + np.tile(dy, n)
+    return cx, cy
+
+
+def _pack(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
+    return ((cx + _OFF21).astype(np.uint64) << np.uint64(21)) | (
+        cy + _OFF21
+    ).astype(np.uint64)
+
+
+def _ghost_keys(cx: np.ndarray, cy: np.ndarray,
+                lon_wrap_cells: int | None = None) -> np.ndarray:
+    """Packed keys of each point's 3x3 cell neighbourhood, 9 per point,
+    home cell first."""
+    n = len(cx)
+    gy = np.repeat(cy, 9) + np.tile(_DY, n)
     if lon_wrap_cells is not None:
-        ry %= lon_wrap_cells
-    rcy = (ry + _OFF21).astype(np.uint64)
-    home = np.zeros(9 * n, dtype=bool)
+        gy %= lon_wrap_cells
+    return _pack(np.repeat(cx, 9) + np.tile(_DX, n), gy)
+
+
+def replicate_to_cells(
+    ids: np.ndarray, lat: np.ndarray, lon: np.ndarray, radius: float,
+    radius_lon: float | None = None,
+    lon_wrap_cells: int | None = None,
+) -> pa.Table:
+    """9x home+ghost replication of (id, lat, lon) keyed by packed cell.
+    ``radius_lon`` (default ``radius``) sets the longitude cell size
+    independently — metric bands need wider lon cells at high latitude
+    (see haversine_distance_pairs). ``lon_wrap_cells=n`` switches the lon
+    axis to a RING of n equal cells over [-180, 180) with ghost offsets
+    taken mod n, so pairs straddling the antimeridian co-locate (great-
+    circle distance wraps; coordinate-space distance does not). n must be
+    >= 4 or ghost offsets would alias into the same cell and emit
+    duplicate pairs."""
+    cx, cy = _cells(lat, lon, radius, radius_lon, lon_wrap_cells)
+    home = np.zeros(9 * len(ids), dtype=bool)
     home[0::9] = True  # offset (0,0) is each point's first replica
     return pa.table(
         {
-            "ck": pa.array((rcx << np.uint64(21)) | rcy, pa.uint64()),
+            "ck": pa.array(_ghost_keys(cx, cy, lon_wrap_cells), pa.uint64()),
             "doc_id": pa.array(np.repeat(ids, 9), pa.int64()),
             "lat": pa.array(np.repeat(lat, 9), pa.float64()),
             "lon": pa.array(np.repeat(lon, 9), pa.float64()),
@@ -103,61 +128,117 @@ def replicate_to_cells(
     )
 
 
+def band_replicas(left, right, radius: float, left_id: str = "doc_id",
+                  right_id: str = "event_id"):
+    """Dataset[(ck, side, id, lat, lon)]: the asymmetric home+ghost input of
+    a bipartite band join over Dataset[(left_id, lat, lon)] and
+    Dataset[(right_id, lat, lon)]. Left rows (side 0) emit their home cell
+    only, right rows (side 1) replicate to their 3x3 neighbourhood, so
+    every pair within ``radius`` co-locates in exactly the left point's
+    home cell."""
+
+    def rep(id_col: str, side: int):
+        def fn(b: pa.Table) -> pa.Table:
+            ids = b[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+            lat = b["lat"].to_numpy(zero_copy_only=False)
+            lon = b["lon"].to_numpy(zero_copy_only=False)
+            cx, cy = _cells(lat, lon, radius)
+            if side == 0:
+                ck = _pack(cx, cy)
+            else:
+                ck = _ghost_keys(cx, cy)
+                ids, lat, lon = np.repeat(ids, 9), np.repeat(lat, 9), np.repeat(lon, 9)
+            return pa.table(
+                {
+                    "ck": pa.array(ck, pa.uint64()),
+                    "side": pa.array(np.full(len(ck), side, np.int8), pa.int8()),
+                    "id": pa.array(ids, pa.int64()),
+                    "lat": pa.array(lat, pa.float64()),
+                    "lon": pa.array(lon, pa.float64()),
+                }
+            )
+        return fn
+
+    return left.map_batches(rep(left_id, 0), batch_format="pyarrow",
+                            batch_size=65536).union(
+        right.map_batches(rep(right_id, 1), batch_format="pyarrow",
+                          batch_size=65536)
+    )
+
+
+def cell_pairs(key: np.ndarray, left: np.ndarray | None,
+               right: np.ndarray | None = None, chunk_pairs: int = 8 << 20):
+    """Candidate pairs of one co-located partition, for every grid-join
+    kernel (see the module docstring).
+
+    Returns ``(order, chunks)``: ``order`` sorts the partition by cell key
+    (stable; with ``right`` given, ``lexsort((right, key))`` so each cell's
+    right rows form a contiguous suffix), and ``chunks`` yields ``(i, j)``
+    index arrays into the SORTED rows. Every ``left`` row (a boolean mask
+    over the unsorted rows; ``None`` means every row) is paired with every
+    ``right`` row of its cell, or with every row of its cell (itself
+    included) when ``right is None``. Pairs come out in left-row order, cut
+    into chunks of about ``chunk_pairs`` pairs at left-row boundaries
+    (``cumsum(pairs per left row) // chunk_pairs``), so a dense cell
+    degrades to more chunks, never to one heap-sized expansion; chunks
+    holding no pair are skipped. The caller applies its own predicate."""
+    n = len(key)
+    order = (np.argsort(key, kind="stable") if right is None
+             else np.lexsort((right, key)))
+    k = key[order]
+    new = np.ones(n, dtype=bool)
+    new[1:] = k[1:] != k[:-1]
+    seg = np.cumsum(new) - 1
+    starts = np.nonzero(new)[0]
+    ends = starts + np.bincount(seg)
+    if right is None:
+        lo = starts
+    else:
+        lo = ends - np.bincount(seg[right[order]], minlength=len(starts))
+    li = np.arange(n) if left is None else np.nonzero(left[order])[0]
+    first = lo[seg[li]]  # first candidate row of each left row's cell
+    cnt = ends[seg[li]] - first  # candidate pairs per left row
+    chunk = np.cumsum(cnt) // chunk_pairs
+    cuts = np.nonzero(chunk[1:] != chunk[:-1])[0] + 1
+
+    def chunks():
+        for a, b in zip(np.r_[0, cuts], np.r_[cuts, len(li)]):
+            c = cnt[a:b]
+            total = int(c.sum())
+            if total == 0:
+                continue
+            yield (np.repeat(li[a:b], c),
+                   np.arange(total) - np.repeat(np.cumsum(c) - c, c)
+                   + np.repeat(first[a:b], c))
+
+    return order, chunks()
+
+
 def pairs_in_partition(g: pa.Table, r2: float, chunk_pairs: int = 8 << 20,
                        metric_fn=None, out_col: str = "sq_dist") -> pa.Table:
-    """Vectorized within-cell pair extraction for one co-located partition.
+    """Within-cell pair extraction for one co-located partition: each home
+    row against every row of its cell (cell_pairs), kept when the larger
+    id is on the right and the metric is within ``r2``.
 
     Default metric is squared euclidean in coordinate space (threshold
     ``r2`` in squared units); pass ``metric_fn(lat_a, lon_a, lat_b, lon_b)``
     for another vectorized metric (threshold in its own units) — the cell
     replication must then COVER the metric's reach (caller's contract)."""
-    key = g["ck"].to_numpy(zero_copy_only=False).astype(np.uint64)
-    order = np.argsort(key, kind="stable")
-    key = key[order]
+    # Candidate LEFT side is restricted to home rows up front: masking
+    # home[left] after a full L^2 expansion materializes 9x the candidate
+    # rows for identical output (the 27x space-time variant measured
+    # 21 s -> <1 s serial).
+    order, chunks = cell_pairs(
+        g["ck"].to_numpy(zero_copy_only=False).astype(np.uint64),
+        g["home"].to_numpy(zero_copy_only=False), chunk_pairs=chunk_pairs,
+    )
     ids = g["doc_id"].to_numpy(zero_copy_only=False)[order]
     lat = g["lat"].to_numpy(zero_copy_only=False)[order]
     lon = g["lon"].to_numpy(zero_copy_only=False)[order]
-    home = g["home"].to_numpy(zero_copy_only=False)[order]
-    n = len(key)
-    if n == 0:
-        return pa.table(
-            {
-                "doc_a": pa.array([], pa.int64()),
-                "doc_b": pa.array([], pa.int64()),
-                out_col: pa.array([], pa.float64()),
-            }
-        )
-    new = np.ones(n, dtype=bool)
-    new[1:] = key[1:] != key[:-1]
-    seg_id = np.cumsum(new) - 1
-    starts = np.nonzero(new)[0]
-    seg_len = np.diff(np.append(starts, n)).astype(np.int64)
-    # Candidate LEFT side is restricted to home rows up front: masking
-    # home[left] after a full L^2 expansion materializes 9x the candidate
-    # rows for identical output (same fix as stages/stjoin.py, where the
-    # 27x variant measured 21 s -> <1 s serial).
-    hidx = np.nonzero(home)[0]
-    if len(hidx) == 0:
-        return pa.table(
-            {
-                "doc_a": pa.array([], pa.int64()),
-                "doc_b": pa.array([], pa.int64()),
-                out_col: pa.array([], pa.float64()),
-            }
-        )
-    Lh = seg_len[seg_id[hidx]]  # full cell occupancy per home row
-    chunk_of_home = np.cumsum(Lh) // chunk_pairs
-    out_a, out_b, out_d = [], [], []
-    for c in np.unique(chunk_of_home):
-        sel = chunk_of_home == c
-        h = hidx[sel]
-        L = Lh[sel]
-        left = np.repeat(h, L)
-        row_pair_start = np.cumsum(L) - L
-        offs = np.arange(int(L.sum())) - np.repeat(row_pair_start, L)
-        right = np.repeat(starts[seg_id[h]], L) + offs
-        m = ids[right] > ids[left]
-        la, lb = left[m], right[m]
+    out_a, out_b, out_d = [ids[:0]], [ids[:0]], [np.zeros(0)]
+    for i, j in chunks:
+        m = ids[j] > ids[i]
+        la, lb = i[m], j[m]
         if metric_fn is None:
             dla = lat[la] - lat[lb]
             dlo = lon[la] - lon[lb]
@@ -258,127 +339,43 @@ def bipartite_band_pairs(left, right, radius: float,
     Dataset[(right_id, lat, lon)] -> Dataset[(left_id, right_id, sq_dist)]
     with sq_dist <= radius^2.
 
-    ASYMMETRIC home+ghost plan (the self-join above replicates everything
-    9x; two heterogeneous sides need only 1x + 9x): the LEFT side emits one
-    home replica, the RIGHT side replicates to its 3x3 neighborhood, so
-    every qualifying pair co-locates in exactly the left point's home cell
-    and is emitted exactly once — no cross-partition dedup, ONE hash
-    shuffle total. The partition kernel sorts by (cell, side), pairs each
-    cell's left rows against its right rows with repeat/offset-arange
-    expansion (chunked against dense cells — skew degrades to more chunks,
-    never to heap failure). Same plan as the geo_doc_event_band query
-    (queries/geo_ops.py), factored here so multi-radius consumers (geo_cross_k)
-    share the kernel."""
+    ASYMMETRIC home+ghost plan (band_replicas; the self-join above
+    replicates everything 9x, two heterogeneous sides need only 1x + 9x):
+    the LEFT side emits one home replica, the RIGHT side replicates to its
+    3x3 neighborhood, so every qualifying pair co-locates in exactly the
+    left point's home cell and is emitted exactly once — no cross-partition dedup, ONE hash
+    shuffle total. The partition kernel pairs each cell's left rows against
+    its right rows through cell_pairs (chunked against dense cells — skew
+    degrades to more chunks, never to heap failure). geo_doc_event_band
+    and geo_cross_k both run on it."""
     r2 = radius * radius
 
-    def left_rep(b: pa.Table) -> pa.Table:
-        ids = b[left_id].to_numpy(zero_copy_only=False).astype(np.int64)
-        lat = b["lat"].to_numpy(zero_copy_only=False)
-        lon = b["lon"].to_numpy(zero_copy_only=False)
-        cx = (np.floor(lat / radius).astype(np.int64) + _OFF21).astype(np.uint64)
-        cy = (np.floor(lon / radius).astype(np.int64) + _OFF21).astype(np.uint64)
-        return pa.table(
-            {
-                "ck": pa.array((cx << np.uint64(21)) | cy, pa.uint64()),
-                "side": pa.array(np.zeros(len(ids), np.int8), pa.int8()),
-                "id": pa.array(ids, pa.int64()),
-                "lat": pa.array(lat, pa.float64()),
-                "lon": pa.array(lon, pa.float64()),
-            }
-        )
-
-    def right_rep(b: pa.Table) -> pa.Table:
-        ids = b[right_id].to_numpy(zero_copy_only=False).astype(np.int64)
-        lat = b["lat"].to_numpy(zero_copy_only=False)
-        lon = b["lon"].to_numpy(zero_copy_only=False)
-        cx = np.floor(lat / radius).astype(np.int64)
-        cy = np.floor(lon / radius).astype(np.int64)
-        n = len(ids)
-        dx = np.array([0, -1, -1, -1, 0, 0, 1, 1, 1], dtype=np.int64)
-        dy = np.array([0, -1, 0, 1, -1, 1, -1, 0, 1], dtype=np.int64)
-        rcx = (np.repeat(cx, 9) + np.tile(dx, n) + _OFF21).astype(np.uint64)
-        rcy = (np.repeat(cy, 9) + np.tile(dy, n) + _OFF21).astype(np.uint64)
-        return pa.table(
-            {
-                "ck": pa.array((rcx << np.uint64(21)) | rcy, pa.uint64()),
-                "side": pa.array(np.ones(9 * n, np.int8), pa.int8()),
-                "id": pa.array(np.repeat(ids, 9), pa.int64()),
-                "lat": pa.array(np.repeat(lat, 9), pa.float64()),
-                "lon": pa.array(np.repeat(lon, 9), pa.float64()),
-            }
-        )
-
-    rep = left.map_batches(left_rep, batch_format="pyarrow",
-                           batch_size=65536).union(
-        right.map_batches(right_rep, batch_format="pyarrow",
-                          batch_size=65536)
-    )
-
-    empty = pa.table(
-        {
-            left_id: pa.array([], pa.int64()),
-            right_id: pa.array([], pa.int64()),
-            "sq_dist": pa.array([], pa.float64()),
-        }
-    )
+    rep = band_replicas(left, right, radius, left_id, right_id)
 
     def per_part(g: pa.Table, chunk_pairs: int = 8 << 20) -> pa.Table:
-        if g.num_rows == 0:
-            return empty
-        key = g["ck"].to_numpy(zero_copy_only=False).astype(np.uint64)
         side = g["side"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((side, key))
-        key, side = key[order], side[order]
+        order, chunks = cell_pairs(
+            g["ck"].to_numpy(zero_copy_only=False).astype(np.uint64),
+            side == 0, side == 1, chunk_pairs,
+        )
         ids = g["id"].to_numpy(zero_copy_only=False)[order]
         lat = g["lat"].to_numpy(zero_copy_only=False)[order]
         lon = g["lon"].to_numpy(zero_copy_only=False)[order]
-        n = len(key)
-        new = np.ones(n, dtype=bool)
-        new[1:] = key[1:] != key[:-1]
-        seg_id = np.cumsum(new) - 1
-        starts = np.nonzero(new)[0]
-        seg_end = np.append(starts[1:], n)
-        lidx = np.nonzero(side == 0)[0]  # left rows sort first in a segment
-        if len(lidx) == 0:
-            return empty
-        lseg = seg_id[lidx]
-        left_cnt = np.zeros(len(starts), np.int64)
-        np.add.at(left_cnt, lseg, 1)
-        r_lo = starts + left_cnt  # first right row per segment
-        nr = (seg_end - r_lo)[lseg]  # right rows per left row
-        out = []
-        cum = np.cumsum(nr)
-        chunk = cum // chunk_pairs
-        for c in np.unique(chunk):
-            m = chunk == c
-            li = lidx[m]
-            k = nr[m]
-            if k.sum() == 0:
-                continue
-            lrow = np.repeat(li, k)
-            off = np.concatenate([[0], np.cumsum(k)])[:-1]
-            rrow = (
-                np.arange(k.sum()) - np.repeat(off, k)
-                + np.repeat(r_lo[lseg[m]], k)
-            )
-            dla = lat[lrow] - lat[rrow]
-            dlo = lon[lrow] - lon[rrow]
+        out_l, out_r, out_d = [ids[:0]], [ids[:0]], [np.zeros(0)]
+        for i, j in chunks:
+            dla = lat[i] - lat[j]
+            dlo = lon[i] - lon[j]
             d2 = dla * dla + dlo * dlo
             ok = d2 <= r2
-            if ok.any():
-                out.append(
-                    pa.table(
-                        {
-                            left_id: pa.array(
-                                ids[lrow][ok].astype(np.int64), pa.int64()
-                            ),
-                            right_id: pa.array(
-                                ids[rrow][ok].astype(np.int64), pa.int64()
-                            ),
-                            "sq_dist": pa.array(d2[ok], pa.float64()),
-                        }
-                    )
-                )
-        return pa.concat_tables(out) if out else empty
+            out_l.append(ids[i][ok])
+            out_r.append(ids[j][ok])
+            out_d.append(d2[ok])
+        return pa.table(
+            {
+                left_id: pa.array(np.concatenate(out_l), pa.int64()),
+                right_id: pa.array(np.concatenate(out_r), pa.int64()),
+                "sq_dist": pa.array(np.concatenate(out_d), pa.float64()),
+            }
+        )
 
     return map_groups_partitioned(rep, "ck", per_part)

@@ -19,8 +19,9 @@ to segment×segment). The plan is the classic Partition-Based Spatial Merge:
   BIT-EXACTLY (unlike the transcendental haversine metric, there is no ULP
   caveat here).
 
-Skew: a dense cell degrades to a bigger quadratic chunk inside one task; the
-documented scale path is the same sub-cell split policy as stages/knn.py.
+Skew: a dense cell degrades to more chunks of its quadratic candidate set
+inside one task (distband.cell_pairs); the documented scale path is the same
+sub-cell split policy as stages/knn.py.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import numpy as np
 import pyarrow as pa
 
 from core_ray.stages.agg import map_groups_partitioned
+from core_ray.stages.distband import cell_pairs
 
 _OFF21 = np.int64(1 << 20)
 
@@ -87,17 +89,12 @@ def crossings_in_partition(
     g: pa.Table, cell: float, chunk_pairs: int = 8 << 20
 ) -> pa.Table:
     """All properly-crossing segment pairs co-located in this partition,
-    each emitted exactly once (canonical-cell rule). Same vectorized
-    segment-offset pair construction as distband.pairs_in_partition."""
-    empty = pa.table(
-        {"seg_a": pa.array([], pa.int64()), "seg_b": pa.array([], pa.int64())}
+    each emitted exactly once (canonical-cell rule). Every row is paired
+    with every row of its cell by distband.cell_pairs."""
+    order, chunks = cell_pairs(
+        g["ck"].to_numpy(zero_copy_only=False).astype(np.uint64), None,
+        chunk_pairs=chunk_pairs,
     )
-    key = g["ck"].to_numpy(zero_copy_only=False).astype(np.uint64)
-    n = len(key)
-    if n == 0:
-        return empty
-    order = np.argsort(key, kind="stable")
-    key = key[order]
     ids = g["seg_id"].to_numpy(zero_copy_only=False)[order]
     cx = g["cx"].to_numpy(zero_copy_only=False)[order]
     cy = g["cy"].to_numpy(zero_copy_only=False)[order]
@@ -105,22 +102,8 @@ def crossings_in_partition(
     ay = g["ay"].to_numpy(zero_copy_only=False)[order]
     bx = g["bx"].to_numpy(zero_copy_only=False)[order]
     by = g["by"].to_numpy(zero_copy_only=False)[order]
-    new = np.ones(n, dtype=bool)
-    new[1:] = key[1:] != key[:-1]
-    seg_id = np.cumsum(new) - 1
-    starts = np.nonzero(new)[0]
-    seg_len = np.diff(np.append(starts, n)).astype(np.int64)
-    chunk_of_seg = np.cumsum(seg_len * seg_len) // chunk_pairs
-    out_a, out_b = [], []
-    for c in np.unique(chunk_of_seg):
-        segs = np.nonzero(chunk_of_seg == c)[0]
-        lo = starts[segs[0]]
-        hi = starts[segs[-1]] + seg_len[segs[-1]]
-        L = seg_len[seg_id[lo:hi]]
-        left = np.repeat(np.arange(lo, hi), L)
-        row_pair_start = np.cumsum(L) - L
-        offs = np.arange(int(L.sum())) - np.repeat(row_pair_start, L)
-        right = np.repeat(starts[seg_id[lo:hi]], L) + offs
+    out_a, out_b = [ids[:0]], [ids[:0]]
+    for left, right in chunks:
         m = ids[right] > ids[left]
         i, j = left[m], right[m]
         # canonical cell: the one holding the bbox-intersection min corner

@@ -13,8 +13,9 @@ oracle mirrors the predicate bit-exactly, no transcendental caveats.
 
 Scale: time buckets bound partition size over any uniform stream (a cell is
 radius x radius x window); hot city-hours degrade to chunked quadratic work
-inside one task, with the same sub-cell salting escape hatch as
-stages/knn.py documented for adversarial density.
+inside one task (distband.cell_pairs enumerates and chunks the candidate
+pairs), with the same sub-cell salting escape hatch as stages/knn.py
+documented for adversarial density.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 import pyarrow as pa
 
 from core_ray.stages.agg import map_groups_partitioned
+from core_ray.stages.distband import cell_pairs
 
 _OFF20 = np.int64(1 << 19)
 
@@ -79,49 +81,21 @@ def contacts_in_partition(
 ) -> pa.Table:
     """(pid_a, pid_b, uid_a, uid_b) for co-located qualifying pairs of
     DIFFERENT users; pid_a < pid_b, each pair exactly once (home rule)."""
-    empty = pa.table(
-        {
-            "pid_a": pa.array([], pa.int64()),
-            "pid_b": pa.array([], pa.int64()),
-            "uid_a": pa.array([], pa.int64()),
-            "uid_b": pa.array([], pa.int64()),
-        }
+    # Candidate pairs with the LEFT side restricted to home rows up front
+    # (a masked-after-the-fact home[left] filter materializes 27x the
+    # candidates for identical output — measured 21 s -> <1 s serial on
+    # the sf0.1 contact corpus, 320 M -> 12 M candidate rows).
+    order, chunks = cell_pairs(
+        g["ck"].to_numpy(zero_copy_only=False).astype(np.uint64),
+        g["home"].to_numpy(zero_copy_only=False), chunk_pairs=chunk_pairs,
     )
-    key = g["ck"].to_numpy(zero_copy_only=False).astype(np.uint64)
-    n = len(key)
-    if n == 0:
-        return empty
-    order = np.argsort(key, kind="stable")
-    key = key[order]
     ids = g["pid"].to_numpy(zero_copy_only=False)[order]
     uid = g["uid"].to_numpy(zero_copy_only=False)[order]
     lat = g["lat"].to_numpy(zero_copy_only=False)[order]
     lon = g["lon"].to_numpy(zero_copy_only=False)[order]
     us = g["us"].to_numpy(zero_copy_only=False)[order]
-    home = g["home"].to_numpy(zero_copy_only=False)[order]
-    new = np.ones(n, dtype=bool)
-    new[1:] = key[1:] != key[:-1]
-    seg_id = np.cumsum(new) - 1
-    starts = np.nonzero(new)[0]
-    seg_len = np.diff(np.append(starts, n)).astype(np.int64)
-    # Enumerate candidate pairs with the LEFT side restricted to home rows
-    # up front (a masked-after-the-fact home[left] filter materializes 27x
-    # the candidates for identical output — measured 21 s -> <1 s serial on
-    # the sf0.1 contact corpus, 320 M -> 12 M candidate rows).
-    hidx = np.nonzero(home)[0]
-    if len(hidx) == 0:
-        return empty
-    Lh = seg_len[seg_id[hidx]]  # full cell occupancy per home row
-    chunk_of_home = np.cumsum(Lh) // chunk_pairs
-    oa, ob, ua, ub = [], [], [], []
-    for c in np.unique(chunk_of_home):
-        sel = chunk_of_home == c
-        h = hidx[sel]
-        L = Lh[sel]
-        left = np.repeat(h, L)
-        row_pair_start = np.cumsum(L) - L
-        offs = np.arange(int(L.sum())) - np.repeat(row_pair_start, L)
-        right = np.repeat(starts[seg_id[h]], L) + offs
+    oa, ob, ua, ub = [ids[:0]], [ids[:0]], [uid[:0]], [uid[:0]]
+    for left, right in chunks:
         m = (ids[right] > ids[left]) & (uid[left] != uid[right])
         i, j = left[m], right[m]
         dla = lat[i] - lat[j]
@@ -176,43 +150,16 @@ def st_all_pairs_in_partition(
     the spatial distance: the eps-neighbor EDGE SET a spatio-temporal
     DBSCAN consumes (stages/dbscan.py::dbscan_from_pairs). doc_a < doc_b,
     each pair exactly once (home rule)."""
-    empty = pa.table(
-        {
-            "doc_a": pa.array([], pa.int64()),
-            "doc_b": pa.array([], pa.int64()),
-            "sq_dist": pa.array([], pa.float64()),
-        }
+    order, chunks = cell_pairs(
+        g["ck"].to_numpy(zero_copy_only=False).astype(np.uint64),
+        g["home"].to_numpy(zero_copy_only=False), chunk_pairs=chunk_pairs,
     )
-    key = g["ck"].to_numpy(zero_copy_only=False).astype(np.uint64)
-    n = len(key)
-    if n == 0:
-        return empty
-    order = np.argsort(key, kind="stable")
-    key = key[order]
     ids = g["pid"].to_numpy(zero_copy_only=False)[order]
     lat = g["lat"].to_numpy(zero_copy_only=False)[order]
     lon = g["lon"].to_numpy(zero_copy_only=False)[order]
     us = g["us"].to_numpy(zero_copy_only=False)[order]
-    home = g["home"].to_numpy(zero_copy_only=False)[order]
-    new = np.ones(n, dtype=bool)
-    new[1:] = key[1:] != key[:-1]
-    seg_id = np.cumsum(new) - 1
-    starts = np.nonzero(new)[0]
-    seg_len = np.diff(np.append(starts, n)).astype(np.int64)
-    hidx = np.nonzero(home)[0]  # home-left enumeration (see contacts kernel)
-    if len(hidx) == 0:
-        return empty
-    Lh = seg_len[seg_id[hidx]]
-    chunk_of_home = np.cumsum(Lh) // chunk_pairs
-    oa, ob, od = [], [], []
-    for c in np.unique(chunk_of_home):
-        sel = chunk_of_home == c
-        h = hidx[sel]
-        L = Lh[sel]
-        left = np.repeat(h, L)
-        row_pair_start = np.cumsum(L) - L
-        offs = np.arange(int(L.sum())) - np.repeat(row_pair_start, L)
-        right = np.repeat(starts[seg_id[h]], L) + offs
+    oa, ob, od = [ids[:0]], [ids[:0]], [np.zeros(0)]
+    for left, right in chunks:
         m = ids[right] > ids[left]
         i, j = left[m], right[m]
         dla = lat[i] - lat[j]

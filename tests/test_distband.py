@@ -4,6 +4,8 @@ The driver oracle (geo_distance_pairs) checks the operator on the sparse
 derived-coordinate lattice; these tests hammer it on DENSE random point sets
 where cross-cell pairs, shared-cell pairs and boundary cases all occur."""
 
+import re
+
 import numpy as np
 import pyarrow as pa
 import pytest
@@ -246,3 +248,96 @@ def test_bipartite_cross_cell_and_empty_sides(ray_session):
         eids, np.array([1.01, 2.5]), np.array([0.0, 0.0]), 1.0,
     )
     assert empty == set()
+
+
+def _brute_cell_pairs(key, left, right):
+    """(i, j) pairs over rows sorted by key, in left-row order: each left
+    row with every right row of its cell (every row when right is None)."""
+    order = np.argsort(key, kind="stable") if right is None else np.lexsort((right, key))
+    k = key[order]
+    lm = np.ones(len(k), bool) if left is None else left[order]
+    rm = np.ones(len(k), bool) if right is None else right[order]
+    return order, [(i, j) for i in range(len(k)) if lm[i]
+                   for j in range(len(k)) if k[j] == k[i] and rm[j]]
+
+
+def _enumerated(key, left, right, chunk_pairs):
+    from core_ray.stages.distband import cell_pairs
+
+    if chunk_pairs is None:
+        order, chunks = cell_pairs(key, left, right)
+    else:
+        order, chunks = cell_pairs(key, left, right, chunk_pairs)
+    got = []
+    for i, j in chunks:
+        assert len(i) == len(j) > 0
+        if chunk_pairs == 1:  # every pair-bearing left row is its own chunk
+            assert (i == i[0]).all()
+        got.extend(zip(i.tolist(), j.tolist()))
+    return order, got
+
+
+def _check_cell_pairs(key, left, right):
+    want_order, want = _brute_cell_pairs(key, left, right)
+    for chunk_pairs in (1, 7, None):
+        order, got = _enumerated(key, left, right, chunk_pairs)
+        assert np.array_equal(order, want_order)
+        assert got == want, chunk_pairs  # same (i, j) sequence at every chunk size
+    return want
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_cell_pairs_matches_nested_loop(seed):
+    # one hot cell holds most rows, so the small chunk sizes cut inside it
+    rng = np.random.default_rng(seed)
+    n = 60
+    key = np.where(rng.random(n) < 0.7, 5, rng.integers(0, 6, n)).astype(np.uint64)
+    home = rng.random(n) < 0.3
+    side = rng.random(n) < 0.6
+    assert _check_cell_pairs(key, home, None)  # home rows as left
+    assert _check_cell_pairs(key, None, None)  # every row as left
+    assert _check_cell_pairs(key, ~side, side)  # bipartite left / right
+
+
+def test_cell_pairs_edge_partitions():
+    none = np.zeros(0, bool)
+    assert _check_cell_pairs(np.zeros(0, np.uint64), none, None) == []
+    assert _check_cell_pairs(np.zeros(0, np.uint64), none, none) == []
+    key = np.array([3, 1, 3, 1, 2], np.uint64)
+    no_left = np.zeros(5, bool)
+    assert _check_cell_pairs(key, no_left, None) == []
+    assert _check_cell_pairs(key, no_left, ~no_left) == []
+    # cell 2 has a left row but no right row; cells 1 and 3 have both
+    right = np.array([True, False, False, True, False])
+    pairs = _check_cell_pairs(key, ~right, right)
+    assert len(pairs) == 2
+    order, _ = _brute_cell_pairs(key, ~right, right)
+    assert {(int(key[order[i]]), bool(right[order[j]])) for i, j in pairs} == {
+        (1, True), (3, True)
+    }
+
+
+_OWN_PAIR_EXPANSION = re.compile(r"lexsort\(\(side, key\)\)|//\s*chunk_pairs|//\s*\(8 << 20\)")
+
+
+def test_cell_pair_expansion_only_in_cell_pairs():
+    """A new hand-copied sort -> segment -> chunked repeat/offset expansion
+    fails here: co-located grid-join kernels take their candidate pairs
+    from ``distband.cell_pairs``."""
+    import ast
+    import pathlib
+
+    root = pathlib.Path(__file__).resolve().parents[1] / "core_ray"
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        src = path.read_text()
+        lines = [i for i, line in enumerate(src.splitlines(), 1)
+                 if _OWN_PAIR_EXPANSION.search(line)]
+        if not lines:
+            continue
+        top = [n for n in ast.parse(src).body if isinstance(n, ast.FunctionDef)]
+        for i in lines:
+            fn = next((n.name for n in top if n.lineno <= i <= n.end_lineno), None)
+            if fn != "cell_pairs":
+                found.append(f"{path.relative_to(root).as_posix()}:{i} ({fn})")
+    assert not found, "hand-rolled cell-pair expansion; use distband.cell_pairs: " + ", ".join(found)
