@@ -2041,13 +2041,16 @@ def doc_allpairs_jaccard(sf_dir: str, tau: float = _APJ_TAU):
     nobody's prefix because ceil(tau*s) cheap tokens outrank it).
 
     Scale shape (all stages distributed): distinct-token explode ->
-    exact token df via one token-hash partition -> one large-large
-    hash_join tok x df -> per-doc regroup (one doc_id partition) that
+    one token-hash partition that tags every (doc, token) row with its
+    exact df (the partition holds all of the token's rows, so df is
+    their count) -> per-doc regroup (one doc_id partition) that
     sorts each set by (df, w) and emits BOTH the prefix tokens and a
     canonical space-joined set string -> inverted-list pair generation
     per prefix token (triu inside each token's list; pairs packed
     u64, fail-loud above 2^32 doc ids) -> global pair dedup
-    (count_by_u64) -> two hash_joins attach the canonical sets ->
+    (count_by_u64) -> two lookup_joins attach the canonical sets (one
+    row per doc, broadcast while they fit BROADCAST_MAX_BYTES, so the
+    pair rows never shuffle) ->
     vectorized-over-pairs verify computes EXACT Jaccard and filters.
     The driver sees only verified pairs. Candidate volume is bounded
     by the prefix lists' triangle counts — the documented partitioning
@@ -2078,26 +2081,21 @@ def doc_allpairs_jaccard(sf_dir: str, tau: float = _APJ_TAU):
         )
 
     tok = docs.map_batches(explode, batch_format="pyarrow", batch_size=2048)
-    tok = tok.materialize()  # consumed twice: df count + the tok x df join
 
-    def df_part(g: pa.Table) -> pa.Table:
-        w = np.asarray(g["w"].to_pylist(), dtype=object)
-        uw, cnt = np.unique(w, return_counts=True)
+    def with_df(g: pa.Table) -> pa.Table:
+        # a token partition holds every row of its tokens, so a token's df
+        # is its row count here: no df table, no tok x df join
+        idx = g["w"].combine_chunks().dictionary_encode().indices
+        idx = idx.to_numpy(zero_copy_only=False)
         return pa.table(
             {
-                "w": pa.array(uw.tolist(), pa.string()),
-                "df": pa.array(cnt.astype(np.int64), pa.int64()),
+                "doc_id": g["doc_id"],
+                "w": g["w"],
+                "df": pa.array(np.bincount(idx)[idx].astype(np.int64), pa.int64()),
             }
         )
 
-    df = map_groups_partitioned(tok, "wh", df_part)
-    joined = hash_join(
-        tok.map_batches(
-            lambda b: b.select(["doc_id", "w"]), batch_format="pyarrow"
-        ),
-        df,
-        on="w",
-    )
+    joined = map_groups_partitioned(tok, "wh", with_df)
 
     def per_doc(g: pa.Table) -> pa.Table:
         did = g["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -2214,30 +2212,19 @@ def doc_allpairs_jaccard(sf_dir: str, tau: float = _APJ_TAU):
         )
 
     pairs = cand.map_batches(unpack, batch_format="pyarrow")
-    sets_a = docsets.map_batches(
-        lambda b: b.select(["doc_id", "canon"]).rename_columns(
-            ["doc_id", "canon_a"]
-        ),
-        batch_format="pyarrow",
-    )
-    sets_b = docsets.map_batches(
-        lambda b: b.select(["doc_id", "canon"]).rename_columns(
-            ["doc_id", "canon_b"]
-        ),
-        batch_format="pyarrow",
-    )
+    # one row per doc_id, so each lookup attaches exactly one set per pair
+    canon = docsets.select_columns(["doc_id", "canon"]).materialize()
     pair_sch = pa.schema([("doc_id_a", pa.int64()), ("doc_id_b", pa.int64())])
-    j1 = hash_join(
-        pairs, sets_a, on="doc_id_a", right_on="doc_id",
-        left_schema=pair_sch,
-    )
-    j2 = hash_join(
-        j1, sets_b, on="doc_id_b", right_on="doc_id",
+    j1 = lookup_join(
+        pairs, canon, on="doc_id_a", right_on="doc_id", left_schema=pair_sch,
+    ).rename_columns({"canon": "canon_a"})
+    j2 = lookup_join(
+        j1, canon, on="doc_id_b", right_on="doc_id",
         left_schema=pa.schema(
             [("doc_id_a", pa.int64()), ("doc_id_b", pa.int64()),
              ("canon_a", pa.string())]
         ),
-    )
+    ).rename_columns({"canon": "canon_b"})
 
     def verify(b: pa.Table) -> pa.Table:
         # Per-pair Python set intersection, MEASURED against a fully
@@ -2595,8 +2582,10 @@ def doc_winnow_overlap(sf_dir: str):
     {_WINNOW_DF_CAP} are boilerplate stop-fingerprints and emit nothing
     (HAVING ... <= {_WINNOW_DF_CAP} in SQL), bounding per-key fanout at
     C({_WINNOW_DF_CAP},2); pair counts reduce via count_by_u64; per-doc
-    set sizes attach by two distributed hash joins. The fingerprint
-    vocabulary never reaches the driver — only the final pair rows."""
+    set sizes (one row per doc) attach by two lookup_joins, broadcast
+    while they fit BROADCAST_MAX_BYTES, so the pair rows never shuffle.
+    The fingerprint vocabulary never reaches the driver — only the
+    per-doc sizes of the broadcast regime and the final pair rows."""
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     w, k = _WINNOW_W, _WINNOW_K
 
@@ -2706,37 +2695,29 @@ def doc_winnow_overlap(sf_dir: str):
             batch_format="pyarrow",
         ),
         "key",
-    )
-
-    def size_rows(b: pa.Table, col: str, n_col: str) -> pa.Table:
-        return pa.table(
+    ).map_batches(
+        lambda b: pa.table(
             {
-                col: pa.array(
+                "doc_id": pa.array(
                     b["key"].to_numpy(zero_copy_only=False).astype(np.int64),
                     pa.int64(),
                 ),
-                n_col: pc.cast(b["cnt"], pa.int64()),
+                "n": pc.cast(b["cnt"], pa.int64()),
             }
-        )
+        ),
+        batch_format="pyarrow",
+    ).materialize()  # read by both endpoint lookups
 
     pair_schema = pa.schema(
         [("doc_lo", pa.int64()), ("doc_hi", pa.int64()), ("shared", pa.int64())]
     )
-    j1 = hash_join(
-        pairs,
-        sizes.map_batches(
-            lambda b: size_rows(b, "doc_lo", "n_lo"), batch_format="pyarrow"
-        ),
-        on="doc_lo",
-        left_schema=pair_schema,
-        right_schema=pa.schema([("doc_lo", pa.int64()), ("n_lo", pa.int64())]),
-    )
-    j2 = hash_join(
-        j1,
-        sizes.map_batches(
-            lambda b: size_rows(b, "doc_hi", "n_hi"), batch_format="pyarrow"
-        ),
-        on="doc_hi",
+    size_schema = pa.schema([("doc_id", pa.int64()), ("n", pa.int64())])
+    j1 = lookup_join(
+        pairs, sizes, on="doc_lo", right_on="doc_id",
+        left_schema=pair_schema, right_schema=size_schema,
+    ).rename_columns({"n": "n_lo"})
+    j2 = lookup_join(
+        j1, sizes, on="doc_hi", right_on="doc_id",
         left_schema=pa.schema(
             [
                 ("doc_lo", pa.int64()),
@@ -2745,8 +2726,8 @@ def doc_winnow_overlap(sf_dir: str):
                 ("n_lo", pa.int64()),
             ]
         ),
-        right_schema=pa.schema([("doc_hi", pa.int64()), ("n_hi", pa.int64())]),
-    )
+        right_schema=size_schema,
+    ).rename_columns({"n": "n_hi"})
 
     def finish(b: pa.Table) -> pa.Table:
         sh = b["shared"].to_numpy(zero_copy_only=False).astype(np.float64)

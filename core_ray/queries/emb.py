@@ -12,7 +12,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from core_ray.collect import collect_table
+from core_ray.collect import block_refs, collect_table
 from core_ray.fixtures.docs_golden import golden_kmeans
 from core_ray.queries._shared import (
     _DGD, _PQ_ITERS, _PQ_K, _PQ_M, _SQ_TOPK, _collect_table, _ensure_docs_golden, _p,
@@ -282,7 +282,7 @@ def emb_near_dup_pairs(sf_dir: str, threshold: float = 0.35, chunk_rows: int = 4
 
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
     normed = ds.map_batches(norm, batch_format="pyarrow", batch_size=chunk_rows)
-    refs = normed.to_arrow_refs()  # chunk handles; blocks stay in the object store
+    refs = block_refs(normed)  # chunk handles; blocks stay in the object store
     n_chunks = len(refs)
 
     def _chunk_np(t: pa.Table):
@@ -393,7 +393,7 @@ def emb_silhouette(sf_dir: str, chunk_rows: int = 1024):
         )
 
     packed = ds.map_batches(pack, batch_format="pyarrow", batch_size=chunk_rows)
-    refs = packed.to_arrow_refs()
+    refs = block_refs(packed)
     n_chunks = len(refs)
 
     # exact global label counts: one tiny combiner fold on the driver
@@ -1003,7 +1003,7 @@ def emb_hubness(sf_dir: str, chunk_rows: int = 4096):
 
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
     packed = ds.map_batches(pack, batch_format="pyarrow", batch_size=chunk_rows)
-    refs = packed.to_arrow_refs()
+    refs = block_refs(packed)
     n_chunks = len(refs)
 
     def _chunk_np(t: pa.Table):
@@ -1156,7 +1156,7 @@ def emb_intrinsic_dim(sf_dir: str, chunk_rows: int = 4096):
 
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
     packed = ds.map_batches(pack, batch_format="pyarrow", batch_size=chunk_rows)
-    refs = packed.to_arrow_refs()
+    refs = block_refs(packed)
     n_chunks = len(refs)
 
     def _chunk_np(t: pa.Table):

@@ -35,6 +35,11 @@ with 4 partitions it took 1.8 s against ``Dataset.join``'s 3.5 s, and
 actors reserve the only CPU (single draws on a 1-core box, ROADMAP
 direction 2). It composes the join from Ray Data primitives:
 
+  0. each side's schema comes from the caller, else from what Ray Data
+     knows without executing, else from materializing that side (one run
+     of its upstream, whose blocks the sort holds anyway). It never comes
+     from a ``limit(1)`` probe, which reruns the upstream — behind a
+     shuffle, the whole shuffle;
   1. both sides are tagged with ``__part = hash(key) % n_parts`` (the SAME
      hash both sides — co-partitioning) and padded to a common schema with
      null columns for the other side's fields (nulls are bitmap-cheap in
@@ -123,6 +128,18 @@ def _salted_hash(kh0: int, salts: np.ndarray) -> np.ndarray:
     )
 
 
+def _side_schema(ds, schema):
+    """(``ds``, its schema) in ``hash_join``'s order; ``ds`` comes back
+    materialized when its schema had to be read from its blocks. The schema
+    is None only for a side that is still schema-less (empty)."""
+    if schema is None:
+        schema = ds.schema(fetch_if_missing=False)
+    if schema is None:
+        ds = ds.materialize()
+        schema = ds.schema(fetch_if_missing=False)
+    return ds, schema
+
+
 def hash_join(left, right, on: str, right_on: str | None = None,
               how: str = "inner", n_parts: int | None = None,
               left_schema=None, right_schema=None,
@@ -132,8 +149,12 @@ def hash_join(left, right, on: str, right_on: str | None = None,
     Dataset with columns [on, *left_others, *right_others]; semi and anti
     return the left columns in left order.
 
-    ``left_schema``/``right_schema``: optional pyarrow schemas for when a
-    side can be EMPTY (an empty Dataset has no inferable schema)."""
+    Each side's schema is, in order: the ``left_schema``/``right_schema``
+    passed; else the one Ray Data knows without executing
+    (``schema(fetch_if_missing=False)``); else that side is materialized and
+    its schema read from block metadata. No side is probed with ``limit(1)``,
+    which would run its upstream once more before the join runs it. Pass a
+    schema for a side that can be EMPTY: an empty Dataset may have none."""
     if how not in _JOIN_TYPES:
         raise ValueError(f"how must be one of {sorted(_JOIN_TYPES)}")
     if salt_keys and how not in ("inner", "left"):
@@ -148,8 +169,8 @@ def hash_join(left, right, on: str, right_on: str | None = None,
 
         n_parts = _n_parts()
 
-    lsch = left_schema if left_schema is not None else left.schema()
-    rsch = right_schema if right_schema is not None else right.schema()
+    left, lsch = _side_schema(left, left_schema)
+    right, rsch = _side_schema(right, right_schema)
     if lsch is None or rsch is None:
         raise ValueError(
             "input schema unavailable (empty dataset?) — pass left_schema/right_schema"

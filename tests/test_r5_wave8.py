@@ -121,13 +121,8 @@ def _jaccard_bruteforce(ids, texts, tau):
     return out
 
 
-def test_allpairs_jaccard_matches_bruteforce(ray_session):
-    """Random small-vocab sets (the prefix filter's adversarial regime:
-    hot inverted lists + near-identical sizes) against the O(n^2)
-    reference — exercises prefix generation, the length filter, pair
-    dedup across multiple shared prefix tokens, and verify."""
-    from core_ray.queries import doc_allpairs_jaccard
-
+def _allpairs_corpus():
+    """(sf dir, ids, texts): random small-vocab sets plus a clone family."""
     rng = np.random.default_rng(97)
     vocab = np.array(["w%02d" % i for i in range(18)])
     n = 120
@@ -154,6 +149,17 @@ def test_allpairs_jaccard_matches_bruteforce(ray_session):
             }
         }
     )
+    return d, ids, texts
+
+
+def test_allpairs_jaccard_matches_bruteforce(ray_session):
+    """Random small-vocab sets (the prefix filter's adversarial regime:
+    hot inverted lists + near-identical sizes) against the O(n^2)
+    reference — exercises prefix generation, the length filter, pair
+    dedup across multiple shared prefix tokens, and verify."""
+    from core_ray.queries import doc_allpairs_jaccard
+
+    d, ids, texts = _allpairs_corpus()
     for tau in (0.7, 0.95):
         got = {
             (r["doc_a"], r["doc_b"]): r["jaccard"]
@@ -167,3 +173,37 @@ def test_allpairs_jaccard_matches_bruteforce(ray_session):
             assert abs(got[k] - want[k]) < 1e-9
     # sanity: the clone family actually produced matches
     assert len(want) > 0
+
+
+def test_allpairs_jaccard_both_join_regimes(ray_session, monkeypatch):
+    """The canonical sets attach by lookup_join: broadcast, then forced
+    onto its hash_join fallback; both match the O(n^2) reference."""
+    from core_ray.queries import doc_allpairs_jaccard
+    from core_ray.stages import join
+
+    d, ids, texts = _allpairs_corpus()
+    want = _jaccard_bruteforce(ids.tolist(), texts, 0.7)
+    assert want
+    for bmax in (join.BROADCAST_MAX_BYTES, 0):  # broadcast regime, then distributed
+        monkeypatch.setattr(join, "BROADCAST_MAX_BYTES", bmax)
+        got = {
+            (r["doc_a"], r["doc_b"]): r["jaccard"]
+            for r in doc_allpairs_jaccard(d, tau=0.7).take_all()
+        }
+        assert set(got) == set(want), bmax
+        assert all(abs(got[k] - want[k]) < 1e-9 for k in want), bmax
+
+
+def test_winnow_overlap_both_join_regimes(ray_session, monkeypatch):
+    """The per-doc set sizes attach by lookup_join: broadcast, then forced
+    onto its hash_join fallback; both give the oracle's rows on the sf0.01
+    reference tables the benchmark ships."""
+    from core_ray.compare import check_query
+    from core_ray.stages import join
+
+    sf = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "perfbench", "reftables")
+    for bmax in (join.BROADCAST_MAX_BYTES, 0):  # broadcast regime, then distributed
+        monkeypatch.setattr(join, "BROADCAST_MAX_BYTES", bmax)
+        r = check_query("doc_winnow_overlap", sf)
+        assert r["ok"] and r["rows_ray"] > 0, (bmax, r)
