@@ -19,7 +19,7 @@ over the spatial workload (§7.1 dataflow):
   that recomputes to the same rows (a re-fetched or copied file, a phase-A
   version bump that changes no row) reruns no wide stage — the early cutoff
   of build systems:
-      union of shard checkpoints
+      the shard checkpoints, opened together as one Dataset
       -> exact dedup by (url, mention_idx)   [one key-hash shuffle; carries
          text exactly once — equivalent to page-level dedup because duplicate
          pages produce byte-identical geocoded rows]
@@ -33,7 +33,11 @@ over the spatial workload (§7.1 dataflow):
 
 A resumed phase B opens only what it returns: the deduped checkpoint (for
 joined / errors), and the kNN and tiles checkpoints. Their inputs are read
-only when they compute.
+only when they compute: the phase-A shards are opened (once, as one
+Dataset over every completed shard's part files) only when dedup
+recomputes, so an mtime-only delta whose shard recomputes to the same rows
+opens no phase-A checkpoint at all. Every checkpoint open is a manifest
+read (state/lineage.py ``read_parts``), not a ``read_parquet``.
 
 Every stage version is pinned below; bumping one invalidates exactly the
 checkpoints it feeds (state/lineage.py).
@@ -192,24 +196,21 @@ def scan_files(
     sides_fp = _sides_fp(admin_table, geoip_table)
     cfg_fp = fingerprint_config(cfg, _PHASE_A_CFG) + sides_fp
 
-    parts = []
+    shards = []
     for f in sorted(page_files):
         shard = hashlib.sha256(f.encode()).hexdigest()[:12]
         fp = fingerprint_paths([f]) + "+" + cfg_fp
-        parts.append(
-            store.load_or_compute(
-                "scanfiles",
-                STAGE_VERSIONS["phaseA"],
-                fp,
-                lambda f=f: _phase_a([f], geoip_table, admin_table, sides_fp, cfg),
-                shard=shard,
-            )
+        store.ensure(
+            "scanfiles",
+            STAGE_VERSIONS["phaseA"],
+            fp,
+            lambda f=f: _phase_a([f], geoip_table, admin_table, sides_fp, cfg),
+            shard=shard,
         )
-    if not parts:  # "nothing changed" is a legitimate incremental call
-        import ray.data
-
-        return ray.data.from_items([])
-    return parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
+        shards.append(shard)
+    # one Dataset over every file's parts ("nothing changed" -- no files --
+    # is a legitimate incremental call and gives an empty Dataset)
+    return store.load("scanfiles", shards)
 
 
 def run_flagship(
@@ -276,30 +277,30 @@ def run_flagship(
     import time as _time
 
     t_start = _time.monotonic()
-    # phase B's input: the shard checkpoints load_or_compute already opened,
-    # and the row digests their manifests record
-    shard_rows, shard_digests = [], []
+    # phase B's input: the completed shards and the row digests their
+    # manifests record; the shards are opened only if dedup recomputes
+    done, shard_digests = [], []
     timed_out = False
     # shards run in order, one at a time, so the completed set is always
     # shards[0..n): a deadline-bounded run never poisons a later resume
     for k, files in enumerate(shards):
         if (
             deadline_s is not None
-            and shard_rows  # at least one shard always completes
+            and done  # at least one shard always completes
             and (_time.monotonic() - t_start) > deadline_s
         ):
             timed_out = True
             break
         fp = fingerprint_paths(files) + "+" + phase_a_cfg_fp
-        shard_rows.append(store.load_or_compute(
+        manifest = store.ensure(
             "phaseA",
             STAGE_VERSIONS["phaseA"],
             fp,
             lambda files=files: _phase_a(files, geoip_table, admin_table, sides_fp, cfg),
             str(k),
-        ))
-        shard_digests.append(store.digest("phaseA", str(k)))
-    all_rows = shard_rows[0].union(*shard_rows[1:]) if len(shard_rows) > 1 else shard_rows[0]
+        )
+        done.append(str(k))
+        shard_digests.append(manifest["digest"])
 
     # --- phase B: global dedup (one hash shuffle, stages/dedup.py) ---
     from core_ray.stages.dedup import dedup_exact
@@ -319,6 +320,7 @@ def run_flagship(
         # written by a BACKGROUND thread while knn/tiles/stats consume the
         # materialized copy — the write leaves the critical path but still
         # completes before run_flagship returns (resume semantics intact)
+        all_rows = store.load("phaseA", done)  # every completed shard, one Dataset
         deduped = dedup_exact(all_rows, ["url", "mention_idx"], order_col="warc_ts").materialize()
         ckpt_writer = ThreadPoolExecutor(max_workers=1).submit(
             store.save, deduped, "deduped", STAGE_VERSIONS["deduped"], input_fp
@@ -428,5 +430,5 @@ def run_flagship(
     if ckpt_writer is not None:
         ckpt_writer.result()  # checkpoint durable before returning
     stats["timed_out"] = timed_out
-    stats["shards_done"] = f"{len(shard_rows)}/{len(shards)}"
+    stats["shards_done"] = f"{len(done)}/{len(shards)}"
     return FlagshipResult(joined=joined, errors=errors, knn=knn, tiles=tiles, stats=stats)

@@ -339,8 +339,16 @@ def lookup_join(left, right, on: str, right_on: str | None = None,
         raise ValueError("bloom_prefilter requires how='semi'")
     right_on = right_on or on
     if how in ("semi", "anti"):
+        from ray.data.dataset import MaterializedDataset
+
         if isinstance(right, pa.Table):
             right = right.select([right_on])
+        elif isinstance(right, MaterializedDataset) and not bloom_prefilter \
+                and fits_broadcast(right):
+            # the whole side fits, so its key column does: take the key
+            # from the blocks already in the object store instead of running
+            # a projection
+            right = _key_column(right, right_on)
         else:
             right = right.select_columns([right_on])
         if right_schema is not None:
@@ -375,6 +383,23 @@ def lookup_join(left, right, on: str, right_on: str | None = None,
         left = left.map_batches(bloom_probe, batch_format="pyarrow", batch_size=65536)
     return hash_join(left, right, on=on, right_on=right_on, how=how,
                      left_schema=left_schema, right_schema=right_schema)
+
+
+def _key_column(ds, key: str) -> pa.Table:
+    """Column ``key`` of a materialized Dataset, gathered on the driver one
+    block at a time (each block's other columns are dropped as it arrives);
+    nothing executes. A side with no ``key`` column (empty and schema-less)
+    gives an empty table."""
+    import ray
+
+    from core_ray.collect import block_refs
+
+    keep = []
+    for ref in block_refs(ds):
+        t = ray.get(ref)
+        if key in t.column_names:
+            keep.append(t.select([key]))
+    return pa.concat_tables(keep, promote_options="default") if keep else pa.table({})
 
 
 def _broadcast_join(left, table: pa.Table, on: str, right_on: str, how: str):

@@ -16,6 +16,17 @@ skips finished work):
 - resume = if the manifest matches (stage, version, fingerprint), read the
   parquet back instead of recomputing; the streaming pipeline downstream is
   unaffected.
+- every checkpoint read goes through ONE reader, ``read_parts``: a Ray Data
+  datasource built from the manifest, with one read task per listed part
+  file. Row counts come from the manifest and in-memory sizes from the
+  per-column Arrow bytes the write tasks record, the schema from one
+  footer. Opening a checkpoint therefore lists no directory and samples
+  no file (``ray.data.read_parquet`` blocks the driver on a remote
+  footer-sampling task per call), and ``schema()`` / ``count()`` execute
+  nothing.
+  ``ensure`` computes-or-resumes a stage WITHOUT opening it, so a caller
+  opens only what it reads (pipelines/flagship.py opens the phase-A shards
+  only when dedup recomputes, all of them as one Dataset).
 
 The digest is the sum, mod 2**64 in each of two lanes, of one hash per
 row, so it is the same for the same multiset of rows however they are
@@ -70,44 +81,56 @@ class CheckpointStore:
         listed part files, each with its recorded footer row count. A
         deleted, stray or truncated part makes the stage recompute instead
         of resuming with missing rows or failing on read."""
+        return self._complete_manifest(stage, version, fingerprint, shard) is not None
+
+    def _manifest(self, stage: str, shard: str | None = None) -> dict:
+        with open(self.manifest_path(stage, shard)) as f:
+            return json.load(f)
+
+    def _complete_manifest(self, stage: str, version: int, fingerprint: str,
+                           shard: str | None = None) -> dict | None:
+        """The manifest when ``is_complete`` holds, else None."""
         try:
-            with open(self.manifest_path(stage, shard)) as f:
-                m = json.load(f)
+            m = self._manifest(stage, shard)
             if not (
                 m.get("stage") == stage
                 and m.get("version") == version
                 and m.get("fingerprint") == fingerprint
             ):
-                return False
+                return None
             data_dir = os.path.join(self._dir(stage, shard), "data")
             files = {f["file"]: f["rows"] for f in m["files"]}
             if {n for n in os.listdir(data_dir) if n.endswith(".parquet")} != set(files):
-                return False
-            return all(
+                return None
+            intact = all(
                 pq.read_metadata(os.path.join(data_dir, name)).num_rows == rows
                 for name, rows in files.items()
             )
+            return m if intact else None
         except (OSError, ValueError, KeyError, TypeError):
             # ValueError covers json.JSONDecodeError and pyarrow's ArrowInvalid
-            return False
+            return None
 
     def digest(self, stage: str, shard: str | None = None) -> str:
         """The row digest a completed checkpoint's manifest records."""
-        with open(self.manifest_path(stage, shard)) as f:
-            return json.load(f)["digest"]
+        return self._manifest(stage, shard)["digest"]
 
-    def load(self, stage: str, shard: str | None = None, columns: list[str] | None = None):
-        import ray.data
+    def load(self, stage: str, shard=None, columns: list[str] | None = None):
+        """Open a checkpoint as one lazy Dataset, from its manifest alone
+        (``read_parts``). ``shard`` is one shard id, or a list of them
+        opened together as one Dataset."""
+        parts = []
+        for one in shard if isinstance(shard, (list, tuple)) else [shard]:
+            data_dir = os.path.join(self._dir(stage, one), "data")
+            parts += [(os.path.join(data_dir, f["file"]), f)
+                      for f in self._manifest(stage, one)["files"]]
+        return read_parts(parts, columns)
 
-        data_dir = os.path.join(self._dir(stage, shard), "data")
-        if not any(n.endswith(".parquet") for n in os.listdir(data_dir)):
-            return ray.data.from_items([])  # empty stage output (schema-less)
-        return ray.data.read_parquet(data_dir, columns=columns)
-
-    def save(self, ds, stage: str, version: int, fingerprint: str, shard: str | None = None) -> None:
-        """Write ``ds`` + manifest atomically. Only writes: a caller that
-        needs the data back opens it with ``load`` (``load_or_compute``
-        does), and a caller that still holds ``ds`` keeps using that."""
+    def save(self, ds, stage: str, version: int, fingerprint: str, shard: str | None = None) -> dict:
+        """Write ``ds`` + manifest atomically and return the manifest. Only
+        writes: a caller that needs the data back opens it with ``load``
+        (``load_or_compute`` does), and a caller that still holds ``ds``
+        keeps using that."""
         final = self._dir(stage, shard)
         for stale in glob.glob(glob.escape(final) + ".tmp-*"):
             shutil.rmtree(stale, ignore_errors=True)  # left by a killed save
@@ -140,14 +163,22 @@ class CheckpointStore:
         except BaseException:
             shutil.rmtree(tmp, ignore_errors=True)
             raise
+        return manifest
+
+    def ensure(self, stage: str, version: int, fingerprint: str, compute,
+               shard: str | None = None) -> dict:
+        """Compute and save the stage unless it is complete; return its
+        manifest (rows, part files, digest). Opens nothing: a caller opens
+        the data with ``load`` only if and when it reads it."""
+        m = self._complete_manifest(stage, version, fingerprint, shard)
+        return m if m is not None else self.save(compute(), stage, version, fingerprint, shard)
 
     def load_or_compute(self, stage: str, version: int, fingerprint: str, compute, shard: str | None = None):
         """Resume-or-run one stage; ``compute`` is a thunk returning a Dataset.
         Returns the checkpoint read back, opened once either way (reading
         back decouples downstream stages from upstream lineage — later
         consumers don't re-execute the upstream pipeline)."""
-        if not self.is_complete(stage, version, fingerprint, shard):
-            self.save(compute(), stage, version, fingerprint, shard)
+        self.ensure(stage, version, fingerprint, compute, shard)
         return self.load(stage, shard)
 
     def _record_path(self, name: str) -> str:
@@ -186,8 +217,9 @@ def _digest_sink_class():
     first use: this module does not import Ray at import time). Each write
     task writes its rows (at least ``_MIN_ROWS_PER_FILE`` per file, as
     ``write_parquet(min_rows_per_file=...)`` would) to one part file and
-    returns ``{file, rows, digest}``; ``files`` collects those returns on
-    the driver, so the manifest needs no footer re-read."""
+    returns ``{file, rows, arrow_bytes, digest}`` (``arrow_bytes``: the
+    in-memory Arrow size of each column); ``files`` collects those returns
+    on the driver, so the manifest needs no footer re-read."""
     from ray.data import Datasink
     from ray.data.block import BlockAccessor
 
@@ -209,13 +241,85 @@ def _digest_sink_class():
             table = pa.concat_tables([t.cast(schema) for t in tables])
             name = f"part-{ctx.task_idx:05d}-{uuid.uuid4().hex[:8]}.parquet"
             pq.write_table(table, os.path.join(self.data_dir, name))
-            return {"file": name, "rows": table.num_rows, "digest": table_digest(table)}
+            return {"file": name, "rows": table.num_rows,
+                    "arrow_bytes": {c: table[c].nbytes for c in table.column_names},
+                    "digest": table_digest(table)}
 
         def on_write_complete(self, write_result):
             self.files = sorted((r for r in write_result.write_returns if r),
                                 key=lambda r: r["file"])
 
     return DigestParquetSink
+
+
+# ---------------------------------------------------------------- reader
+
+
+def read_parts(parts: list[tuple[str, dict]], columns: list[str] | None = None):
+    """One lazy Dataset over checkpoint part files, each given as
+    ``(path, manifest entry)``: one read task per part, its row count and
+    Arrow size (of the ``columns`` read) from the entry, the schema from
+    the first part's footer. So opening lists no directory, reads one
+    footer and runs no sampling task; ``schema()`` and ``count()``
+    execute nothing. An entry without ``arrow_bytes`` (an older manifest) is sized
+    by its on-disk bytes. No parts gives an empty, schema-less Dataset."""
+    import ray.data
+
+    if not parts:
+        return ray.data.from_items([])
+    schema = pq.read_schema(parts[0][0])
+    if columns is not None:
+        schema = pa.schema([schema.field(c) for c in columns], metadata=schema.metadata)
+    sized = []
+    for path, entry in parts:
+        col_bytes = entry.get("arrow_bytes")
+        size = (sum(col_bytes.get(c, 0) for c in schema.names) if col_bytes
+                else os.path.getsize(path))
+        sized.append((path, entry["rows"], size))
+    return ray.data.read_datasource(_manifest_source_class()(sized, schema, columns))
+
+
+def _read_row_groups(path: str, columns: list[str] | None):
+    """A read task's body: the part one row group at a time, so a large
+    part file is never read into one table (Ray Data's output buffer
+    bounds the blocks it builds from them)."""
+    f = pq.ParquetFile(path)
+    for i in range(f.metadata.num_row_groups):
+        yield f.read_row_group(i, columns=columns)
+
+
+@functools.cache
+def _manifest_source_class():
+    """The Ray Data datasource behind ``read_parts`` (built on first use,
+    like ``_digest_sink_class``)."""
+    from ray.data.block import BlockMetadata
+    from ray.data.datasource import Datasource, ReadTask
+
+    class ManifestDatasource(Datasource):
+        def __init__(self, parts: list[tuple[str, int, int]], schema: pa.Schema,
+                     columns: list[str] | None):
+            self.parts = parts  # (path, rows, Arrow bytes)
+            self.schema = schema
+            self.columns = columns
+
+        def get_name(self) -> str:
+            return "Checkpoint"
+
+        def estimate_inmemory_data_size(self) -> int:
+            return sum(size for _, _, size in self.parts)
+
+        def get_read_tasks(self, parallelism: int) -> list:
+            return [
+                ReadTask(
+                    functools.partial(_read_row_groups, path, self.columns),
+                    BlockMetadata(num_rows=rows, size_bytes=size, input_files=[path],
+                                  exec_stats=None),
+                    schema=self.schema,
+                )
+                for path, rows, size in self.parts
+            ]
+
+    return ManifestDatasource
 
 
 # ---------------------------------------------------------------- digest

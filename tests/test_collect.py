@@ -105,3 +105,49 @@ def test_to_arrow_refs_only_in_block_refs():
                 ):
                     bad.append(f"{rel}:{node.lineno}")
     assert not bad, "to_arrow_refs outside collect.block_refs: " + ", ".join(bad)
+
+
+@pytest.mark.parametrize("how", ["semi", "anti"])
+def test_lookup_join_materialized_key_side_runs_no_projection(ray_session, executions,
+                                                             monkeypatch, how):
+    """A semi/anti ``lookup_join`` whose right side is already materialized
+    and fits the broadcast bound takes the key column from its blocks: the
+    join is one execution (the left side's probe), and its rows equal the
+    shuffle regime's."""
+    import ray
+
+    from core_ray.collect import collect_table
+    from core_ray.stages import join
+
+    left = ray.data.range(300, override_num_blocks=4).map_batches(
+        lambda b: pa.table({"k": b["id"], "v": pa.array(np.asarray(b["id"]) * 2)}),
+        batch_format="pyarrow",
+    )
+    right = ray.data.from_arrow(pa.table({
+        "rk": pa.array(list(range(0, 600, 3)) + [None], pa.int64()),
+        "payload": pa.array(["x" * 40] * 201),
+    })).materialize()
+
+    executions.clear()
+    got = collect_table(join.lookup_join(left, right, on="k", right_on="rk", how=how))
+    assert len(executions) == 1, executions
+    assert got.column_names == ["k", "v"]
+
+    monkeypatch.setattr(join, "BROADCAST_MAX_BYTES", 0)
+    shuffled = collect_table(join.lookup_join(left, right, on="k", right_on="rk", how=how))
+    want = [k for k in range(300) if (k % 3 == 0) == (how == "semi")]
+    assert sorted(got["k"].to_pylist()) == sorted(shuffled["k"].to_pylist()) == want
+    assert got.sort_by("k").equals(shuffled.select(["k", "v"]).sort_by("k"))
+
+
+def test_lookup_join_semi_on_empty_materialized_side(ray_session):
+    import ray
+
+    from core_ray.collect import collect_table
+    from core_ray.stages import join
+
+    left = ray.data.from_arrow(pa.table({"k": pa.array([1, 2, 3], pa.int64())}))
+    empty = ray.data.from_items([]).materialize()
+    assert collect_table(join.lookup_join(left, empty, on="k", how="semi")).num_rows == 0
+    assert sorted(collect_table(
+        join.lookup_join(left, empty, on="k", how="anti"))["k"].to_pylist()) == [1, 2, 3]

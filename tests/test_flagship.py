@@ -150,41 +150,66 @@ def test_resume_skips_completed_shards(result_and_golden, corpus):
 
 
 def test_checkpoint_reader_count(ray_session, corpus, tmp_path_factory, monkeypatch):
-    """Every ``read_parquet`` call blocks the calling process on a
-    footer-sampling task. With S shards a cold run opens each page shard
-    once and each phase-A checkpoint once, plus the kNN and tiles
-    checkpoints (2S + 2); a full resume opens the S phase-A checkpoints,
-    the deduped checkpoint once (for joined / errors) and the kNN and tiles
-    checkpoints (S + 3): the kNN and tiles inputs are opened only when
-    those stages compute, and the stats come from their record."""
+    """Every checkpoint open (``CheckpointStore.load``) and every
+    ``read_parquet`` call, per run. With S shards a cold run reads each
+    page shard once and opens the phase-A checkpoints once, as one
+    Dataset, plus the kNN and tiles checkpoints (S + 3); a full resume
+    opens the deduped checkpoint (for joined / errors) and the kNN and
+    tiles checkpoints (3): the kNN and tiles inputs are opened only when
+    those stages compute, and the stats come from their record. An
+    mtime-only delta recomputes one shard to the same rows and opens no
+    phase-A checkpoint."""
     import glob
+    import os
 
     import ray.data
+
+    from core_ray.state.lineage import CheckpointStore
 
     out_dir, c = corpus
     files = sorted(glob.glob(f"{out_dir}/pages/*.parquet"))
     n_shards = len(files)
     calls = []
     read_parquet = ray.data.read_parquet
+    load = CheckpointStore.load
 
     def counting_read_parquet(*args, **kwargs):
-        calls.append(args[0] if args else kwargs.get("paths"))
+        calls.append(("read_parquet", args[0] if args else kwargs.get("paths")))
         return read_parquet(*args, **kwargs)
 
+    def counting_load(store, stage, shard=None, columns=None):
+        calls.append((stage, shard))
+        return load(store, stage, shard, columns)
+
     monkeypatch.setattr(ray.data, "read_parquet", counting_read_parquet)
+    monkeypatch.setattr(CheckpointStore, "load", counting_load)
     ckpt = str(tmp_path_factory.mktemp("ckpt_readers"))
 
     def run():
         calls.clear()
         res = run_flagship(files, c.admin_polygons, c.geoip_ranges,
                            PipelineConfig(), checkpoint_dir=ckpt, n_shards=n_shards)
-        return res, len(calls)
+        return res, list(calls)
 
-    cold, n_cold = run()
-    assert n_cold <= 2 * n_shards + 2, calls
-    resumed, n_resume = run()
-    assert n_resume <= n_shards + 3, calls
+    def stages(cs):
+        return sorted(stage for stage, _ in cs)
+
+    cold, cold_calls = run()
+    assert len(cold_calls) <= n_shards + 3, cold_calls
+    assert stages(cold_calls) == ["knn", "phaseA", *["read_parquet"] * n_shards, "tiles"]
+    resumed, resume_calls = run()
+    assert len(resume_calls) <= 3, resume_calls
+    assert stages(resume_calls) == ["deduped", "knn", "tiles"]
     assert resumed.stats == cold.stats
+
+    st = os.stat(files[0])
+    os.utime(files[0], ns=(st.st_atime_ns, st.st_mtime_ns + 1_000_000_000))
+    try:
+        delta, delta_calls = run()
+    finally:
+        os.utime(files[0], ns=(st.st_atime_ns, st.st_mtime_ns))
+    assert stages(delta_calls) == ["deduped", "knn", "read_parquet", "tiles"], delta_calls
+    assert delta.stats == cold.stats
 
 
 def test_oversize_error_rows(ray_session, tmp_path_factory):

@@ -7,10 +7,12 @@ multiset of rows only."""
 from __future__ import annotations
 
 import glob
+import json
 import os
 
 import numpy as np
 import pyarrow as pa
+import pytest
 
 from core_ray.state import lineage
 from core_ray.state.lineage import CheckpointStore, combine_digests, table_digest
@@ -181,3 +183,124 @@ def test_digest_is_bitwise_on_floats():
     a = pa.table({"x": pa.array([0.0, 1.5], pa.float64())})
     b = pa.table({"x": pa.array([-0.0, 1.5], pa.float64())})
     assert table_digest(a) != table_digest(b)
+
+
+# ---------------------------------------------------------------- reader
+
+
+@pytest.fixture
+def executions(monkeypatch):
+    """The Ray Data executions started while the test runs."""
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    seen = []
+    execute = StreamingExecutor.execute
+
+    def counted(self, dag, *args, **kwargs):
+        seen.append(str(dag))
+        return execute(self, dag, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    return seen
+
+
+@pytest.mark.parametrize("n_parts", [1, 5])
+def test_load_reads_the_listed_parts(ray_session, tmp_path, monkeypatch, executions, n_parts):
+    """``load`` gives exactly the rows of the part files the manifest lists;
+    its ``schema()`` and ``count()`` run no Ray Data execution, and a
+    ``columns=`` projection returns only those columns."""
+    import pyarrow.parquet as pq
+    import ray.data
+
+    from core_ray.collect import collect_table
+
+    t = _rows_table()
+    store = CheckpointStore(str(tmp_path))
+    if n_parts > 1:
+        monkeypatch.setattr(lineage, "_MIN_ROWS_PER_FILE", 1)  # one part file per block
+    store.save(ray.data.from_arrow(t).repartition(n_parts), "stage", 1, "fp")
+    with open(store.manifest_path("stage")) as f:
+        entries = json.load(f)["files"]
+    data_dir = os.path.join(tmp_path, "stage", "data")
+    files = [os.path.join(data_dir, e["file"]) for e in entries]
+    assert len(files) == n_parts
+
+    executions.clear()
+    ds = store.load("stage")
+    assert ds.count() == t.num_rows
+    assert ds.schema().names == t.column_names
+    assert executions == []
+
+    want = pq.read_table(files).sort_by([("url", "ascending"), ("lat", "ascending")])
+    got = collect_table(ds).sort_by([("url", "ascending"), ("lat", "ascending")])
+    assert got.equals(want)
+    assert table_digest(got) == store.digest("stage")
+
+    executions.clear()
+    narrow = store.load("stage", columns=["lat", "url"])
+    assert narrow.schema().names == ["lat", "url"]
+    assert narrow.size_bytes() == sum(e["arrow_bytes"]["lat"] + e["arrow_bytes"]["url"]
+                                      for e in entries)
+    assert executions == []
+    got = collect_table(narrow)
+    assert got.column_names == ["lat", "url"]
+    assert sorted(got["lat"].to_pylist()) == sorted(t["lat"].to_pylist())
+
+
+def test_load_of_an_empty_stage(ray_session, tmp_path):
+    import ray.data
+
+    store = CheckpointStore(str(tmp_path))
+    store.save(ray.data.from_items([]), "empty", 1, "fp")
+    assert store.is_complete("empty", 1, "fp")
+    ds = store.load("empty")
+    assert ds.count() == 0 and ds.take_all() == []
+
+
+def test_load_of_several_shards_is_one_dataset(ray_session, tmp_path, executions):
+    """A list of shard ids opens their parts as ONE read (no union), and
+    ``ensure`` resumes a complete shard without computing or opening it."""
+    import ray.data
+
+    store = CheckpointStore(str(tmp_path))
+    for k in range(3):
+        store.save(ray.data.from_arrow(pa.table({"x": [10 * k, 10 * k + 1]})), "s", 1, "fp", shard=str(k))
+    m = store.ensure("s", 1, "fp", lambda: 1 / 0, shard="1")
+    assert m["rows"] == 2 and m["digest"] == store.digest("s", "1")
+    executions.clear()
+    ds = store.load("s", ["0", "2"])
+    assert sorted(r["x"] for r in ds.take_all()) == [0, 1, 20, 21]
+    assert len(executions) == 1 and "Union" not in executions[0], executions
+
+
+def test_reader_yields_row_groups_and_sizes_old_manifests(ray_session, tmp_path):
+    """A read task yields a part one row group at a time (Ray Data's output
+    buffer then bounds the blocks), and an entry without ``arrow_bytes``
+    (an older manifest) is sized by its file."""
+    import pyarrow.parquet as pq
+
+    from core_ray.collect import collect_table
+
+    path = os.path.join(tmp_path, "part.parquet")
+    t = pa.table({"x": pa.array(np.arange(100), pa.int64())})
+    pq.write_table(t, path, row_group_size=10)
+    assert [b.num_rows for b in lineage._read_row_groups(path, None)] == [10] * 10
+    ds = lineage.read_parts([(path, {"rows": 100})])
+    assert ds.count() == 100 and ds.schema().names == ["x"]
+    assert ds.size_bytes() == os.path.getsize(path)
+    assert sorted(collect_table(ds)["x"].to_pylist()) == list(range(100))
+
+
+def test_lineage_has_no_read_parquet():
+    """Every checkpoint read goes through the manifest reader: no
+    ``read_parquet`` call is left in state/lineage.py."""
+    import ast
+    import inspect
+
+    tree = ast.parse(inspect.getsource(lineage))
+    calls = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "read_parquet"
+    ]
+    assert calls == [], calls
