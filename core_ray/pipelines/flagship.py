@@ -6,10 +6,14 @@ over the spatial workload (§7.1 dataflow):
   Phase A (sharded, map-only, resumable):
       read_parquet (pruned: url, warc_ts, html, lang — the stored ``text`` is
       never read; the engine recomputes it and tests assert byte-identity)
-      -> ExtractText actor pool      (html -> text, drops html immediately)
-      -> Geocoder actor pool         (cascade; broadcast geo-IP dict)
-      -> CellEncoder actor pool      (hex res-7 + s2 level-12)
-      -> PipJoin actor pool          (broadcast STRtree; deepest-wins)
+      -> ONE task-based map, analyze_batch_task (stages/analyzer.py), which
+         chains per batch:
+           ExtractText  (html -> text, drops html immediately)
+           -> Geocoder  (cascade; geo-IP dict)
+           -> CellEncoder (hex res-7 + s2 level-12)
+           -> PipJoin   (STRtree; deepest-wins)
+         the side tables ride the UDF by value; each worker process caches
+         its built analyzer keyed on their fingerprint (sides_fp)
       -> checkpoint  <ckpt>/phaseA/shard-K   (per-shard lineage manifest;
          finished shards are SKIPPED on rerun; a shard's fingerprint is its
          page files' (path, size, mtime), so a touched file reruns its shard)
@@ -25,11 +29,12 @@ over the spatial workload (§7.1 dataflow):
          pages produce byte-identical geocoded rows]
       -> checkpoint "deduped"
       -> joined (source != none) / errors (source == none)
-      -> kNN per hex cell (ring-1 expansion, salted hot cells)
-      -> tile rollup z in {7, 9, 12}
-      -> stats (driver-side small aggregates, the ScanStats/ConfidenceDist
-         analog, scanner.go:102-125; kept in a small record beside the
-         checkpoints, so a resumed run does not recount them)
+      -> kNN per hex cell (ring-1 expansion, salted hot cells)   } three
+      -> tile rollup z in {7, 9, 12}                            } concurrent
+      -> stats (map-side partial counts summed on the driver,   } executions
+         the ScanStats/ConfidenceDist analog, scanner.go:102-125; kept in a
+         small record beside the checkpoints, so a resumed run does not
+         recount them)
 
 A resumed phase B opens only what it returns: the deduped checkpoint (for
 joined / errors), and the kNN and tiles checkpoints. Their inputs are read
@@ -132,28 +137,37 @@ def _phase_a(page_files: list[str], geoip_table: pa.Table, admin_table: pa.Table
 
 
 def _stats_pass(deduped) -> dict:
-    """One execution computing all ScanStats-analog counters: per-source row
-    counts + page counts (each page has exactly one mention_idx==0 row)."""
+    """One map-only execution computing all ScanStats-analog counters:
+    per-source row counts + page counts (each page has exactly one
+    mention_idx==0 row). Each batch folds to one row per source; the
+    partials (a few rows per block) are summed on the driver."""
+    import numpy as np
     import pyarrow.compute as pc
+
+    from core_ray.collect import collect_table
 
     def partial(b: pa.Table) -> pa.Table:
         pages = pc.cast(pc.equal(b["mention_idx"], 0), pa.int64())
         t = pa.table(
-            {"derivation_source": b["derivation_source"], "rows": pa.array([1] * b.num_rows, pa.int64()), "pages": pages}
+            {"derivation_source": b["derivation_source"], "rows": np.ones(b.num_rows, np.int64), "pages": pages}
         )
         return pa.TableGroupBy(t, "derivation_source").aggregate(
             [("rows", "sum"), ("pages", "sum")]
         )
 
-    from ray.data.aggregate import Sum
-
-    agg = (
+    parts = collect_table(
         deduped.select_columns(["derivation_source", "mention_idx"])
         .map_batches(partial, batch_format="pyarrow", batch_size=65536)
-        .groupby("derivation_source")
-        .aggregate(Sum("rows_sum", alias_name="rows"), Sum("pages_sum", alias_name="pages"))
     )
-    per_src = {r["derivation_source"]: (int(r["rows"]), int(r["pages"])) for r in agg.take_all()}
+    per_src = {}
+    if parts.num_rows:
+        agg = pa.TableGroupBy(parts, "derivation_source").aggregate(
+            [("rows_sum", "sum"), ("pages_sum", "sum")]
+        )
+        per_src = dict(zip(
+            agg["derivation_source"].to_pylist(),
+            zip(agg["rows_sum_sum"].to_pylist(), agg["pages_sum_sum"].to_pylist()),
+        ))
     _err_srcs = ("none", "oversize")
     hist = {s: p for s, (r, p) in per_src.items() if s not in _err_srcs}
     rows_no_signal = per_src.get("none", (0, 0))[0]
@@ -231,8 +245,6 @@ def run_flagship(
     carries ``stats['timed_out']=True`` and ``stats['shards_done']``. At
     least one shard always completes, and already-checkpointed shards are
     reused, so successive deadline-bounded runs make monotonic progress."""
-    import ray
-
     # warm lazy fsspec imports on the main thread: concurrent first-touch
     # from the phase-B threads (checkpoint writer, kNN / tiles / stats) races
     # Python's import machinery (observed as a spurious ImportError inside
@@ -269,7 +281,6 @@ def run_flagship(
     shards = [sorted(page_files)[i::n_shards] for i in range(n_shards)]
     shards = [s for s in shards if s]
 
-    available = int(ray.cluster_resources().get("CPU", 8))
     # side tables + config are INPUTS: fold them into every stage fingerprint
     # so a changed polygon set / geoip map / knob invalidates its checkpoints
     sides_fp = _sides_fp(admin_table, geoip_table)
@@ -349,8 +360,11 @@ def run_flagship(
         .map_batches(_as_error_rows, batch_format="pyarrow")
     )
 
-    # knn, tiles and stats all read only the deduped checkpoint — run their
-    # executions concurrently (independent sub-DAGs sharing the cluster).
+    # knn, tiles and stats all read only the deduped rows, and each runs at
+    # most one shuffle (kNN's hot-cell plan and the stats fold map-side):
+    # their executions always run concurrently, on any cluster size
+    # (independent sub-DAGs sharing the cluster; at 2 CPUs each execution is
+    # latency-bound, so overlapping them is what shortens phase B).
     # On RESUME runs the checkpoint read is COLUMN-PRUNED per consumer (the
     # wide text column must never be decoded for knn/tiles) and opened only
     # by a consumer that computes; on cold runs the materialized in-memory
@@ -419,14 +433,11 @@ def run_flagship(
         store.save_record("stats", STAGE_VERSIONS["stats"], stats_fp, stats)
         return stats
 
-    if available >= 16:
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            knn_f = pool.submit(_knn)
-            tiles_f = pool.submit(_tiles)
-            stats_f = pool.submit(_stats)
-            knn, tiles, stats = knn_f.result(), tiles_f.result(), stats_f.result()
-    else:
-        knn, tiles, stats = _knn(), _tiles(), _stats()
+    with ThreadPoolExecutor(max_workers=3) as pool:
+        knn_f = pool.submit(_knn)
+        tiles_f = pool.submit(_tiles)
+        stats_f = pool.submit(_stats)
+        knn, tiles, stats = knn_f.result(), tiles_f.result(), stats_f.result()
     if ckpt_writer is not None:
         ckpt_writer.result()  # checkpoint durable before returning
     stats["timed_out"] = timed_out

@@ -1,16 +1,21 @@
-"""PageAnalyzer: the fused per-document actor stage (phase A).
+"""PageAnalyzer: the fused per-document stage of phase A.
 
-Composition of ExtractText -> Geocoder -> CellEncoder -> PipJoin in ONE actor
-pool. Rationale (same as the reference amortizing parse + domain-hints in a
-single pass, SURVEY.md §2.2 M10/M11):
+Composition of ExtractText -> Geocoder -> CellEncoder -> PipJoin in ONE
+callable. Phase A runs it as one task-based ``map_batches``
+(``analyze_batch_task`` below, from pipelines/flagship.py ``_phase_a``), not
+as an actor pool. Rationale (same as the reference amortizing parse +
+domain-hints in a single pass, SURVEY.md §2.2 M10/M11):
 
 - per-document stages have no shuffle between them, so separate map_batches
-  actor pools would only add object-store hops for the wide html/text columns
-  and reserve one CPU per pool (four chained pools deadlock a small cluster:
-  each pool pins >= 1 actor while the read task also needs a slot);
+  stages would only add object-store hops for the wide html/text columns
+  (and, as actor pools, reserve one CPU per pool: four chained pools
+  deadlock a small cluster, each pinning >= 1 actor while the read task
+  also needs a slot);
 - all expensive state (compiled regexes, geo-IP dict, STRtree over admin
-  polygons, s2/hex lookup tables) is built once per actor in __init__ (ST1 +
-  ST4 pattern, tspool/pool.go:40-121, scanner.go:181-186).
+  polygons, s2/hex lookup tables) is built once per WORKER PROCESS and
+  cached across tasks and shards, keyed on the side tables' fingerprint
+  (``sides_fp``) — the ST1 + ST4 pattern (tspool/pool.go:40-121,
+  scanner.go:181-186) without an actor.
 
 The individual stage classes stay importable and unit-testable; this class
 just chains their __call__ bodies.

@@ -20,8 +20,10 @@ for, SURVEY.md §2.5):
   group, each query's candidate set is masked back to exact ring-1 by hex
   distance — so coarse grouping is a pure re-partitioning, not a semantic
   change (verified: oracle equivalence tests incl. forced salting).
-- SKEW (mega-city hot cells): a first cheap pass counts rows per coarse
-  group (uint64 key + count only). Groups above ``hot_threshold`` are
+- SKEW (mega-city hot cells): a first cheap pass counts rows per cell
+  (uint64 key + count only), folded map-side per block and, while the
+  distinct cells fit ``_hot_sets``'s driver threshold, summed on the
+  driver, so it runs no shuffle. Coarse groups above ``hot_threshold`` are
   salted: queries hash-partition into ceil(n/salt_target) sub-groups;
   candidates targeting a hot group are replicated into every sub-group.
 - ROUTING + SHUFFLE: the expansion itself tags every row with its reduce
@@ -39,7 +41,7 @@ import pyarrow.compute as pc
 
 from core_ray.collect import collect_table
 from core_ray.geo import hexgrid
-from core_ray.stages.agg import _GOLD, _n_parts, count_by_u64, sum_by_u64
+from core_ray.stages.agg import _GOLD, _n_parts, _reduce_by_key, sum_by_u64
 
 _KNN_COLS = ["url", "mention_idx", "lat", "lon", "hex_cell"]
 COARSEN = 2  # group at res - COARSEN
@@ -355,39 +357,45 @@ def _knn_empty() -> pa.Table:
 
 def _hot_sets(ds, group_res: int, hot_threshold: int, salt_target: int,
               driver_cells_threshold: int = 2_000_000):
-    """Hot-set discovery for the skew plan. The full per-cell count
-    histogram is a DATASET (at planet scale it is itself big): above
-    ``driver_cells_threshold`` distinct cells, only ABOVE-THRESHOLD keys
-    ever reach the driver (coarse totals via a distributed weighted sum; a
-    hot fine cell's coarse group is necessarily hot too, so the fine filter
-    needs no coarse-membership check). Below it, the histogram is small and
-    the driver computes the same sets locally in one pass — identical
-    output, two fewer distributed executions."""
+    """Hot-set discovery for the skew plan, with at most one shuffle.
+
+    Each block folds map-side to one (cell, count) row per distinct cell
+    (``agg._reduce_by_key``, the combiner of ``count_by_u64``), and those
+    partials are materialized: no shuffle yet. Their row count, read from
+    block metadata, bounds the number of distinct cells. When it is at most
+    ``driver_cells_threshold``, the partials are small: the driver folds
+    them and computes the sets locally, so the pass is ONE map-only
+    execution. Above it, the full per-cell histogram is a DATASET (at
+    planet scale it is itself big) and only ABOVE-THRESHOLD keys ever reach
+    the driver: per-cell totals are a distributed SUM of the partial counts,
+    coarse totals a distributed weighted sum over them (a hot fine cell's
+    coarse group is necessarily hot too, so the fine filter needs no
+    coarse-membership check). Both branches give identical sets."""
     import math
 
-    fine = count_by_u64(
-        ds.select_columns(["hex_cell"]).map_batches(
-            lambda b: pa.table({"key": b["hex_cell"]}), batch_format="pyarrow",
-            batch_size=131072,
-        ),
-        "key",
-    ).materialize()  # one row per DISTINCT cell
-    n_cells = fine.count()
-    if n_cells == 0:
+    def partial(b: pa.Table) -> pa.Table:
+        cells = b["hex_cell"].to_numpy(zero_copy_only=False).astype(np.uint64)
+        u, c = _reduce_by_key(cells, np.ones(len(cells), np.int64), np.add)
+        return pa.table({"key": pa.array(u, pa.uint64()), "cnt": pa.array(c, pa.int64())})
+
+    partials = (
+        ds.select_columns(["hex_cell"])
+        .map_batches(partial, batch_format="pyarrow", batch_size=131072)
+        .materialize()
+    )
+    n_partials = partials.count()  # block metadata: executes nothing
+    if n_partials == 0:
         return np.zeros(0, dtype=np.uint64), {}
 
-    if n_cells <= driver_cells_threshold:
-        t = collect_table(fine)
-        cells = t["key"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        counts = t["cnt"].to_numpy(zero_copy_only=False)
-        coarse_k = _group_key(cells, group_res)
-        order = np.argsort(coarse_k, kind="stable")
-        co, cnt_o = coarse_k[order], counts[order]
-        new = np.ones(len(co), dtype=bool)
-        new[1:] = co[1:] != co[:-1]
-        starts = np.nonzero(new)[0]
-        totals = np.add.reduceat(cnt_o, starts)
-        hot_coarse = co[starts][totals > hot_threshold]
+    if n_partials <= driver_cells_threshold:
+        t = collect_table(partials)
+        cells, counts = _reduce_by_key(
+            t["key"].to_numpy(zero_copy_only=False).astype(np.uint64),
+            t["cnt"].to_numpy(zero_copy_only=False),
+            np.add,
+        )
+        coarse, totals = _reduce_by_key(_group_key(cells, group_res), counts, np.add)
+        hot_coarse = coarse[totals > hot_threshold]
         fine_salts = {
             int(c): math.ceil(int(n_c) / salt_target)
             for c, n_c in zip(cells[counts > hot_threshold], counts[counts > hot_threshold])
@@ -403,6 +411,8 @@ def _hot_sets(ds, group_res: int, hot_threshold: int, salt_target: int,
             }
         )
 
+    # partial rows carry counts: the per-cell total is their SUM
+    fine = sum_by_u64(partials, "key", "cnt").materialize()  # one row per DISTINCT cell
     coarse = sum_by_u64(
         fine.map_batches(to_coarse, batch_format="pyarrow", batch_size=131072),
         "key",
@@ -427,9 +437,11 @@ def knn_per_cell(ds, k: int = 5, hot_threshold: int = 4000, salt_target: int = 2
     """Dataset[joined rows] -> Dataset[(url, mention_idx, neighbor_url,
     neighbor_mention_idx, rank, dist)].
 
-    Two passes: one DISTRIBUTED per-cell count pass drives the adaptive
-    grouping plan (coarse / fine / salted — see _Expand; only the tiny
-    above-threshold hot sets reach the calling process). Then the expansion emits
+    Two passes: a per-cell count pass drives the adaptive grouping plan
+    (coarse / fine / salted — see _Expand). It is map-only (per-block
+    partial counts, summed on the driver) unless the partials exceed
+    ``_hot_sets``'s driver threshold; then a distributed sum keeps all but
+    the tiny above-threshold hot sets off the driver. Then the expansion emits
     query + candidate rows already tagged with their hash ``part``, ONE
     sort shuffle groups them by part, and _process_partition reduces each
     part in one vectorized call. Reduce tasks ≈ input rows / 16,384.

@@ -23,3 +23,26 @@ def ray_session():
     ctx.enable_progress_bars = False
     yield
     ray.shutdown()
+
+
+@pytest.fixture
+def executions(monkeypatch):
+    """Every Ray Data execution started while the test runs, as its operator
+    chain from the last operator back to the input, e.g.
+    ``MapBatches(reduce) <- Sort <- MapBatches(pre) <- Input``."""
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    seen = []
+    execute = StreamingExecutor.execute
+
+    def counted(self, dag, *args, **kwargs):
+        names, stack = [], [dag]
+        while stack:
+            op = stack.pop()
+            names.append(op.name)
+            stack.extend(op.input_dependencies)
+        seen.append(" <- ".join(names))
+        return execute(self, dag, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    return seen

@@ -4,7 +4,8 @@
 for its schema, which a streamed run leaves uncached: Ray Data answers with a
 ``LimitOperator[limit=1]`` run of the same plan. ``Dataset.schema()`` on a
 lazy side does the same. Each test counts the executions Ray Data starts by
-wrapping ``StreamingExecutor.execute``.
+wrapping ``StreamingExecutor.execute`` (the ``executions`` fixture,
+tests/conftest.py).
 """
 
 import ast
@@ -15,23 +16,6 @@ import pyarrow as pa
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1] / "core_ray"
-
-
-@pytest.fixture
-def executions(monkeypatch):
-    """The operator DAG of every Ray Data execution started while the test
-    runs, as strings (the last operator's name, e.g. ``LimitOperator[limit=1]``)."""
-    from ray.data._internal.execution.streaming_executor import StreamingExecutor
-
-    seen = []
-    execute = StreamingExecutor.execute
-
-    def counted(self, dag, *args, **kwargs):
-        seen.append(str(dag))
-        return execute(self, dag, *args, **kwargs)
-
-    monkeypatch.setattr(StreamingExecutor, "execute", counted)
-    return seen
 
 
 def test_collect_runs_plan_once(ray_session, executions):

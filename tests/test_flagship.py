@@ -92,6 +92,55 @@ def test_stats_match(result_and_golden):
     assert res.stats["derivation_source_hist"] == golden.stats["derivation_source_hist"]
 
 
+def test_stats_pass_is_one_map_only_execution(result_and_golden, executions):
+    """The stats counters fold per batch and sum on the driver: one
+    execution, with no shuffle and no Ray Data aggregate."""
+    from core_ray.pipelines.flagship import _stats_pass
+    from core_ray.state.lineage import CheckpointStore
+
+    res, _, _, ckpt = result_and_golden
+    deduped = CheckpointStore(ckpt).load("deduped", columns=["derivation_source", "mention_idx"])
+    executions.clear()
+    stats = _stats_pass(deduped)
+    assert len(executions) == 1, executions
+    assert "Sort" not in executions[0] and "Aggregate" not in executions[0], executions
+    assert stats == {k: res.stats[k] for k in stats}
+
+
+def test_phase_b_consumers_overlap(ray_session, corpus, tmp_path, monkeypatch):
+    """kNN, tiles and stats run as concurrent executions at any CPU count:
+    on a cold run at the session's 4 CPUs all three start before any of
+    them returns. Each span ends when the stage's rows are materialized."""
+    import glob
+    import threading
+    import time
+
+    import core_ray.pipelines.flagship as fl
+
+    spans, lock = {}, threading.Lock()
+
+    def timed(name, fn):
+        def wrapper(*args, **kwargs):
+            t0 = time.monotonic()
+            out = fn(*args, **kwargs)
+            if hasattr(out, "materialize"):
+                out = out.materialize()
+            with lock:
+                spans[name] = (t0, time.monotonic())
+            return out
+
+        return wrapper
+
+    for name in ("knn_per_cell", "tile_rollup", "_stats_pass"):
+        monkeypatch.setattr(fl, name, timed(name, getattr(fl, name)))
+    out_dir, c = corpus
+    fl.run_flagship(sorted(glob.glob(f"{out_dir}/pages/*.parquet")), c.admin_polygons,
+                    c.geoip_ranges, PipelineConfig(), checkpoint_dir=str(tmp_path))
+    assert sorted(spans) == ["_stats_pass", "knn_per_cell", "tile_rollup"]
+    first_return = min(end for _, end in spans.values())
+    assert all(start < first_return for start, _ in spans.values()), spans
+
+
 def test_knn_matches_golden(result_and_golden):
     res, golden, _, _ = result_and_golden
     got = {

@@ -56,3 +56,44 @@ def test_knn_sort_shuffle_without_repartition_matches_salted(ray_session):
     assert got.num_rows == 5 * N
     salted = _rows(knn_per_cell(ds, hot_threshold=50, salt_target=20))
     assert got.equals(salted)
+
+
+def _skewed_cells():
+    """Four blocks that each repeat the same cells: one cell hot within every
+    block, one hot only when its blocks are summed (400 rows per block, 1,600
+    in all, against a threshold of 1,000) and a shared background."""
+    import ray.data
+
+    from core_ray.geo import hexgrid
+
+    rng = np.random.default_rng(11)
+    lon = 10.0 + rng.random(300)
+    lat = 50.0 + rng.random(300)
+    background = hexgrid.lonlat_to_cell(lon, lat, 7).astype(np.uint64)
+    mega, summed = hexgrid.lonlat_to_cell(np.array([10.5, 12.5]), np.array([50.5, 52.5]), 7)
+    blocks = []
+    for _ in range(4):
+        cells = np.concatenate([np.full(1500, mega), np.full(400, summed),
+                                rng.choice(background, 600)]).astype(np.uint64)
+        rng.shuffle(cells)
+        blocks.append(pa.table({"hex_cell": pa.array(cells, pa.uint64())}))
+    return ray.data.from_arrow(blocks), int(mega), int(summed)
+
+
+def test_hot_sets_is_one_map_only_execution(ray_session, executions):
+    """Below the driver threshold the hot-cell plan folds each block map-side
+    and sums the partials on the driver: one execution, no shuffle. The
+    distributed branch gives the same sets: it sums the partial counts,
+    where a count of partial rows would see the 1,600-row cell as 4 rows."""
+    from core_ray.stages.knn import _hot_sets
+
+    ds, mega, summed = _skewed_cells()
+    assert ds.num_blocks() == 4
+    executions.clear()
+    hot_coarse, fine_salts = _hot_sets(ds, 5, hot_threshold=1000, salt_target=500)
+    assert len(executions) == 1, executions
+    assert "Sort" not in executions[0], executions
+    assert len(hot_coarse) and fine_salts == {mega: 12, summed: 4}
+
+    hc, fs = _hot_sets(ds, 5, hot_threshold=1000, salt_target=500, driver_cells_threshold=0)
+    assert sorted(hc.tolist()) == sorted(hot_coarse.tolist()) and fs == fine_salts

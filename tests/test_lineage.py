@@ -188,22 +188,6 @@ def test_digest_is_bitwise_on_floats():
 # ---------------------------------------------------------------- reader
 
 
-@pytest.fixture
-def executions(monkeypatch):
-    """The Ray Data executions started while the test runs."""
-    from ray.data._internal.execution.streaming_executor import StreamingExecutor
-
-    seen = []
-    execute = StreamingExecutor.execute
-
-    def counted(self, dag, *args, **kwargs):
-        seen.append(str(dag))
-        return execute(self, dag, *args, **kwargs)
-
-    monkeypatch.setattr(StreamingExecutor, "execute", counted)
-    return seen
-
-
 @pytest.mark.parametrize("n_parts", [1, 5])
 def test_load_reads_the_listed_parts(ray_session, tmp_path, monkeypatch, executions, n_parts):
     """``load`` gives exactly the rows of the part files the manifest lists;
