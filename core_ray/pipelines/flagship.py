@@ -139,34 +139,26 @@ def _phase_a(page_files: list[str], geoip_table: pa.Table, admin_table: pa.Table
 def _stats_pass(deduped) -> dict:
     """One map-only execution computing all ScanStats-analog counters:
     per-source row counts + page counts (each page has exactly one
-    mention_idx==0 row). Each batch folds to one row per source; the
-    partials (a few rows per block) are summed on the driver."""
-    import numpy as np
+    mention_idx==0 row), folded per source by ``agg.fold_table``."""
     import pyarrow.compute as pc
 
-    from core_ray.collect import collect_table
+    from core_ray.stages.agg import fold_table
 
-    def partial(b: pa.Table) -> pa.Table:
-        pages = pc.cast(pc.equal(b["mention_idx"], 0), pa.int64())
-        t = pa.table(
-            {"derivation_source": b["derivation_source"], "rows": np.ones(b.num_rows, np.int64), "pages": pages}
-        )
-        return pa.TableGroupBy(t, "derivation_source").aggregate(
-            [("rows", "sum"), ("pages", "sum")]
+    def pages(b: pa.Table) -> pa.Table:
+        return pa.table(
+            {"derivation_source": b["derivation_source"], "page": pc.equal(b["mention_idx"], 0)}
         )
 
-    parts = collect_table(
+    t = fold_table(
         deduped.select_columns(["derivation_source", "mention_idx"])
-        .map_batches(partial, batch_format="pyarrow", batch_size=65536)
+        .map_batches(pages, batch_format="pyarrow", batch_size=None),
+        "derivation_source",
+        {"rows": (None, "count"), "pages": ("page", "sum")},
     )
     per_src = {}
-    if parts.num_rows:
-        agg = pa.TableGroupBy(parts, "derivation_source").aggregate(
-            [("rows_sum", "sum"), ("pages_sum", "sum")]
-        )
+    if t.num_rows:
         per_src = dict(zip(
-            agg["derivation_source"].to_pylist(),
-            zip(agg["rows_sum_sum"].to_pylist(), agg["pages_sum_sum"].to_pylist()),
+            t["derivation_source"].to_pylist(), zip(t["rows"].to_pylist(), t["pages"].to_pylist())
         ))
     _err_srcs = ("none", "oversize")
     hist = {s: p for s, (r, p) in per_src.items() if s not in _err_srcs}

@@ -19,6 +19,7 @@ import pyarrow.parquet as pq
 
 from core_ray.collect import collect_table
 from core_ray.fixtures import docs_golden as dg
+from core_ray.stages.agg import fold_table
 
 # ---------------------------------------------------------------- registry
 
@@ -177,6 +178,17 @@ _QT_LMAX = 8  # quadtree max depth (2^8 x 2^8 finest grid)
 
 _GE_CELL_MILLI = 10000  # 10-degree geographic-entropy cells
 _TT_DAY_US = 86400000000
+
+
+def _first_day(ds) -> int:
+    """Epoch day of the earliest event (one global MIN fold)."""
+
+    def day_of(b: pa.Table) -> pa.Table:
+        us = pc.cast(b["ts"], pa.int64()).to_numpy(zero_copy_only=False)
+        return pa.table({"day": pa.array(us // _TT_DAY_US, pa.int64())})
+
+    days = ds.map_batches(day_of, batch_format="pyarrow", batch_size=131072)
+    return int(fold_table(days, [], {"d0": ("day", "min")})["d0"][0].as_py())
 
 
 _BI_RADIUS = 2.0  # bipartite band radius in degrees

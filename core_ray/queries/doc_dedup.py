@@ -20,7 +20,7 @@ from core_ray.queries._shared import (
     _DGD, _collect_table, _ensure_docs_golden, _read, _session_cached, query,
 )
 from core_ray.rounding import sql_round_np
-from core_ray.stages.agg import count_by_u64, hash_strings, map_groups_partitioned, sum_by_u64
+from core_ray.stages.agg import count_by_u64, fold_table, hash_strings, map_groups_partitioned, sum_by_u64
 from core_ray.stages.cc import connected_components
 from core_ray.stages.join import fits_broadcast, hash_join, lookup_join
 from core_ray.text.analysis import Fingerprinter, repetition_fractions
@@ -353,8 +353,6 @@ def doc_dedup_method_overlap(sf_dir: str):
     both) followed by a tiny class-count fold — unbounded-pair-safe, the
     driver sees three integers. Output includes the overlap Jaccard as
     one exact division (NULLIF-mirrored)."""
-    from ray.data.aggregate import Sum
-
     _ensure_docs_golden(sf_dir)
     mh = _dup_pairs(sf_dir, threshold=0.5)
     sh = simhash_near_dups(
@@ -382,22 +380,13 @@ def doc_dedup_method_overlap(sf_dir: str):
     per_key = sum_by_u64(tagged, "key", "val")
 
     def classes(b: pa.Table) -> pa.Table:
-        v = b["cnt"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "one": pa.array([1], pa.int64()),
-                "mh_only": pa.array([int((v == 1).sum())], pa.int64()),
-                "sh_only": pa.array([int((v == 2).sum())], pa.int64()),
-                "both": pa.array([int((v == 3).sum())], pa.int64()),
-            }
-        )
+        v = b["cnt"].to_numpy(zero_copy_only=False)
+        return pa.table({"mh_only": v == 1, "sh_only": v == 2, "both": v == 3})
 
-    agg = _collect_table(
-        per_key.map_batches(classes, batch_format="pyarrow")
-        .groupby("one")
-        .aggregate(Sum("mh_only", alias_name="mh_only"),
-                   Sum("sh_only", alias_name="sh_only"),
-                   Sum("both", alias_name="both"))
+    agg = fold_table(
+        per_key.map_batches(classes, batch_format="pyarrow"),
+        [],
+        {c: (c, "sum") for c in ("mh_only", "sh_only", "both")},
     )
     mo = int(agg["mh_only"][0].as_py()) if agg.num_rows else 0
     so = int(agg["sh_only"][0].as_py()) if agg.num_rows else 0
@@ -734,8 +723,6 @@ def doc_curation_funnel(sf_dir: str):
     broadcast-size assumption at all, unlike the curate pass's guarded
     probe), and per-batch partial sums fold through one tiny groupby —
     the driver sees ONE row of seven integers."""
-    from ray.data.aggregate import Sum
-
     _ensure_docs_golden(sf_dir)
     ds = _read(sf_dir, "documents", ["doc_id", "text", "n_chars"])
     t1, t2 = _bucket_thresholds(
@@ -790,27 +777,21 @@ def doc_curation_funnel(sf_dir: str):
     cols = ("n_total", "n_after_dedup", "n_after_length",
             "n_after_repetition", "n_head", "n_middle", "n_tail")
 
-    def partial(b: pa.Table) -> pa.Table:
+    def stages(b: pa.Table) -> pa.Table:
         sv = pc.is_null(b["__dup"]).to_numpy(zero_copy_only=False)
         lok = b["len_ok"].to_numpy(zero_copy_only=False) == 1
         rok = b["rep_ok"].to_numpy(zero_copy_only=False) == 1
         c = b["n_chars"].to_numpy(zero_copy_only=False).astype(np.float64)
         final = sv & lok & rok
-        vals = (
-            len(sv), int(sv.sum()), int((sv & lok).sum()), int(final.sum()),
-            int((final & (c > t2)).sum()),
-            int((final & (c > t1) & (c <= t2)).sum()),
-            int((final & (c <= t1)).sum()),
+        flags = (
+            sv, sv & lok, final, final & (c > t2), final & (c > t1) & (c <= t2), final & (c <= t1),
         )
-        return pa.table(
-            {"one": pa.array([1], pa.int64()),
-             **{k: pa.array([v], pa.int64()) for k, v in zip(cols, vals)}}
-        )
+        return pa.table(dict(zip(cols[1:], flags)))
 
-    agg = _collect_table(
-        j.map_batches(partial, batch_format="pyarrow")
-        .groupby("one")
-        .aggregate(*[Sum(k, alias_name=k) for k in cols])
+    agg = fold_table(
+        j.map_batches(stages, batch_format="pyarrow"),
+        [],
+        {"n_total": (None, "count"), **{k: (k, "sum") for k in cols[1:]}},
     )
     return pa.table(
         {k: pa.array([int(agg[k][0].as_py()) if agg.num_rows else 0],
@@ -1492,10 +1473,8 @@ def doc_bigram_entropy(sf_dir: str):
     divisions mirrored in SQL. Distribution: per-batch (lang, bigram)
     combiner counts hash-partitioned by (lang, PREFIX w1) — a prefix's
     every bigram lands in one partition, so prefix totals c1 are exact
-    there — then per-lang integer partials to a tiny final groupby; the
-    bigram vocabulary never reaches the driver."""
-    from ray.data.aggregate import Sum
-
+    there — then per-lang integer sums in one grouped fold; the bigram
+    vocabulary never reaches the driver."""
     ds = _read(sf_dir, "documents", ["lang", "text"])
 
     def bigrams(b: pa.Table) -> pa.Table:
@@ -1555,27 +1534,22 @@ def doc_bigram_entropy(sf_dir: str):
             * 1000000.0,
             0,
         ).astype(np.int64)
-        ul, linv = np.unique(langs, return_inverse=True)
-        n = np.zeros(len(ul), np.int64)
-        s = np.zeros(len(ul), np.int64)
-        np.add.at(n, linv, c12)
-        np.add.at(s, linv, c12 * lm)
         return pa.table(
             {
-                "lang": pa.array(ul, pa.string()),
-                "n": pa.array(n, pa.int64()),
-                "s": pa.array(s, pa.int64()),
+                "lang": pa.array(langs, pa.string()),
+                "n": pa.array(c12, pa.int64()),
+                "s": pa.array(c12 * lm, pa.int64()),
             }
         )
 
-    agg = _collect_table(
+    agg = fold_table(
         map_groups_partitioned(
             ds.map_batches(bigrams, batch_format="pyarrow", batch_size=512),
             "__key", reduce_part,
-        )
-        .groupby("lang")
-        .aggregate(Sum("n", alias_name="n_bigrams"), Sum("s", alias_name="h_num_micro"))
-    ).sort_by("lang")
+        ),
+        "lang",
+        {"n_bigrams": ("n", "sum"), "h_num_micro": ("s", "sum")},
+    )
     n = agg["n_bigrams"].to_numpy(zero_copy_only=False).astype(np.int64)
     s = agg["h_num_micro"].to_numpy(zero_copy_only=False).astype(np.int64)
     return pa.table(
@@ -1625,10 +1599,8 @@ def doc_span_dup_fraction(sf_dir: str):
     batch-level doc dedup is global), hash-partitioned BY GRAM so each
     partition sees a gram's every document — distinct-doc counts and
     the dup flag are exact there — then per-lang integer partials
-    (total_occ, dup_occ) to a tiny final groupby; dup_frac is ONE
+    (total_occ, dup_occ) in one grouped fold; dup_frac is ONE
     double division. The gram vocabulary never reaches the driver."""
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "documents", ["doc_id", "lang", "text"])
 
     def doc_grams(b: pa.Table) -> pa.Table:
@@ -1681,27 +1653,19 @@ def doc_span_dup_fraction(sf_dir: str):
         starts = np.nonzero(new)[0]
         d = np.diff(np.append(starts, len(gs)))  # distinct docs per gram
         dup_row = (d >= 2)[seg]
-        ul, inv = np.unique(ls, return_inverse=True)
-        tot = np.zeros(len(ul), np.int64)
-        dup = np.zeros(len(ul), np.int64)
-        np.add.at(tot, inv, oc)
-        np.add.at(dup, inv, np.where(dup_row, oc, 0))
         return pa.table(
             {
-                "lang": pa.array(ul, pa.string()),
-                "total_occ": pa.array(tot, pa.int64()),
-                "dup_occ": pa.array(dup, pa.int64()),
+                "lang": pa.array(ls, pa.string()),
+                "total_occ": pa.array(oc, pa.int64()),
+                "dup_occ": pa.array(np.where(dup_row, oc, 0), pa.int64()),
             }
         )
 
-    agg = _collect_table(
-        map_groups_partitioned(gram_ds, "gh", per_part)
-        .groupby("lang")
-        .aggregate(
-            Sum("total_occ", alias_name="total_occ"),
-            Sum("dup_occ", alias_name="dup_occ"),
-        )
-    ).sort_by("lang")
+    agg = fold_table(
+        map_groups_partitioned(gram_ds, "gh", per_part),
+        "lang",
+        {"total_occ": ("total_occ", "sum"), "dup_occ": ("dup_occ", "sum")},
+    )
     tot = agg["total_occ"].to_numpy(zero_copy_only=False).astype(np.int64)
     dup = agg["dup_occ"].to_numpy(zero_copy_only=False).astype(np.int64)
     return pa.table(

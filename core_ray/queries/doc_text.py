@@ -23,8 +23,8 @@ from core_ray.queries._shared import (
 )
 from core_ray.rounding import sql_round, sql_round_np
 from core_ray.stages.agg import (
-    _n_parts, count_by_u64, hash_strings, histogram_quantile_cont, map_groups_partitioned,
-    sum_by_u64,
+    _n_parts, count_by_u64, fold, fold_table, hash_strings, histogram_quantile_cont,
+    map_groups_partitioned, sum_by_u64,
 )
 from core_ray.stages.distband import distance_pairs
 from core_ray.stages.join import fits_broadcast, hash_join
@@ -32,6 +32,13 @@ from core_ray.text.analysis import (
     STOPWORDS, LangId, add_quality, add_token_counts, repetition_fractions,
 )
 from core_ray.text.crypto import Encryptor, decrypt
+
+
+def _words(b: pa.Table) -> pa.Table:
+    """One row per space-split word of each text (str.split(" ") ==
+    DuckDB string_split: empty words count)."""
+    words = [w for t in b["text"].to_pylist() for w in t.split(" ")]
+    return pa.table({"w": pa.array(words, pa.string())})
 
 
 # ---------------------------------------------------------------- documents
@@ -58,23 +65,16 @@ SELECT lang, COUNT(*) AS n_docs, ROUND(SUM(n_chars) / COUNT(*), 2) AS avg_chars
 FROM documents GROUP BY 1
 """)
 def doc_lang_dist(sf_dir: str):
-    from ray.data.aggregate import Count, Sum
-
     ds = _read(sf_dir, "documents", ["lang", "n_chars"])
-    agg = ds.groupby("lang").aggregate(
-        Count(alias_name="n_docs"), Sum("n_chars", alias_name="sum_chars")
-    )
-    return agg.map_batches(
-        lambda b: pa.table(
-            {
-                "lang": b["lang"],
-                "n_docs": pc.cast(b["n_docs"], pa.int64()),
-                "avg_chars": sql_round(
-                    pc.divide(pc.cast(b["sum_chars"], pa.float64()), pc.cast(b["n_docs"], pa.float64())), 2
-                ),
-            }
-        ),
-        batch_format="pyarrow",
+    t = fold_table(ds, "lang", {"n_docs": (None, "count"), "sum_chars": ("n_chars", "sum")})
+    return pa.table(
+        {
+            "lang": t["lang"],
+            "n_docs": t["n_docs"],
+            "avg_chars": sql_round(
+                pc.divide(pc.cast(t["sum_chars"], pa.float64()), pc.cast(t["n_docs"], pa.float64())), 2
+            ),
+        }
     )
 
 
@@ -210,33 +210,12 @@ def doc_lang_confusion(sf_dir: str):
     feeds one small groupby. The oracle nests the full SQL mirror of the
     classifier as a CTE — the strongest cross-check the langid kernel has
     (every document's prediction participates, not just the row set)."""
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "documents", ["doc_id", "text", "lang"])
     pred = ds.map_batches(
         LangId, batch_format="pyarrow", batch_size=4096, concurrency=(1, 4)
     )
 
-    def combine(b: pa.Table) -> pa.Table:
-        t = pa.table({"lang": b["lang"], "lang_pred": b["lang_pred"]})
-        agg = pa.TableGroupBy(t, ["lang", "lang_pred"]).aggregate([([], "count_all")])
-        return agg.select(["lang", "lang_pred", "count_all"])
-
-    agg = (
-        pred.map_batches(combine, batch_format="pyarrow", batch_size=65536)
-        .groupby(["lang", "lang_pred"])
-        .aggregate(Sum("count_all", alias_name="n_docs"))
-    )
-    return agg.map_batches(
-        lambda b: pa.table(
-            {
-                "lang": b["lang"],
-                "lang_pred": b["lang_pred"],
-                "n_docs": pc.cast(b["n_docs"], pa.int64()),
-            }
-        ),
-        batch_format="pyarrow",
-    )
+    return fold_table(pred, ["lang", "lang_pred"], {"n_docs": (None, "count")})
 
 
 _TOPONYMS = ("spark", "window", "stream", "vector")  # ambiguous model names
@@ -381,21 +360,9 @@ def doc_source_geo_entropy(sf_dir: str):
     Float parity: per-cell c*log2(c) rounds to integer micro-bits
     (sql_round_np == DuckDB ROUND), sums are exact BIGINT, and entropy is
     one fixed double chain shared with the oracle."""
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "documents", ["doc_id", "source"])
 
-    def src_partial(b: pa.Table) -> pa.Table:
-        u = np.unique(np.asarray(b["source"].to_pylist()))
-        return pa.table({"source": pa.array(u.tolist(), pa.string()),
-                         "one": pa.array(np.ones(len(u), np.int64))})
-
-    src_t = _collect_table(
-        ds.select_columns(["source"])
-        .map_batches(src_partial, batch_format="pyarrow", batch_size=131072)
-        .groupby("source")
-        .aggregate(Sum("one", alias_name="n"))
-    )
+    src_t = fold_table(ds.select_columns(["source"]), "source", {"n": (None, "count")})
     sources = np.sort(np.asarray(src_t["source"].to_pylist()))
 
     def pack(b: pa.Table, srcs=sources) -> pa.Table:
@@ -485,21 +452,9 @@ def doc_lang_dissimilarity(sf_dir: str):
     fold over all pairs. int64 bound: c*total <= N^2 — safe to ~3e9 docs
     per language; the driver fold widens to Python ints beyond
     (documented hatch)."""
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "documents", ["doc_id", "lang"])
 
-    def lang_partial(b: pa.Table) -> pa.Table:
-        u = np.unique(np.asarray(b["lang"].to_pylist()))
-        return pa.table({"lang": pa.array(u.tolist(), pa.string()),
-                         "one": pa.array(np.ones(len(u), np.int64))})
-
-    lang_t = _collect_table(
-        ds.select_columns(["lang"])
-        .map_batches(lang_partial, batch_format="pyarrow", batch_size=131072)
-        .groupby("lang")
-        .aggregate(Sum("one", alias_name="n"))
-    )
+    lang_t = fold_table(ds.select_columns(["lang"]), "lang", {"n": (None, "count")})
     langs = np.sort(np.asarray(lang_t["lang"].to_pylist()))
 
     def pack(b: pa.Table, ls=langs) -> pa.Table:
@@ -818,8 +773,6 @@ def doc_toponym_cooccur(sf_dir: str):
     word-boundary match per name builds a (B x 4) presence matrix and a
     vectorized pair fold reduces straight to the 6 pair counts — rows
     never shuffle, 6 x n_batches partial rows reach the final sum."""
-    from ray.data.aggregate import Sum
-
     names = _TOPONYMS
     pairs = [
         (i, j) for i in range(len(names)) for j in range(i + 1, len(names))
@@ -847,15 +800,11 @@ def doc_toponym_cooccur(sf_dir: str):
             }
         )
 
-    agg = _collect_table(
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536)
-        .groupby("pid")
-        .aggregate(Sum("c", alias_name="n_docs"))
+    agg = fold_table(
+        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536), "pid", {"n_docs": ("c", "sum")}
     )
     pid = agg["pid"].to_numpy(zero_copy_only=False).astype(np.int64)
     n = agg["n_docs"].to_numpy(zero_copy_only=False).astype(np.int64)
-    order = np.argsort(pid)
-    pid, n = pid[order], n[order]
     return pa.table(
         {
             "name_a": pa.array([names[pairs[p][0]] for p in pid], pa.string()),
@@ -1059,17 +1008,8 @@ def doc_heaps_law(sf_dir: str):
             }
         )
 
-    from ray.data.aggregate import Sum
-
-    agg = _collect_table(
-        firsts_ds.map_batches(hist, batch_format="pyarrow")
-        .groupby("ck")
-        .aggregate(Sum("v", alias_name="v"))
-    )
-    ck = agg["ck"].to_numpy(zero_copy_only=False).astype(np.int64)
+    agg = fold_table(firsts_ds.map_batches(hist, batch_format="pyarrow"), "ck", {"v": ("v", "sum")})
     v = agg["v"].to_numpy(zero_copy_only=False).astype(np.int64)
-    order = np.argsort(ck)
-    v = v[order]
     n_docs_at = np.asarray(bounds, np.int64) + 1  # doc_id <= t inclusive
 
     x = sql_round_np(
@@ -1580,21 +1520,9 @@ def doc_lang_region_mi(sf_dir: str):
     is the cross-multiplied (c_lr * N)/(c_l * c_r), one exact-integer
     division chain cast to double identically on both sides; MI = one
     exact integer sum / (1e6 * N)."""
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "documents", ["doc_id", "lang"])
 
-    def lang_partial(b: pa.Table) -> pa.Table:
-        u = np.unique(np.asarray(b["lang"].to_pylist()))
-        return pa.table({"lang": pa.array(u.tolist(), pa.string()),
-                         "one": pa.array(np.ones(len(u), np.int64))})
-
-    lang_t = _collect_table(
-        ds.select_columns(["lang"])
-        .map_batches(lang_partial, batch_format="pyarrow", batch_size=131072)
-        .groupby("lang")
-        .aggregate(Sum("one", alias_name="n"))
-    )
+    lang_t = fold_table(ds.select_columns(["lang"]), "lang", {"n": (None, "count")})
     langs = np.sort(np.asarray(lang_t["lang"].to_pylist()))
 
     def pack(b: pa.Table, ls=langs) -> pa.Table:
@@ -1788,24 +1716,10 @@ def doc_pmi_collocations(sf_dir: str):
     top-{K} under (pmi desc, bigram asc); PMI is ONE double chain
     log2((c_xy * N)/(c_x * c_y)) mirrored in SQL, support floor
     c_xy >= {MIN}."""
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "documents", ["text"])
 
-    def uni_partial(b: pa.Table) -> pa.Table:
-        toks = np.asarray(
-            [w for t in b["text"].to_pylist() for w in t.split(" ")]
-        )
-        u, c = np.unique(toks, return_counts=True)
-        return pa.table(
-            {"w": pa.array(u.tolist(), pa.string()),
-             "c": pa.array(c.astype(np.int64), pa.int64())}
-        )
-
-    uni = _collect_table(
-        ds.map_batches(uni_partial, batch_format="pyarrow", batch_size=2048)
-        .groupby("w")
-        .aggregate(Sum("c", alias_name="c"))
+    uni = fold_table(
+        ds.map_batches(_words, batch_format="pyarrow", batch_size=2048), "w", {"c": (None, "count")}
     )  # vocab fits the broadcast guard at these scales (surprisal hatch)
     uw = np.sort(np.asarray(uni["w"].to_pylist()))
     uc_raw = np.asarray(uni["w"].to_pylist())
@@ -1906,8 +1820,6 @@ def doc_length_lognormal(sf_dir: str):
     mu and sigma come from exact order-free integer moments — sigma via
     the n*sum(x^2) - sum(x)^2 identity, one fixed sqrt chain. One
     map-only combiner pass (three ints per batch reach the driver)."""
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "documents", ["n_chars"])
 
     def partial(b: pa.Table) -> pa.Table:
@@ -1915,22 +1827,12 @@ def doc_length_lognormal(sf_dir: str):
         x = sql_round_np(
             np.log2(v.astype(np.float64)) * 1000.0, 0
         ).astype(np.int64)
-        return pa.table(
-            {
-                "one": pa.array([1], pa.int64()),
-                "n": pa.array([len(x)], pa.int64()),
-                "sx": pa.array([int(x.sum())], pa.int64()),
-                "sxx": pa.array([int((x * x).sum())], pa.int64()),
-            }
-        )
+        return pa.table({"sx": x, "sxx": x * x})
 
-    agg = _collect_table(
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=131072)
-        .groupby("one")
-        .aggregate(
-            Sum("n", alias_name="n"), Sum("sx", alias_name="sx"),
-            Sum("sxx", alias_name="sxx"),
-        )
+    agg = fold_table(
+        ds.map_batches(partial, batch_format="pyarrow", batch_size=131072),
+        [],
+        {"n": (None, "count"), "sx": ("sx", "sum"), "sxx": ("sxx", "sum")},
     )
     n = int(agg["n"][0].as_py())
     sx = int(agg["sx"][0].as_py())
@@ -1981,28 +1883,12 @@ def doc_unigram_surprisal(sf_dir: str):
     is ULP-divergent across libms), sums are order-independent BIGINT
     arithmetic, and the mean is one exact int/int division on both
     sides."""
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
-    def wc_partial(b: pa.Table) -> pa.Table:
-        words = np.asarray(
-            [w for t in b["text"].to_pylist() for w in t.split(" ")]
-        )
-        u, c = np.unique(words, return_counts=True)
-        return pa.table(
-            {"w": pa.array(u.tolist(), pa.string()),
-             "c": pa.array(c.astype(np.int64), pa.int64())}
-        )
-
-    counts = (
-        ds.map_batches(wc_partial, batch_format="pyarrow", batch_size=2048)
-        .groupby("w")
-        .aggregate(Sum("c", alias_name="c"))
-        .materialize()
-    )
-    total = counts.aggregate(Sum("c", alias_name="t"))["t"]
-    tf = float(total)
+    counts = fold(
+        ds.map_batches(_words, batch_format="pyarrow", batch_size=2048), "w", {"c": (None, "count")}
+    ).materialize()
+    tf = float(fold_table(counts, [], {"t": ("c", "sum")})["t"][0].as_py())
 
     def _surprisal_micro(cnt: np.ndarray) -> np.ndarray:
         return sql_round_np(
@@ -3083,8 +2969,6 @@ def doc_yule_k(sf_dir: str):
     so each partition's sums are GLOBAL for its tokens (doc_vocab_top20
     contract), per-partition fold to per-lang (vocab, S1, S2) partials,
     tiny final groupby — the full vocabulary never reaches the driver."""
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "documents", ["lang", "text"])
 
     def count_tokens(b: pa.Table) -> pa.Table:
@@ -3124,9 +3008,8 @@ def doc_yule_k(sf_dir: str):
             return pa.table(
                 {
                     "lang": pa.array([], pa.string()),
-                    "v": pa.array([], pa.int64()),
-                    "s1": pa.array([], pa.int64()),
-                    "s2": pa.array([], pa.int64()),
+                    "m": pa.array([], pa.int64()),
+                    "m2": pa.array([], pa.int64()),
                 }
             )
         langs = np.asarray(g["lang"].to_pylist())
@@ -3139,34 +3022,22 @@ def doc_yule_k(sf_dir: str):
         new[1:] = cs[1:] != cs[:-1]
         starts = np.nonzero(new)[0]
         m = np.add.reduceat(cc, starts)  # GLOBAL count per (lang, token)
-        glangs = cl[starts]
-        ul, inv = np.unique(glangs, return_inverse=True)
-        v = np.bincount(inv).astype(np.int64)
-        s1 = np.zeros(len(ul), np.int64)
-        s2 = np.zeros(len(ul), np.int64)
-        np.add.at(s1, inv, m)
-        np.add.at(s2, inv, m * m)
         return pa.table(
             {
-                "lang": pa.array(ul, pa.string()),
-                "v": pa.array(v, pa.int64()),
-                "s1": pa.array(s1, pa.int64()),
-                "s2": pa.array(s2, pa.int64()),
+                "lang": pa.array(cl[starts], pa.string()),
+                "m": pa.array(m, pa.int64()),
+                "m2": pa.array(m * m, pa.int64()),
             }
         )
 
-    agg = _collect_table(
+    agg = fold_table(
         map_groups_partitioned(
             ds.map_batches(count_tokens, batch_format="pyarrow", batch_size=65536),
             "__key", reduce_part,
-        )
-        .groupby("lang")
-        .aggregate(
-            Sum("v", alias_name="vocab"),
-            Sum("s1", alias_name="s1"),
-            Sum("s2", alias_name="s2"),
-        )
-    ).sort_by("lang")
+        ),
+        "lang",
+        {"vocab": (None, "count"), "s1": ("m", "sum"), "s2": ("m2", "sum")},
+    )
     v = agg["vocab"].to_numpy(zero_copy_only=False).astype(np.int64)
     s1 = agg["s1"].to_numpy(zero_copy_only=False).astype(np.int64)
     s2 = agg["s2"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -3248,28 +3119,15 @@ def doc_bpe_merges(sf_dir: str):
 
 
 def _bpe_learn_impl(sf_dir: str):
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "documents", ["text"])
 
-    def word_counts(b: pa.Table) -> pa.Table:
-        c: dict = {}
-        for t in b["text"].to_pylist():
-            for w in t.split():
-                c[w] = c.get(w, 0) + 1
-        return pa.table(
-            {
-                "word": pa.array(list(c.keys()), pa.string()),
-                "cnt": pa.array(list(c.values()), pa.int64()),
-            }
-        )
+    def words(b: pa.Table) -> pa.Table:
+        words = [w for t in b["text"].to_pylist() for w in t.split()]
+        return pa.table({"word": pa.array(words, pa.string())})
 
-    vocab = (
-        ds.map_batches(word_counts, batch_format="pyarrow", batch_size=4096)
-        .groupby("word")
-        .aggregate(Sum("cnt", alias_name="f"))
-        .materialize()  # bounded vocab, reused by every merge round
-    )
+    vocab = fold(  # bounded vocab, reused by every merge round
+        ds.map_batches(words, batch_format="pyarrow", batch_size=4096), "word", {"f": (None, "count")}
+    ).materialize()
 
     merges: list = []
     out_rows = []
@@ -3303,17 +3161,11 @@ def _bpe_learn_impl(sf_dir: str):
             return b.slice(best, 1)
 
         cands = _collect_table(
-            vocab.map_batches(pair_partial, batch_format="pyarrow")
-            .groupby(["left", "right"])
-            .aggregate(Sum("cnt", alias_name="total"))
-            .map_batches(
-                lambda b: top1(
-                    pa.table(
-                        {"left": b["left"], "right": b["right"], "cnt": b["total"]}
-                    )
-                ),
-                batch_format="pyarrow",
-            )
+            fold(
+                vocab.map_batches(pair_partial, batch_format="pyarrow"),
+                ["left", "right"],
+                {"cnt": ("cnt", "sum")},
+            ).map_batches(top1, batch_format="pyarrow")
         )
         if cands.num_rows == 0:
             break
@@ -3512,36 +3364,24 @@ def doc_bigram_ppl(sf_dir: str):
     at web scale and stay in tasks. Float parity: per-BIGRAM micro-bit
     rounding (log2 is ULP-divergent), order-independent BIGINT sums, one
     exact int/int division for the mean."""
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     train = ds.filter(lambda r: r["doc_id"] % 2 == 0)
     test = ds.filter(lambda r: r["doc_id"] % 2 == 1)
 
-    def bg_partial(b: pa.Table) -> pa.Table:
+    def bg_rows(b: pa.Table) -> pa.Table:
         per = [t.split(" ") for t in b["text"].to_pylist()]
         w1 = [w for p in per for w in p[:-1]]
         w2 = [w for p in per for w in p[1:]]
-        key = np.asarray([f"{a}\x1f{c}" for a, c in zip(w1, w2)])
-        u, cnt = (
-            np.unique(key, return_counts=True) if len(key) else ([], [])
-        )
-        return pa.table(
-            {"bg": pa.array(list(u), pa.string()),
-             "c2": pa.array(np.asarray(cnt, np.int64), pa.int64())}
-        )
+        return pa.table({"bg": pa.array([f"{a}\x1f{c}" for a, c in zip(w1, w2)], pa.string())})
 
     def uni_partial(b: pa.Table) -> pa.Table:
         words = np.asarray([w for t in b["text"].to_pylist() for w in t.split(" ")])
         u = np.unique(words)
         return pa.table({"w": pa.array(u.tolist(), pa.string())})
 
-    bg_counts = (
-        train.map_batches(bg_partial, batch_format="pyarrow", batch_size=2048)
-        .groupby("bg")
-        .aggregate(Sum("c2", alias_name="c2"))
-        .materialize()
-    )
+    bg_counts = fold(
+        train.map_batches(bg_rows, batch_format="pyarrow", batch_size=2048), "bg", {"c2": (None, "count")}
+    ).materialize()
     vocab_ds = (
         train.map_batches(uni_partial, batch_format="pyarrow", batch_size=2048)
         .groupby("w")
@@ -3681,7 +3521,7 @@ def doc_bigram_ppl(sf_dir: str):
         )
 
     mapped = rows.map_batches(map_unk, batch_format="pyarrow")
-    c1_ds = (
+    c1_ds = fold(
         bg_counts.map_batches(
             lambda g: pa.table(
                 {
@@ -3692,9 +3532,9 @@ def doc_bigram_ppl(sf_dir: str):
                 }
             ),
             batch_format="pyarrow",
-        )
-        .groupby("w1")
-        .aggregate(Sum("c2", alias_name="c1"))
+        ),
+        "w1",
+        {"c1": ("c2", "sum")},
     )
     # left, not inner: an unseen bigram must survive with c2 = 0
     j = hash_join(mapped, bg_counts, on="bg", how="left")
@@ -3780,8 +3620,6 @@ def doc_top_keywords(sf_dir: str):
     top-{_KW_K}); above the guard the df side is NEVER collected: per-doc
     (token, tf) rows hash_join the df table and a doc_id-partitioned
     fold ranks per segment. Driver sees only final keyword rows."""
-    from ray.data.aggregate import Count
-
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     n_docs = ds.count()
 
@@ -3793,12 +3631,9 @@ def doc_top_keywords(sf_dir: str):
             {"w": pa.array([w for _, w in words], pa.string())}
         )
 
-    df_ds = (
-        ds.map_batches(df_partial, batch_format="pyarrow", batch_size=2048)
-        .groupby("w")
-        .aggregate(Count(alias_name="df"))
-        .materialize()
-    )
+    df_ds = fold(
+        ds.map_batches(df_partial, batch_format="pyarrow", batch_size=2048), "w", {"df": (None, "count")}
+    ).materialize()
     def topk_from_segments(
         ids: np.ndarray, toks: np.ndarray, tf: np.ndarray, dfv: np.ndarray
     ) -> pa.Table:
@@ -4181,13 +4016,7 @@ def doc_sampling_temperature(sf_dir: str, alpha: float = _TEMP_ALPHA):
     weight fold is driver arithmetic over the bounded language universe —
     POW on both sides (the doc_hemisphere_rbo float-parity convention),
     ROUND 6."""
-    from ray.data.aggregate import Count
-
-    t = _collect_table(
-        _read(sf_dir, "documents", ["lang"])
-        .groupby("lang")
-        .aggregate(Count(alias_name="n_docs"))
-    )
+    t = fold_table(_read(sf_dir, "documents", ["lang"]), "lang", {"n_docs": (None, "count")})
     lang = t["lang"].to_pylist()
     n = t["n_docs"].to_numpy(zero_copy_only=False).astype(np.int64)
     total = np.float64(n.sum())
@@ -4335,15 +4164,13 @@ def doc_source_cosine(sf_dir: str):
             }
         )
 
-    from ray.data.aggregate import Sum
-
-    agg = _collect_table(
+    agg = fold_table(
         map_groups_partitioned(
             ds.map_batches(count_tokens, batch_format="pyarrow", batch_size=65536),
             "token", reduce_part,
-        )
-        .groupby(["sa", "sb"])
-        .aggregate(Sum("dot", alias_name="dot"))
+        ),
+        ["sa", "sb"],
+        {"dot": ("dot", "sum")},
     )
     sa = agg["sa"].to_numpy(zero_copy_only=False)
     sb = agg["sb"].to_numpy(zero_copy_only=False)
@@ -4805,24 +4632,15 @@ def doc_kn_ppl(sf_dir: str):
     via THREE left hash_joins and a doc_id partition finishes. Driver
     traffic above the guard: two scalars (B, V) and the per-doc result
     rows."""
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     train = ds.filter(lambda r: r["doc_id"] % 2 == 0)
     test = ds.filter(lambda r: r["doc_id"] % 2 == 1)
 
-    def bg_partial(b: pa.Table) -> pa.Table:
+    def bg_rows(b: pa.Table) -> pa.Table:
         per = [t.split(" ") for t in b["text"].to_pylist()]
         w1 = [w for p in per for w in p[:-1]]
         w2 = [w for p in per for w in p[1:]]
-        key = np.asarray([f"{a}\x1f{c}" for a, c in zip(w1, w2)])
-        u, cnt = (
-            np.unique(key, return_counts=True) if len(key) else ([], [])
-        )
-        return pa.table(
-            {"bg": pa.array(list(u), pa.string()),
-             "c2": pa.array(np.asarray(cnt, np.int64), pa.int64())}
-        )
+        return pa.table({"bg": pa.array([f"{a}\x1f{c}" for a, c in zip(w1, w2)], pa.string())})
 
     def uni_partial(b: pa.Table) -> pa.Table:
         words = np.asarray(
@@ -4831,12 +4649,9 @@ def doc_kn_ppl(sf_dir: str):
         u = np.unique(words)
         return pa.table({"w": pa.array(u.tolist(), pa.string())})
 
-    bg_counts = (
-        train.map_batches(bg_partial, batch_format="pyarrow", batch_size=2048)
-        .groupby("bg")
-        .aggregate(Sum("c2", alias_name="c2"))
-        .materialize()
-    )
+    bg_counts = fold(
+        train.map_batches(bg_rows, batch_format="pyarrow", batch_size=2048), "bg", {"c2": (None, "count")}
+    ).materialize()
     vocab_ds = (
         train.map_batches(uni_partial, batch_format="pyarrow", batch_size=2048)
         .groupby("w")
@@ -4958,30 +4773,8 @@ def doc_kn_ppl(sf_dir: str):
     bg_split = bg_counts.map_batches(
         split_bg, batch_format="pyarrow"
     ).materialize()
-    w1_stats = (
-        bg_split.map_batches(
-            lambda g: pa.table(
-                {
-                    "w1": g["w1"],
-                    "c2": g["c2"],
-                    "one": pa.array(np.ones(g.num_rows, np.int64)),
-                }
-            ),
-            batch_format="pyarrow",
-        )
-        .groupby("w1")
-        .aggregate(Sum("c2", alias_name="c1"), Sum("one", alias_name="n1f"))
-    )
-    n1b_ds = (
-        bg_split.map_batches(
-            lambda g: pa.table(
-                {"w2": g["w2"], "one": pa.array(np.ones(g.num_rows, np.int64))}
-            ),
-            batch_format="pyarrow",
-        )
-        .groupby("w2")
-        .aggregate(Sum("one", alias_name="n1b"))
-    )
+    w1_stats = fold(bg_split, "w1", {"c1": ("c2", "sum"), "n1f": (None, "count")})
+    n1b_ds = fold(bg_split, "w2", {"n1b": (None, "count")})
 
     def test_rows(b: pa.Table) -> pa.Table:
         per = [t.split(" ") for t in b["text"].to_pylist()]
@@ -6012,38 +5805,21 @@ def doc_moore_lewis(sf_dir: str):
     distributed string-join regime is the documented scale path);
     pass 2 scores every pool document vectorized and prunes to a
     per-batch top-20 — blocks x 20 rows reach the driver."""
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "documents", ["doc_id", "source", "text"])
 
-    def wc_partial(b: pa.Table) -> pa.Table:
-        srcs = b["source"].to_pylist()
+    def words(b: pa.Table) -> pa.Table:
         words, isin = [], []
-        for s_, t in zip(srcs, b["text"].to_pylist()):
+        for s_, t in zip(b["source"].to_pylist(), b["text"].to_pylist()):
             toks = t.split(" ")
             words.extend(toks)
             isin.extend([s_ == _ML_DOMAIN] * len(toks))
-        wa = np.asarray(words)
-        ia = np.asarray(isin, np.int64)
-        u, inv = np.unique(wa, return_inverse=True)
-        c_all = np.bincount(inv, minlength=len(u)).astype(np.int64)
-        c_in = np.zeros(len(u), np.int64)
-        np.add.at(c_in, inv, ia)
-        return pa.table(
-            {
-                "w": pa.array(u.tolist(), pa.string()),
-                "c_all": pa.array(c_all, pa.int64()),
-                "c_in": pa.array(c_in, pa.int64()),
-            }
-        )
+        return pa.table({"w": pa.array(words, pa.string()), "in": pa.array(isin, pa.bool_())})
 
-    counts = (
-        ds.map_batches(wc_partial, batch_format="pyarrow", batch_size=2048)
-        .groupby("w")
-        .aggregate(Sum("c_all", alias_name="c_all"),
-                   Sum("c_in", alias_name="c_in"))
-        .materialize()
-    )
+    counts = fold(
+        ds.map_batches(words, batch_format="pyarrow", batch_size=2048),
+        "w",
+        {"c_all": (None, "count"), "c_in": ("in", "sum")},
+    ).materialize()
     n_vocab = counts.count()
     if n_vocab == 0:
         return pa.table(
@@ -6479,13 +6255,10 @@ def doc_dp_counts(sf_dir: str):
 
     Scale shape: one combiner-first language count (bounded groups);
     noise is O(groups) driver arithmetic."""
-    from ray.data.aggregate import Count
-
     ds = _read(sf_dir, "documents", ["lang"])
-    t = _collect_table(ds.groupby("lang").aggregate(Count()))
-    cnt_col = [c for c in t.column_names if c != "lang"][0]
+    t = fold_table(ds, "lang", {"n": (None, "count")})
     langs = t["lang"].to_pylist()
-    counts = [int(x) for x in t[cnt_col].to_pylist()]
+    counts = t["n"].to_pylist()
     # md5 identity (the bbit/oph convention — md5_number_upper % 2^32)
     h64 = np.frombuffer(
         b"".join(hashlib.md5(s_.encode()).digest() for s_ in langs),

@@ -1142,8 +1142,6 @@ def emb_intrinsic_dim(sf_dir: str, chunk_rows: int = 4096):
     per-row local top-2 -> groupby merge -> O(#blocks) integer partials."""
     import ray
 
-    from ray.data.aggregate import Sum
-
     def pack(b: pa.Table) -> pa.Table:
         x = np.array(b["embedding"].to_pylist(), dtype=np.float64)
         q = sql_round_np(x * 1000000.0, 0).astype(np.int64)

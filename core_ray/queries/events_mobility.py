@@ -14,10 +14,10 @@ import pyarrow.compute as pc
 from core_ray.queries._shared import (
     _BI_RADIUS, _DGD, _FRECHET_K, _FRECHET_MAX_USERS, _GE_CELL_MILLI, _GT_CELL_MILLI, _MORAN_NLAT,
     _MORAN_NLON, _STG_DAY_US, _TT_DAY_US, GEO_LAT_SQL, GEO_LON_SQL, GEO_RECTS, _collect_table,
-    _derive_coords, _ensure_docs_golden, _read, _session_cached, _with_coords, query,
+    _derive_coords, _first_day, _ensure_docs_golden, _read, _session_cached, _with_coords, query,
 )
 from core_ray.rounding import sql_round_np
-from core_ray.stages.agg import count_by_u64, map_groups_partitioned, min_by_u64, sum_by_u64
+from core_ray.stages.agg import count_by_u64, fold_table, map_groups_partitioned, min_by_u64, sum_by_u64
 from core_ray.stages.dbscan import dbscan_from_pairs
 from core_ray.stages.distband import band_replicas, cell_pairs, distance_pairs, haversine_km
 from core_ray.stages.join import fits_broadcast, hash_join, lookup_join
@@ -503,18 +503,9 @@ def events_tile_trend(sf_dir: str):
     numerator/denominator so the driver hash checks the integer algebra,
     not float luck. Cells seen on a single day are excluded (slope
     undefined)."""
-    from ray.data.aggregate import Min
-
     ds = _read(sf_dir, "events", ["event_id", "ts"])
 
-    def day_of(b: pa.Table) -> pa.Table:
-        us = pc.cast(b["ts"], pa.int64()).to_numpy(zero_copy_only=False)
-        return pa.table({"day": pa.array(us // _TT_DAY_US, pa.int64())})
-
-    d0 = int(
-        ds.map_batches(day_of, batch_format="pyarrow", batch_size=131072)
-        .aggregate(Min("day"))["min(day)"]
-    )
+    d0 = _first_day(ds)
 
     def pack(b: pa.Table) -> pa.Table:
         eid = b["event_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1362,21 +1353,9 @@ def events_cell_gini(sf_dir: str):
     both moments are exact integers; G = one fixed double chain. Event
     types are bounded, cells are geometry-bounded: one distributed
     (type, cell) count pass, driver fold."""
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "events", ["event_id", "event_type"])
 
-    def type_partial(b: pa.Table) -> pa.Table:
-        u = np.unique(np.asarray(b["event_type"].to_pylist()))
-        return pa.table({"event_type": pa.array(u.tolist(), pa.string()),
-                         "one": pa.array(np.ones(len(u), np.int64))})
-
-    ty_t = _collect_table(
-        ds.select_columns(["event_type"])
-        .map_batches(type_partial, batch_format="pyarrow", batch_size=131072)
-        .groupby("event_type")
-        .aggregate(Sum("one", alias_name="n"))
-    )
+    ty_t = fold_table(ds.select_columns(["event_type"]), "event_type", {"n": (None, "count")})
     types = np.sort(np.asarray(ty_t["event_type"].to_pylist()))
 
     def pack(b: pa.Table, ts=types) -> pa.Table:
@@ -1715,21 +1694,9 @@ def events_type_region_chisq(sf_dir: str):
     int64 up to ~3e9 events under these cardinalities), so chi2 is an
     exact integer sum divided once. Output includes dof for the test
     lookup."""
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "events", ["event_id", "event_type"])
 
-    def type_partial(b: pa.Table) -> pa.Table:
-        u = np.unique(np.asarray(b["event_type"].to_pylist()))
-        return pa.table({"event_type": pa.array(u.tolist(), pa.string()),
-                         "one": pa.array(np.ones(len(u), np.int64))})
-
-    ty_t = _collect_table(
-        ds.select_columns(["event_type"])
-        .map_batches(type_partial, batch_format="pyarrow", batch_size=131072)
-        .groupby("event_type")
-        .aggregate(Sum("one", alias_name="n"))
-    )
+    ty_t = fold_table(ds.select_columns(["event_type"]), "event_type", {"n": (None, "count")})
     types = np.sort(np.asarray(ty_t["event_type"].to_pylist()))
 
     def pack(b: pa.Table, ts=types) -> pa.Table:
@@ -1915,8 +1882,7 @@ def geo_gravity_fit(sf_dir: str):
     flow on d^2 (doc_zipf_fit's algebra; slope vs distance itself is 2x
     this). Only pairs with positive flow enter (log of zero is not a
     number in any engine)."""
-    od = events_od_matrix(sf_dir)
-    t = _collect_table(od) if not isinstance(od, pa.Table) else od
+    t = events_od_matrix(sf_dir)
     f_ = t["from_city"].to_numpy(zero_copy_only=False).astype(np.int64)
     to = t["to_city"].to_numpy(zero_copy_only=False).astype(np.int64)
     n = t[t.column_names[2]].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -2251,19 +2217,14 @@ def _st_getis_z(sf_dir: str):
 
     def day_of(b: pa.Table) -> pa.Table:
         us = pc.cast(b["ts"], pa.int64()).to_numpy(zero_copy_only=False)
-        d = us // _STG_DAY_US
-        if len(d) == 0:
-            return pa.table({"d0": pa.array([], pa.int64()),
-                             "d1": pa.array([], pa.int64())})
-        return pa.table(
-            {"d0": pa.array([int(d.min())], pa.int64()),
-             "d1": pa.array([int(d.max())], pa.int64())}
-        )
+        return pa.table({"d": pa.array(us // _STG_DAY_US, pa.int64())})
 
-    span = ds.map_batches(day_of, batch_format="pyarrow", batch_size=131072)
-    d0 = span.min("d0")
-    d1 = span.max("d1")
-    if d0 is None:
+    span = fold_table(
+        ds.map_batches(day_of, batch_format="pyarrow", batch_size=131072),
+        [],
+        {"d0": ("d", "min"), "d1": ("d", "max")},
+    )
+    if not span.num_rows:
         return pa.table(
             {
                 "gx": pa.array([], pa.int64()),
@@ -2274,7 +2235,7 @@ def _st_getis_z(sf_dir: str):
                 "z": pa.array([], pa.float64()),
             }
         )
-    d0, d1 = int(d0), int(d1)
+    d0, d1 = int(span["d0"][0].as_py()), int(span["d1"][0].as_py())
     nd = d1 - d0 + 1
     n_bins = nlon * nlat * nd
 
@@ -2295,16 +2256,12 @@ def _st_getis_z(sf_dir: str):
     ).materialize()
 
     def scalars(b: pa.Table) -> pa.Table:
-        x = b["cnt"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "t": pa.array([int(x.sum())], pa.int64()),
-                "sum_sq": pa.array([int((x * x).sum())], pa.int64()),
-            }
-        )
+        return pa.table({"t": b["cnt"], "sum_sq": pc.multiply(b["cnt"], b["cnt"])})
 
-    sc = cells.map_batches(scalars, batch_format="pyarrow").sum(["t", "sum_sq"])
-    t, sum_sq = int(sc["sum(t)"]), int(sc["sum(sum_sq)"])
+    sc = fold_table(
+        cells.map_batches(scalars, batch_format="pyarrow"), [], {c: (c, "sum") for c in ("t", "sum_sq")}
+    )
+    t, sum_sq = int(sc["t"][0].as_py()), int(sc["sum_sq"][0].as_py())
     a_const = n_bins * sum_sq - t * t
 
     offs = [(ox, oy, ot)
@@ -2950,8 +2907,6 @@ def events_od_matrix(sf_dir: str):
     to the bounded 12x12 partial (same combiner-first shape as
     events_transitions), then a tiny final groupby sums. All-integer, no
     float anywhere."""
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts"])
 
     def per_part(g: pa.Table) -> pa.Table:
@@ -2987,10 +2942,8 @@ def events_od_matrix(sf_dir: str):
             }
         )
 
-    return (
-        map_groups_partitioned(ds, "user_id", per_part)
-        .groupby(["from_city", "to_city"])
-        .aggregate(Sum("n", alias_name="n_trips"))
+    return fold_table(
+        map_groups_partitioned(ds, "user_id", per_part), ["from_city", "to_city"], {"n_trips": ("n", "sum")}
     )
 
 
@@ -3206,8 +3159,6 @@ def events_od_reciprocity(sf_dir: str):
     od_matrix: one user-keyed shuffle, each partition reduces its legs to
     the bounded 12x12 partial, and the reciprocity fold is driver
     arithmetic over <=132 rows — bounded at ANY corpus scale."""
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts"])
 
     def per_part(g: pa.Table) -> pa.Table:
@@ -3244,10 +3195,8 @@ def events_od_reciprocity(sf_dir: str):
             }
         )
 
-    od = _collect_table(
-        map_groups_partitioned(ds, "user_id", per_part)
-        .groupby(["from_city", "to_city"])
-        .aggregate(Sum("n", alias_name="n_trips"))
+    od = fold_table(
+        map_groups_partitioned(ds, "user_id", per_part), ["from_city", "to_city"], {"n_trips": ("n", "sum")}
     )
     f = od["from_city"].to_numpy(zero_copy_only=False).astype(np.int64)
     t = od["to_city"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -3747,7 +3696,7 @@ def events_hits(sf_dir: str):
     (#cities is a model constant, the same driver-side contract as the
     other city-matrix ops). The iteration over an UNBOUNDED node set is
     emb_pagerank's sharded path — documented there."""
-    flows = _collect_table(events_od_matrix(sf_dir))
+    flows = events_od_matrix(sf_dir)
     if flows.num_rows == 0:
         return pa.table(
             {
@@ -4057,7 +4006,7 @@ def events_graph_diameter(sf_dir: str):
     )
     if und.count() == 0:
         return empty
-    src0 = int(und.min("src"))
+    src0 = int(fold_table(und, [], {"src": ("src", "min")})["src"][0].as_py())
 
     def bfs_far(start: int) -> tuple[int, int]:
         import ray.data as rd

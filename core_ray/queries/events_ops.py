@@ -15,7 +15,8 @@ from core_ray.queries._shared import (
 )
 from core_ray.rounding import sql_round, sql_round_np
 from core_ray.stages.agg import (
-    _GOLD, count_by_u64, histogram_quantile_cont, map_groups_partitioned, max_by_u64, sum_by_u64,
+    _GOLD, count_by_u64, fold, fold_table, histogram_quantile_cont, map_groups_partitioned,
+    max_by_u64, sum_by_u64,
 )
 from core_ray.stages.interval import interval_join_bucketed
 from core_ray.stages.join import hash_join, lookup_join
@@ -32,42 +33,24 @@ SELECT event_type, epoch_us(ts) // 3600000000 AS hour,
 FROM events GROUP BY 1, 2
 """)
 def events_hourly(sf_dir: str):
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "events", ["ts", "event_type", "value"])
 
-    def combine(b: pa.Table) -> pa.Table:
-        # per-batch combiner: the shuffle moves <= (types x hours) rows per
-        # batch instead of every event row
+    def hours(b: pa.Table) -> pa.Table:
         us = pc.cast(b["ts"], pa.int64())
-        t = pa.table(
+        return pa.table(
             {
                 "event_type": b["event_type"],
                 "hour": pc.divide(us, _HOUR_US),
                 "value": b["value"],
             }
         )
-        agg = pa.TableGroupBy(t, ["event_type", "hour"]).aggregate(
-            [("value", "sum"), ([], "count_all")]
-        )
-        return agg.select(["event_type", "hour", "value_sum", "count_all"])
 
-    agg = (
-        ds.map_batches(combine, batch_format="pyarrow", batch_size=65536)
-        .groupby(["event_type", "hour"])
-        .aggregate(Sum("count_all", alias_name="n_events"), Sum("value_sum", alias_name="sum_value"))
+    t = fold_table(
+        ds.map_batches(hours, batch_format="pyarrow", batch_size=65536),
+        ["event_type", "hour"],
+        {"n_events": (None, "count"), "sum_value": ("value", "sum")},
     )
-    return agg.map_batches(
-        lambda b: pa.table(
-            {
-                "event_type": b["event_type"],
-                "hour": b["hour"],
-                "n_events": pc.cast(b["n_events"], pa.int64()),
-                "sum_value": sql_round(b["sum_value"], 2),
-            }
-        ),
-        batch_format="pyarrow",
-    )
+    return t.set_column(3, "sum_value", sql_round(t["sum_value"], 2))
 
 
 @query(sql="""
@@ -77,20 +60,10 @@ ORDER BY total_value DESC, user_id
 LIMIT 10
 """)
 def events_top_users(sf_dir: str):
-    from ray.data.aggregate import Count, Sum
-
     ds = _read(sf_dir, "events", ["user_id", "value"])
-    agg = ds.groupby("user_id").aggregate(
-        Sum("value", alias_name="total_value"), Count(alias_name="n_events")
-    )
+    agg = fold(ds, "user_id", {"total_value": ("value", "sum"), "n_events": (None, "count")})
     out = agg.map_batches(
-        lambda b: pa.table(
-            {
-                "user_id": b["user_id"],
-                "total_value": sql_round(b["total_value"], 2),
-                "n_events": pc.cast(b["n_events"], pa.int64()),
-            }
-        ),
+        lambda b: b.set_column(1, "total_value", sql_round(b["total_value"], 2)),
         batch_format="pyarrow",
     )
     return out.sort(["total_value", "user_id"], descending=[True, False]).limit(10)
@@ -163,12 +136,8 @@ def events_sessionize(sf_dir: str):
 
 @query(sql="SELECT DISTINCT event_type FROM events")
 def events_distinct_types(sf_dir: str):
-    """ds.unique — distinct values of one column (a shuffle)."""
-    import ray.data
-
-    ds = _read(sf_dir, "events", ["event_type"])
-    vals = sorted(ds.unique("event_type"))
-    return pa.table({"event_type": pa.array(vals, pa.string())})
+    """Distinct values of one column: a grouped fold with no aggregate."""
+    return fold_table(_read(sf_dir, "events", ["event_type"]), "event_type", {})
 
 
 @query(sql="""
@@ -304,8 +273,6 @@ def events_window_join(sf_dir: str):
     per-window rollup. The window table is the broadcast small side; the
     match is vectorized comparisons per batch (no shuffle beyond the tiny
     final aggregate)."""
-    from ray.data.aggregate import Count, Sum
-
     ds = _read(sf_dir, "events", ["ts", "value"])
     n_cover = -(-_WIN_LEN_US // _WIN_STEP_US)  # windows that can cover one t
 
@@ -334,21 +301,12 @@ def events_window_join(sf_dir: str):
             }
         )
 
-    agg = (
-        ds.map_batches(match, batch_format="pyarrow", batch_size=65536)
-        .groupby("window_id")
-        .aggregate(Count(alias_name="n_events"), Sum("value", alias_name="sum_value"))
+    t = fold_table(
+        ds.map_batches(match, batch_format="pyarrow", batch_size=65536),
+        "window_id",
+        {"n_events": (None, "count"), "sum_value": ("value", "sum")},
     )
-    return agg.map_batches(
-        lambda b: pa.table(
-            {
-                "window_id": b["window_id"],
-                "n_events": pc.cast(b["n_events"], pa.int64()),
-                "sum_value": sql_round(b["sum_value"], 2),
-            }
-        ),
-        batch_format="pyarrow",
-    )
+    return t.set_column(2, "sum_value", sql_round(t["sum_value"], 2))
 
 
 @query(sql="""
@@ -424,8 +382,6 @@ def events_interval_agg(sf_dir: str):
     intervals); the query pins the bucketed machinery under the driver
     hash — same-output equivalence between the two paths is unit-tested in
     tests/test_interval.py."""
-    from ray.data.aggregate import Sum
-
     def prep(b: pa.Table) -> pa.Table:
         ts = (
             b["ts"].to_numpy(zero_copy_only=False).astype("datetime64[us]").astype(np.int64)
@@ -445,26 +401,11 @@ def events_interval_agg(sf_dir: str):
         lo_col="lo", hi_col="hi", bucket_width=_IVB_BUCKET_US,
     )
 
-    def partial(b: pa.Table) -> pa.Table:
-        t = pa.table(
-            {
-                "interval_id": b["interval_id"],
-                "n": pa.array(np.ones(b.num_rows, np.int64), pa.int64()),
-                "cents": b["cents"],
-            }
-        )
-        return pa.TableGroupBy(t, ["interval_id"]).aggregate([("n", "sum"), ("cents", "sum")])
-
-    agg = (
-        j.map_batches(partial, batch_format="pyarrow", batch_size=131072)
-        .groupby("interval_id")
-        .aggregate(Sum("n_sum", alias_name="n_events"), Sum("cents_sum", alias_name="c"))
-    )
-    t = _collect_table(agg)
+    t = fold_table(j, "interval_id", {"n_events": (None, "count"), "c": ("cents", "sum")})
     return pa.table(
         {
-            "interval_id": pc.cast(t["interval_id"], pa.int64()),
-            "n_events": pc.cast(t["n_events"], pa.int64()),
+            "interval_id": t["interval_id"],
+            "n_events": t["n_events"],
             "value_sum": pa.array(
                 sql_round_np(t["c"].to_numpy(zero_copy_only=False) / 100.0, 2),
                 pa.float64(),
@@ -493,7 +434,6 @@ def events_weighted_salted(sf_dir: str):
     here it pins the salted machinery end-to-end (salted == unsalted
     multiset is also unit-tested). Weighted sum in exact integer cents."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     def prep(b: pa.Table) -> pa.Table:
         cents = sql_round_np(
@@ -516,28 +456,20 @@ def events_weighted_salted(sf_dir: str):
     )
     j = hash_join(fact, dim, on="event_type", salt_keys={"click": 8})
 
-    def partial(b: pa.Table) -> pa.Table:
+    def weighted(b: pa.Table) -> pa.Table:
         w = b["weight"].to_numpy(zero_copy_only=False)
         c = b["cents"].to_numpy(zero_copy_only=False)
-        t = pa.table(
-            {
-                "event_type": b["event_type"],
-                "n": pa.array(np.ones(b.num_rows, np.int64), pa.int64()),
-                "wc": pa.array(w * c, pa.int64()),
-            }
-        )
-        return pa.TableGroupBy(t, ["event_type"]).aggregate([("n", "sum"), ("wc", "sum")])
+        return pa.table({"event_type": b["event_type"], "wc": pa.array(w * c, pa.int64())})
 
-    agg = (
-        j.map_batches(partial, batch_format="pyarrow", batch_size=131072)
-        .groupby("event_type")
-        .aggregate(Sum("n_sum", alias_name="n_events"), Sum("wc_sum", alias_name="wc"))
+    t = fold_table(
+        j.map_batches(weighted, batch_format="pyarrow", batch_size=131072),
+        "event_type",
+        {"n_events": (None, "count"), "wc": ("wc", "sum")},
     )
-    t = _collect_table(agg)
     return pa.table(
         {
             "event_type": t["event_type"],
-            "n_events": pc.cast(t["n_events"], pa.int64()),
+            "n_events": t["n_events"],
             "weighted_sum": pa.array(
                 sql_round_np(t["wc"].to_numpy(zero_copy_only=False) / 100.0, 2),
                 pa.float64(),
@@ -659,28 +591,16 @@ SELECT CAST(FLOOR(value / 10.0) AS BIGINT) AS bin, COUNT(*) AS n
 FROM events GROUP BY 1
 """)
 def events_value_histogram(sf_dir: str, bin_width: float = 10.0):
-    """Fixed-width histogram: per-batch vectorized binning + combiner, one
-    tiny final groupby (identical FLOOR(value/width) arithmetic in SQL)."""
-    from ray.data.aggregate import Sum
-
+    """Fixed-width histogram: per-batch vectorized binning, one grouped
+    count (identical FLOOR(value/width) arithmetic in SQL)."""
     ds = _read(sf_dir, "events", ["value"])
 
     def binit(b: pa.Table) -> pa.Table:
         v = b["value"].to_numpy(zero_copy_only=False)
-        bins = np.floor(v / bin_width).astype(np.int64)
-        u, c = np.unique(bins, return_counts=True)
-        return pa.table(
-            {"bin": pa.array(u, pa.int64()), "n": pa.array(c.astype(np.int64), pa.int64())}
-        )
+        return pa.table({"bin": pa.array(np.floor(v / bin_width).astype(np.int64), pa.int64())})
 
-    agg = (
-        ds.map_batches(binit, batch_format="pyarrow", batch_size=131072)
-        .groupby("bin")
-        .aggregate(Sum("n", alias_name="n"))
-    )
-    return agg.map_batches(
-        lambda b: pa.table({"bin": b["bin"], "n": pc.cast(b["n"], pa.int64())}),
-        batch_format="pyarrow",
+    return fold_table(
+        ds.map_batches(binit, batch_format="pyarrow", batch_size=131072), "bin", {"n": (None, "count")}
     )
 
 
@@ -694,8 +614,6 @@ def events_props_stats(sf_dir: str):
     field 'k' out of props per event — ONE vectorized extract_regex kernel
     per batch with an exact json.loads fallback (text/jsonops.py) — then a
     tiny per-type rollup. Mirrors DuckDB json_extract semantics."""
-    from ray.data.aggregate import Count, Sum
-
     ds = _read(sf_dir, "events", ["event_type", "props"])
 
     def extract(b: pa.Table) -> pa.Table:
@@ -706,20 +624,10 @@ def events_props_stats(sf_dir: str):
             }
         )
 
-    agg = (
-        ds.map_batches(extract, batch_format="pyarrow", batch_size=65536)
-        .groupby("event_type")
-        .aggregate(Count(alias_name="n"), Sum("k", alias_name="sum_k"))
-    )
-    return agg.map_batches(
-        lambda b: pa.table(
-            {
-                "event_type": b["event_type"],
-                "n": pc.cast(b["n"], pa.int64()),
-                "sum_k": pc.cast(b["sum_k"], pa.int64()),
-            }
-        ),
-        batch_format="pyarrow",
+    return fold_table(
+        ds.map_batches(extract, batch_format="pyarrow", batch_size=65536),
+        "event_type",
+        {"n": (None, "count"), "sum_k": ("k", "sum")},
     )
 
 
@@ -746,8 +654,6 @@ def events_hopping(sf_dir: str):
     fanned to its 2 covering window starts inside the batch combiner (pure
     integer arithmetic mirrored in SQL), value summed as exact integer
     cents, then one small groupby over ~2x-hourly keys."""
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "events", ["ts", "value"])
 
     def combine(b: pa.Table) -> pa.Table:
@@ -757,40 +663,24 @@ def events_hopping(sf_dir: str):
         ).astype(np.int64)
         base = us - us % _HOP_US
         ws = np.concatenate([base - h * _HOP_US for h in range(_WIN_HOPS)])
-        cc = np.tile(cents, _WIN_HOPS)
-        order = np.argsort(ws, kind="stable")
-        w_o, c_o = ws[order], cc[order]
-        new = np.ones(len(w_o), dtype=bool)
-        if len(w_o):
-            new[1:] = w_o[1:] != w_o[:-1]
-        starts = np.nonzero(new)[0]
         return pa.table(
             {
-                "window_start": pa.array(
-                    w_o[starts].astype("datetime64[us]"), pa.timestamp("us")
-                ),
-                "n": pa.array(np.diff(np.append(starts, len(w_o))).astype(np.int64), pa.int64()),
-                "cents": pa.array(np.add.reduceat(c_o, starts), pa.int64()),
+                "window_start": pa.array(ws.astype("datetime64[us]"), pa.timestamp("us")),
+                "cents": pa.array(np.tile(cents, _WIN_HOPS), pa.int64()),
             }
         )
 
-    agg = (
-        ds.map_batches(combine, batch_format="pyarrow", batch_size=131072)
-        .groupby("window_start")
-        .aggregate(Sum("n", alias_name="n"), Sum("cents", alias_name="cents"))
+    t = fold_table(
+        ds.map_batches(combine, batch_format="pyarrow", batch_size=131072),
+        "window_start",
+        {"n": (None, "count"), "cents": ("cents", "sum")},
     )
-    return agg.map_batches(
-        lambda b: pa.table(
-            {
-                # Ray's groupby re-infers the key as timestamp[s]; the oracle
-                # (DuckDB TIMESTAMP) is [us] and the driver hash is
-                # type-sensitive -> cast back explicitly
-                "window_start": pc.cast(b["window_start"], pa.timestamp("us")),
-                "n": pc.cast(b["n"], pa.int64()),
-                "sum_value": pc.divide(pc.cast(b["cents"], pa.float64()), 100.0),
-            }
-        ),
-        batch_format="pyarrow",
+    return pa.table(
+        {
+            "window_start": t["window_start"],
+            "n": t["n"],
+            "sum_value": pc.divide(pc.cast(t["cents"], pa.float64()), 100.0),
+        }
     )
 
 
@@ -801,37 +691,21 @@ FROM events GROUP BY ROLLUP(event_type, hod)
 def events_rollup(sf_dir: str):
     """GROUPING SETS / ROLLUP(event_type, hour-of-day): the hierarchical
     re-aggregation shape — the FINEST level is computed distributed once
-    (per-batch combiner over ~120 keys), the coarser levels derive from
+    (one grouped fold over ~120 keys), the coarser levels derive from
     that small result by re-aggregation (never a second corpus scan), with
     SQL ROLLUP's NULL group markers."""
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "events", ["ts", "event_type"])
 
-    def combine(b: pa.Table) -> pa.Table:
+    def hours(b: pa.Table) -> pa.Table:
         us = b["ts"].to_numpy(zero_copy_only=False).astype("datetime64[us]").astype(np.int64)
-        hod = (us // _HOUR_US) % 24
-        et = np.asarray(b["event_type"].to_pylist())
-        order = np.lexsort((hod, et))
-        e_o, h_o = et[order], hod[order]
-        new = np.ones(len(e_o), dtype=bool)
-        if len(e_o):
-            new[1:] = (e_o[1:] != e_o[:-1]) | (h_o[1:] != h_o[:-1])
-        starts = np.nonzero(new)[0]
-        return pa.table(
-            {
-                "event_type": pa.array(e_o[starts], pa.string()),
-                "hod": pa.array(h_o[starts].astype(np.int64), pa.int64()),
-                "n": pa.array(np.diff(np.append(starts, len(e_o))).astype(np.int64), pa.int64()),
-            }
-        )
+        return pa.table({"event_type": b["event_type"], "hod": pa.array((us // _HOUR_US) % 24, pa.int64())})
 
-    fine = (
-        ds.map_batches(combine, batch_format="pyarrow", batch_size=131072)
-        .groupby(["event_type", "hod"])
-        .aggregate(Sum("n", alias_name="n"))
+    # ~#types x 24 rows — the rollup input is tiny
+    t = fold_table(
+        ds.map_batches(hours, batch_format="pyarrow", batch_size=131072),
+        ["event_type", "hod"],
+        {"n": (None, "count")},
     )
-    t = _collect_table(fine)  # ~#types x 24 rows — the rollup input is tiny
     et = np.asarray(t["event_type"].to_pylist())
     hod = t["hod"].to_numpy(zero_copy_only=False)
     n = t["n"].to_numpy(zero_copy_only=False)
@@ -876,9 +750,7 @@ def events_funnel(sf_dir: str, stages=("view", "click", "purchase")):
     type occurs STRICTLY AFTER the user's earliest qualifying stage-k event.
     Shape: one hash-partition shuffle by user, then a fully vectorized
     per-partition pass (sorted segments + masked reduceat per stage — no
-    Python per user); stage totals via a 3-key final groupby."""
-    from ray.data.aggregate import Sum
-
+    Python per user); stage totals via a 3-key fold on the driver."""
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_type"])
     stage_names = [">".join(stages[: k + 1]) for k in range(len(stages))]
 
@@ -918,13 +790,7 @@ def events_funnel(sf_dir: str, stages=("view", "click", "purchase")):
         )
 
     partial = map_groups_partitioned(ds, "user_id", funnel_partition)
-    agg = partial.groupby("stage").aggregate(Sum("n_users", alias_name="n_users"))
-    return agg.map_batches(
-        lambda b: pa.table(
-            {"stage": b["stage"], "n_users": pc.cast(b["n_users"], pa.int64())}
-        ),
-        batch_format="pyarrow",
-    )
+    return fold_table(partial, "stage", {"n_users": ("n_users", "sum")})
 
 
 # ========================================================== window wave 2
@@ -1001,9 +867,7 @@ def events_hopping_users(sf_dir: str):
     a hash MIX of the pair co-locates every copy of a pair (collisions only
     co-locate extra rows — the dedupe compares real values), each partition
     emits exact per-window partial distinct counts, and a tiny final
-    groupby over the bounded window set sums them."""
-    from ray.data.aggregate import Sum
-
+    fold over the bounded window set sums them."""
     ds = _read(sf_dir, "events", ["ts", "user_id"])
 
     def combine(b: pa.Table) -> pa.Table:
@@ -1048,23 +912,13 @@ def events_hopping_users(sf_dir: str):
             }
         )
 
-    agg = (
+    return fold_table(
         map_groups_partitioned(
             ds.map_batches(combine, batch_format="pyarrow", batch_size=131072),
             "__mix", per_part,
-        )
-        .groupby("window_start")
-        .aggregate(Sum("n_part", alias_name="n_users"))
-    )
-    return agg.map_batches(
-        lambda b: pa.table(
-            {
-                # same timestamp[s] re-inference as events_hopping -> [us]
-                "window_start": pc.cast(b["window_start"], pa.timestamp("us")),
-                "n_users": pc.cast(b["n_users"], pa.int64()),
-            }
         ),
-        batch_format="pyarrow",
+        "window_start",
+        {"n_users": ("n_part", "sum")},
     )
 
 
@@ -1328,9 +1182,7 @@ def events_pivot_hourly(sf_dir: str):
     """Pivot (long -> wide): event counts per hour-of-day x event-type as
     one row per hour with a column per type. Per-batch combiner is a single
     np.bincount over hh*n_types+code (<=24 rows leave each batch); final
-    24-key groupby sums the partials."""
-    from ray.data.aggregate import Sum
-
+    24-key fold sums the partials."""
     ds = _read(sf_dir, "events", ["ts", "event_type"])
     types = pa.array(list(_PIVOT_TYPES))
     ntyp = len(_PIVOT_TYPES)
@@ -1345,16 +1197,10 @@ def events_pivot_hourly(sf_dir: str):
             cols[f"n_{t}"] = pa.array(cnt[:, i].astype(np.int64), pa.int64())
         return pa.table(cols)
 
-    agg = (
-        ds.map_batches(combine, batch_format="pyarrow", batch_size=131072)
-        .groupby("hh")
-        .aggregate(*[Sum(f"n_{t}", alias_name=f"n_{t}") for t in _PIVOT_TYPES])
-    )
-    return agg.map_batches(
-        lambda b: pa.table(
-            {"hh": b["hh"], **{f"n_{t}": pc.cast(b[f"n_{t}"], pa.int64()) for t in _PIVOT_TYPES}}
-        ),
-        batch_format="pyarrow",
+    return fold_table(
+        ds.map_batches(combine, batch_format="pyarrow", batch_size=131072),
+        "hh",
+        {f"n_{t}": (f"n_{t}", "sum") for t in _PIVOT_TYPES},
     )
 
 
@@ -1702,25 +1548,9 @@ def events_audience_overlap(sf_dir: str):
     fold) -> bounded mask histogram partials; the driver sees
     O(2^T x blocks) integers, never a user row. Zero-overlap pairs are
     dropped (the SQL join emits no row for them)."""
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "events", ["user_id", "event_type"])
 
-    def type_partial(b: pa.Table) -> pa.Table:
-        u = np.unique(np.asarray(b["event_type"].to_pylist()))
-        return pa.table(
-            {
-                "event_type": pa.array(u.tolist(), pa.string()),
-                "one": pa.array(np.ones(len(u), np.int64)),
-            }
-        )
-
-    ty_t = _collect_table(
-        ds.select_columns(["event_type"])
-        .map_batches(type_partial, batch_format="pyarrow", batch_size=131072)
-        .groupby("event_type")
-        .aggregate(Sum("one", alias_name="n"))
-    )
+    ty_t = fold_table(ds.select_columns(["event_type"]), "event_type", {"n": (None, "count")})
     types = np.sort(np.asarray(ty_t["event_type"].to_pylist()))
     nt = len(types)
     if nt == 0:
@@ -2533,8 +2363,6 @@ def events_cohort_matrix(sf_dir: str):
     retention division is driver arithmetic over the weeks^2-bounded
     matrix. Week = integer epoch-week on both sides (the events_retention
     convention — no date-type parity risk)."""
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "events", ["user_id", "ts"])
 
     def pairs(b: pa.Table) -> pa.Table:
@@ -2582,14 +2410,14 @@ def events_cohort_matrix(sf_dir: str):
             }
         )
 
-    m = _collect_table(
+    m = fold_table(
         map_groups_partitioned(
             ds.map_batches(pairs, batch_format="pyarrow", batch_size=131072),
             "user_id",
             per_part,
-        )
-        .groupby(["cohort_week", "week_offset"])
-        .aggregate(Sum("n", alias_name="n_users"))
+        ),
+        ["cohort_week", "week_offset"],
+        {"n_users": ("n", "sum")},
     )
     cw = m["cohort_week"].to_numpy(zero_copy_only=False).astype(np.int64)
     off = m["week_offset"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -2648,8 +2476,6 @@ def events_assoc_rules(sf_dir: str):
     #types) to bounded (a, b) partials with marginals and the basket
     count riding as sentinel rows, driver fold over the <= #types^2
     matrix. The item universe bounds every partial at ANY corpus scale."""
-    from ray.data.aggregate import Sum
-
     types = np.unique(
         _collect_numpy(
             _read(sf_dir, "events", ["event_type"]).map_batches(
@@ -2728,14 +2554,14 @@ def events_assoc_rules(sf_dir: str):
             }
         )
 
-    agg = _collect_table(
+    agg = fold_table(
         map_groups_partitioned(
             ds.map_batches(pre, batch_format="pyarrow", batch_size=131072),
             "basket",
             per_part,
-        )
-        .groupby(["a", "b"])
-        .aggregate(Sum("n", alias_name="n"))
+        ),
+        ["a", "b"],
+        {"n": ("n", "sum")},
     )
     a = agg["a"].to_numpy(zero_copy_only=False)
     b = agg["b"].to_numpy(zero_copy_only=False)

@@ -16,11 +16,11 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from core_ray.queries._shared import (
-    _GE_CELL_MILLI, _HOUR_US, _STG_DAY_US, _TT_DAY_US, _collect_table, _p, _read, _sf_of, _tdiv,
-    query,
+    _GE_CELL_MILLI, _HOUR_US, _STG_DAY_US, _TT_DAY_US, _collect_table, _first_day, _p, _read, _sf_of,
+    _tdiv, query,
 )
 from core_ray.rounding import sql_round_np
-from core_ray.stages.agg import count_by_u64, map_groups_partitioned
+from core_ray.stages.agg import count_by_u64, fold_table, map_groups_partitioned
 
 
 @query(sql="""
@@ -54,22 +54,16 @@ def events_hourly_anomalies(sf_dir: str, z_thresh: float = 2.0):
     driver-side numpy is scale-correct. Exact cross-engine parity: the
     moments are INTEGER sums (order-independent) and the z expression is
     the same fixed chain of correctly-rounded IEEE ops as the SQL."""
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "events", ["ts", "event_type"])
 
-    def combine(b: pa.Table) -> pa.Table:
+    def hours(b: pa.Table) -> pa.Table:
         us = pc.cast(b["ts"], pa.int64())
-        t = pa.table(
-            {"event_type": b["event_type"], "hour": pc.divide(us, _HOUR_US)}
-        )
-        agg = pa.TableGroupBy(t, ["event_type", "hour"]).aggregate([([], "count_all")])
-        return agg.select(["event_type", "hour", "count_all"])
+        return pa.table({"event_type": b["event_type"], "hour": pc.divide(us, _HOUR_US)})
 
-    hourly = _collect_table(
-        ds.map_batches(combine, batch_format="pyarrow", batch_size=65536)
-        .groupby(["event_type", "hour"])
-        .aggregate(Sum("count_all", alias_name="n_events"))
+    hourly = fold_table(
+        ds.map_batches(hours, batch_format="pyarrow", batch_size=65536),
+        ["event_type", "hour"],
+        {"n_events": (None, "count")},
     )
     et = np.asarray(hourly["event_type"].to_pylist())
     hour = np.asarray(hourly["hour"].to_pylist(), dtype=np.int64)
@@ -305,18 +299,9 @@ def events_mann_kendall(sf_dir: str):
     events_tile_trend shape); z = one fixed chain — (S-1)/sqrt(var),
     (S+1)/sqrt(var) or 0 — of exact integers through one correctly-
     rounded sqrt. Cells with < 2 days are excluded."""
-    from ray.data.aggregate import Min
-
     ds = _read(sf_dir, "events", ["event_id", "ts"])
 
-    def day_of(b: pa.Table) -> pa.Table:
-        us = pc.cast(b["ts"], pa.int64()).to_numpy(zero_copy_only=False)
-        return pa.table({"day": pa.array(us // _TT_DAY_US, pa.int64())})
-
-    d0 = int(
-        ds.map_batches(day_of, batch_format="pyarrow", batch_size=131072)
-        .aggregate(Min("day"))["min(day)"]
-    )
+    d0 = _first_day(ds)
 
     def pack(b: pa.Table) -> pa.Table:
         eid = b["event_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -418,18 +403,9 @@ def events_sen_slope(sf_dir: str):
     expression could differ in the last ulp on arbitrary doubles (the
     geo_region_mad integers-and-halves case is safe; this one is not).
     Cells with < 2 observed days are excluded."""
-    from ray.data.aggregate import Min
-
     ds = _read(sf_dir, "events", ["event_id", "ts"])
 
-    def day_of(b: pa.Table) -> pa.Table:
-        us = pc.cast(b["ts"], pa.int64()).to_numpy(zero_copy_only=False)
-        return pa.table({"day": pa.array(us // _TT_DAY_US, pa.int64())})
-
-    d0 = int(
-        ds.map_batches(day_of, batch_format="pyarrow", batch_size=131072)
-        .aggregate(Min("day"))["min(day)"]
-    )
+    d0 = _first_day(ds)
 
     def pack(b: pa.Table) -> pa.Table:
         eid = b["event_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -509,8 +485,6 @@ def events_benford(sf_dir: str):
     first digit of an INTEGER via its decimal string (LEFT(CAST ..)) is
     deterministic — no log10 anywhere near the digit boundary. One
     map-only combiner pass to 9 digit counts."""
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "events", ["value"])
 
     def partial(b: pa.Table) -> pa.Table:
@@ -526,15 +500,11 @@ def events_benford(sf_dir: str):
             }
         )
 
-    agg = _collect_table(
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=131072)
-        .groupby("digit")
-        .aggregate(Sum("c", alias_name="n"))
+    agg = fold_table(
+        ds.map_batches(partial, batch_format="pyarrow", batch_size=131072), "digit", {"n": ("c", "sum")}
     )
     d = agg["digit"].to_numpy(zero_copy_only=False).astype(np.int64)
     n = agg["n"].to_numpy(zero_copy_only=False).astype(np.int64)
-    order = np.argsort(d)
-    d, n = d[order], n[order]
     total = int(n.sum())
     share = n.astype(np.float64) / np.float64(total)
     # Benford expectation, micro-quantized the usual way
@@ -585,21 +555,9 @@ def events_circular_hours(sf_dir: str):
     weighted sums are exact int64 from the bounded (type, hour) count
     table, and R = one fixed sqrt chain of two exact integers over
     1e6*n."""
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "events", ["event_id", "ts", "event_type"])
 
-    def type_partial(b: pa.Table) -> pa.Table:
-        u = np.unique(np.asarray(b["event_type"].to_pylist()))
-        return pa.table({"event_type": pa.array(u.tolist(), pa.string()),
-                         "one": pa.array(np.ones(len(u), np.int64))})
-
-    ty_t = _collect_table(
-        ds.select_columns(["event_type"])
-        .map_batches(type_partial, batch_format="pyarrow", batch_size=131072)
-        .groupby("event_type")
-        .aggregate(Sum("one", alias_name="n"))
-    )
+    ty_t = fold_table(ds.select_columns(["event_type"]), "event_type", {"n": (None, "count")})
     types = np.sort(np.asarray(ty_t["event_type"].to_pylist()))
 
     def pack(b: pa.Table, ts=types) -> pa.Table:
@@ -692,8 +650,6 @@ def events_daily_motifs(sf_dir: str):
     derives the od_matrix city model, splits by day, dedups consecutive
     repeats, relabels by first occurrence and counts motif strings;
     bounded final groupby over the motif vocabulary."""
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts"])
 
     _empty = pa.table(
@@ -742,18 +698,7 @@ def events_daily_motifs(sf_dir: str):
             }
         )
 
-    agg = _collect_table(
-        map_groups_partitioned(ds, "user_id", per_part)
-        .groupby("motif")
-        .aggregate(Sum("c", alias_name="n_user_days"))
-    )
-    t = pa.table(
-        {
-            "motif": agg["motif"],
-            "n_user_days": pc.cast(agg["n_user_days"], pa.int64()),
-        }
-    )
-    return t.sort_by("motif")
+    return fold_table(map_groups_partitioned(ds, "user_id", per_part), "motif", {"n_user_days": ("c", "sum")})
 
 
 @query(sql=f"""
@@ -903,13 +848,9 @@ def events_markov_entropy(sf_dir: str):
             }
         )
 
-    from ray.data.aggregate import Sum
-
-    agg = _collect_table(
-        map_groups_partitioned(ds, "user_id", per_part)
-        .groupby(["from_t", "to_t"])
-        .aggregate(Sum("c", alias_name="c"))
-    )  # bounded: types x types
+    agg = fold_table(  # bounded: types x types
+        map_groups_partitioned(ds, "user_id", per_part), ["from_t", "to_t"], {"c": ("c", "sum")}
+    )
     frm = np.asarray(agg["from_t"].to_pylist())
     c = agg["c"].to_numpy(zero_copy_only=False).astype(np.int64)
     n = int(c.sum())
@@ -1263,8 +1204,6 @@ def events_periodogram(sf_dir: str):
     per-batch (period, partial-sum) rows into a tiny groupby — no
     zero-fill needed (empty hours contribute zero energy by
     definition)."""
-    from ray.data.aggregate import Sum
-
     empty = pa.table(
         {
             "period_h": pa.array([], pa.int64()),
@@ -1277,16 +1216,13 @@ def events_periodogram(sf_dir: str):
 
     def hour_of(b: pa.Table) -> pa.Table:
         us = pc.cast(b["ts"], pa.int64()).to_numpy(zero_copy_only=False)
-        h = us // 3_600_000_000
-        if len(h) == 0:
-            return pa.table({"h0": pa.array([], pa.int64())})
-        return pa.table({"h0": pa.array([int(h.min())], pa.int64())})
+        return pa.table({"h": pa.array(us // 3_600_000_000, pa.int64())})
 
-    h0 = ds.map_batches(hour_of, batch_format="pyarrow",
-                        batch_size=131072).min("h0")
-    if h0 is None:
+    hours = ds.map_batches(hour_of, batch_format="pyarrow", batch_size=131072)
+    h0 = fold_table(hours, [], {"h0": ("h", "min")})
+    if not h0.num_rows:
         return empty
-    h0 = int(h0)
+    h0 = int(h0["h0"][0].as_py())
     n_total = ds.count()
 
     # per-period micro-quantized trig tables (the <=168 shared arguments)
@@ -1316,16 +1252,14 @@ def events_periodogram(sf_dir: str):
             }
         )
 
-    agg = _collect_table(
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=131072)
-        .groupby("period_h")
-        .aggregate(Sum("c", alias_name="c"), Sum("s", alias_name="s"))
+    agg = fold_table(
+        ds.map_batches(partial, batch_format="pyarrow", batch_size=131072),
+        "period_h",
+        {"c": ("c", "sum"), "s": ("s", "sum")},
     )
     pp = agg["period_h"].to_numpy(zero_copy_only=False).astype(np.int64)
     cc = agg["c"].to_numpy(zero_copy_only=False).astype(np.int64)
     ss = agg["s"].to_numpy(zero_copy_only=False).astype(np.int64)
-    order = np.argsort(pp)
-    pp, cc, ss = pp[order], cc[order], ss[order]
     den = float(np.float64(n_total) * 1e6)
     power = [
         float(
@@ -1471,8 +1405,6 @@ def events_transitions(sf_dir: str):
     types x types partial (bounded at any scale), then a tiny final
     groupby-sum. Same deterministic total order as the other window
     queries (ties broken by event_id)."""
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
 
     def per_part(g: pa.Table) -> pa.Table:
@@ -1495,20 +1427,8 @@ def events_transitions(sf_dir: str):
             }
         )
 
-    agg = (
-        map_groups_partitioned(ds, "user_id", per_part)
-        .groupby(["from_type", "to_type"])
-        .aggregate(Sum("n_part", alias_name="n"))
-    )
-    return agg.map_batches(
-        lambda b: pa.table(
-            {
-                "from_type": b["from_type"],
-                "to_type": b["to_type"],
-                "n": pc.cast(b["n"], pa.int64()),
-            }
-        ),
-        batch_format="pyarrow",
+    return fold_table(
+        map_groups_partitioned(ds, "user_id", per_part), ["from_type", "to_type"], {"n": ("n_part", "sum")}
     )
 
 
@@ -1536,52 +1456,33 @@ def events_corr_moments(sf_dir: str):
     ~8.6e9 rows per key at these magnitudes; beyond that promote the
     partials to int128/float-compensated (noted, not needed at bench
     scale)."""
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "events", ["event_type", "user_id", "value"])
 
-    def combine(b: pa.Table) -> pa.Table:
+    def moments(b: pa.Table) -> pa.Table:
         cv = sql_round_np(b["value"].to_numpy(zero_copy_only=False) * 100.0, 0).astype(np.int64)
         u = b["user_id"].to_numpy(zero_copy_only=False).astype(np.int64) % 97
-        et = b["event_type"].to_numpy(zero_copy_only=False)
-        keys, inv = np.unique(et, return_inverse=True)
-        m = len(keys)
-        out = {
-            "event_type": pa.array(keys, pa.string()),
-            "n": pa.array(np.bincount(inv, minlength=m).astype(np.int64), pa.int64()),
-        }
-        for name, arr in (
-            ("sx", cv),
-            ("sy", u),
-            ("sxx", cv * cv),
-            ("syy", u * u),
-            ("sxy", cv * u),
-        ):
-            out[name] = pa.array(np.bincount(inv, weights=arr, minlength=m).astype(np.int64), pa.int64())
-        return pa.table(out)
-
-    agg = (
-        ds.map_batches(combine, batch_format="pyarrow", batch_size=131072)
-        .groupby("event_type")
-        .aggregate(*[Sum(c, alias_name=c) for c in ("n", "sx", "sy", "sxx", "syy", "sxy")])
-    )
-
-    def finish(b: pa.Table) -> pa.Table:
-        n = b["n"].to_numpy(zero_copy_only=False).astype(np.float64)
-        sx = b["sx"].to_numpy(zero_copy_only=False).astype(np.float64)
-        sy = b["sy"].to_numpy(zero_copy_only=False).astype(np.float64)
-        sxx = b["sxx"].to_numpy(zero_copy_only=False).astype(np.float64)
-        syy = b["syy"].to_numpy(zero_copy_only=False).astype(np.float64)
-        sxy = b["sxy"].to_numpy(zero_copy_only=False).astype(np.float64)
-        corr = (n * sxy - sx * sy) / np.sqrt((n * sxx - sx * sx) * (n * syy - sy * sy))
         return pa.table(
-            {
-                "event_type": b["event_type"],
-                "corr_vu": pa.array(sql_round_np(corr, 6), pa.float64()),
-            }
+            {"event_type": b["event_type"], "sx": cv, "sy": u, "sxx": cv * cv, "syy": u * u, "sxy": cv * u}
         )
 
-    return agg.map_batches(finish, batch_format="pyarrow")
+    t = fold_table(
+        ds.map_batches(moments, batch_format="pyarrow", batch_size=131072),
+        "event_type",
+        {"n": (None, "count"), **{c: (c, "sum") for c in ("sx", "sy", "sxx", "syy", "sxy")}},
+    )
+    n = t["n"].to_numpy(zero_copy_only=False).astype(np.float64)
+    sx = t["sx"].to_numpy(zero_copy_only=False).astype(np.float64)
+    sy = t["sy"].to_numpy(zero_copy_only=False).astype(np.float64)
+    sxx = t["sxx"].to_numpy(zero_copy_only=False).astype(np.float64)
+    syy = t["syy"].to_numpy(zero_copy_only=False).astype(np.float64)
+    sxy = t["sxy"].to_numpy(zero_copy_only=False).astype(np.float64)
+    corr = (n * sxy - sx * sy) / np.sqrt((n * sxx - sx * sx) * (n * syy - sy * sy))
+    return pa.table(
+        {
+            "event_type": t["event_type"],
+            "corr_vu": pa.array(sql_round_np(corr, 6), pa.float64()),
+        }
+    )
 
 
 _HILL_K = 200
@@ -2522,8 +2423,6 @@ def events_mean_excess(sf_dir: str):
     integer excess sum; mean_excess = ONE double division. Two passes:
     a max fold, then one 4-threshold partial pass (O(#blocks x 4)
     combiner rows to a tiny groupby)."""
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "events", ["value"])
 
     def vmax(b: pa.Table) -> pa.Table:
@@ -2565,11 +2464,11 @@ def events_mean_excess(sf_dir: str):
             }
         )
 
-    agg = _collect_table(
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=131072)
-        .groupby("threshold_cents")
-        .aggregate(Sum("n", alias_name="n_exceed"), Sum("s", alias_name="excess_sum"))
-    ).sort_by("threshold_cents")
+    agg = fold_table(
+        ds.map_batches(partial, batch_format="pyarrow", batch_size=131072),
+        "threshold_cents",
+        {"n_exceed": ("n", "sum"), "excess_sum": ("s", "sum")},
+    )
     n = agg["n_exceed"].to_numpy(zero_copy_only=False).astype(np.int64)
     s = agg["excess_sum"].to_numpy(zero_copy_only=False).astype(np.int64)
     return pa.table(
@@ -3759,7 +3658,7 @@ def events_absorbing_markov(sf_dir: str):
     shuffle with bounded types x types partials; the solve is on the
     driver over the model-constant type set."""
     _ensure_absorbing_golden(sf_dir)
-    tr = _collect_table(events_transitions(sf_dir))
+    tr = events_transitions(sf_dir)
     counts = {
         (f, t): int(n)
         for f, t, n in zip(

@@ -16,7 +16,7 @@ from core_ray.queries._shared import (
     _with_coords, query,
 )
 from core_ray.rounding import sql_round_np
-from core_ray.stages.agg import count_by_u64, map_groups_partitioned, min_by_u64, sum_by_u64
+from core_ray.stages.agg import count_by_u64, fold_table, map_groups_partitioned, min_by_u64, sum_by_u64
 from core_ray.stages.cc import connected_components
 from core_ray.stages.dbscan import dbscan
 from core_ray.stages.distband import (
@@ -374,8 +374,6 @@ def geo_zonal_stats(sf_dir: str):
     stage (PipJoin appends, never projects), so the stats need no second
     join; the final group is |zones| rows via a per-batch combiner. The
     mean is one float division of exact integer sums, mirrored in SQL."""
-    from ray.data.aggregate import Sum
-
     admin = _geo_admin_table()
 
     def coords(b: pa.Table) -> pa.Table:
@@ -399,33 +397,14 @@ def geo_zonal_stats(sf_dir: str):
         )
     )
 
-    def partial(b: pa.Table) -> pa.Table:
-        t = b.filter(pc.greater_equal(b["admin_level"], 0))
-        t = pa.table(
-            {
-                "admin_id": t["admin_id"],
-                "n": pa.array(np.ones(len(t), np.int64), pa.int64()),
-                "chars": pc.cast(t["n_chars"], pa.int64()),
-            }
-        )
-        return pa.TableGroupBy(t, ["admin_id"]).aggregate([("n", "sum"), ("chars", "sum")])
-
-    agg = (
-        joined.map_batches(partial, batch_format="pyarrow", batch_size=65536)
-        .groupby("admin_id")
-        .aggregate(Sum("n_sum", alias_name="n_docs"), Sum("chars_sum", alias_name="sum_chars"))
+    t = fold_table(
+        joined.filter(expr="admin_level >= 0"),
+        "admin_id",
+        {"n_docs": (None, "count"), "sum_chars": ("n_chars", "sum")},
     )
-    t = _collect_table(agg)
     n = t["n_docs"].to_numpy(zero_copy_only=False).astype(np.float64)
     s = t["sum_chars"].to_numpy(zero_copy_only=False).astype(np.float64)
-    return pa.table(
-        {
-            "admin_id": t["admin_id"],
-            "n_docs": pc.cast(t["n_docs"], pa.int64()),
-            "sum_chars": pc.cast(t["sum_chars"], pa.int64()),
-            "mean_chars": pa.array(sql_round_np(s / n, 6), pa.float64()),
-        }
-    ).sort_by("admin_id")
+    return t.append_column("mean_chars", pa.array(sql_round_np(s / n, 6), pa.float64()))
 
 
 @query(sql=f"""
@@ -737,16 +716,13 @@ def geo_area_interp(sf_dir: str):
             {"admin_id": pa.array(aids, pa.string()), "n": pa.array(ns, pa.int64())}
         )
 
-    from ray.data.aggregate import Sum
-
-    counts = (
+    counts = fold_table(
         _read(sf_dir, "documents", ["doc_id"])
-        .map_batches(partial_counts, batch_format="pyarrow", batch_size=65536)
-        .groupby("admin_id")
-        .aggregate(Sum("n", alias_name="n_docs"))
-        .take_all()
+        .map_batches(partial_counts, batch_format="pyarrow", batch_size=65536),
+        "admin_id",
+        {"n_docs": ("n", "sum")},
     )  # 13 rows — the small side table
-    n_by_admin = {r["admin_id"]: r["n_docs"] for r in counts}
+    n_by_admin = dict(zip(counts["admin_id"].to_pylist(), counts["n_docs"].to_pylist()))
 
     # only rects that contain documents (the SQL counts CTE is an inner
     # join, so a zero-doc rect contributes no overlay rows there either)
@@ -795,11 +771,10 @@ def geo_area_interp(sf_dir: str):
             }
         )
 
-    return (
-        ray.data.from_arrow(side)
-        .map_batches(overlay, batch_format="pyarrow")
-        .groupby(["gx", "gy"])
-        .aggregate(Sum("micro", alias_name="docs_micro"))
+    return fold_table(
+        ray.data.from_arrow(side).map_batches(overlay, batch_format="pyarrow"),
+        ["gx", "gy"],
+        {"docs_micro": ("micro", "sum")},
     )
 
 
@@ -836,8 +811,6 @@ def geo_kde_tiles(sf_dir: str):
     contribution rounds to INTEGER micro-density before the order-
     independent BIGINT sum — a flip needs exp() within ~1e-16 of a
     rounding boundary (p ~ 1e-10 per contribution)."""
-    from ray.data.aggregate import Sum
-
     def scatter(b: pa.Table) -> pa.Table:
         doc_id = b["doc_id"].to_numpy(zero_copy_only=False)
         lat, lon = _derive_coords(doc_id)
@@ -864,11 +837,10 @@ def geo_kde_tiles(sf_dir: str):
             }
         )
 
-    return (
-        _read(sf_dir, "documents", ["doc_id"])
-        .map_batches(scatter, batch_format="pyarrow", batch_size=65536)
-        .groupby(["gx", "gy"])
-        .aggregate(Sum("micro", alias_name="kde_micro"))
+    return fold_table(
+        _read(sf_dir, "documents", ["doc_id"]).map_batches(scatter, batch_format="pyarrow", batch_size=65536),
+        ["gx", "gy"],
+        {"kde_micro": ("micro", "sum")},
     )
 
 
@@ -1001,8 +973,6 @@ def geo_morton_parts(sf_dir: str):
     the SQL mirrors with a window prefix sum; quantization floats are the
     identical expression chain both sides, and everything after is
     integer."""
-    from ray.data.aggregate import Max, Min, Sum
-
     ds = _read(sf_dir, "documents", ["doc_id"])
 
     def mkeys(b: pa.Table) -> np.ndarray:
@@ -1041,31 +1011,15 @@ def geo_morton_parts(sf_dir: str):
     bounds = vals[new_part]  # first key of each PRESENT part, ascending
     part_ids = part_of_val[new_part]
 
-    def partials(b: pa.Table) -> pa.Table:
+    def parts(b: pa.Table) -> pa.Table:
         mk = mkeys(b)
         part = part_ids[np.searchsorted(bounds, mk, side="right") - 1]
-        order = np.lexsort((mk, part))  # part-major, key-minor
-        ps, ms = part[order], mk[order]
-        new = np.r_[True, ps[1:] != ps[:-1]]
-        starts = np.nonzero(new)[0]
-        ends = np.append(starts[1:], len(ps))
-        return pa.table(
-            {
-                "part_id": pa.array(ps[starts], pa.int64()),
-                "n": pa.array(ends - starts, pa.int64()),
-                "lo": pa.array(ms[starts], pa.int64()),
-                "hi": pa.array(ms[ends - 1], pa.int64()),
-            }
-        )
+        return pa.table({"part_id": pa.array(part, pa.int64()), "mk": pa.array(mk, pa.int64())})
 
-    return (
-        ds.map_batches(partials, batch_format="pyarrow", batch_size=65536)
-        .groupby("part_id")
-        .aggregate(
-            Sum("n", alias_name="n_docs"),
-            Min("lo", alias_name="lo_key"),
-            Max("hi", alias_name="hi_key"),
-        )
+    return fold_table(
+        ds.map_batches(parts, batch_format="pyarrow", batch_size=65536),
+        "part_id",
+        {"n_docs": (None, "count"), "lo_key": ("mk", "min"), "hi_key": ("mk", "max")},
     )
 
 
@@ -1416,8 +1370,6 @@ def geo_nearest_facility(sf_dir: str):
     quantizer floor(d2*Q); int64 partials bound the contract — at extreme
     corpus scale the partials stay bounded per task and the final 12-row
     merge would move to a widened accumulator)."""
-    from ray.data.aggregate import Sum
-
     k = np.arange(12, dtype=np.int64)
     f_lat = ((k * 11003) % 120000) / 1000.0 - 60.0
     f_lon = ((k * 104729) % 340000) / 1000.0 - 170.0
@@ -1433,46 +1385,16 @@ def geo_nearest_facility(sf_dir: str):
         fac = np.argmin(d2, axis=1)
         best = d2[np.arange(len(fac)), fac]
         micro = np.floor(best * _NF_Q).astype(np.int64)
-        n = np.bincount(fac, minlength=12).astype(np.int64)
-        sm = np.zeros(12, np.int64)
-        np.add.at(sm, fac, micro)
-        present = np.nonzero(n)[0]
-        return pa.table(
-            {
-                "fac_id": pa.array(present, pa.int64()),
-                "n": pa.array(n[present], pa.int64()),
-                "sm": pa.array(sm[present], pa.int64()),
-            }
-        )
+        return pa.table({"fac_id": pa.array(fac, pa.int64()), "micro": pa.array(micro, pa.int64())})
 
-    agg = (
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536)
-        .groupby("fac_id")
-        .aggregate(Sum("n", alias_name="n_docs"),
-                   Sum("sm", alias_name="sum_micro"))
+    t = fold_table(  # <= 12 rows by construction
+        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536),
+        "fac_id",
+        {"n_docs": (None, "count"), "sum_micro": ("micro", "sum")},
     )
-
-    def finish(b: pa.Table) -> pa.Table:
-        n = b["n_docs"].to_numpy(zero_copy_only=False).astype(np.int64)
-        sm = b["sum_micro"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "fac_id": pc.cast(b["fac_id"], pa.int64()),
-                "n_docs": pa.array(n, pa.int64()),
-                "sum_micro": pa.array(sm, pa.int64()),
-                "mean_micro": pa.array(
-                    sm.astype(np.float64) / n.astype(np.float64), pa.float64()
-                ),
-            }
-        )
-
-    t = pa.concat_tables(
-        list(
-            agg.map_batches(finish, batch_format="pyarrow")
-            .iter_batches(batch_format="pyarrow")
-        )
-    )  # <= 12 rows by construction
-    return t.sort_by("fac_id")
+    n = t["n_docs"].to_numpy(zero_copy_only=False).astype(np.float64)
+    sm = t["sum_micro"].to_numpy(zero_copy_only=False).astype(np.float64)
+    return t.append_column("mean_micro", pa.array(sm / n, pa.float64()))
 
 
 _MM_SEGS = 40  # model road-segment count (broadcast side)
@@ -1852,8 +1774,6 @@ def geo_huff_share(sf_dir: str):
     emitted as a corpus-wide remainder so mass is accounted). Map-only +
     one 12-row groupby — the distributional sibling of
     geo_nearest_facility's winner-takes-all assignment."""
-    from ray.data.aggregate import Sum
-
     k = np.arange(12, dtype=np.int64)
     f_lat = ((k * 11003) % 120000) / 1000.0 - 60.0
     f_lon = ((k * 104729) % 340000) / 1000.0 - 170.0
@@ -1882,19 +1802,11 @@ def geo_huff_share(sf_dir: str):
             }
         )
 
-    agg = (
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536)
-        .groupby("fac_id")
-        .aggregate(Sum("micro", alias_name="demand_micro"))
+    return fold_table(  # <= 13 rows by construction
+        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536),
+        "fac_id",
+        {"demand_micro": ("micro", "sum")},
     )
-    t = _collect_table(agg)  # <= 13 rows by construction
-    t = pa.table(
-        {
-            "fac_id": pc.cast(t["fac_id"], pa.int64()),
-            "demand_micro": pc.cast(t["demand_micro"], pa.int64()),
-        }
-    )
-    return t.sort_by("fac_id")
 
 
 _ISO_CAP = 18  # isochrone cost cap (also the exact Bellman-Ford round bound)
@@ -1953,15 +1865,14 @@ def _grid_sssp_distributed(nodes: np.ndarray, weights: np.ndarray,
             }
         )
 
-    from ray.data.aggregate import Sum
-
     prev_rows = dist.count()
     prev_sum = None
     for _ in range(_ISO_CAP):
         nbrs = frontier.map_batches(probe, batch_format="pyarrow")
         new_dist = min_by_u64(dist.union(nbrs), "node", "d").materialize()
         cur_rows = new_dist.count()
-        cur_sum = new_dist.aggregate(Sum("d"))["sum(d)"]
+        s = fold_table(new_dist, [], {"d": ("d", "sum")})
+        cur_sum = s["d"][0].as_py() if s.num_rows else None
         if cur_rows == prev_rows and cur_sum == prev_sum:
             dist = new_dist
             break
@@ -3170,13 +3081,11 @@ def geo_2sfca(sf_dir: str):
             }
         )
 
-    from ray.data.aggregate import Sum
-
-    dem = _collect_table(
-        ds.map_batches(demand_partial, batch_format="pyarrow", batch_size=131072)
-        .groupby("fac_id")
-        .aggregate(Sum("d", alias_name="demand"))
-    ).sort_by("fac_id")
+    dem = fold_table(
+        ds.map_batches(demand_partial, batch_format="pyarrow", batch_size=131072),
+        "fac_id",
+        {"demand": ("d", "sum")},
+    )
     D = np.zeros(12, np.int64)
     D[dem["fac_id"].to_numpy(zero_copy_only=False)] = dem[
         "demand"

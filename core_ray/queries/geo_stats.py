@@ -21,7 +21,7 @@ from core_ray.queries._shared import (
     query,
 )
 from core_ray.rounding import sql_round_np
-from core_ray.stages.agg import count_by_u64, map_groups_partitioned, min_by_u64
+from core_ray.stages.agg import count_by_u64, fold, fold_table, map_groups_partitioned, min_by_u64
 from core_ray.stages.distband import (
     bipartite_band_pairs, cell_pairs, distance_pairs, haversine_km, replicate_to_cells,
 )
@@ -60,8 +60,6 @@ def geo_colocation(sf_dir: str, radius: float = _GEO_PAIR_RADIUS_DEG):
     int->double casts, one multiply, one divide — mirrored bit-exactly in
     SQL (int64 counts stay below 2^53 here; beyond that the documented
     form is log-space)."""
-    from ray.data.aggregate import Sum
-
     r2 = radius * radius
     docs = _read(sf_dir, "documents", ["doc_id", "lang"])
 
@@ -118,48 +116,46 @@ def geo_colocation(sf_dir: str, radius: float = _GEO_PAIR_RADIUS_DEG):
         )
 
     rep_ds = docs.map_batches(rep, batch_format="pyarrow", batch_size=65536)
-    counted = (
-        map_groups_partitioned(rep_ds, "ck", part)
-        .groupby(["l1", "l2"])
-        .aggregate(Sum("n", alias_name="n_pairs"))
+    t = fold_table(
+        map_groups_partitioned(rep_ds, "ck", part), ["l1", "l2"], {"n_pairs": ("n", "sum")}
+    )
+    # bounded by language cardinality — genuinely small at any scale
+    lt = fold_table(docs.select_columns(["lang"]), "lang", {"n": (None, "count")})
+    totals = dict(zip(lt["lang"].to_pylist(), lt["n"].to_pylist()))
+    l1 = t["l1"].to_pylist()
+    l2 = t["l2"].to_pylist()
+    n1 = np.array([totals[x] for x in l1], np.int64)
+    n2 = np.array([totals[x] for x in l2], np.int64)
+    npair = t["n_pairs"].to_numpy(zero_copy_only=False)
+    ratio = npair.astype(np.float64) / (
+        n1.astype(np.float64) * n2.astype(np.float64)
+    )
+    return pa.table(
+        {
+            "l1": t["l1"],
+            "l2": t["l2"],
+            "n_pairs": pa.array(npair, pa.int64()),
+            "n1": pa.array(n1, pa.int64()),
+            "n2": pa.array(n2, pa.int64()),
+            "ratio": pa.array(ratio, pa.float64()),
+        }
     )
 
-    def lang_partial(b: pa.Table) -> pa.Table:
-        u, n = np.unique(np.asarray(b["lang"].to_pylist()), return_counts=True)
-        return pa.table(
-            {"lang": pa.array(u.tolist(), pa.string()),
-             "n": pa.array(n.astype(np.int64), pa.int64())}
-        )
 
-    totals = {
-        r["lang"]: r["n"]
-        for r in docs.map_batches(lang_partial, batch_format="pyarrow")
-        .groupby("lang")
-        .aggregate(Sum("n", alias_name="n"))
-        .take_all()
-    }  # bounded by language cardinality — genuinely small at any scale
+def _moran_cells(sf_dir: str):
+    """Dataset[(cell, x)]: documents per occupied 1-degree Moran cell."""
 
-    def finish(b: pa.Table) -> pa.Table:
-        l1 = b["l1"].to_pylist()
-        l2 = b["l2"].to_pylist()
-        n1 = np.array([totals[x] for x in l1], np.int64)
-        n2 = np.array([totals[x] for x in l2], np.int64)
-        npair = b["n_pairs"].to_numpy(zero_copy_only=False)
-        ratio = npair.astype(np.float64) / (
-            n1.astype(np.float64) * n2.astype(np.float64)
-        )
-        return pa.table(
-            {
-                "l1": b["l1"],
-                "l2": b["l2"],
-                "n_pairs": pa.array(npair, pa.int64()),
-                "n1": pa.array(n1, pa.int64()),
-                "n2": pa.array(n2, pa.int64()),
-                "ratio": pa.array(ratio, pa.float64()),
-            }
-        )
+    def cell_of(b: pa.Table) -> pa.Table:
+        lat, lon = _derive_coords(b["doc_id"].to_numpy(zero_copy_only=False))
+        gx = np.floor(lon).astype(np.int64) + 180
+        gy = np.floor(lat).astype(np.int64) + 70
+        return pa.table({"cell": pa.array(gy * _MORAN_NLON + gx, pa.int64())})
 
-    return counted.map_batches(finish, batch_format="pyarrow")
+    return fold(
+        _read(sf_dir, "documents", ["doc_id"]).map_batches(cell_of, batch_format="pyarrow", batch_size=65536),
+        "cell",
+        {"x": (None, "count")},
+    )
 
 
 @query(sql=f"""
@@ -216,31 +212,11 @@ def geo_moran_i(sf_dir: str):
     are order-independent — no float accumulates anywhere. Overflow
     bound: |x_i*N - T| <= T*N ~ 2^42 at sf1000, products fit int64
     through ~10^5 docs/cell on this grid (documented contract)."""
-    from ray.data.aggregate import Sum
-
     nlon, nlat = _MORAN_NLON, _MORAN_NLAT
     n_cells = nlon * nlat
     w_pairs = nlat * (nlon - 1) + (nlat - 1) * nlon
 
-    def cell_partial(b: pa.Table) -> pa.Table:
-        doc_id = b["doc_id"].to_numpy(zero_copy_only=False)
-        lat, lon = _derive_coords(doc_id)
-        gx = np.floor(lon).astype(np.int64) + 180
-        gy = np.floor(lat).astype(np.int64) + 70
-        key = gy * nlon + gx
-        u, c = np.unique(key, return_counts=True)
-        return pa.table(
-            {"cell": pa.array(u, pa.int64()),
-             "x": pa.array(c.astype(np.int64), pa.int64())}
-        )
-
-    cells = (
-        _read(sf_dir, "documents", ["doc_id"])
-        .map_batches(cell_partial, batch_format="pyarrow", batch_size=65536)
-        .groupby("cell")
-        .aggregate(Sum("x", alias_name="x"))
-        .materialize()
-    )
+    cells = _moran_cells(sf_dir).materialize()
 
     def scalars(b: pa.Table) -> pa.Table:
         cell = b["cell"].to_numpy(zero_copy_only=False)
@@ -251,18 +227,14 @@ def geo_moran_i(sf_dir: str):
             (gx > 0).astype(np.int64) + (gx < nlon - 1)
             + (gy > 0) + (gy < nlat - 1)
         )
-        return pa.table(
-            {
-                "t": pa.array([int(x.sum())], pa.int64()),
-                "sum_sq": pa.array([int((x * x).sum())], pa.int64()),
-                "sum_deg_x": pa.array([int((deg * x).sum())], pa.int64()),
-            }
-        )
+        return pa.table({"t": x, "sum_sq": x * x, "sum_deg_x": deg * x})
 
-    sc = cells.map_batches(scalars, batch_format="pyarrow").sum(
-        ["t", "sum_sq", "sum_deg_x"]
+    sc = fold_table(
+        cells.map_batches(scalars, batch_format="pyarrow"),
+        [],
+        {c: (c, "sum") for c in ("t", "sum_sq", "sum_deg_x")},
     )
-    t, sum_sq, sum_deg_x = sc["sum(t)"], sc["sum(sum_sq)"], sc["sum(sum_deg_x)"]
+    t, sum_sq, sum_deg_x = (sc[c][0].as_py() for c in ("t", "sum_sq", "sum_deg_x"))
 
     # S_adj(x_i x_j): join each cell against its right and down neighbors
     def probes(b: pa.Table) -> pa.Table:
@@ -285,12 +257,10 @@ def geo_moran_i(sf_dir: str):
     )
 
     def prod(b: pa.Table) -> pa.Table:
-        p = b["x_src"].to_numpy(zero_copy_only=False) * b["x"].to_numpy(
-            zero_copy_only=False
-        )
-        return pa.table({"p": pa.array([int(p.sum())], pa.int64())})
+        return pa.table({"p": pc.multiply(b["x_src"], b["x"])})
 
-    sum_adj = int(joined.map_batches(prod, batch_format="pyarrow").sum("p") or 0)
+    adj = fold_table(joined.map_batches(prod, batch_format="pyarrow"), [], {"p": ("p", "sum")})
+    sum_adj = int(adj["p"][0].as_py() or 0) if adj.num_rows else 0
     t, sum_sq, sum_deg_x = int(t), int(sum_sq), int(sum_deg_x)
 
     n = n_cells
@@ -373,42 +343,18 @@ def geo_getis_gi(sf_dir: str):
     cells by z (tie-break cell id — total order, both sides bit-equal).
     Overflow contract: T^2 < 2^63 (same ~10^5 docs/cell bound as
     geo_moran_i, documented there)."""
-    from ray.data.aggregate import Sum
-
     nlon, nlat = _MORAN_NLON, _MORAN_NLAT
     n_cells = nlon * nlat
 
-    def cell_partial(b: pa.Table) -> pa.Table:
-        doc_id = b["doc_id"].to_numpy(zero_copy_only=False)
-        lat, lon = _derive_coords(doc_id)
-        gx = np.floor(lon).astype(np.int64) + 180
-        gy = np.floor(lat).astype(np.int64) + 70
-        key = gy * nlon + gx
-        u, c = np.unique(key, return_counts=True)
-        return pa.table(
-            {"cell": pa.array(u, pa.int64()),
-             "x": pa.array(c.astype(np.int64), pa.int64())}
-        )
-
-    cells = (
-        _read(sf_dir, "documents", ["doc_id"])
-        .map_batches(cell_partial, batch_format="pyarrow", batch_size=65536)
-        .groupby("cell")
-        .aggregate(Sum("x", alias_name="x"))
-        .materialize()
-    )
+    cells = _moran_cells(sf_dir).materialize()
 
     def scalars(b: pa.Table) -> pa.Table:
-        x = b["x"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "t": pa.array([int(x.sum())], pa.int64()),
-                "sum_sq": pa.array([int((x * x).sum())], pa.int64()),
-            }
-        )
+        return pa.table({"t": b["x"], "sum_sq": pc.multiply(b["x"], b["x"])})
 
-    sc = cells.map_batches(scalars, batch_format="pyarrow").sum(["t", "sum_sq"])
-    t, sum_sq = int(sc["sum(t)"]), int(sc["sum(sum_sq)"])
+    sc = fold_table(
+        cells.map_batches(scalars, batch_format="pyarrow"), [], {c: (c, "sum") for c in ("t", "sum_sq")}
+    )
+    t, sum_sq = int(sc["t"][0].as_py()), int(sc["sum_sq"][0].as_py())
     a_const = n_cells * sum_sq - t * t
 
     def contribs(b: pa.Table) -> pa.Table:
@@ -434,10 +380,10 @@ def geo_getis_gi(sf_dir: str):
             }
         )
 
-    agg = (
-        cells.map_batches(contribs, batch_format="pyarrow")
-        .groupby("cell")
-        .aggregate(Sum("x", alias_name="x"), Sum("nbx", alias_name="nbr_sum"))
+    agg = fold(
+        cells.map_batches(contribs, batch_format="pyarrow"),
+        "cell",
+        {"x": ("x", "sum"), "nbr_sum": ("nbx", "sum")},
     )
 
     def zscore(b: pa.Table) -> pa.Table:
@@ -516,8 +462,6 @@ def geo_semivariogram(sf_dir: str, radius: float = _VARIO_RADIUS_DEG):
     division of two exact integers, mirrored bit-identically in SQL; the
     lag index floor(sqrt(d2)/width) uses the same correctly-rounded
     IEEE sqrt chain both sides."""
-    from ray.data.aggregate import Sum
-
     r2 = radius * radius
     n_bins = int(np.floor(radius / _VARIO_LAG_DEG)) + 1
     docs = _read(sf_dir, "documents", ["doc_id", "n_chars"])
@@ -573,33 +517,14 @@ def geo_semivariogram(sf_dir: str, radius: float = _VARIO_RADIUS_DEG):
         )
 
     rep_ds = docs.map_batches(rep, batch_format="pyarrow", batch_size=65536)
-    binned = (
-        map_groups_partitioned(rep_ds, "ck", part)
-        .groupby("lag_bin")
-        .aggregate(Sum("n", alias_name="n_pairs"),
-                   Sum("ssq", alias_name="sum_sqdiff"))
+    t = fold_table(  # <= 11 rows by construction
+        map_groups_partitioned(rep_ds, "ck", part),
+        "lag_bin",
+        {"n_pairs": ("n", "sum"), "sum_sqdiff": ("ssq", "sum")},
     )
-
-    def finish(b: pa.Table) -> pa.Table:
-        npair = b["n_pairs"].to_numpy(zero_copy_only=False).astype(np.int64)
-        ssq = b["sum_sqdiff"].to_numpy(zero_copy_only=False).astype(np.int64)
-        gamma = ssq.astype(np.float64) / (2 * npair).astype(np.float64)
-        return pa.table(
-            {
-                "lag_bin": pc.cast(b["lag_bin"], pa.int64()),
-                "n_pairs": pa.array(npair, pa.int64()),
-                "sum_sqdiff": pa.array(ssq, pa.int64()),
-                "gamma": pa.array(gamma, pa.float64()),
-            }
-        )
-
-    t = pa.concat_tables(
-        list(
-            binned.map_batches(finish, batch_format="pyarrow")
-            .iter_batches(batch_format="pyarrow")
-        )
-    )  # <= 11 rows by construction
-    return t.sort_by("lag_bin")
+    npair = t["n_pairs"].to_numpy(zero_copy_only=False).astype(np.float64)
+    ssq = t["sum_sqdiff"].to_numpy(zero_copy_only=False).astype(np.float64)
+    return t.append_column("gamma", pa.array(ssq / (2 * npair), pa.float64()))
 
 
 @query(sql=f"""
@@ -633,21 +558,9 @@ def geo_lang_boundaries(sf_dir: str):
     comparison (each boundary edge emitted ONCE, at its left/upper
     cell — the raster-adjacency single-emission rule shared with
     geo_moran_i's neighbor join)."""
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "documents", ["doc_id", "lang"])
 
-    def lang_partial(b: pa.Table) -> pa.Table:
-        u = np.unique(np.asarray(b["lang"].to_pylist()))
-        return pa.table({"lang": pa.array(u.tolist(), pa.string()),
-                         "one": pa.array(np.ones(len(u), np.int64))})
-
-    lang_t = _collect_table(
-        ds.select_columns(["lang"])
-        .map_batches(lang_partial, batch_format="pyarrow", batch_size=131072)
-        .groupby("lang")
-        .aggregate(Sum("one", alias_name="n"))
-    )
+    lang_t = fold_table(ds.select_columns(["lang"]), "lang", {"n": (None, "count")})
     langs = np.sort(np.asarray(lang_t["lang"].to_pylist()))
 
     def pack(b: pa.Table, ls=langs) -> pa.Table:
@@ -955,8 +868,6 @@ def geo_chars_dist_corr(sf_dir: str):
     r = (n*sxy - sx*sy) / (sqrt(n*sxx - sx^2) * sqrt(n*syy - sy^2)) is
     one fixed chain of two correctly-rounded sqrts over exact
     integers."""
-    from ray.data.aggregate import Sum
-
     k = np.arange(12, dtype=np.int64)
     f_lat = ((k * 11003) % 120000) / 1000.0 - 60.0
     f_lon = ((k * 104729) % 340000) / 1000.0 - 170.0
@@ -971,26 +882,12 @@ def geo_chars_dist_corr(sf_dir: str):
         dlo = lon[:, None] - f_lon[None, :]
         d2 = dla * dla + dlo * dlo
         x = np.floor(d2.min(axis=1) * _CDC_Q).astype(np.int64)
-        return pa.table(
-            {
-                "one": pa.array([1], pa.int64()),
-                "n": pa.array([len(x)], pa.int64()),
-                "sx": pa.array([int(x.sum())], pa.int64()),
-                "sy": pa.array([int(y.sum())], pa.int64()),
-                "sxy": pa.array([int((x * y).sum())], pa.int64()),
-                "sxx": pa.array([int((x * x).sum())], pa.int64()),
-                "syy": pa.array([int((y * y).sum())], pa.int64()),
-            }
-        )
+        return pa.table({"sx": x, "sy": y, "sxy": x * y, "sxx": x * x, "syy": y * y})
 
-    agg = _collect_table(
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536)
-        .groupby("one")
-        .aggregate(
-            Sum("n", alias_name="n"), Sum("sx", alias_name="sx"),
-            Sum("sy", alias_name="sy"), Sum("sxy", alias_name="sxy"),
-            Sum("sxx", alias_name="sxx"), Sum("syy", alias_name="syy"),
-        )
+    agg = fold_table(
+        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536),
+        [],
+        {"n": (None, "count"), **{c: (c, "sum") for c in ("sx", "sy", "sxy", "sxx", "syy")}},
     )
     n = int(agg["n"][0].as_py())
     sx = int(agg["sx"][0].as_py())
@@ -1131,21 +1028,9 @@ def geo_lang_simpson(sf_dir: str):
     (bounded), integer numerator/denominator emitted, ONE double
     division. No quantizer needed anywhere: the rare all-integer
     diversity statistic."""
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "documents", ["doc_id", "lang"])
 
-    def lang_partial(b: pa.Table) -> pa.Table:
-        u = np.unique(np.asarray(b["lang"].to_pylist()))
-        return pa.table({"lang": pa.array(u.tolist(), pa.string()),
-                         "one": pa.array(np.ones(len(u), np.int64))})
-
-    lang_t = _collect_table(
-        ds.select_columns(["lang"])
-        .map_batches(lang_partial, batch_format="pyarrow", batch_size=131072)
-        .groupby("lang")
-        .aggregate(Sum("one", alias_name="n"))
-    )
+    lang_t = fold_table(ds.select_columns(["lang"]), "lang", {"n": (None, "count")})
     langs = np.sort(np.asarray(lang_t["lang"].to_pylist()))
 
     def pack(b: pa.Table, ls=langs) -> pa.Table:
@@ -1424,34 +1309,18 @@ def geo_std_ellipse(sf_dir: str):
     where var_x_num stops fitting the column type, and both engines
     fail loud (pa.int64 OverflowError / DuckDB BIGINT overflow) at that
     same point rather than on an internal product."""
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "documents", ["doc_id"])
 
     def partial(b: pa.Table) -> pa.Table:
         doc_id = b["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         x = (doc_id * 104729) % 360000 - 180000
         y = (doc_id * 7919) % 140000 - 70000
-        return pa.table(
-            {
-                "one": pa.array([1], pa.int64()),
-                "n": pa.array([len(x)], pa.int64()),
-                "sx": pa.array([int(x.sum())], pa.int64()),
-                "sy": pa.array([int(y.sum())], pa.int64()),
-                "sxx": pa.array([int((x * x).sum())], pa.int64()),
-                "syy": pa.array([int((y * y).sum())], pa.int64()),
-                "sxy": pa.array([int((x * y).sum())], pa.int64()),
-            }
-        )
+        return pa.table({"sx": x, "sy": y, "sxx": x * x, "syy": y * y, "sxy": x * y})
 
-    agg = _collect_table(
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=131072)
-        .groupby("one")
-        .aggregate(
-            Sum("n", alias_name="n"), Sum("sx", alias_name="sx"),
-            Sum("sy", alias_name="sy"), Sum("sxx", alias_name="sxx"),
-            Sum("syy", alias_name="syy"), Sum("sxy", alias_name="sxy"),
-        )
+    agg = fold_table(
+        ds.map_batches(partial, batch_format="pyarrow", batch_size=131072),
+        [],
+        {"n": (None, "count"), **{c: (c, "sum") for c in ("sx", "sy", "sxx", "syy", "sxy")}},
     )
     n = int(agg["n"][0].as_py())
     sx = int(agg["sx"][0].as_py())
@@ -1545,21 +1414,9 @@ def geo_ripley_k(sf_dir: str):
     def band_partial(b: pa.Table) -> pa.Table:
         d2 = b["sq_dist"].to_numpy(zero_copy_only=False)
         band = np.where(d2 <= 1.0, 1, np.where(d2 <= 4.0, 2, 3))
-        u, c = np.unique(band, return_counts=True)
-        return pa.table(
-            {
-                "r": pa.array(u.astype(np.int64), pa.int64()),
-                "c": pa.array(c.astype(np.int64), pa.int64()),
-            }
-        )
+        return pa.table({"r": pa.array(band.astype(np.int64), pa.int64())})
 
-    from ray.data.aggregate import Sum
-
-    agg = _collect_table(
-        pairs.map_batches(band_partial, batch_format="pyarrow")
-        .groupby("r")
-        .aggregate(Sum("c", alias_name="c"))
-    )
+    agg = fold_table(pairs.map_batches(band_partial, batch_format="pyarrow"), "r", {"c": (None, "count")})
     rb = agg["r"].to_numpy(zero_copy_only=False).astype(np.int64)
     cb = agg["c"].to_numpy(zero_copy_only=False).astype(np.int64)
     counts = np.zeros(3, np.int64)
@@ -1642,21 +1499,9 @@ def geo_cross_k(sf_dir: str):
     def band_partial(b: pa.Table) -> pa.Table:
         d2 = b["sq_dist"].to_numpy(zero_copy_only=False)
         band = np.where(d2 <= 1.0, 1, np.where(d2 <= 4.0, 2, 3))
-        u, c = np.unique(band, return_counts=True)
-        return pa.table(
-            {
-                "r": pa.array(u.astype(np.int64), pa.int64()),
-                "c": pa.array(c.astype(np.int64), pa.int64()),
-            }
-        )
+        return pa.table({"r": pa.array(band.astype(np.int64), pa.int64())})
 
-    from ray.data.aggregate import Sum
-
-    agg = _collect_table(
-        pairs.map_batches(band_partial, batch_format="pyarrow")
-        .groupby("r")
-        .aggregate(Sum("c", alias_name="c"))
-    )
+    agg = fold_table(pairs.map_batches(band_partial, batch_format="pyarrow"), "r", {"c": (None, "count")})
     counts = np.zeros(3, np.int64)
     if agg.num_rows:
         rb = agg["r"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1809,8 +1654,6 @@ def geo_clark_evans(sf_dir: str):
     neighbor within rmax are CENSORED (counted, excluded — documented,
     mirrored; at production density rmax is a few mean spacings so pairs
     stay O(n), the band join's documented contract)."""
-    from ray.data.aggregate import Sum
-
     docs = _read(sf_dir, "documents", ["doc_id"])
 
     def shape(b: pa.Table) -> pa.Table:
@@ -1851,19 +1694,12 @@ def geo_clark_evans(sf_dir: str):
         d2 = b["val"].to_numpy(zero_copy_only=False).astype(np.uint64).view(
             np.float64
         )
-        micro = sql_round_np(np.sqrt(d2) * 1e6, 0).astype(np.int64)
-        return pa.table(
-            {
-                "one": pa.array([1], pa.int64()),
-                "n_obs": pa.array([len(micro)], pa.int64()),
-                "s": pa.array([int(micro.sum())], pa.int64()),
-            }
-        )
+        return pa.table({"s": sql_round_np(np.sqrt(d2) * 1e6, 0).astype(np.int64)})
 
-    agg = _collect_table(
-        mins.map_batches(partial, batch_format="pyarrow", batch_size=131072)
-        .groupby("one")
-        .aggregate(Sum("n_obs", alias_name="n_obs"), Sum("s", alias_name="s"))
+    agg = fold_table(
+        mins.map_batches(partial, batch_format="pyarrow", batch_size=131072),
+        [],
+        {"n_obs": (None, "count"), "s": ("s", "sum")},
     )
     n_obs = int(agg["n_obs"][0].as_py()) if agg.num_rows else 0
     s = int(agg["s"][0].as_py()) if agg.num_rows else 0
@@ -2297,8 +2133,6 @@ def geo_geometric_median(sf_dir: str):
     uniform density terms are ~1e13 (documented contract, same class as
     geo_moran_i). One map_batches partial + tiny groupby per iteration —
     {I} passes total, constant driver state."""
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "documents", ["doc_id"])
     clat, clon = 0.0, 0.0
     out_sw = out_skip = 0
@@ -2315,27 +2149,14 @@ def geo_geometric_median(sf_dir: str):
             dlo = lon - clon
             d = np.sqrt(dla * dla + dlo * dlo)
             ok = d >= _WEISZFELD_EPS
-            w = sql_round_np(1e9 / d[ok], 0).astype(np.int64)
-            return pa.table(
-                {
-                    "one": pa.array([1], pa.int64()),
-                    "s_lat": pa.array([int((w * lm[ok]).sum())], pa.int64()),
-                    "s_lon": pa.array([int((w * om[ok]).sum())], pa.int64()),
-                    "s_w": pa.array([int(w.sum())], pa.int64()),
-                    "n_skip": pa.array([int((~ok).sum())], pa.int64()),
-                }
-            )
+            w = np.zeros(len(d), np.int64)
+            w[ok] = sql_round_np(1e9 / d[ok], 0).astype(np.int64)
+            return pa.table({"s_lat": w * lm, "s_lon": w * om, "s_w": w, "n_skip": ~ok})
 
-        agg = _collect_table(
-            ds.map_batches(partial, batch_format="pyarrow",
-                           batch_size=131072)
-            .groupby("one")
-            .aggregate(
-                Sum("s_lat", alias_name="s_lat"),
-                Sum("s_lon", alias_name="s_lon"),
-                Sum("s_w", alias_name="s_w"),
-                Sum("n_skip", alias_name="n_skip"),
-            )
+        agg = fold_table(
+            ds.map_batches(partial, batch_format="pyarrow", batch_size=131072),
+            [],
+            {c: (c, "sum") for c in ("s_lat", "s_lon", "s_w", "n_skip")},
         )
         s_lat = int(agg["s_lat"][0].as_py())
         s_lon = int(agg["s_lon"][0].as_py())
@@ -2380,21 +2201,9 @@ def geo_type_hhi(sf_dir: str):
     from one packed (cell, type) count pass (bounded), one double
     division; no quantizer anywhere (the Simpson-index trick on squared
     shares)."""
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "events", ["event_id", "event_type"])
 
-    def type_partial(b: pa.Table) -> pa.Table:
-        u = np.unique(np.asarray(b["event_type"].to_pylist()))
-        return pa.table({"event_type": pa.array(u.tolist(), pa.string()),
-                         "one": pa.array(np.ones(len(u), np.int64))})
-
-    ty_t = _collect_table(
-        ds.select_columns(["event_type"])
-        .map_batches(type_partial, batch_format="pyarrow", batch_size=131072)
-        .groupby("event_type")
-        .aggregate(Sum("one", alias_name="n"))
-    )
+    ty_t = fold_table(ds.select_columns(["event_type"]), "event_type", {"n": (None, "count")})
     types = np.sort(np.asarray(ty_t["event_type"].to_pylist()))
 
     def pack(b: pa.Table, ts=types) -> pa.Table:
@@ -3398,8 +3207,6 @@ def geo_g_function(sf_dir: str):
     quantizer anywhere; g_hat = count/n is ONE division. Censoring at
     rmax = 2 deg is inherited and mirrored (NN farther than rmax counts
     as 'none within any r')."""
-    from ray.data.aggregate import Sum
-
     docs = _read(sf_dir, "documents", ["doc_id"])
 
     def shape(b: pa.Table) -> pa.Table:
@@ -3449,10 +3256,8 @@ def geo_g_function(sf_dir: str):
             }
         )
 
-    agg = _collect_table(
-        mins.map_batches(partial, batch_format="pyarrow", batch_size=131072)
-        .groupby("band")
-        .aggregate(Sum("c", alias_name="c"))
+    agg = fold_table(
+        mins.map_batches(partial, batch_format="pyarrow", batch_size=131072), "band", {"c": ("c", "sum")}
     )
     counts = np.zeros(len(r2), np.int64)
     bi = agg["band"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -3519,8 +3324,6 @@ def geo_pair_correlation(sf_dir: str):
     (geo_ripley_k contract), ring assignment by exact d2-threshold
     comparisons (no sqrt), g = ring density / CSR ring density as one
     term-mirrored double chain over exact integers per ring."""
-    from ray.data.aggregate import Sum
-
     docs = _read(sf_dir, "documents", ["doc_id"])
 
     def shape(b: pa.Table) -> pa.Table:
@@ -3543,18 +3346,10 @@ def geo_pair_correlation(sf_dir: str):
     def ring_partial(b: pa.Table) -> pa.Table:
         d2 = b["sq_dist"].to_numpy(zero_copy_only=False)
         ring = np.searchsorted(edges, d2, side="left") + 1  # d2 == edge -> inner ring
-        u, c = np.unique(ring, return_counts=True)
-        return pa.table(
-            {
-                "ring": pa.array(u.astype(np.int64), pa.int64()),
-                "c": pa.array(c.astype(np.int64), pa.int64()),
-            }
-        )
+        return pa.table({"ring": pa.array(ring.astype(np.int64), pa.int64())})
 
-    agg = _collect_table(
-        pairs.map_batches(ring_partial, batch_format="pyarrow")
-        .groupby("ring")
-        .aggregate(Sum("c", alias_name="c"))
+    agg = fold_table(
+        pairs.map_batches(ring_partial, batch_format="pyarrow"), "ring", {"c": (None, "count")}
     )
     counts = np.zeros(len(edges), np.int64)
     rb = agg["ring"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -3618,7 +3413,7 @@ def geo_clq(sf_dir: str):
     cross pairs once each way, same-lang pairs twice), then
     clq = (n_dir * (N-1)) / (out_total(A) * N_B) as ONE double division
     of exact integer products."""
-    pairs = _collect_table(geo_colocation(sf_dir))  # <= lang^2 rows
+    pairs = geo_colocation(sf_dir)  # <= lang^2 rows
     l1 = pairs["l1"].to_pylist()
     l2 = pairs["l2"].to_pylist()
     npair = pairs["n_pairs"].to_numpy(zero_copy_only=False).astype(np.int64)

@@ -19,10 +19,10 @@ from core_ray.fixtures.pages import write_corpus
 from core_ray.geo import s2 as s2mod
 from core_ray.geo.s2 import cell_parent
 from core_ray.pipelines.flagship import run_flagship
-from core_ray.queries._shared import _DAY_US, _collect_table, _sf_of, query
+from core_ray.queries._shared import _DAY_US, _sf_of, query
 from core_ray.rounding import sql_round_np
 from core_ray.rules import full_registry
-from core_ray.stages.agg import count_by_u64, map_groups_partitioned
+from core_ray.stages.agg import count_by_u64, fold_table, map_groups_partitioned
 from core_ray.stages.geocode import Geocoder
 from core_ray.stages.join import hash_join, lookup_join
 from core_ray.stages.nest import explode_list, nest_by_key, nest_hierarchy
@@ -314,21 +314,12 @@ def pages_local_hour(sf_dir: str):
             }
         )
 
-    from ray.data.aggregate import Sum
-
-    agg = (
-        j.map_batches(partial, batch_format="pyarrow", batch_size=131072)
-        .groupby("local_hour")
-        .aggregate(Sum("n", alias_name="n_mentions"))
+    t = fold_table(
+        j.map_batches(partial, batch_format="pyarrow", batch_size=131072),
+        "local_hour",
+        {"n_mentions": ("n", "sum")},
     )
-    t = _collect_table(agg)
-    t = t.filter(pc.greater(t["n_mentions"], 0))
-    return pa.table(
-        {
-            "local_hour": pc.cast(t["local_hour"], pa.int64()),
-            "n_mentions": pc.cast(t["n_mentions"], pa.int64()),
-        }
-    )
+    return t.filter(pc.greater(t["n_mentions"], 0))
 
 
 # --- catalog-cascade golden (rules/catalog.py driver gate) -----------------

@@ -15,13 +15,13 @@ import pyarrow.parquet as pq
 
 from core_ray.queries._shared import _collect_numpy, _collect_table, _p, _read, query
 from core_ray.rounding import sql_round, sql_round_np
-from core_ray.stages.agg import count_by_u64, map_groups_partitioned, min_by_u64, sum_by_u64
+from core_ray.stages.agg import count_by_u64, fold, fold_table, map_groups_partitioned, min_by_u64, sum_by_u64
 from core_ray.stages.join import hash_join, lookup_join, read_dim
 
 
 # ================================================================ relational
-# Q1-style pricing summary: filter + partial per-batch pre-aggregation (the
-# combiner pattern, SURVEY.md §2.6 A1-A3) + tiny final groupby.
+# Q1-style pricing summary: filter + one grouped fold (agg.fold_table: the
+# combiner pattern, SURVEY.md §2.6 A1-A3, finished on the driver).
 
 _Q1_CUTOFF = datetime(2000, 1, 1)
 
@@ -37,49 +37,31 @@ WHERE l_shipdate <= TIMESTAMP '2000-01-01'
 GROUP BY 1, 2
 """)
 def q1_pricing_summary(sf_dir: str):
-    from ray.data.aggregate import Count, Sum
-
     ds = _read(
         sf_dir,
         "lineitem",
         ["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice", "l_discount", "l_shipdate"],
     )
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def priced(batch: pa.Table) -> pa.Table:
         batch = batch.filter(pc.less_equal(batch["l_shipdate"], pa.scalar(_Q1_CUTOFF)))
         disc = pc.multiply(batch["l_extendedprice"], pc.subtract(1.0, batch["l_discount"]))
-        batch = batch.append_column("disc_price", disc)
-        # per-batch combine: emit one row per (flag, status) per batch
-        # ([], "count_all") mirrors COUNT(*) — a ("col", "count") would skip
-        # nulls and diverge from the oracle on nullable columns
-        return pa.TableGroupBy(batch, ["l_returnflag", "l_linestatus"]).aggregate(
-            [("l_quantity", "sum"), ("l_extendedprice", "sum"), ("disc_price", "sum"), ([], "count_all")]
-        )
+        return batch.append_column("disc_price", disc)
 
-    agg = (
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536)
-        .groupby(["l_returnflag", "l_linestatus"])
-        .aggregate(
-            Sum("l_quantity_sum", alias_name="sum_qty"),
-            Sum("l_extendedprice_sum", alias_name="sum_base_price"),
-            Sum("disc_price_sum", alias_name="sum_disc_price"),
-            Sum("count_all", alias_name="count_order"),
-        )
+    # (None, "count") is COUNT(*): a column count would skip nulls
+    t = fold_table(
+        ds.map_batches(priced, batch_format="pyarrow", batch_size=65536),
+        ["l_returnflag", "l_linestatus"],
+        {
+            "sum_qty": ("l_quantity", "sum"),
+            "sum_base_price": ("l_extendedprice", "sum"),
+            "sum_disc_price": ("disc_price", "sum"),
+            "count_order": (None, "count"),
+        },
     )
-
-    def finish(b: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "l_returnflag": b["l_returnflag"],
-                "l_linestatus": b["l_linestatus"],
-                "sum_qty": sql_round(b["sum_qty"], 2),
-                "sum_base_price": sql_round(b["sum_base_price"], 2),
-                "sum_disc_price": sql_round(b["sum_disc_price"], 2),
-                "count_order": pc.cast(b["count_order"], pa.int64()),
-            }
-        )
-
-    return agg.map_batches(finish, batch_format="pyarrow")
+    for c in ("sum_qty", "sum_base_price", "sum_disc_price"):
+        t = t.set_column(t.schema.get_field_index(c), c, sql_round(t[c], 2))
+    return t
 
 
 # Q3-style: semi-join cascade (customer segment -> orders -> lineitem),
@@ -107,7 +89,6 @@ def q3_top_orders(sf_dir: str):
     filter the ship-date-pruned lineitem. No fact table ever reaches the
     driver; each key set is the product of a distributed filter."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     # the segment and date predicates are PUSHED INTO THE READS (pyarrow
     # dataset filter: row-group pruning via statistics + exact row filtering
@@ -132,11 +113,11 @@ def q3_top_orders(sf_dir: str):
         columns=["l_orderkey", "l_extendedprice", "l_discount"],
         filter=pads.field("l_shipdate") > _Q3_DATE,
     )
-    agg = (
+    agg = fold(
         lookup_join(li, okeys, on="l_orderkey", right_on="o_orderkey", how="semi")
-        .map_batches(revenue, batch_format="pyarrow", batch_size=65536)
-        .groupby("o_orderkey")
-        .aggregate(Sum("rev", alias_name="revenue"))
+        .map_batches(revenue, batch_format="pyarrow", batch_size=65536),
+        "o_orderkey",
+        {"revenue": ("rev", "sum")},
     )
 
     def finish(b: pa.Table) -> pa.Table:
@@ -161,8 +142,6 @@ WHERE r_name = 'ASIA'
 GROUP BY 1
 """)
 def q5_region_revenue(sf_dir: str, region: str = "ASIA"):
-    from ray.data.aggregate import Sum
-
     nation = pq.read_table(_p(sf_dir, "nation"), columns=["n_nationkey", "n_name", "n_regionkey"])
     reg = pq.read_table(_p(sf_dir, "region"), columns=["r_regionkey", "r_name"])
     rkeys = reg.filter(pc.equal(reg["r_name"], region))["r_regionkey"].combine_chunks()
@@ -177,19 +156,15 @@ def q5_region_revenue(sf_dir: str, region: str = "ASIA"):
 
     li = _read(sf_dir, "lineitem", ["l_suppkey", "l_extendedprice", "l_discount"])
     # chained lookups: lineitem -> supplier nation -> region's nation names
-    agg = (
+    t = fold_table(
         lookup_join(
             lookup_join(li, supp, on="l_suppkey", right_on="s_suppkey"),
             n_in, on="s_nationkey", right_on="n_nationkey",
-        )
-        .map_batches(rev, batch_format="pyarrow", batch_size=65536)
-        .groupby("n_name")
-        .aggregate(Sum("rev", alias_name="revenue"))
+        ).map_batches(rev, batch_format="pyarrow", batch_size=65536),
+        "n_name",
+        {"revenue": ("rev", "sum")},
     )
-    return agg.map_batches(
-        lambda b: pa.table({"n_name": b["n_name"], "revenue": sql_round(b["revenue"], 2)}),
-        batch_format="pyarrow",
-    )
+    return pa.table({"n_name": t["n_name"], "revenue": sql_round(t["revenue"], 2)})
 
 
 _NO_ORDERS_CUTOFF = datetime(2000, 6, 1)
@@ -230,7 +205,6 @@ def orders_cust_join(sf_dir: str):
     operator (stages/join.py): orders ⋈ customer on custkey — NEITHER side
     broadcast — then a per-segment rollup. This drives hash_join itself
     through the driver's oracle gate."""
-    from ray.data.aggregate import Count, Sum
 
     def to_cents(b: pa.Table) -> pa.Table:
         # exact integer cents: a float SUM at ~1e9 magnitude rounds
@@ -251,18 +225,15 @@ def orders_cust_join(sf_dir: str):
         batch_format="pyarrow",
     )
     joined = hash_join(orders, cust, on="custkey")
-    agg = joined.groupby("c_mktsegment").aggregate(
-        Count(alias_name="n_orders"), Sum("cents", alias_name="total_cents")
+    t = fold_table(
+        joined, "c_mktsegment", {"n_orders": (None, "count"), "total_cents": ("cents", "sum")}
     )
-    return agg.map_batches(
-        lambda b: pa.table(
-            {
-                "c_mktsegment": b["c_mktsegment"],
-                "n_orders": pc.cast(b["n_orders"], pa.int64()),
-                "total": pc.divide(pc.cast(b["total_cents"], pa.float64()), 100.0),
-            }
-        ),
-        batch_format="pyarrow",
+    return pa.table(
+        {
+            "c_mktsegment": t["c_mktsegment"],
+            "n_orders": t["n_orders"],
+            "total": pc.divide(pc.cast(t["total_cents"], pa.float64()), 100.0),
+        }
     )
 
 
@@ -364,7 +335,6 @@ def q4_priority_semi(sf_dir: str):
     (neither fact side broadcast — the qualifying-key set is a large
     fraction of all orders at any scale); 5-key final count."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     li = ray.data.read_parquet(
         _p(sf_dir, "lineitem"),
@@ -388,26 +358,7 @@ def q4_priority_semi(sf_dir: str):
         batch_format="pyarrow",
     )
     j = hash_join(orders, keys, on="okey")
-
-    def partial(b: pa.Table) -> pa.Table:
-        return pa.TableGroupBy(b.select(["o_orderpriority"]), "o_orderpriority").aggregate(
-            [([], "count_all")]
-        )
-
-    agg = (
-        j.map_batches(partial, batch_format="pyarrow", batch_size=131072)
-        .groupby("o_orderpriority")
-        .aggregate(Sum("count_all", alias_name="order_count"))
-    )
-    return agg.map_batches(
-        lambda b: pa.table(
-            {
-                "o_orderpriority": b["o_orderpriority"],
-                "order_count": pc.cast(b["order_count"], pa.int64()),
-            }
-        ),
-        batch_format="pyarrow",
-    )
+    return fold_table(j, "o_orderpriority", {"order_count": (None, "count")})
 
 
 @query(sql="""
@@ -479,7 +430,6 @@ def q12_priority_class(sf_dir: str):
     batches. Per-batch combiner folds to <=2 rows before the final 2-key
     groupby."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     li = ray.data.read_parquet(
         _p(sf_dir, "lineitem"),
@@ -489,30 +439,19 @@ def q12_priority_class(sf_dir: str):
     )
     orders = read_dim(_p(sf_dir, "orders"), ["o_orderkey", "o_orderpriority"])
 
-    def partial(b: pa.Table) -> pa.Table:
+    def flags(b: pa.Table) -> pa.Table:
         hi = pc.cast(
             pc.is_in(b["o_orderpriority"], value_set=pa.array(_Q12_HIGH)), pa.int64()
         )
-        t = pa.table(
+        return pa.table(
             {"l_linestatus": b["l_linestatus"], "high": hi, "low": pc.subtract(1, hi)}
         )
-        return pa.TableGroupBy(t, "l_linestatus").aggregate([("high", "sum"), ("low", "sum")])
 
-    agg = (
+    return fold_table(
         lookup_join(li, orders, on="l_orderkey", right_on="o_orderkey")
-        .map_batches(partial, batch_format="pyarrow", batch_size=131072)
-        .groupby("l_linestatus")
-        .aggregate(Sum("high_sum", alias_name="high_count"), Sum("low_sum", alias_name="low_count"))
-    )
-    return agg.map_batches(
-        lambda b: pa.table(
-            {
-                "l_linestatus": b["l_linestatus"],
-                "high_count": pc.cast(b["high_count"], pa.int64()),
-                "low_count": pc.cast(b["low_count"], pa.int64()),
-            }
-        ),
-        batch_format="pyarrow",
+        .map_batches(flags, batch_format="pyarrow", batch_size=131072),
+        "l_linestatus",
+        {"high_count": ("high", "sum"), "low_count": ("low", "sum")},
     )
 
 
@@ -973,7 +912,6 @@ def q7_nation_volume(sf_dir: str):
     way; final group is (2 x 2 x years) rows via a per-batch combiner.
     Exact integer 10^-4 revenue units."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     # nation name -> key (25-row dimension)
     nt = pq.read_table(_p(sf_dir, "nation"), columns=["n_nationkey", "n_name"])
@@ -1036,28 +974,12 @@ def q7_nation_volume(sf_dir: str):
     )
     j = hash_join(li, orders, on="okey")
 
-    def partial(b: pa.Table) -> pa.Table:
-        t = pa.table(
-            {
-                "supp_nk": b["supp_nk"],
-                "cust_nk": b["cust_nk"],
-                "l_year": b["l_year"],
-                "units": b["units"],
-            }
-        )
-        # directed pairs between DISTINCT nations only (q7 semantics)
-        t = t.filter(pc.not_equal(t["supp_nk"], t["cust_nk"]))
-        g = pa.TableGroupBy(t, ["supp_nk", "cust_nk", "l_year"]).aggregate(
-            [("units", "sum")]
-        )
-        return g
-
-    agg = (
-        j.map_batches(partial, batch_format="pyarrow", batch_size=131072)
-        .groupby(["supp_nk", "cust_nk", "l_year"])
-        .aggregate(Sum("units_sum", alias_name="u"))
+    # directed pairs between DISTINCT nations only (q7 semantics)
+    t = fold_table(
+        j.filter(expr="supp_nk != cust_nk"),
+        ["supp_nk", "cust_nk", "l_year"],
+        {"u": ("units", "sum")},
     )
-    t = _collect_table(agg)
     return pa.table(
         {
             "supp_nation": pa.array(
@@ -1066,7 +988,7 @@ def q7_nation_volume(sf_dir: str):
             "cust_nation": pa.array(
                 [name_of[k] for k in t["cust_nk"].to_pylist()], pa.string()
             ),
-            "l_year": pc.cast(t["l_year"], pa.int64()),
+            "l_year": t["l_year"],
             "revenue": pa.array(
                 sql_round_np(t["u"].to_numpy(zero_copy_only=False) / 10000.0, 2),
                 pa.float64(),
@@ -1423,7 +1345,6 @@ def q8_market_share(sf_dir: str):
     total ratio of exact 10^-4 integer units with ONE float division per
     year (identical IEEE ops to the SQL)."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     nt = pq.read_table(_p(sf_dir, "nation"), columns=["n_nationkey", "n_name", "n_regionkey"])
     rt = pq.read_table(_p(sf_dir, "region"), columns=["r_regionkey", "r_name"])
@@ -1496,25 +1417,13 @@ def q8_market_share(sf_dir: str):
 
     j = hash_join(li, orders, on="okey")
 
-    def partial(b: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(
-            pa.table({"o_year": b["o_year"], "units": b["units"], "nat_units": b["nat_units"]}),
-            ["o_year"],
-        ).aggregate([("units", "sum"), ("nat_units", "sum")])
-        return g
-
-    agg = (
-        j.map_batches(partial, batch_format="pyarrow", batch_size=131072)
-        .groupby("o_year")
-        .aggregate(Sum("units_sum", alias_name="t"), Sum("nat_units_sum", alias_name="p"))
-    )
-    t = _collect_table(agg).sort_by("o_year")
+    t = fold_table(j, "o_year", {"t": ("units", "sum"), "p": ("nat_units", "sum")})
     tot = t["t"].to_numpy(zero_copy_only=False).astype(np.float64)
     nat = t["p"].to_numpy(zero_copy_only=False).astype(np.float64)
     share = sql_round_np(nat / tot, 6)
     return pa.table(
         {
-            "o_year": pc.cast(t["o_year"], pa.int64()),
+            "o_year": t["o_year"],
             "mkt_share": pa.array(share, pa.float64()),
         }
     )
@@ -1543,7 +1452,6 @@ def q9_profit_proxy(sf_dir: str):
     the PLAN is q9's: the substring-filtered part dim and the supplier dim
     both attach by lookup_join, profit is exact 10^-4 integer units, and
     the final group is (nation x year) via a per-batch combiner."""
-    from ray.data.aggregate import Sum
 
     part = read_dim(
         _p(sf_dir, "part"), ["p_partkey", "p_retailprice"],
@@ -1565,36 +1473,33 @@ def q9_profit_proxy(sf_dir: str):
             .astype(np.int64)
             + 1970
         )
-        t = pa.table(
+        return pa.table(
             {
                 "nk": pc.cast(b["s_nationkey"], pa.int64()),
                 "l_year": pa.array(yr, pa.int64()),
                 "profit_u": pa.array(profit, pa.int64()),
             }
         )
-        return pa.TableGroupBy(t, ["nk", "l_year"]).aggregate([("profit_u", "sum")])
 
     li = _read(
         sf_dir,
         "lineitem",
         ["l_partkey", "l_suppkey", "l_quantity", "l_extendedprice", "l_discount", "l_shipdate"],
     )
-    agg = (
+    t = fold_table(
         lookup_join(
             lookup_join(li, part, on="l_partkey", right_on="p_partkey"),
             supp, on="l_suppkey", right_on="s_suppkey",
-        )
-        .map_batches(partial, batch_format="pyarrow", batch_size=131072)
-        .groupby(["nk", "l_year"])
-        .aggregate(Sum("profit_u_sum", alias_name="u"))
+        ).map_batches(partial, batch_format="pyarrow", batch_size=131072),
+        ["nk", "l_year"],
+        {"u": ("profit_u", "sum")},
     )
-    t = _collect_table(agg)
     nt = pq.read_table(_p(sf_dir, "nation"), columns=["n_nationkey", "n_name"])
     name_of = dict(zip(nt["n_nationkey"].to_pylist(), nt["n_name"].to_pylist()))
     return pa.table(
         {
             "nation": pa.array([name_of[k] for k in t["nk"].to_pylist()], pa.string()),
-            "l_year": pc.cast(t["l_year"], pa.int64()),
+            "l_year": t["l_year"],
             "profit": pa.array(
                 sql_round_np(t["u"].to_numpy(zero_copy_only=False) / 10000.0, 2),
                 pa.float64(),
@@ -1623,24 +1528,21 @@ def q11_balance_concentration(sf_dir: str):
     q11's: one distributed pass produces per-group integer-cent sums, the
     global scalar is the sum OF those group sums (no second scan), and the
     threshold compare is one float multiply (identical IEEE ops in SQL)."""
-    from ray.data.aggregate import Sum
 
     def pre(b: pa.Table) -> pa.Table:
         cents = sql_round_np(
             b["s_acctbal"].to_numpy(zero_copy_only=False) * 100.0, 0
         ).astype(np.int64)
-        t = pa.table(
+        return pa.table(
             {"nk": pc.cast(b["s_nationkey"], pa.int64()), "cents": pa.array(cents, pa.int64())}
         )
-        return pa.TableGroupBy(t, ["nk"]).aggregate([("cents", "sum")])
 
-    agg = (
+    t = fold_table(
         _read(sf_dir, "supplier", ["s_nationkey", "s_acctbal"])
-        .map_batches(pre, batch_format="pyarrow", batch_size=131072)
-        .groupby("nk")
-        .aggregate(Sum("cents_sum", alias_name="cents"))
+        .map_batches(pre, batch_format="pyarrow", batch_size=131072),
+        "nk",
+        {"cents": ("cents", "sum")},
     )
-    t = _collect_table(agg)
     cents = t["cents"].to_numpy(zero_copy_only=False).astype(np.int64)
     total = int(cents.sum())
     keep = cents.astype(np.float64) > _Q11_FRACTION * float(total)
@@ -1686,7 +1588,6 @@ def q20_excess_shippers(sf_dir: str):
     derived from the collected per-supplier sums (tiny: |supplier| rows),
     and the name join is a driver-side dim lookup."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     part = read_dim(
         _p(sf_dir, "part"), ["p_partkey"], filter=pads.field("p_brand") == _Q20_BRAND
@@ -1696,13 +1597,12 @@ def q20_excess_shippers(sf_dir: str):
         cq = sql_round_np(
             b["l_quantity"].to_numpy(zero_copy_only=False) * 100.0, 0
         ).astype(np.int64)
-        t = pa.table(
+        return pa.table(
             {
                 "sk": pc.cast(b["l_suppkey"], pa.int64()),
                 "cq": pa.array(cq, pa.int64()),
             }
         )
-        return pa.TableGroupBy(t, ["sk"]).aggregate([("cq", "sum")])
 
     li = ray.data.read_parquet(
         _p(sf_dir, "lineitem"),
@@ -1710,13 +1610,12 @@ def q20_excess_shippers(sf_dir: str):
         filter=(pads.field("l_shipdate") >= datetime(_Q20_YEAR, 1, 1))
         & (pads.field("l_shipdate") < datetime(_Q20_YEAR + 1, 1, 1)),
     )
-    agg = (
+    t = fold_table(
         lookup_join(li, part, on="l_partkey", right_on="p_partkey", how="semi")
-        .map_batches(pre, batch_format="pyarrow", batch_size=131072)
-        .groupby("sk")
-        .aggregate(Sum("cq_sum", alias_name="cq"))
+        .map_batches(pre, batch_format="pyarrow", batch_size=131072),
+        "sk",
+        {"cq": ("cq", "sum")},
     )
-    t = _collect_table(agg)
     cq = t["cq"].to_numpy(zero_copy_only=False).astype(np.int64)
     n = len(cq)
     if n == 0:
@@ -1756,8 +1655,7 @@ def q21_sole_supplier(sf_dir: str):
     q21's). Plan: per-batch combiner computes (orderkey -> count, min supp,
     max supp), ONE hash shuffle co-locates order fragments, a vectorized
     reduceat merge closes each order, and the per-supplier count is a tiny
-    final aggregate."""
-    from ray.data.aggregate import Sum
+    final fold."""
 
     def pre(b: pa.Table) -> pa.Table:
         ok = b["l_orderkey"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1795,28 +1693,25 @@ def q21_sole_supplier(sf_dir: str):
         tmn = np.minimum.reduceat(mn[order], starts) if len(starts) else mn[:0]
         tmx = np.maximum.reduceat(mx[order], starts) if len(starts) else mx[:0]
         sole = (tot >= 2) & (tmn == tmx)
-        t = pa.table({"sk": pa.array(tmn[sole], pa.int64())})
-        t = t.append_column("one", pa.array(np.ones(len(t), np.int64), pa.int64()))
-        return pa.TableGroupBy(t, ["sk"]).aggregate([("one", "sum")])
+        return pa.table({"sk": pa.array(tmn[sole], pa.int64())})
 
-    per_supp = (
+    t = fold_table(
         map_groups_partitioned(
             _read(sf_dir, "lineitem", ["l_orderkey", "l_suppkey"]).map_batches(
                 pre, batch_format="pyarrow", batch_size=131072
             ),
             "okey",
             close_orders,
-        )
-        .groupby("sk")
-        .aggregate(Sum("one_sum", alias_name="numsole"))
+        ),
+        "sk",
+        {"numsole": (None, "count")},
     )
-    t = _collect_table(per_supp)
     st = pq.read_table(_p(sf_dir, "supplier"), columns=["s_suppkey", "s_name"])
     name_of = dict(zip(st["s_suppkey"].to_pylist(), st["s_name"].to_pylist()))
     out = pa.table(
         {
             "s_name": pa.array([name_of[k] for k in t["sk"].to_pylist()], pa.string()),
-            "numsole": pc.cast(t["numsole"], pa.int64()),
+            "numsole": t["numsole"],
         }
     ).sort_by([("numsole", "descending"), ("s_name", "ascending")])
     return out.slice(0, 20)

@@ -25,7 +25,9 @@ left row at most once, and null keys never match. ``read_dim`` reads a
 dimension table onto the driver when its parquet footer says the projection
 fits the same constant, so a small dimension costs no Ray execution at all.
 ``fits_broadcast`` applies the rule for the row-local scoring queries that
-ship a model (a vocabulary, an edge set) to every batch instead of joining.
+ship a model (a vocabulary, an edge set) to every batch instead of joining,
+and for ``agg.fold_table`` and ``knn._hot_sets``, which fold materialized
+partials on the driver while they fit.
 
 ``hash_join`` is also called directly for fact-fact joins. Ray 2.49 has a
 native ``Dataset.join`` (hash-shuffle strategy). ``hash_join`` stays because

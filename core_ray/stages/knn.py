@@ -42,6 +42,7 @@ import pyarrow.compute as pc
 from core_ray.collect import collect_table
 from core_ray.geo import hexgrid
 from core_ray.stages.agg import _GOLD, _n_parts, _reduce_by_key, sum_by_u64
+from core_ray.stages.join import fits_broadcast
 
 _KNN_COLS = ["url", "mention_idx", "lat", "lon", "hex_cell"]
 COARSEN = 2  # group at res - COARSEN
@@ -355,16 +356,15 @@ def _knn_empty() -> pa.Table:
     )
 
 
-def _hot_sets(ds, group_res: int, hot_threshold: int, salt_target: int,
-              driver_cells_threshold: int = 2_000_000):
+def _hot_sets(ds, group_res: int, hot_threshold: int, salt_target: int):
     """Hot-set discovery for the skew plan, with at most one shuffle.
 
     Each block folds map-side to one (cell, count) row per distinct cell
     (``agg._reduce_by_key``, the combiner of ``count_by_u64``), and those
-    partials are materialized: no shuffle yet. Their row count, read from
-    block metadata, bounds the number of distinct cells. When it is at most
-    ``driver_cells_threshold``, the partials are small: the driver folds
-    them and computes the sets locally, so the pass is ONE map-only
+    partials are materialized: no shuffle yet. Their row count and Arrow
+    bytes come from block metadata. While the bytes fit the broadcast rule
+    (``join.fits_broadcast``, as ``agg.fold_table`` decides), the driver
+    folds them and computes the sets locally, so the pass is ONE map-only
     execution. Above it, the full per-cell histogram is a DATASET (at
     planet scale it is itself big) and only ABOVE-THRESHOLD keys ever reach
     the driver: per-cell totals are a distributed SUM of the partial counts,
@@ -383,11 +383,10 @@ def _hot_sets(ds, group_res: int, hot_threshold: int, salt_target: int,
         .map_batches(partial, batch_format="pyarrow", batch_size=131072)
         .materialize()
     )
-    n_partials = partials.count()  # block metadata: executes nothing
-    if n_partials == 0:
+    if partials.count() == 0:  # block metadata: executes nothing
         return np.zeros(0, dtype=np.uint64), {}
 
-    if n_partials <= driver_cells_threshold:
+    if fits_broadcast(partials):
         t = collect_table(partials)
         cells, counts = _reduce_by_key(
             t["key"].to_numpy(zero_copy_only=False).astype(np.uint64),

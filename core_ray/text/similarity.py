@@ -19,6 +19,7 @@ import pyarrow as pa
 
 from core_ray.collect import collect_table
 from core_ray.rounding import sql_round_np
+from core_ray.stages.agg import fold
 
 
 def _batch_matrix(batch: pa.Table, col: str = "embedding") -> np.ndarray:
@@ -204,12 +205,10 @@ def label_centroids(ds, label_col: str = "label", col: str = "embedding"):
             }
         )
 
-    from ray.data.aggregate import Sum
-
-    agg = (
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=8192)
-        .groupby(["label", "dim"])
-        .aggregate(Sum("sum_val", alias_name="sum_val"), Sum("cnt", alias_name="cnt"))
+    agg = fold(
+        ds.map_batches(partial, batch_format="pyarrow", batch_size=8192),
+        ["label", "dim"],
+        {"sum_val": ("sum_val", "sum"), "cnt": ("cnt", "sum")},
     )
 
     def finish(batch: pa.Table) -> pa.Table:

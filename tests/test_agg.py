@@ -1,6 +1,7 @@
 """The hash-partition shuffle primitive and the per-key folds built on it
 (core_ray/stages/agg.py), against numpy references."""
 
+import math
 import re
 import uuid
 
@@ -185,3 +186,219 @@ def test_hash_shuffles_go_through_map_groups_partitioned():
             if (rel, fn) not in _OWN_PARTITIONING:
                 found.append(f"{rel}:{i} ({fn})")
     assert not found, "hand-rolled hash shuffle; use agg.map_groups_partitioned: " + ", ".join(found)
+
+
+def _ray_grouped_folds(src: str):
+    """(line, what) of every Ray Data aggregate in ``src``: a non-Arrow
+    ``.aggregate(`` call (``groupby(…).aggregate`` or ``Dataset.aggregate``),
+    a ``groupby(…).count/sum/min/max/mean/std(`` call, a
+    ``ray.data.aggregate`` import, or a global ``Dataset.sum/min/max/
+    mean/std/unique`` over named columns."""
+    import ast
+
+    def named_columns(arg) -> bool:
+        if isinstance(arg, ast.Constant):
+            return isinstance(arg.value, str)
+        return isinstance(arg, ast.List) and all(
+            isinstance(e, ast.Constant) and isinstance(e.value, str) for e in arg.elts
+        )
+
+    for node in ast.walk(ast.parse(src)):
+        if isinstance(node, ast.ImportFrom) and node.module == "ray.data.aggregate":
+            yield node.lineno, "ray.data.aggregate import"
+        elif isinstance(node, ast.Import) and any(a.name == "ray.data.aggregate" for a in node.names):
+            yield node.lineno, "ray.data.aggregate import"
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            recv, attr = node.func.value, node.func.attr
+            called = recv.func.attr if isinstance(recv, ast.Call) \
+                and isinstance(recv.func, ast.Attribute) else None
+            if attr == "aggregate" and called != "TableGroupBy":
+                yield node.lineno, ".aggregate("
+            elif called == "groupby" and attr in ("count", "sum", "min", "max", "mean", "std"):
+                yield node.lineno, f"groupby(…).{attr}("
+            elif attr in ("sum", "min", "max", "mean", "std", "unique") and node.args \
+                    and named_columns(node.args[0]):
+                yield node.lineno, f"Dataset.{attr}("
+
+
+def test_grouped_folds_go_through_agg():
+    """A new Ray ``groupby().aggregate()`` / ``Dataset.aggregate()`` (each a
+    sort-shuffle Aggregate) fails here: outside stages/agg.py every grouped
+    sum/count/min/max is ``agg.fold`` or ``agg.fold_table``."""
+    import pathlib
+
+    root = pathlib.Path(__file__).resolve().parents[1] / "core_ray"
+    found = [
+        f"{path.relative_to(root).as_posix()}:{line} ({what})"
+        for path in sorted(root.rglob("*.py"))
+        if path.relative_to(root).as_posix() != "stages/agg.py"
+        for line, what in _ray_grouped_folds(path.read_text())
+    ]
+    assert not found, "Ray aggregate; use agg.fold / agg.fold_table: " + ", ".join(found)
+
+
+def test_grouped_fold_guard_catches_each_form():
+    src = (
+        "from ray.data.aggregate import Sum\n"
+        "a = ds.groupby('k').aggregate(Sum('v'))\n"
+        "b = ds.aggregate(Sum('v'))\n"
+        "c = ds.min('d')\n"
+        "d = pa.TableGroupBy(t, 'k').aggregate([('v', 'sum')])\n"
+        "e = np.asarray(x).sum(axis=0) + pc.min(t['d']).as_py()\n"
+        "f = ds.groupby('k').count()\n"
+        "g = ds.groupby(['k', 'j']).sum()\n"
+        "h = ds.groupby('k').map_groups(fn)\n"
+    )
+    assert [line for line, _ in _ray_grouped_folds(src)] == [1, 2, 3, 4, 7, 8]
+
+
+_FOLD_AGGS = {
+    "n": (None, "count"),
+    "s": ("v", "sum"),
+    "f": ("x", "sum"),
+    "lo": ("d", "min"),
+    "hi": ("v", "max"),
+}
+
+
+def _fold_input(n: int = 6_000):
+    rng = np.random.default_rng(11)
+    name = np.array([f"k{i}" for i in rng.integers(0, 40, n)], dtype=object)
+    name[rng.random(n) < 0.05] = None  # null keys: one group
+    return pa.table({
+        "name": pa.array(name.tolist(), pa.string()),
+        "bucket": pa.array(rng.integers(-3, 3, n), pa.int32()),
+        "v": pa.array(rng.integers(-10**6, 10**6, n), pa.int64()),
+        "x": pa.array(rng.standard_normal(n) * 1e3, pa.float64()),
+        "d": pa.array(rng.integers(0, 20_000, n).astype(np.int32), pa.int32()).view(pa.date32()),
+    })
+
+
+def _fold_reference(t: pa.Table, keys: list) -> dict:
+    """_FOLD_AGGS per distinct key tuple in plain Python, keys ascending
+    with nulls last (pyarrow 16's own group-by splits null string keys)."""
+    groups: dict = {}
+    for r in t.to_pylist():
+        g = groups.setdefault(tuple(r[k] for k in keys), {"n": 0, "s": 0, "f": [], "lo": [], "hi": []})
+        g["n"] += 1
+        g["s"] += r["v"]
+        g["f"].append(r["x"])
+        g["lo"].append(r["d"])
+        g["hi"].append(r["v"])
+    order = sorted(groups, key=lambda kt: tuple((v is None, v if v is not None else 0) for v in kt))
+    out = {k: [kt[i] for kt in order] for i, k in enumerate(keys)}
+    for c, f in (("n", None), ("s", None), ("f", math.fsum), ("lo", min), ("hi", max)):
+        out[c] = [f(groups[kt][c]) if f else groups[kt][c] for kt in order]
+    return out
+
+
+def _assert_fold_equals(got: pa.Table, t: pa.Table, keys: list):
+    ref = _fold_reference(t, keys)
+    assert got.column_names == list(ref)
+    for k in keys:  # integer keys come out int64, as Ray's aggregate gives them
+        typ = t.schema.field(k).type
+        assert got.schema.field(k).type == (pa.int64() if pa.types.is_integer(typ) else typ)
+    assert [got.schema.field(c).type for c in ("n", "s", "hi")] == [pa.int64()] * 3
+    assert got.schema.field("f").type == pa.float64() and got.schema.field("lo").type == pa.date32()
+    for c in [*keys, "n", "s", "lo", "hi"]:
+        assert got[c].to_pylist() == ref[c], c
+    np.testing.assert_allclose(got["f"].to_numpy(), ref["f"], rtol=1e-9, atol=1e-6)
+
+
+@pytest.mark.parametrize("keys", [["name"], ["name", "bucket"], []], ids=["string", "string+int", "global"])
+@pytest.mark.parametrize("bound", ["driver", "distributed"])
+def test_fold_table_matches_reference(ray_session, monkeypatch, keys, bound):
+    from core_ray.stages import agg, join
+
+    if bound == "distributed":
+        monkeypatch.setattr(join, "BROADCAST_MAX_BYTES", 0)
+    t = _fold_input()
+    got = agg.fold_table(_blocks({c: t[c] for c in t.column_names}, 6), keys, _FOLD_AGGS)
+    _assert_fold_equals(got, t, keys)
+    if keys == ["name"]:
+        assert got["name"].null_count == 1  # every null key is one group
+
+
+@pytest.mark.parametrize("keys", [["name"], ["name", "bucket"], []], ids=["string", "string+int", "global"])
+def test_fold_matches_reference(ray_session, keys):
+    from core_ray.collect import collect_table
+    from core_ray.stages import agg
+
+    t = _fold_input()
+    out = collect_table(agg.fold(_blocks({c: t[c] for c in t.column_names}, 6), keys, _FOLD_AGGS))
+    if keys:
+        out = out.sort_by([(k, "ascending") for k in keys], null_placement="at_end")
+    _assert_fold_equals(out, t, keys)
+
+
+@pytest.mark.parametrize("bound", ["driver", "distributed"])
+def test_fold_table_float_sums_repeat_bit_for_bit(ray_session, monkeypatch, bound):
+    """Float partials are summed in one fixed order, whatever order the
+    blocks arrive in: two runs of each branch give the same bits."""
+    from core_ray.stages import agg, join
+
+    if bound == "distributed":
+        monkeypatch.setattr(join, "BROADCAST_MAX_BYTES", 0)
+    rng = np.random.default_rng(12)
+    t = pa.table({"k": pa.array(rng.integers(0, 5, 20_000), pa.int64()),
+                  "x": pa.array(rng.standard_normal(20_000) * 1e9, pa.float64())})
+    runs = [agg.fold_table(_blocks({"k": t["k"], "x": t["x"]}, 16), "k", {"x": ("x", "sum")})
+            for _ in range(2)]
+    assert runs[0].equals(runs[1])
+
+
+@pytest.mark.parametrize("keys", [["name"], []], ids=["grouped", "global"])
+def test_fold_table_on_empty_input_is_typed(ray_session, keys):
+    import ray.data
+
+    from core_ray.stages import agg
+
+    t = _fold_input().slice(0, 0)
+    got = agg.fold_table(ray.data.from_arrow(t), keys, _FOLD_AGGS)
+    assert got.num_rows == 0
+    assert got.column_names == keys + list(_FOLD_AGGS)
+    assert got.schema.field("s").type == pa.int64() and got.schema.field("lo").type == pa.date32()
+
+
+def test_fold_table_below_the_bound_is_one_map_only_execution(ray_session, executions):
+    from core_ray.stages import agg
+
+    t = _fold_input()
+    ds = _blocks({c: t[c] for c in t.column_names}, 6)
+    executions.clear()
+    agg.fold_table(ds, ["name"], _FOLD_AGGS)
+    assert len(executions) == 1 and "Sort" not in executions[0], executions
+
+
+@pytest.mark.parametrize("name", ["q3_top_orders", "doc_length_lognormal", "q1_pricing_summary"])
+def test_fold_sites_match_oracle_on_the_distributed_branch(ray_session, monkeypatch, name):
+    """Sites on both return shapes (a ``fold`` Dataset feeding a distributed
+    sort/limit, a global ``fold_table``, a grouped ``fold_table``) match
+    their oracles with every fold (and every lookup join) forced through the
+    hash shuffle."""
+    import os
+
+    from core_ray.compare import check_query
+    from core_ray.stages import join
+
+    monkeypatch.setattr(join, "BROADCAST_MAX_BYTES", 0)
+    sf = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "perfbench", "reftables")
+    r = check_query(name, sf)
+    assert r["ok"] and r["rows_ray"] > 0, r
+
+
+@pytest.mark.parametrize(
+    "name", ["q1_pricing_summary", "q21_sole_supplier", "events_funnel", "doc_span_dup_fraction"]
+)
+def test_query_mix_folds_run_no_ray_aggregate(ray_session, executions, name):
+    import os
+
+    from core_ray.compare import to_arrow
+    from core_ray.queries import QUERIES
+
+    sf = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "perfbench", "reftables")
+    executions.clear()
+    assert to_arrow(QUERIES[name](sf)).num_rows > 0
+    assert executions and not [e for e in executions if "Aggregate" in e], executions

@@ -80,11 +80,13 @@ def _skewed_cells():
     return ray.data.from_arrow(blocks), int(mega), int(summed)
 
 
-def test_hot_sets_is_one_map_only_execution(ray_session, executions):
-    """Below the driver threshold the hot-cell plan folds each block map-side
-    and sums the partials on the driver: one execution, no shuffle. The
+def test_hot_sets_is_one_map_only_execution(ray_session, executions, monkeypatch):
+    """While the partials fit the broadcast rule the hot-cell plan folds each
+    block map-side and sums the partials on the driver: one execution, no
+    shuffle. The
     distributed branch gives the same sets: it sums the partial counts,
     where a count of partial rows would see the 1,600-row cell as 4 rows."""
+    from core_ray.stages import join
     from core_ray.stages.knn import _hot_sets
 
     ds, mega, summed = _skewed_cells()
@@ -95,5 +97,6 @@ def test_hot_sets_is_one_map_only_execution(ray_session, executions):
     assert "Sort" not in executions[0], executions
     assert len(hot_coarse) and fine_salts == {mega: 12, summed: 4}
 
-    hc, fs = _hot_sets(ds, 5, hot_threshold=1000, salt_target=500, driver_cells_threshold=0)
+    monkeypatch.setattr(join, "BROADCAST_MAX_BYTES", 0)
+    hc, fs = _hot_sets(ds, 5, hot_threshold=1000, salt_target=500)
     assert sorted(hc.tolist()) == sorted(hot_coarse.tolist()) and fs == fine_salts

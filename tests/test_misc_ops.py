@@ -168,7 +168,7 @@ def test_funnel_accepts_pre_epoch_timestamps(ray_session, tmp_path):
         }
     )
     pq.write_table(t, str(tmp_path / "events.parquet"))
-    out = {r["stage"]: r["n_users"] for r in events_funnel(str(tmp_path)).take_all()}
+    out = {r["stage"]: r["n_users"] for r in events_funnel(str(tmp_path)).to_pylist()}
     assert out == {"view": 1, "view>click": 1, "view>click>purchase": 1}
 
 

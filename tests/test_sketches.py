@@ -70,12 +70,13 @@ class TestTileHLL:
 
 
 class TestHotSetDiscovery:
-    def test_distributed_equals_driver_path(self, ray_session):
+    def test_distributed_equals_driver_path(self, ray_session, monkeypatch):
         """_hot_sets: the distributed above-threshold-only path must produce
         the same hot coarse groups and fine salts as the small-histogram
         driver path."""
         import ray.data
 
+        from core_ray.stages import join
         from core_ray.stages.knn import _hot_sets
 
         rng = np.random.default_rng(5)
@@ -89,9 +90,7 @@ class TestHotSetDiscovery:
         t = pa.table({"hex_cell": pa.array(cells, pa.uint64())})
         ds = ray.data.from_arrow(t)
         hc1, fs1 = _hot_sets(ds, 5, hot_threshold=1000, salt_target=500)
-        hc2, fs2 = _hot_sets(
-            ray.data.from_arrow(t), 5, hot_threshold=1000, salt_target=500,
-            driver_cells_threshold=0,
-        )
+        monkeypatch.setattr(join, "BROADCAST_MAX_BYTES", 0)
+        hc2, fs2 = _hot_sets(ray.data.from_arrow(t), 5, hot_threshold=1000, salt_target=500)
         assert sorted(hc1.tolist()) == sorted(hc2.tolist()) and len(hc1) > 0
         assert fs1 == fs2 and 1234567 in fs1
